@@ -85,10 +85,29 @@ def _loss_weights(cfg: PipelineConfig) -> np.ndarray:
 
 
 def _load_dataset_dirs(data_dir: Path) -> list[Path]:
-    dirs = sorted(p for p in data_dir.iterdir() if p.is_dir()
-                  and p.name.startswith("seq_"))
-    if not dirs:
-        raise DataError(f"{data_dir}: no seq_* directories found")
+    """The sequence directories listed in the `gen-scenes` manifest.
+
+    The manifest is written last, so a tree without one is incomplete; and
+    only listed directories count, so stale ones from an earlier, larger run
+    into the same directory are never loaded.
+    """
+    manifest = data_dir / "manifest.json"
+    try:
+        outputs = json.loads(manifest.read_text())["outputs"]
+    except FileNotFoundError as exc:
+        raise DataError(f"{manifest}: not found; not a finished gen-scenes "
+                        "directory") from exc
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError,
+            TypeError) as exc:
+        raise DataError(f"{manifest}: unreadable manifest: {exc}") from exc
+    if (not isinstance(outputs, list) or not outputs
+            or not all(isinstance(n, str) for n in outputs)):
+        raise DataError(f"{manifest}: 'outputs' must be a non-empty list of "
+                        "sequence names")
+    dirs = [data_dir / name for name in outputs]
+    missing = [d.name for d in dirs if not d.is_dir()]
+    if missing:
+        raise DataError(f"{manifest}: listed sequences missing: {missing}")
     return dirs
 
 
@@ -98,6 +117,8 @@ def cmd_gen_scenes(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
     out = Path(args.out)
+    # an earlier run's manifest must not vouch for a tree this run rewrites
+    (out / "manifest.json").unlink(missing_ok=True)
     seq_dirs = generate_dataset(cfg, out, seed=seed, workers=worker_count())
     _write_manifest(out / "manifest.json", "gen-scenes", cfg, seed,
                     [d.name for d in seq_dirs])
@@ -214,6 +235,8 @@ def cmd_eval_miou(args) -> int:
 
 
 def cmd_theory_check(args) -> int:
+    if args.sweeps < 1:
+        raise ConfigError(f"--sweeps must be >= 1, got {args.sweeps}")
     rng = substream(args.seed, "theory")
     bound = theory.sweep_bayes_bound(args.sweeps, int(rng.integers(2**63)))
     lemma = theory.sweep_lemma1(max(1, args.sweeps // 10),

@@ -177,6 +177,8 @@ def parse_config(doc: dict) -> PipelineConfig:
 
     seed = _take(obj, "", "seed", int, default=defaults.seed)
     n_sequences = _take(obj, "", "n_sequences", int, default=defaults.n_sequences)
+    if n_sequences < 1:
+        raise ConfigError("n_sequences: must be >= 1")
 
     scene = defaults.scene
     if "scene" in obj:
@@ -373,7 +375,4 @@ def load_config(path) -> PipelineConfig:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    cfg = parse_config(doc)
-    if cfg.n_sequences < 1:
-        raise ConfigError("n_sequences: must be >= 1")
-    return cfg
+    return parse_config(doc)

@@ -268,6 +268,13 @@ def scan(scene: Scene, beams: BeamSpec, sensor_pose: Pose,
     Dynamic boxes are displaced by ``velocity * time_s`` before casting.
     Returns a sensor-frame cloud together with per-point semantic labels;
     rays that miss everything produce no point.
+
+    Each box runs the exact slab test only on the rays that pass its
+    bounding-sphere test.  The sphere encloses the box, and its radius and
+    the perpendicular-distance test are widened by margins far above the
+    rounding error of the sphere arithmetic, so every ray the slab test
+    would hit is kept.  The slab test works on one ray at a time, so the
+    output is identical, bit for bit, to running it on every ray.
     """
     dirs_sensor = _ray_directions(beams)
     dirs_world = dirs_sensor @ sensor_pose.rotation.T
@@ -286,10 +293,22 @@ def scan(scene: Scene, beams: BeamSpec, sensor_pose: Pose,
         best_label = np.where(ok, scene.ground_class, 0)
 
     for obj in scene.objects:
-        t_box = _ray_box_hits(origin, dirs_world, obj.box.at_time(time_s))
-        closer = t_box < best_t
-        best_t = np.where(closer, t_box, best_t)
-        best_label = np.where(closer, obj.surface_class, best_label)
+        box = obj.box.at_time(time_s)
+        # Bounding sphere, widened: the margins on the radius cover rays the
+        # slab test accepts by rounding at an edge or corner; the
+        # 1e-8 * |oc|^2 slack covers the cancellation in |oc|^2 - proj^2
+        # and directions that are unit only to the 1e-9 that Pose allows.
+        radius = 0.5 * math.hypot(box.l, box.w, box.h) * (1.0 + 1e-6) + 1e-6
+        oc = box.center - origin
+        oc2 = float(oc @ oc)
+        proj = dirs_world @ oc
+        cand = np.flatnonzero(
+            (proj >= -radius)
+            & (oc2 - proj * proj <= radius * radius + 1e-8 * oc2))
+        t_box = _ray_box_hits(origin, dirs_world[cand], box)
+        closer = t_box < best_t[cand]
+        best_t[cand[closer]] = t_box[closer]
+        best_label[cand[closer]] = obj.surface_class
 
     hit = np.isfinite(best_t)
     t = best_t[hit]

@@ -3,7 +3,8 @@
 Everything here deliberately uses a *different* algorithm from the library
 path it checks: exhaustive scans instead of KD-trees, per-cell loops
 instead of single-pass binning, explicit enumeration instead of closed
-forms.  Keep it that way.
+forms.  Keep it that way.  The one exception is :func:`scan_reference`,
+whose docstring says why.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import math
 import numpy as np
 
 from occspot.balance import default_loss_weights
-from occspot.cloud import BoxLabel
+from occspot.cloud import BoxLabel, PointCloud
+from occspot.synth import _RAY_EPS, RANGE_NORM, _ray_box_hits, _ray_directions
 
 
 def point_in_box_brute(p, box: BoxLabel, atol: float = 0.0) -> bool:
@@ -46,6 +48,39 @@ def scene_surface_distance(p, scene) -> float:
     for obj in scene.objects:
         best = min(best, box_surface_distance(p, obj.box))
     return best
+
+
+def scan_reference(scene, beams, sensor_pose, time_s: float = 0.0):
+    """Unculled ``synth.scan``: the slab test on every ray for every box.
+
+    Unlike the other oracles here, this one shares the library's slab
+    arithmetic (``_ray_box_hits``) on purpose.  It is the reference for the
+    bounding-sphere cull in ``scan``, and the property under test is
+    bit-identity: the cull may skip only rays that miss the box, and must
+    never change a hit distance or label.  Updates use ``np.where`` over
+    all rays, as ``scan`` did before the cull.
+    """
+    dirs_sensor = _ray_directions(beams)
+    dirs_world = dirs_sensor @ sensor_pose.rotation.T
+    origin = sensor_pose.translation
+    best_t = np.full(dirs_world.shape[0], np.inf)
+    best_label = np.zeros(dirs_world.shape[0], dtype=np.int64)
+    if scene.ground_z is not None:
+        dz = dirs_world[:, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_ground = (scene.ground_z - origin[2]) / dz
+        ok = (dz != 0.0) & (t_ground > _RAY_EPS)
+        best_t = np.where(ok, t_ground, np.inf)
+        best_label = np.where(ok, scene.ground_class, 0)
+    for obj in scene.objects:
+        t_box = _ray_box_hits(origin, dirs_world, obj.box.at_time(time_s))
+        closer = t_box < best_t
+        best_t = np.where(closer, t_box, best_t)
+        best_label = np.where(closer, obj.surface_class, best_label)
+    hit = np.isfinite(best_t)
+    t = best_t[hit]
+    return (PointCloud(dirs_sensor[hit] * t[:, None], (t / RANGE_NORM)[:, None]),
+            best_label[hit])
 
 
 def knn_label_brute(fused_xyz, fused_labels, queries, k, n_cls=15,

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import point_in_box_brute, scene_surface_distance
+from helpers import point_in_box_brute, scan_reference, scene_surface_distance
 
 from occspot.cloud import BoxLabel, Pose, to_spherical, transform
 from occspot.synth import (BeamSpec, Scene, SceneObject, SceneParams,
-                           SequenceMeta, build_scene, generate_sequence, scan)
+                           SequenceMeta, _ray_directions, build_scene,
+                           generate_sequence, scan)
 
 
 def down_beams(n=16, steps=90):
@@ -141,6 +142,111 @@ class TestScan:
         cloud, labels = scan(scene, beams, Pose(np.eye(3), (0, 0, 1.0)))
         assert labels.tolist() == [2]
         assert cloud.xyz[0][1] == pytest.approx(2.5, abs=1e-9)
+
+
+def rotation(yaw, pitch=0.0, roll=0.0):
+    cz, sz = math.cos(yaw), math.sin(yaw)
+    cy, sy = math.cos(pitch), math.sin(pitch)
+    cx, sx = math.cos(roll), math.sin(roll)
+    rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
+    ry = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
+    return rz @ ry @ rx
+
+
+def assert_matches_reference(scene, beams, pose, time_s=0.0):
+    """`scan` (culled) equals the unculled reference bit for bit."""
+    cloud, labels = scan(scene, beams, pose, time_s=time_s)
+    ref_cloud, ref_labels = scan_reference(scene, beams, pose, time_s=time_s)
+    assert np.array_equal(cloud.xyz, ref_cloud.xyz)
+    assert np.array_equal(cloud.feat, ref_cloud.feat)
+    assert np.array_equal(labels, ref_labels)
+    assert labels.dtype == ref_labels.dtype
+    return labels
+
+
+class TestScanCulling:
+    """The bounding-sphere cull in `scan` never changes its output."""
+
+    WIDE = BeamSpec(n_beams=16, alpha_up=15.0, alpha_low=-25.0, azimuth_steps=360)
+
+    @pytest.mark.parametrize("ground_z", [0.0, None], ids=["ground", "no-ground"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_scenes(self, seed, ground_z):
+        rng = np.random.default_rng(seed)
+        params = SceneParams(n_objects=12 + 4 * seed, dynamic_fraction=0.5,
+                             ground_z=ground_z)
+        scene = build_scene(params, seed=100 + seed)
+        pose = Pose(rotation(rng.uniform(-math.pi, math.pi),
+                             rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)),
+                    (rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(1, 3)))
+        labels = assert_matches_reference(scene, self.WIDE, pose,
+                                          time_s=float(rng.uniform(0, 2)))
+        assert np.isin(labels, [o.surface_class for o in scene.objects]).any()
+
+    def test_dynamic_boxes_later_times(self):
+        scene = build_scene(SceneParams(n_objects=16, dynamic_fraction=1.0), 21)
+        for time_s in (0.5, 3.0):
+            assert scene.boxes_at(time_s) != scene.boxes_at(0.0)
+            assert_matches_reference(scene, self.WIDE, sensor(1.8), time_s)
+
+    @pytest.mark.parametrize("ground_z", [0.0, None], ids=["ground", "no-ground"])
+    def test_zero_objects(self, ground_z):
+        scene = build_scene(SceneParams(n_objects=0, ground_z=ground_z), 3)
+        assert_matches_reference(scene, self.WIDE, sensor())
+
+    def test_sensor_inside_box(self):
+        around = SceneObject(BoxLabel(0.5, -0.3, 2.0, 4.0, 3.0, 5.0, 0.4), 2)
+        outside = SceneObject(BoxLabel(8.0, 0.0, 1.0, 2.0, 2.0, 2.0, 0.0), 4)
+        scene = Scene(ground_z=0.0, objects=(around, outside), rng_seed=0)
+        labels = assert_matches_reference(scene, self.WIDE, sensor(2.0))
+        assert len(labels) == self.WIDE.n_beams * self.WIDE.azimuth_steps
+        assert (labels == 2).all()
+
+    def test_boxes_behind_sensor(self):
+        # one vertical fan of rays; every box sits on the opposite side
+        beams = BeamSpec(n_beams=8, alpha_up=20.0, alpha_low=-20.0,
+                         azimuth_steps=1)
+        ahead = _ray_directions(beams).mean(axis=0)
+        ahead /= np.linalg.norm(ahead)
+        objects = tuple(
+            SceneObject(BoxLabel(*(-d * ahead + [0.0, 0.0, 2.0] + off),
+                                 1.5, 1.0, 2.0, 0.3 * i), 1 + i % 5)
+            for i, (d, off) in enumerate([(3.0, (0, 0, 0)), (6.0, (2, 1, 0)),
+                                          (10.0, (-1, 2, 1))]))
+        scene = Scene(ground_z=None, objects=objects, rng_seed=0)
+        labels = assert_matches_reference(scene, beams, sensor(2.0))
+        assert labels.size == 0
+
+    def test_rays_grazing_edges_and_corners(self):
+        # boxes placed so one corner or edge point lies on a ray, up to
+        # rounding: the hardest case for a conservative cull
+        rng = np.random.default_rng(5)
+        beams = BeamSpec(n_beams=32, alpha_up=10.0, alpha_low=-20.0,
+                         azimuth_steps=90)
+        pose = Pose(rotation(0.3, 0.05, -0.02), (1.0, -2.0, 1.7))
+        dirs = _ray_directions(beams) @ pose.rotation.T
+        objects = []
+        for i, ray in enumerate(rng.choice(len(dirs), size=40, replace=False)):
+            p = pose.translation + rng.uniform(3.0, 25.0) * dirs[ray]
+            l, w, h = rng.uniform(0.5, 4.0, size=3)
+            yaw = float(rng.uniform(-math.pi, math.pi))
+            sx, sy, sz = rng.choice([-1.0, 1.0], size=3)
+            # even i: a corner on the ray; odd i: a point on an edge
+            u = 1.0 if i % 2 == 0 else rng.uniform(-1.0, 1.0)
+            off = np.array([sx * l / 2, u * sy * w / 2, sz * h / 2])
+            c, s = math.cos(yaw), math.sin(yaw)
+            cx = p[0] - (c * off[0] - s * off[1])
+            cy = p[1] - (s * off[0] + c * off[1])
+            box = BoxLabel(cx, cy, p[2] - off[2], l, w, h, yaw)
+            objects.append(SceneObject(box, 1 + i % 5))
+        # an axis-aligned top face exactly at sensor height: the horizontal
+        # rays graze it
+        objects.append(SceneObject(BoxLabel(0.0, 9.0, 1.2, 4.0, 2.0, 1.0, 0.0), 3))
+        scene = Scene(ground_z=0.0, objects=tuple(objects), rng_seed=0)
+        assert_matches_reference(scene, beams, pose)
+        flat = BeamSpec(n_beams=1, alpha_up=1.0, alpha_low=-1.0, azimuth_steps=720)
+        assert_matches_reference(scene, flat, sensor(1.7))
 
 
 class TestSequence:
