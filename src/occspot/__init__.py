@@ -4,7 +4,7 @@ Library layout:
 
 * :mod:`occspot.cloud` — point clouds, poses, boxes, spherical transforms
 * :mod:`occspot.synth` — synthetic labeled scenes and the beam raycaster
-* :mod:`occspot.augment` — beam re-sampling, flips, rotations
+* :mod:`occspot.augment` — beam re-sampling and flips
 * :mod:`occspot.occupancy` — BEV occupancy ground-truth generation
 * :mod:`occspot.balance` — class statistics, sampling and loss weights
 * :mod:`occspot.learn` — loss kernels, toy BEV model, training, metrics

@@ -1,4 +1,4 @@
-"""Point-cloud augmentations: beam re-sampling, random flip, random rotation.
+"""Point-cloud augmentations: beam re-sampling and random flips.
 
 Beam re-sampling compares beam densities (beams per degree of vertical FOV)
 between a source and target sensor and discards whole beams from the source
@@ -7,16 +7,17 @@ points by 1-D gap clustering of per-point elevations, so no ring indices are
 needed.  Upsampling is never attempted: factors above 1 clamp to 1 with a
 warning.
 
-All ops are pure and deterministic in (input, seed); flips and rotations
-move boxes (centers, yaws, velocities) together with the points and leave
-semantic labels untouched.
+All ops are pure and deterministic in (input, seed); flips move boxes
+(centers, yaws, velocities) together with the points and leave semantic
+labels untouched.  The policy that chains them for training is
+:func:`occspot.pipeline.build_samples`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +25,8 @@ from .cloud import BoxLabel, PointCloud, to_spherical, wrap_angle
 from .synth import BeamSpec
 
 __all__ = [
-    "ResampleFactor", "AugmentConfig",
-    "beam_density", "resample_factor", "estimate_beams", "beam_resample",
-    "random_flip", "random_rotate", "augment_frame",
-    "DEFAULT_MERGE_THRESHOLD_DEG",
+    "ResampleFactor", "beam_density", "resample_factor", "estimate_beams",
+    "beam_resample", "random_flip", "DEFAULT_MERGE_THRESHOLD_DEG",
 ]
 
 #: Elevation gap (degrees) below which adjacent points merge into one beam.
@@ -48,25 +47,6 @@ class ResampleFactor:
     def __post_init__(self):
         if not 0.0 < self.value <= 1.0:
             raise ValueError(f"resample factor must lie in (0, 1], got {self.value}")
-
-
-@dataclass(frozen=True)
-class AugmentConfig:
-    """Per-frame augmentation policy for the pre-training pipeline."""
-
-    target_beam_specs: tuple[BeamSpec, ...] = ()
-    flip_prob_x: float = 0.5
-    flip_prob_y: float = 0.5
-    rotation_range: float = math.pi / 4  # radians, symmetric about 0
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("flip_prob_x", "flip_prob_y"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {p}")
-        if self.rotation_range < 0:
-            raise ValueError("rotation_range must be >= 0")
 
 
 def beam_density(b: BeamSpec) -> float:
@@ -167,55 +147,3 @@ def random_flip(cloud: PointCloud, labels: np.ndarray, boxes: list[BoxLabel],
     else:
         xyz[:, 0] = -xyz[:, 0]
     return PointCloud(xyz, cloud.feat), labels.copy(), _flip_boxes(boxes, axis)
-
-
-def random_rotate(cloud: PointCloud, labels: np.ndarray, boxes: list[BoxLabel],
-                  angle: float | None = None, rotation_range: float = math.pi,
-                  seed: int = 0) -> tuple[PointCloud, np.ndarray, list[BoxLabel]]:
-    """Rotate points, boxes, yaws and velocities about z by `angle` (CCW).
-
-    When `angle` is None it is drawn uniformly from
-    [-rotation_range, +rotation_range] using `seed`.
-    """
-    labels = np.asarray(labels)
-    if angle is None:
-        angle = float(np.random.default_rng(seed).uniform(-rotation_range,
-                                                          rotation_range))
-    c, s = math.cos(angle), math.sin(angle)
-    xyz = cloud.xyz.copy()
-    x, y = xyz[:, 0].copy(), xyz[:, 1].copy()
-    xyz[:, 0] = c * x - s * y
-    xyz[:, 1] = s * x + c * y
-
-    out_boxes = []
-    for b in boxes:
-        cx, cy = c * b.cx - s * b.cy, s * b.cx + c * b.cy
-        vx, vy = c * b.vx - s * b.vy, s * b.vx + c * b.vy
-        out_boxes.append(BoxLabel(cx, cy, b.cz, b.l, b.w, b.h,
-                                  wrap_angle(b.yaw + angle), vx, vy,
-                                  b.class_id, b.is_dynamic))
-    return PointCloud(xyz, cloud.feat), labels.copy(), out_boxes
-
-
-def augment_frame(cloud: PointCloud, labels: np.ndarray, boxes: list[BoxLabel],
-                  source_beams: BeamSpec, config: AugmentConfig,
-                  frame_key: int) -> tuple[PointCloud, np.ndarray, list[BoxLabel]]:
-    """Full augmentation chain: beam re-sampling, then flips, then rotation.
-
-    One target beam spec is drawn uniformly per frame; `frame_key` should be
-    unique per (frame, epoch) so repeated passes see fresh draws.
-    """
-    rng = np.random.default_rng((config.seed, frame_key))
-    if config.target_beam_specs:
-        target = config.target_beam_specs[int(rng.integers(len(config.target_beam_specs)))]
-        factor = resample_factor(source_beams, target)
-        cloud, labels = beam_resample(cloud, labels, factor,
-                                      seed=int(rng.integers(2**63)))
-    if rng.random() < config.flip_prob_x:
-        cloud, labels, boxes = random_flip(cloud, labels, boxes, "x")
-    if rng.random() < config.flip_prob_y:
-        cloud, labels, boxes = random_flip(cloud, labels, boxes, "y")
-    if config.rotation_range > 0:
-        angle = float(rng.uniform(-config.rotation_range, config.rotation_range))
-        cloud, labels, boxes = random_rotate(cloud, labels, boxes, angle=angle)
-    return cloud, labels, boxes

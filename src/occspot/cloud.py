@@ -33,9 +33,6 @@ __all__ = [
     "wrap_angle",
 ]
 
-#: Column order of the arrays returned by :func:`to_spherical`.
-SPHERICAL_COLUMNS = ("r", "azimuth", "elevation")
-
 
 def _as_points(xyz) -> np.ndarray:
     arr = np.asarray(xyz, dtype=np.float64)

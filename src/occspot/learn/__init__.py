@@ -3,8 +3,7 @@
 from .losses import (lovasz_softmax, softmax_field, softmax_vjp, total_loss,
                      weighted_ce)
 from .metrics import confusion_matrix, miou
-from .model import (ModelConfig, decoder_forward, encoder_forward,
-                    init_params, model_backward, model_forward,
+from .model import (ModelConfig, init_params, model_backward, model_forward,
                     pillar_features)
 from .train import (NumericalError, TrainConfig, evaluate,
                     finetune_segmentation, load_model, one_cycle_lr,
@@ -14,7 +13,7 @@ __all__ = [
     "softmax_field", "weighted_ce", "lovasz_softmax", "total_loss",
     "softmax_vjp",
     "ModelConfig", "init_params", "pillar_features",
-    "encoder_forward", "decoder_forward", "model_forward", "model_backward",
+    "model_forward", "model_backward",
     "TrainConfig", "pretrain", "finetune_segmentation", "evaluate",
     "one_cycle_lr", "save_model", "load_model", "NumericalError",
     "confusion_matrix", "miou",

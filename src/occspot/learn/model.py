@@ -16,7 +16,6 @@ them uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -25,8 +24,7 @@ from ..occupancy import GridSpec
 
 __all__ = [
     "ModelConfig", "init_params", "param_names", "flatten_params",
-    "unflatten_params", "pillar_features", "encoder_forward",
-    "decoder_forward", "model_forward", "model_backward",
+    "unflatten_params", "pillar_features", "model_forward", "model_backward",
 ]
 
 Params = dict[str, np.ndarray]
@@ -297,36 +295,6 @@ def min_preactivation_gap(cache: dict) -> float:
     return min(float(np.abs(cache[k]).min()) for k in ("z1", "z2", "z3", "z4", "z5"))
 
 
-def encoder_forward(cloud: PointCloud, spec: GridSpec, params: Params,
-                    cfg: ModelConfig) -> np.ndarray:
-    """BEV features (H/4, W/4, C2) for a single cloud."""
-    pillars = pillar_features(cloud, spec, cfg)[None]
-    e0 = pillars @ params["embed_w"]
-    a1 = _relu(conv_forward(e0, params["conv1_w"], params["conv1_b"], stride=2))
-    feats = _relu(conv_forward(a1, params["conv2_w"], params["conv2_b"], stride=2))
-    return feats[0]
-
-
-def decoder_forward(feats: np.ndarray, params: Params) -> np.ndarray:
-    """Logits (H, W, n_out) from BEV features (H/4, W/4, C2)."""
-    single = feats.ndim == 3
-    x = feats[None] if single else feats
-    hh, ww = x.shape[1] * 2, x.shape[2] * 2
-    a3 = _relu(tconv_forward(x, params["up1_w"], params["up1_b"],
-                             (hh, ww), stride=2))
-    a4 = _relu(tconv_forward(a3, params["up2_w"], params["up2_b"],
-                             (hh * 2, ww * 2), stride=2))
-    a5 = _relu(tconv_forward(a4, params["up3_w"], params["up3_b"],
-                             (hh * 2, ww * 2), stride=1))
-    logits = a5 @ params["head_w"] + params["head_b"]
-    return logits[0] if single else logits
-
-
-def encoder_param_names() -> tuple[str, ...]:
-    """Encoder parameters (the transferable backbone)."""
-    return ("embed_w", "conv1_w", "conv1_b", "conv2_w", "conv2_b")
-
-
 def transfer_param_names() -> tuple[str, ...]:
     """Parameters carried from pre-training into fine-tuning.
 
@@ -335,8 +303,3 @@ def transfer_param_names() -> tuple[str, ...]:
     for the downstream task.
     """
     return tuple(n for n in _LAYER_ORDER if not n.startswith("head_"))
-
-
-def copy_params(params: Params, names: Iterable[str] | None = None) -> Params:
-    keys = _LAYER_ORDER if names is None else tuple(names)
-    return {k: params[k].copy() for k in keys}

@@ -7,7 +7,7 @@ single-threaded float64 numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -214,7 +214,3 @@ def load_model(path) -> tuple[Params, ModelConfig, dict]:
     cfg = ModelConfig.from_dict(header["model"])
     params = unflatten_params(blob, cfg)
     return params, cfg, header
-
-
-def with_lam(cfg: ModelConfig, lam: float) -> ModelConfig:
-    return replace(cfg, lam=lam)

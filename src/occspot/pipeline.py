@@ -157,8 +157,8 @@ def build_samples(seqs: list[SequenceFiles], cfg: PipelineConfig,
 
     Augmentation applies beam re-sampling (input-only; targets drawn
     uniformly from the configured list) and axis flips mirrored onto the
-    grid.  Rotations are left to the op-level API because an arbitrary
-    rotation does not map the label grid onto itself.
+    grid.  There is no rotation: an arbitrary rotation does not map the
+    label grid onto itself, so ``augment.rotation_range_deg`` has no effect.
     """
     rng = substream(cfg.seed if seed is None else seed, "augment")
     samples = []

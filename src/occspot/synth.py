@@ -137,10 +137,18 @@ class SceneParams:
             raise ValueError("arena bounds must satisfy x_max > x_min, y_max > y_min")
         if self.n_objects < 0:
             raise ValueError("n_objects must be >= 0")
+        if any(w < 0 for w in self.class_mix.values()):
+            raise ValueError("class_mix weights must be >= 0")
         if self.n_objects > 0 and sum(self.class_mix.values()) <= 0:
             raise ValueError("class_mix weights must sum > 0")
         if not 0.0 <= self.dynamic_fraction <= 1.0:
             raise ValueError("dynamic_fraction must lie in [0, 1]")
+        for name in ("size_range_l", "size_range_w", "size_range_h"):
+            low, high = getattr(self, name)
+            if not 0 < low <= high:
+                raise ValueError(f"{name} must satisfy 0 < low <= high")
+        if not self.speed_range[0] <= self.speed_range[1]:
+            raise ValueError("speed_range must satisfy low <= high")
 
 
 class Frame(NamedTuple):

@@ -6,9 +6,8 @@ import pytest
 
 from helpers import point_in_box_brute
 
-from occspot.augment import (AugmentConfig, ResampleFactor, augment_frame,
-                             beam_density, beam_resample, estimate_beams,
-                             random_flip, random_rotate, resample_factor)
+from occspot.augment import (ResampleFactor, beam_density, beam_resample,
+                             estimate_beams, random_flip, resample_factor)
 from occspot.cloud import BoxLabel, PointCloud, Pose
 from occspot.synth import BeamSpec, SceneParams, build_scene, scan
 
@@ -216,58 +215,3 @@ class TestFlip:
         a = random_flip(cloud, labels, [], "x", seed=5, prob=0.5)
         b = random_flip(cloud, labels, [], "x", seed=5, prob=0.5)
         np.testing.assert_array_equal(a[0].xyz, b[0].xyz)
-
-
-class TestRotate:
-    def test_zero_angle_identity(self):
-        cloud, labels = rand_cloud_labels(seed=4)
-        rc, rl, _ = random_rotate(cloud, labels, [], angle=0.0)
-        np.testing.assert_array_equal(rc.xyz, cloud.xyz)
-
-    def test_quarter_turn(self):
-        cloud = PointCloud([[1.0, 0.0, 0.0]])
-        box = BoxLabel(1.0, 0.0, 0.0, 1.0, 1.0, 1.0, yaw=0.2)
-        rc, _, rb = random_rotate(cloud, np.zeros(1), [box], angle=math.pi / 2)
-        assert rc.xyz[0] == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
-        assert rb[0].yaw == pytest.approx(0.2 + math.pi / 2)
-        assert (rb[0].cx, rb[0].cy) == pytest.approx((0.0, 1.0), abs=1e-12)
-
-    def test_membership_random_angles(self):
-        rng = np.random.default_rng(7)
-        box = BoxLabel(2.0, -1.0, 0.8, 2.4, 1.2, 1.6, yaw=0.9)
-        local = rng.uniform(-0.5, 0.5, (1000, 3)) * [box.l, box.w, box.h]
-        c, s = math.cos(box.yaw), math.sin(box.yaw)
-        world = np.stack([box.cx + c * local[:, 0] - s * local[:, 1],
-                          box.cy + s * local[:, 0] + c * local[:, 1],
-                          box.cz + local[:, 2]], axis=-1)
-        cloud = PointCloud(world)
-        for trial in range(1000):
-            angle = rng.uniform(-math.pi, math.pi)
-            rc, _, rb = random_rotate(cloud.select([trial % 1000]),
-                                      np.zeros(1), [box], angle=angle)
-            assert point_in_box_brute(rc.xyz[0], rb[0], atol=1e-9)
-
-    def test_angle_drawn_from_range_deterministic(self):
-        cloud, labels = rand_cloud_labels(seed=8)
-        a = random_rotate(cloud, labels, [], rotation_range=0.5, seed=42)
-        b = random_rotate(cloud, labels, [], rotation_range=0.5, seed=42)
-        np.testing.assert_array_equal(a[0].xyz, b[0].xyz)
-
-    def test_velocity_rotates(self):
-        box = BoxLabel(0, 0, 0, 1, 1, 1, 0.0, vx=2.0, vy=0.0)
-        _, _, rb = random_rotate(PointCloud(np.zeros((0, 3))), np.zeros(0),
-                                 [box], angle=math.pi / 2)
-        assert (rb[0].vx, rb[0].vy) == pytest.approx((0.0, 2.0), abs=1e-12)
-
-
-def test_augment_frame_deterministic():
-    cloud, labels = synth_scan(32, steps=90)
-    cfg = AugmentConfig(
-        target_beam_specs=(BeamSpec(16, -2.0, -28.0), BeamSpec(32, -2.0, -28.0)),
-        flip_prob_x=0.5, flip_prob_y=0.5, rotation_range=0.3, seed=13)
-    src = BeamSpec(32, -2.0, -28.0, 90)
-    a = augment_frame(cloud, labels, sample_boxes(), src, cfg, frame_key=4)
-    b = augment_frame(cloud, labels, sample_boxes(), src, cfg, frame_key=4)
-    np.testing.assert_array_equal(a[0].xyz, b[0].xyz)
-    np.testing.assert_array_equal(a[1], b[1])
-    assert a[2] == b[2]

@@ -95,6 +95,21 @@ class TestDatasetManifest:
         assert pretrain(config, data, tmp_path) == cli.EXIT_DATA
 
 
+@pytest.mark.parametrize("override, path", [
+    ({"scene": {"arena": ["a", 1, 2, 3]}}, "scene.arena[0]"),
+    ({"beams": {"targets": [3]}}, "beams.targets[0]"),
+    ({"scene": {"ground_class": 99}}, "scene.ground_class"),
+    ({"scene": {"class_mix": {"0": 1.0}}}, "scene.class_mix"),
+])
+def test_malformed_config_is_a_config_error(tmp_path, override, path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({**MINI, **override}))
+    assert main(["gen-scenes", "--config", str(config),
+                 "--out", str(tmp_path / "data")]) == cli.EXIT_CONFIG
+    assert f"config error: {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 class TestTheoryCheck:
     @pytest.mark.parametrize("sweeps", ["0", "-3"])
     def test_sweeps_below_one_is_a_config_error(self, sweeps, capsys):

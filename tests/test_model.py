@@ -5,9 +5,9 @@ from helpers import lovasz_region_signature, rel_err
 
 from occspot.balance import default_loss_weights
 from occspot.cloud import PointCloud
-from occspot.learn import (ModelConfig, decoder_forward, encoder_forward,
-                           init_params, model_backward, model_forward,
-                           pillar_features, softmax_field, total_loss)
+from occspot.learn import (ModelConfig, init_params, model_backward,
+                           model_forward, pillar_features, softmax_field,
+                           total_loss)
 from occspot.learn.model import (conv_backward_input, conv_backward_weight,
                                  conv_forward, flatten_params, param_names,
                                  tconv_backward, tconv_forward,
@@ -98,11 +98,17 @@ class TestPillarFeatures:
         assert np.all(out == 0.0)
 
 
+def encoder_feats(cloud, params):
+    """BEV features (H/4, W/4, C2) of one cloud, from the model's forward pass."""
+    _, cache = model_forward(pillar_features(cloud, grid16(), CFG)[None], params)
+    return cache["feats"][0]
+
+
 class TestEncoder:
     def test_empty_cloud_bias_propagation(self):
         params = init_params(CFG, seed=4)
         empty = PointCloud(np.zeros((0, 3)), np.zeros((0, 1)))
-        feats = encoder_forward(empty, grid16(), params, CFG)
+        feats = encoder_feats(empty, params)
         assert feats.shape == (4, 4, CFG.channels[2])
         # closed form: zero pillars -> relu(b1) broadcast -> conv2 + b2
         b1 = np.maximum(params["conv1_b"], 0.0)
@@ -113,10 +119,10 @@ class TestEncoder:
 
     def test_single_point_receptive_field(self):
         params = init_params(CFG, seed=5)
-        baseline = encoder_forward(PointCloud(np.zeros((0, 3)), np.zeros((0, 1))),
-                                   grid16(), params, CFG)
+        baseline = encoder_feats(PointCloud(np.zeros((0, 3)), np.zeros((0, 1))),
+                                 params)
         cloud = PointCloud([[0.25, 0.25, 1.0]], [[1.0]])  # pillar (8, 8)
-        feats = encoder_forward(cloud, grid16(), params, CFG)
+        feats = encoder_feats(cloud, params)
         diff = np.abs(feats - baseline).max(axis=-1)
         # two stride-2 3x3 convs: input u maps to outputs within
         # |4j - u| <= 3, i.e. j in {ceil((u-3)/4) .. floor((u+3)/4)}
@@ -130,21 +136,22 @@ class TestEncoder:
 
 class TestDecoder:
     def test_output_shape_restored(self):
+        params = init_params(CFG, seed=6)
         for h in (16, 32):
-            cfg = CFG
-            params = init_params(cfg, seed=6)
-            feats = np.random.default_rng(6).normal(
-                size=(h // 4, h // 4, cfg.channels[2]))
-            logits = decoder_forward(feats, params)
-            assert logits.shape == (h, h, cfg.n_out)
+            pillars = np.random.default_rng(6).normal(
+                size=(2, h, h, CFG.pillar_dim))
+            logits, cache = model_forward(pillars, params)
+            assert cache["feats"].shape == (2, h // 4, h // 4, CFG.channels[2])
+            assert logits.shape == (2, h, h, CFG.n_out)
 
     def test_zero_input_zero_bias_zero_logits(self):
         params = init_params(CFG, seed=7)
         for k in params:
             if k.endswith("_b"):
                 params[k] = np.zeros_like(params[k])
-        feats = np.zeros((4, 4, CFG.channels[2]))
-        logits = decoder_forward(feats, params)
+        logits, cache = model_forward(np.zeros((1, 16, 16, CFG.pillar_dim)),
+                                      params)
+        assert np.all(cache["feats"] == 0.0)
         assert np.all(logits == 0.0)
 
 
