@@ -17,6 +17,7 @@ Every error is a :class:`ConfigError` that names the JSON path.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
@@ -70,7 +71,11 @@ class PipelineConfig:
     channels: tuple[int, int, int] = (8, 16, 16)
 
     def __post_init__(self):
-        n_cls, mix = self.grid.n_cls, self.scene.class_mix
+        n_cls, mix, g = self.grid.n_cls, self.scene.class_mix, self.grid
+        # the origins of a grid symmetric about x=0 and y=0
+        mid_x, mid_y = -g.w * g.cell_size / 2.0, -g.h * g.cell_size / 2.0
+        centred_x = math.isclose(g.origin_x, mid_x, abs_tol=1e-9)
+        centred_y = math.isclose(g.origin_y, mid_y, abs_tol=1e-9)
         checks = (
             ("n_sequences", self.n_sequences >= 1, "must be >= 1"),
             ("scene.ground_class", 1 <= self.scene.ground_class <= n_cls,
@@ -83,6 +88,13 @@ class PipelineConfig:
              "h and w must be divisible by 4 for the model"),
             ("augment.flip_prob_x", 0 <= self.flip_prob_x <= 1, "must lie in [0, 1]"),
             ("augment.flip_prob_y", 0 <= self.flip_prob_y <= 1, "must lie in [0, 1]"),
+            # a flip mirrors the label grid, which needs a centred grid
+            ("augment.flip_prob_x", self.flip_prob_x == 0 or centred_y,
+             f"above 0 needs grid.origin_y = {mid_y} (centred), "
+             f"got {g.origin_y}"),
+            ("augment.flip_prob_y", self.flip_prob_y == 0 or centred_x,
+             f"above 0 needs grid.origin_x = {mid_x} (centred), "
+             f"got {g.origin_x}"),
             ("augment.rotation_range_deg", self.rotation_range_deg >= 0,
              "must be >= 0"),
             ("balance.foreground_classes",

@@ -210,9 +210,11 @@ def pillar_features(cloud: PointCloud, spec: GridSpec,
     ], axis=1)
 
     flat = ii * spec.w + jj
-    sums = np.zeros((spec.h * spec.w, cfg.pillar_dim))
-    np.add.at(sums, flat, cols)
-    counts = np.bincount(flat, minlength=spec.h * spec.w).astype(np.float64)
+    n_cells = spec.h * spec.w
+    # bincount adds each column in input order, exactly as np.add.at would
+    sums = np.stack([np.bincount(flat, weights=col, minlength=n_cells)
+                     for col in cols.T], axis=1)
+    counts = np.bincount(flat, minlength=n_cells).astype(np.float64)
     occupied = counts > 0
     sums[occupied] /= counts[occupied, None]
     return sums.reshape(spec.h, spec.w, cfg.pillar_dim)

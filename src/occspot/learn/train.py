@@ -30,7 +30,7 @@ __all__ = [
 
 
 class NumericalError(RuntimeError):
-    """Raised when training hits a non-finite loss."""
+    """Raised when training diverges: NaN logits or a non-finite loss."""
 
 
 @dataclass(frozen=True)
@@ -116,22 +116,28 @@ def _run_epochs(params: Params, pillars: np.ndarray, gts: np.ndarray,
     opt = AdamState.init(params)
     trace: list[float] = []
     step = 0
+
+    def diverged(why) -> NumericalError:
+        return NumericalError(
+            f"{why} at step {step} (epoch {len(trace)}, lr {lr:.2e})")
+
     for _ in range(tc.epochs):
         order = order_rng.permutation(n)
         epoch_losses = []
         for s in range(steps_per_epoch):
             sel = order[s * tc.batch_size:(s + 1) * tc.batch_size]
+            lr = one_cycle_lr(step, total_steps, tc.lr_peak,
+                              tc.warmup_frac, tc.div_factor)
             logits, cache = model_forward(pillars[sel], params)
-            pred = softmax_field(logits)
+            try:
+                pred = softmax_field(logits)
+            except ValueError as exc:  # NaN logits: the run diverged
+                raise diverged(exc) from exc
             loss, dlogits = total_loss(pred, gts[sel], weights, cfg.lam,
                                        tc.lovasz_classes)
             if not np.isfinite(loss):
-                raise NumericalError(
-                    f"non-finite loss {loss} at step {step} "
-                    f"(epoch {len(trace)}, lr {one_cycle_lr(step, total_steps, tc.lr_peak, tc.warmup_frac, tc.div_factor):.2e})")
+                raise diverged(f"non-finite loss {loss}")
             grads = model_backward(cache, dlogits, params)
-            lr = one_cycle_lr(step, total_steps, tc.lr_peak,
-                              tc.warmup_frac, tc.div_factor)
             adam_step(params, grads, opt, lr)
             epoch_losses.append(loss)
             step += 1

@@ -7,7 +7,12 @@ their object's keyframe location, then vote per BEV cell for the plurality
 semantic label.  Hole filling is a KNN densification pass over the fused
 cloud instead of mesh reconstruction: cells whose 3D column center lies
 within a radius of any fused point inherit the majority label of their k
-nearest neighbors.
+nearest neighbors.  One KD-tree over the fused cloud serves both the
+radius test and the neighbor vote.
+
+The split tests a point against a box exactly only when it lies inside the
+box's widened xy bounding circle, and votes are integer counts from one
+``np.bincount``, so neither shortcut changes a label.
 
 Plurality ties go to the class with the larger loss weight, then to the
 smaller class id, protecting rare foreground classes.
@@ -15,6 +20,7 @@ smaller class id, protecting rare foreground classes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -129,14 +135,28 @@ def split_dynamic_static(cloud: PointCloud, boxes: Sequence[BoxLabel],
     even when their flag is unset (fallback for untrusted flags).  `atol`
     inflates boxes slightly; sensor returns lie exactly on surfaces, so a
     strict test would drop them to float noise.
+
+    Each box runs the exact ``BoxLabel.contains`` only on the unowned points
+    inside the xy circle around its inflated footprint.  The circle's
+    radius is widened by margins far above the rounding error of both
+    tests, so no point the exact test accepts is skipped.
     """
     n = len(cloud)
     owner = np.full(n, -1, dtype=np.int64)
+    x = np.ascontiguousarray(cloud.xyz[:, 0])
+    y = np.ascontiguousarray(cloud.xyz[:, 1])
     for bi, box in enumerate(boxes):
         if not _is_dynamic_box(box, speed_threshold):
             continue
-        inside = box.contains(cloud.xyz, atol=atol) & (owner == -1)
-        owner[inside] = bi
+        radius = (0.5 * math.hypot(box.l + 2.0 * atol, box.w + 2.0 * atol)
+                  * (1.0 + 1e-6) + 1e-6)
+        dx, dy = x - box.cx, y - box.cy
+        dx *= dx
+        dy *= dy
+        dx += dy
+        cand = np.flatnonzero(dx <= radius * radius)
+        cand = cand[owner[cand] == -1]
+        owner[cand[box.contains(cloud.xyz[cand], atol=atol)]] = bi
     dynamic = np.nonzero(owner >= 0)[0]
     static = np.nonzero(owner == -1)[0]
     return SplitResult(static, dynamic, owner[dynamic])
@@ -205,32 +225,37 @@ def _tie_order(n_cls: int, tie_weights: np.ndarray | None) -> np.ndarray:
     return classes[np.lexsort((classes, -w))]
 
 
-def knn_label(fused: PointCloud, fused_labels: np.ndarray, queries: np.ndarray,
+def _votes(rows: np.ndarray, classes: np.ndarray, n_rows: int,
+           n_cls: int) -> np.ndarray:
+    """(n_rows, n_cls + 1) integer counts of each (row, class) pair."""
+    flat = rows * (n_cls + 1) + classes
+    return np.bincount(flat, minlength=n_rows * (n_cls + 1)).reshape(
+        n_rows, n_cls + 1)
+
+
+def knn_label(tree: cKDTree, fused_labels: np.ndarray, queries: np.ndarray,
               k: int, n_cls: int = 15,
               tie_weights: np.ndarray | None = None) -> np.ndarray:
     """Majority label of the k nearest fused points per query (Euclidean).
 
-    Vote ties break toward the larger loss weight, then the smaller id.
+    `tree` is a ``cKDTree`` over the fused points, built with the default
+    parameters; `fused_labels` is aligned with its data.  Vote ties break
+    toward the larger loss weight, then the smaller id.
     """
-    if len(fused) == 0:
+    if tree.n == 0:
         raise ValueError("cannot KNN-label against an empty fused cloud")
     if k < 1:
         raise ValueError("k must be >= 1")
-    fl = validate_labels(fused_labels, len(fused), n_cls)
+    fl = validate_labels(fused_labels, tree.n, n_cls)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    k_eff = min(k, len(fused))
+    n_q, k_eff = queries.shape[0], min(k, tree.n)
 
-    tree = cKDTree(fused.xyz)
     _, idx = tree.query(queries, k=k_eff)
-    idx = np.asarray(idx).reshape(queries.shape[0], k_eff)
-
-    votes = np.zeros((queries.shape[0], n_cls + 1), dtype=np.int64)
-    rows = np.repeat(np.arange(queries.shape[0]), k_eff)
-    np.add.at(votes, (rows, fl[idx].ravel()), 1)
+    idx = np.asarray(idx).reshape(n_q, k_eff)
+    votes = _votes(np.repeat(np.arange(n_q), k_eff), fl[idx].ravel(), n_q, n_cls)
 
     order = _tie_order(n_cls, tie_weights)
-    winner_pos = np.argmax(votes[:, order], axis=1)
-    return order[winner_pos]
+    return order[np.argmax(votes[:, order], axis=1)]
 
 
 def voxelize_bev(cloud: PointCloud, labels: np.ndarray, spec: GridSpec,
@@ -241,11 +266,8 @@ def voxelize_bev(cloud: PointCloud, labels: np.ndarray, spec: GridSpec,
     invariant in point order (integer vote counts).
     """
     lab = validate_labels(labels, len(cloud), spec.n_cls)
-    votes = np.zeros((spec.h * spec.w, spec.n_cls + 1), dtype=np.int64)
-    if len(cloud):
-        ii, jj, ok = spec.bin_points(cloud.xyz)
-        flat = ii[ok] * spec.w + jj[ok]
-        np.add.at(votes, (flat, lab[ok]), 1)
+    ii, jj, ok = spec.bin_points(cloud.xyz)
+    votes = _votes(ii[ok] * spec.w + jj[ok], lab[ok], spec.h * spec.w, spec.n_cls)
 
     order = _tie_order(spec.n_cls, tie_weights)
     winner = order[np.argmax(votes[:, order], axis=1)]
@@ -264,7 +286,10 @@ def make_occupancy(frames: Sequence[PointCloud], labels: Sequence[np.ndarray],
 
     Densification labels only currently-empty cells whose 3D column center
     (cell center at mid column height) lies within `radius` of any fused
-    point, so it can only add occupied cells, never remove them.
+    point, so it can only add occupied cells, never remove them.  One
+    KD-tree over the fused cloud answers both the radius test and the k
+    nearest neighbor vote; the split inside `aggregate` culls each box's
+    exact point test by a bounding circle.
     """
     fused, fused_labels = aggregate(frames, labels, poses, boxes, keyframe,
                                     speed_threshold)
@@ -278,11 +303,11 @@ def make_occupancy(frames: Sequence[PointCloud], labels: Sequence[np.ndarray],
     xx, yy = spec.cell_centers()
     centers = np.stack([xx[empty_i, empty_j], yy[empty_i, empty_j],
                         np.full(empty_i.size, spec.z_mid)], axis=-1)
-    near = cKDTree(fused.xyz).query_ball_point(centers, r=radius,
-                                               return_length=True) > 0
+    tree = cKDTree(fused.xyz)
+    near = tree.query_ball_point(centers, r=radius, return_length=True) > 0
     if not near.any():
         return grid
-    filled = knn_label(fused, fused_labels, centers[near], k,
+    filled = knn_label(tree, fused_labels, centers[near], k,
                        n_cls=spec.n_cls, tie_weights=tie_weights)
     out = grid.labels.copy()
     out[empty_i[near], empty_j[near]] = filled

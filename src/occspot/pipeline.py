@@ -19,7 +19,6 @@ grid aggregated over the whole sequence.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -136,20 +135,6 @@ def sequence_occupancy(seq: SequenceFiles, cfg: PipelineConfig) -> OccupancyGrid
                           k=cfg.densify_k)
 
 
-def _mirror_grid(grid: OccupancyGrid, axis: str) -> OccupancyGrid:
-    """Grid labels mirrored to match a point flip (requires a centered grid)."""
-    spec = grid.spec
-    if axis == "x":  # y -> -y mirrors rows
-        if not math.isclose(spec.origin_y, -(spec.h * spec.cell_size) / 2.0,
-                            abs_tol=1e-9):
-            raise ValueError("x-flip needs a grid symmetric about y=0")
-        return OccupancyGrid(spec, grid.labels[::-1])
-    if not math.isclose(spec.origin_x, -(spec.w * spec.cell_size) / 2.0,
-                        abs_tol=1e-9):
-        raise ValueError("y-flip needs a grid symmetric about x=0")
-    return OccupancyGrid(spec, grid.labels[:, ::-1])
-
-
 def build_samples(seqs: list[SequenceFiles], cfg: PipelineConfig,
                   augment: bool = False, seed: int | None = None
                   ) -> list[tuple[PointCloud, OccupancyGrid]]:
@@ -174,11 +159,13 @@ def build_samples(seqs: list[SequenceFiles], cfg: PipelineConfig,
                                           seed=int(rng.integers(2**63)))
         cloud = transform(cloud, seq.poses[cfg.keyframe])  # align with the grid
         if augment:
-            if rng.random() < cfg.flip_prob_x:
+            # PipelineConfig guarantees a centred grid when a flip can
+            # happen, so a flip of the points mirrors the grid exactly
+            if rng.random() < cfg.flip_prob_x:  # y -> -y mirrors rows
                 cloud, labels, _ = random_flip(cloud, labels, [], "x")
-                grid = _mirror_grid(grid, "x")
-            if rng.random() < cfg.flip_prob_y:
+                grid = OccupancyGrid(grid.spec, grid.labels[::-1])
+            if rng.random() < cfg.flip_prob_y:  # x -> -x mirrors columns
                 cloud, labels, _ = random_flip(cloud, labels, [], "y")
-                grid = _mirror_grid(grid, "y")
+                grid = OccupancyGrid(grid.spec, grid.labels[:, ::-1])
         samples.append((cloud, grid))
     return samples

@@ -12,6 +12,7 @@ world frame.  Feature dimension is d=1, filled with range normalized by
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -232,12 +233,24 @@ def build_scene(params: SceneParams, seed: int) -> Scene:
 
 
 def _ray_directions(beams: BeamSpec) -> np.ndarray:
-    """Unit ray directions, one row per (elevation, azimuth) pair."""
+    """Unit ray directions, one row per (elevation, azimuth) pair.
+
+    Cached per beam pattern, since every frame of a dataset casts the same
+    rays; the array is read-only because callers share it.
+    """
+    # keyed on repr too: specs with 0.0 and -0.0 are equal, their rays not
+    return _cached_ray_directions(repr(beams), beams)
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_ray_directions(key: str, beams: BeamSpec) -> np.ndarray:
     el = beams.elevations()
     az = beams.azimuths()
     ee, aa = np.meshgrid(el, az, indexing="ij")
     sph = np.stack([np.ones(ee.size), aa.ravel(), ee.ravel()], axis=-1)
-    return from_spherical(sph)
+    dirs = from_spherical(sph)
+    dirs.setflags(write=False)
+    return dirs
 
 
 def _ray_box_hits(origin: np.ndarray, dirs: np.ndarray, box: BoxLabel) -> np.ndarray:

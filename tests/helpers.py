@@ -3,8 +3,8 @@
 Everything here deliberately uses a *different* algorithm from the library
 path it checks: exhaustive scans instead of KD-trees, per-cell loops
 instead of single-pass binning, explicit enumeration instead of closed
-forms.  Keep it that way.  The one exception is :func:`scan_reference`,
-whose docstring says why.
+forms.  Keep it that way.  The exceptions are the ``*_reference``
+functions, whose docstrings say why.
 """
 
 from __future__ import annotations
@@ -81,6 +81,53 @@ def scan_reference(scene, beams, sensor_pose, time_s: float = 0.0):
     t = best_t[hit]
     return (PointCloud(dirs_sensor[hit] * t[:, None], (t / RANGE_NORM)[:, None]),
             best_label[hit])
+
+
+def split_reference(cloud, boxes, speed_threshold=None, atol: float = 0.0):
+    """Unculled ``occupancy.split_dynamic_static``: every point, every box.
+
+    Like :func:`scan_reference`, this shares the library's exact test
+    (``BoxLabel.contains``) on purpose: it is the reference for the
+    bounding-circle cull, and the property under test is that the cull
+    skips only points the exact test rejects.  Returns the
+    ``(static_index, dynamic_index, box_index)`` arrays.
+    """
+    owner = np.full(len(cloud), -1, dtype=np.int64)
+    for bi, box in enumerate(boxes):
+        fast = speed_threshold is not None and box.speed > speed_threshold
+        if box.is_dynamic or fast:
+            owner[box.contains(cloud.xyz, atol=atol) & (owner == -1)] = bi
+    dynamic = np.nonzero(owner >= 0)[0]
+    return np.nonzero(owner == -1)[0], dynamic, owner[dynamic]
+
+
+def pillar_features_reference(cloud, spec, cfg) -> np.ndarray:
+    """``learn.model.pillar_features`` with its sums scattered by ``np.add.at``.
+
+    Shares the library's per-point columns on purpose: the property under
+    test is that one ``np.bincount`` per column adds the same values in the
+    same order as ``np.add.at``, so the means are bit-identical.
+    """
+    out = np.zeros((spec.h, spec.w, cfg.pillar_dim))
+    ii, jj, ok = spec.bin_points(cloud.xyz)
+    if not ok.any():
+        return out
+    ii, jj, xyz = ii[ok], jj[ok], cloud.xyz[ok]
+    cx = spec.origin_x + (jj + 0.5) * spec.cell_size
+    cy = spec.origin_y + (ii + 0.5) * spec.cell_size
+    cols = np.concatenate([
+        cloud.feat[ok],
+        ((xyz[:, 0] - cx) / spec.cell_size)[:, None],
+        ((xyz[:, 1] - cy) / spec.cell_size)[:, None],
+        ((xyz[:, 2] - spec.z_mid) / (spec.z_max - spec.z_min))[:, None],
+    ], axis=1)
+    flat = ii * spec.w + jj
+    sums = np.zeros((spec.h * spec.w, cfg.pillar_dim))
+    np.add.at(sums, flat, cols)
+    counts = np.bincount(flat, minlength=spec.h * spec.w).astype(np.float64)
+    occupied = counts > 0
+    sums[occupied] /= counts[occupied, None]
+    return sums.reshape(spec.h, spec.w, cfg.pillar_dim)
 
 
 def knn_label_brute(fused_xyz, fused_labels, queries, k, n_cls=15,

@@ -110,6 +110,42 @@ def test_malformed_config_is_a_config_error(tmp_path, override, path, capsys):
     assert not (tmp_path / "data").exists()
 
 
+class TestFlipsAndGridCentre:
+    OFF = {**MINI, "grid": {**MINI["grid"], "origin_x": 0.0}}
+
+    def test_flip_on_an_off_centre_grid_is_a_config_error(
+            self, tmp_path, data, capsys):
+        config = tmp_path / "off.json"
+        config.write_text(json.dumps(
+            {**self.OFF, "augment": {"flip_prob_y": 1.0}}))
+        for argv in (["gen-scenes", "--config", str(config),
+                      "--out", str(tmp_path / "again")],
+                     ["pretrain", "--config", str(config), "--data", str(data),
+                      "--out", str(tmp_path / "model.npz")]):
+            assert main(argv) == cli.EXIT_CONFIG
+            assert "config error: augment.flip_prob_y: " in capsys.readouterr().err
+        assert not (tmp_path / "model.npz").exists()
+
+    def test_off_centre_grid_trains_without_the_flip(self, tmp_path, data):
+        config = tmp_path / "off.json"
+        config.write_text(json.dumps(
+            {**self.OFF, "augment": {"flip_prob_x": 1.0, "flip_prob_y": 0.0}}))
+        assert pretrain(str(config), data, tmp_path) == cli.EXIT_OK
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_diverging_run_is_a_numerical_error(tmp_path, data, capsys):
+    config = tmp_path / "hot.json"
+    config.write_text(json.dumps(
+        {**MINI, "train": {"epochs": 3, "lr_peak": 1e300}}))
+    capsys.readouterr()
+    assert pretrain(str(config), data, tmp_path) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: logits contain NaN at step ")
+    assert not (tmp_path / "model.npz").exists()
+
+
 class TestTheoryCheck:
     @pytest.mark.parametrize("sweeps", ["0", "-3"])
     def test_sweeps_below_one_is_a_config_error(self, sweeps, capsys):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from occspot.config import ConfigError, PipelineConfig, load_config, parse_config
+from occspot.occupancy import GridSpec
 from occspot.synth import SceneParams
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
@@ -82,12 +83,43 @@ def test_malformed_config_names_its_path(text, path):
         parse_config(json.loads(text))
 
 
+OFF_CENTRE = GridSpec(0.0, -16.0, 1.0, 32, 32, -1.0, 3.0)
+
+
+@pytest.mark.parametrize("text, path", [
+    ('{"grid": {"origin_x": 0.0}, "augment": {"flip_prob_y": 1.0}}',
+     "augment.flip_prob_y"),
+    ('{"grid": {"origin_y": -15.0}, "augment": {"flip_prob_y": 0}}',
+     "augment.flip_prob_x"),
+    ('{"grid": {"cell_size": 0.5}}', "augment.flip_prob_x"),
+    ('{"grid": {"w": 64}, "augment": {"flip_prob_x": 0.5}}',
+     "augment.flip_prob_y"),
+])
+def test_flips_need_a_centred_grid(text, path):
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: above 0 needs"):
+        parse_config(json.loads(text))
+
+
+@pytest.mark.parametrize("doc", [
+    {"grid": {"origin_x": 0.0, "origin_y": 3.0},
+     "augment": {"flip_prob_x": 0, "flip_prob_y": 0.0}},
+    {"grid": {"origin_x": 0.0}, "augment": {"flip_prob_y": 0}},
+    {"grid": {"origin_y": 5.0}, "augment": {"flip_prob_x": 0}},
+    # centred up to the 1e-9 tolerance, flips on by default
+    {"grid": {"cell_size": 0.5, "origin_x": -8, "origin_y": -8.0 + 1e-12}},
+])
+def test_grids_and_flips_that_agree_parse(doc):
+    cfg = parse_config(doc)
+    assert parse_config(json.loads(cfg.to_json())) == cfg
+
+
 @pytest.mark.parametrize("kwargs, path", [
     ({"keyframe": 99}, "occupancy.keyframe"),
     ({"lr_peak": -1.0}, "train.lr_peak"),
     ({"channels": (8, 16)}, "train.channels"),
     ({"foreground_classes": (0,)}, "balance.foreground_classes"),
     ({"scene": SceneParams(ground_class=16)}, "scene.ground_class"),
+    ({"grid": OFF_CENTRE}, "augment.flip_prob_y"),
 ])
 def test_direct_build_is_checked_like_a_parsed_one(kwargs, path):
     with pytest.raises(ConfigError, match=f"^{re.escape(path)}: "):
@@ -134,6 +166,19 @@ def documents(draw):
     z_min, z_max = draw(ascending())
     size = st.lists(positive(1e3), min_size=2, max_size=2).map(sorted)
     speed = st.lists(number(-1e3, 1e3), min_size=2, max_size=2).map(sorted)
+    grid = {"n_cls": n_cls, "z_min": z_min, "z_max": z_max, **some(draw, {
+        "origin_x": number(-1e3, 1e3), "origin_y": number(-1e3, 1e3),
+        "cell_size": positive(10), "h": st.integers(1, 64).map(lambda v: 4 * v),
+        "w": st.integers(1, 64).map(lambda v: 4 * v)})}
+    augment = some(draw, {"flip_prob_x": number(0, 1),
+                          "flip_prob_y": number(0, 1),
+                          "rotation_range_deg": number(0, 360)})
+    if draw(st.booleans()):  # flips need a grid centred on the sensor
+        cell = grid.get("cell_size", 1.0)
+        grid["origin_x"] = -grid.get("w", 32) * cell / 2
+        grid["origin_y"] = -grid.get("h", 32) * cell / 2
+    else:
+        augment.update(flip_prob_x=0, flip_prob_y=0.0)
     return {
         "seed": draw(st.integers(0, 2**64)),
         "n_sequences": draw(st.integers(1, 64)),
@@ -155,13 +200,8 @@ def documents(draw):
                      **some(draw, {"keyframe_hz": positive(),
                                    "ego_speed": number(-50, 50),
                                    "sensor_height": number(-5, 5)})},
-        "grid": {"n_cls": n_cls, "z_min": z_min, "z_max": z_max, **some(draw, {
-            "origin_x": number(-1e3, 1e3), "origin_y": number(-1e3, 1e3),
-            "cell_size": positive(10), "h": st.integers(1, 64).map(lambda v: 4 * v),
-            "w": st.integers(1, 64).map(lambda v: 4 * v)})},
-        "augment": some(draw, {"flip_prob_x": number(0, 1),
-                               "flip_prob_y": number(0, 1),
-                               "rotation_range_deg": number(0, 360)}),
+        "grid": grid,
+        "augment": augment,
         "balance": {"foreground_classes": draw(st.lists(cls, max_size=n_cls)),
                     **some(draw, {"epoch_size": st.none() | st.integers(1, 10**6)})},
         "loss": some(draw, {"w_fg": positive(), "w_bg": positive(),
@@ -180,7 +220,8 @@ def documents(draw):
 
 @given(documents())
 @example({"augment": {"rotation_range_deg": 1.5}})
-@example({"grid": {"cell_size": 2, "z_min": -1, "z_max": 3},
+@example({"grid": {"cell_size": 2, "origin_x": -32, "origin_y": -32,
+                   "z_min": -1, "z_max": 3},
           "scene": {"class_mix": {"1": 3}, "ground_z": 0},
           "beams": {"source": {"n_beams": 8, "alpha_up": 0, "alpha_low": -20}},
           "train": {"lr_peak": 1}, "loss": {"lambda": 0}})

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import lovasz_region_signature, rel_err
+from helpers import (lovasz_region_signature, pillar_features_reference,
+                     rel_err)
 
 from occspot.balance import default_loss_weights
 from occspot.cloud import PointCloud
@@ -96,6 +97,17 @@ class TestPillarFeatures:
         cloud = PointCloud([[0.0, 0.0, 99.0]], [[1.0]])
         out = pillar_features(cloud, grid16(), CFG)
         assert np.all(out == 0.0)
+
+    def test_matches_add_at_scatter_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for trial in range(50):
+            n = int(rng.integers(1, 3000))
+            # few cells and wide magnitudes, so the order of the sums matters
+            xyz = rng.uniform(-3, 3, (n, 3)) * [1, 1, 0.5]
+            feat = rng.normal(size=(n, 1)) * 10.0 ** rng.integers(-8, 9, (n, 1))
+            cloud = PointCloud(xyz, feat)
+            assert np.array_equal(pillar_features(cloud, grid16(), CFG),
+                                  pillar_features_reference(cloud, grid16(), CFG))
 
 
 def encoder_feats(cloud, params):

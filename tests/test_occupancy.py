@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from helpers import (box_surface_distance, knn_label_brute,
                      point_in_box_brute, scene_surface_distance,
-                     voxelize_brute)
+                     split_reference, voxelize_brute)
 
 from occspot.cloud import BoxLabel, PointCloud, Pose, transform
 from occspot.occupancy import (GridSpec, OccupancyGrid, aggregate, knn_label,
@@ -66,6 +67,81 @@ class TestSplit:
                     assert res.box_index[k[0]] == owners[0]
                 else:
                     assert i in res.static_index
+
+
+def shell_points(box: BoxLabel, pad: float, n_edge: int = 7) -> np.ndarray:
+    """Corners and edge points of `box` inflated by `pad`, in world xyz."""
+    half = np.array([box.l, box.w, box.h]) / 2.0 + pad
+    signs = np.array(np.meshgrid([-1, 1], [-1, 1], [-1, 1])).reshape(3, -1).T
+    t = np.linspace(-1.0, 1.0, n_edge)
+    local = [signs * half]
+    for axis in range(3):  # the 12 edges: two axes at +-half, one swept
+        edge = np.repeat(signs * half, n_edge, axis=0)
+        edge[:, axis] = np.tile(t, len(signs)) * half[axis]
+        local.append(edge)
+    local = np.concatenate(local)
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    world = np.empty_like(local)
+    world[:, 0] = box.cx + c * local[:, 0] - s * local[:, 1]
+    world[:, 1] = box.cy + s * local[:, 0] + c * local[:, 1]
+    world[:, 2] = box.cz + local[:, 2]
+    return world
+
+
+class TestSplitCulling:
+    """The bounding-circle cull matches the unculled split exactly."""
+
+    def random_case(self, rng, scale):
+        center = rng.uniform(-scale, scale, 3)
+        boxes = [BoxLabel(*(center + rng.uniform(-4, 4, 3)),
+                          *rng.uniform(0.2, 5.0, 3),
+                          rng.uniform(-math.pi, math.pi),
+                          vx=float(rng.uniform(-2, 2)),
+                          class_id=int(rng.integers(1, 15)),
+                          is_dynamic=bool(rng.random() < 0.7))
+                 for _ in range(int(rng.integers(1, 9)))]
+        return center, boxes
+
+    def assert_same(self, cloud, boxes, **kwargs):
+        got = split_dynamic_static(cloud, boxes, **kwargs)
+        want = split_reference(cloud, boxes, **kwargs)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("atol", [0.0, 1e-9, 0.05])
+    @pytest.mark.parametrize("scale", [0.0, 50.0, 5e3])
+    def test_seeded_clouds(self, atol, scale):
+        rng = np.random.default_rng(17)
+        for trial in range(12):
+            center, boxes = self.random_case(rng, scale)
+            cloud = PointCloud(center + rng.normal(0, 4, (2000, 3)))
+            self.assert_same(cloud, boxes, atol=atol)
+            self.assert_same(cloud, boxes, atol=atol, speed_threshold=0.5)
+
+    @pytest.mark.parametrize("atol", [0.0, 1e-9, 0.05])
+    @pytest.mark.parametrize("scale", [0.0, 50.0, 5e3])
+    def test_corners_edges_and_atol_shell(self, atol, scale):
+        rng = np.random.default_rng(23)
+        dynamic = 0
+        for trial in range(12):
+            _, boxes = self.random_case(rng, scale)
+            pts = np.concatenate(
+                [shell_points(b, pad) for b in boxes for pad in (0.0, atol)])
+            # the same points an ulp away on either side
+            pts = np.concatenate([pts, np.nextafter(pts, np.inf),
+                                  np.nextafter(pts, -np.inf)])
+            self.assert_same(PointCloud(pts), boxes, atol=atol)
+            dynamic += split_reference(PointCloud(pts), boxes, atol=atol)[1].size
+        assert dynamic > 0
+
+    def test_overlapping_boxes_lowest_index_wins(self):
+        a = BoxLabel(0, 0, 0, 4, 4, 4, 0.0, is_dynamic=True)
+        b = BoxLabel(1, 0, 0, 4, 4, 4, 0.7, is_dynamic=True)
+        pts = np.concatenate([shell_points(a, 0.0), shell_points(b, 0.0)])
+        res = split_dynamic_static(PointCloud(pts), [a, b])
+        assert {0, 1} == set(res.box_index.tolist())
+        self.assert_same(PointCloud(pts), [a, b])
+        self.assert_same(PointCloud(pts), [b, a])
 
 
 class TestAggregate:
@@ -139,20 +215,25 @@ class TestAggregate:
 
 class TestKnnLabel:
     def test_coincident_point_k1(self):
-        fused = PointCloud([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]])
+        tree = cKDTree([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]])
         labels = np.array([7, 2])
-        out = knn_label(fused, labels, np.array([[0.0, 0.0, 0.0]]), k=1)
+        out = knn_label(tree, labels, np.array([[0.0, 0.0, 0.0]]), k=1)
         assert out.tolist() == [7]
 
     def test_majority_of_three(self):
-        fused = PointCloud([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0], [9, 9, 9]])
+        tree = cKDTree([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0], [9, 9, 9]])
         labels = np.array([2, 2, 5, 5])
-        out = knn_label(fused, labels, np.array([[0.0, 0.0, 0.0]]), k=3)
+        out = knn_label(tree, labels, np.array([[0.0, 0.0, 0.0]]), k=3)
         assert out.tolist() == [2]
 
     def test_empty_fused_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            knn_label(PointCloud(np.zeros((0, 3))), np.zeros(0),
+            knn_label(cKDTree(np.zeros((0, 3))), np.zeros(0),
+                      np.zeros((1, 3)), k=1)
+
+    def test_labels_must_align_with_tree(self):
+        with pytest.raises(ValueError, match="length 2"):
+            knn_label(cKDTree(np.zeros((2, 3))), np.zeros(3),
                       np.zeros((1, 3)), k=1)
 
     def test_matches_brute_force(self):
@@ -163,7 +244,7 @@ class TestKnnLabel:
             labels = rng.integers(0, 16, n)
             queries = rng.normal(0, 5, (25, 3))
             k = int(rng.integers(1, 9))
-            got = knn_label(fused, labels, queries, k)
+            got = knn_label(cKDTree(fused.xyz), labels, queries, k)
             want = knn_label_brute(fused.xyz, labels, queries, k)
             np.testing.assert_array_equal(got, want)
 

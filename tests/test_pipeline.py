@@ -1,5 +1,13 @@
-from occspot.config import parse_config
-from occspot.pipeline import generate_dataset
+import dataclasses
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from occspot.config import PipelineConfig, load_config, parse_config
+from occspot.pipeline import generate_dataset, load_sequence, sequence_occupancy
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
 
 CFG = parse_config({
     "n_sequences": 2,
@@ -38,3 +46,27 @@ def test_different_seed_gives_different_frames(tmp_path):
     frames = [k for k in a if k.endswith(".sptc")]
     assert len(frames) == CFG.n_sequences * CFG.n_frames
     assert all(a[k] != b[k] for k in frames)
+
+
+# The occupancy targets of small seeded datasets, under the default config
+# and the benchmark workloads, pinned by the sha256 of their label bytes:
+# any speed-up of the occupancy path must leave every grid bit-identical.
+@pytest.mark.parametrize("name, n_sequences, sha256", [
+    (None, 2,
+     "caf1536b1780701c37be869edcb44952af5bbf108aa88a1429487ae120db1a2e"),
+    ("occupancy_heavy", 1,
+     "52351ad19fbc4222a8fba972144989df9c19ed0586c2dc8614256dd69152c835"),
+    ("scan_heavy", 1,
+     "1c04ebf57790fd4e5177a9d6a298241017a7392c0fe8cd5a3908eff92a49e9f2"),
+    ("train_heavy", 2,
+     "b048bc72f7e4703b89b0ba5ac9d76013240f2a54a382a636d4017c0f4ca0a3e0"),
+])
+def test_sequence_occupancy_is_pinned(tmp_path, name, n_sequences, sha256):
+    cfg = PipelineConfig() if name is None else \
+        load_config(WORKLOADS / f"{name}.json")
+    cfg = dataclasses.replace(cfg, n_sequences=n_sequences)
+    digest = hashlib.sha256()
+    for seq_dir in generate_dataset(cfg, tmp_path, seed=7):
+        grid = sequence_occupancy(load_sequence(seq_dir), cfg)
+        digest.update(grid.labels.tobytes())
+    assert digest.hexdigest() == sha256

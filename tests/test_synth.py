@@ -34,6 +34,23 @@ class TestBeamSpec:
         b = BeamSpec(1, -44.0, -46.0)
         assert np.rad2deg(b.elevations()) == pytest.approx([-45.0])
 
+    def test_ray_directions_are_cached_read_only(self):
+        b = BeamSpec(4, 10.0, -10.0, 12)
+        dirs = _ray_directions(b)
+        assert _ray_directions(BeamSpec(4, 10.0, -10.0, 12)) is dirs
+        assert not dirs.flags.writeable
+        with pytest.raises(ValueError):
+            dirs[0, 0] = 1.0
+
+    def test_ray_directions_tell_signed_zeros_apart(self):
+        # equal specs, but the -0.0 elevation casts rays with z = -0.0
+        plus, minus = BeamSpec(3, 0.0, -20.0, 4), BeamSpec(3, -0.0, -20.0, 4)
+        assert plus == minus
+        a, b = _ray_directions(plus), _ray_directions(minus)
+        assert np.array_equal(a, b)
+        assert a.tobytes() != b.tobytes()
+        assert np.signbit(b[:, 2]).all() and not np.signbit(a[-4:, 2]).any()
+
 
 class TestBuildScene:
     def test_zero_objects_ground_only(self):

@@ -109,6 +109,18 @@ class TestTrainingLoops:
         with pytest.raises(NumericalError, match="step"):
             pretrain(samples, cfg.grid, CFG, tc)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_nan_logits_are_a_numerical_error(self):
+        cfg = toy_config()
+        samples = toy_samples(cfg, n_scenes=1)
+        # parameters overflow after the first update, so the next forward
+        # pass yields NaN logits before any loss is computed
+        tc = TrainConfig(epochs=3, batch_size=1, lr_peak=1e300, seed=0)
+        with pytest.raises(NumericalError,
+                           match=r"^logits contain NaN at step \d+ \(epoch"):
+            pretrain(samples, cfg.grid, CFG, tc)
+
     def test_finetune_empty_set_rejected(self):
         cfg = toy_config()
         with pytest.raises(ValueError, match="empty fine-tune set"):
