@@ -1,4 +1,4 @@
-"""Point-cloud augmentations: beam re-sampling and random flips.
+"""Point-cloud augmentations: beam re-sampling and axis flips.
 
 Beam re-sampling compares beam densities (beams per degree of vertical FOV)
 between a source and target sensor and discards whole beams from the source
@@ -7,10 +7,11 @@ points by 1-D gap clustering of per-point elevations, so no ring indices are
 needed.  Upsampling is never attempted: factors above 1 clamp to 1 with a
 warning.
 
-All ops are pure and deterministic in (input, seed); flips move boxes
-(centers, yaws, velocities) together with the points and leave semantic
-labels untouched.  The policy that chains them for training is
-:func:`occspot.pipeline.build_samples`.
+All ops are pure and deterministic in (input, seed).  A flip mirrors only
+the points: per-point labels need no change, and no caller flips boxes.
+The policy that chains them for training is
+:func:`occspot.pipeline.build_samples`, which mirrors the occupancy grid to
+match each flip.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import BoxLabel, PointCloud, to_spherical, wrap_angle
+from .cloud import PointCloud, to_spherical
 from .synth import BeamSpec
 
 __all__ = [
@@ -65,28 +66,26 @@ def resample_factor(source: BeamSpec, target: BeamSpec) -> ResampleFactor:
     return ResampleFactor(raw)
 
 
-def estimate_beams(cloud: PointCloud,
-                   merge_threshold_deg: float = DEFAULT_MERGE_THRESHOLD_DEG) -> list[np.ndarray]:
+def estimate_beams(cloud: PointCloud) -> list[np.ndarray]:
     """Group points into beams by elevation-gap clustering.
 
     Returns one index array per beam, ordered by ascending elevation; the
     arrays partition ``range(len(cloud))``.  A new beam starts wherever the
-    gap between consecutive sorted elevations exceeds the merge threshold.
+    gap between consecutive sorted elevations exceeds
+    :data:`DEFAULT_MERGE_THRESHOLD_DEG`.
     """
     if len(cloud) == 0:
         return []
     el = to_spherical(cloud.xyz)[:, 2]
     order = np.argsort(el, kind="stable")
     sorted_el = el[order]
-    threshold = math.radians(merge_threshold_deg)
+    threshold = math.radians(DEFAULT_MERGE_THRESHOLD_DEG)
     breaks = np.nonzero(np.diff(sorted_el) > threshold)[0] + 1
     return [np.sort(chunk) for chunk in np.split(order, breaks)]
 
 
 def beam_resample(cloud: PointCloud, labels: np.ndarray, r: ResampleFactor,
-                  seed: int,
-                  merge_threshold_deg: float = DEFAULT_MERGE_THRESHOLD_DEG
-                  ) -> tuple[PointCloud, np.ndarray]:
+                  seed: int) -> tuple[PointCloud, np.ndarray]:
     """Keep a uniformly spaced subset of beams; points keep their order.
 
     With K recovered beams, ``K' = max(1, round(r*K))`` beams survive, picked
@@ -96,7 +95,7 @@ def beam_resample(cloud: PointCloud, labels: np.ndarray, r: ResampleFactor,
     labels = np.asarray(labels)
     if len(cloud) == 0:
         return cloud, labels.copy()
-    clusters = estimate_beams(cloud, merge_threshold_deg)
+    clusters = estimate_beams(cloud)
     k = len(clusters)
     keep = max(1, int(math.floor(r.value * k + 0.5)))
     if keep >= k:
@@ -113,37 +112,18 @@ def beam_resample(cloud: PointCloud, labels: np.ndarray, r: ResampleFactor,
     return cloud.select(index), labels[index]
 
 
-def _flip_boxes(boxes: list[BoxLabel], axis: str) -> list[BoxLabel]:
-    out = []
-    for b in boxes:
-        if axis == "x":  # mirror across the x-axis: y -> -y
-            out.append(BoxLabel(b.cx, -b.cy, b.cz, b.l, b.w, b.h,
-                                wrap_angle(-b.yaw), b.vx, -b.vy,
-                                b.class_id, b.is_dynamic))
-        else:            # mirror across the y-axis: x -> -x
-            out.append(BoxLabel(-b.cx, b.cy, b.cz, b.l, b.w, b.h,
-                                wrap_angle(math.pi - b.yaw), -b.vx, b.vy,
-                                b.class_id, b.is_dynamic))
-    return out
+def random_flip(cloud: PointCloud, axis: str) -> PointCloud:
+    """Mirror the points across the named axis.
 
-
-def random_flip(cloud: PointCloud, labels: np.ndarray, boxes: list[BoxLabel],
-                axis: str, seed: int = 0, prob: float = 1.0
-                ) -> tuple[PointCloud, np.ndarray, list[BoxLabel]]:
-    """Mirror the scene across the named axis with probability `prob`.
-
-    ``axis="x"`` keeps x and negates y (yaw -> -yaw); ``axis="y"`` keeps y
-    and negates x (yaw -> pi - yaw).  Velocities mirror component-wise;
-    labels pass through unchanged.
+    ``axis="x"`` keeps x and negates y; ``axis="y"`` keeps y and negates x.
+    Features and point order are unchanged.  Whether to flip at all is the
+    caller's draw.
     """
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    labels = np.asarray(labels)
-    if prob < 1.0 and np.random.default_rng(seed).random() >= prob:
-        return cloud, labels.copy(), list(boxes)
     xyz = cloud.xyz.copy()
     if axis == "x":
         xyz[:, 1] = -xyz[:, 1]
     else:
         xyz[:, 0] = -xyz[:, 0]
-    return PointCloud(xyz, cloud.feat), labels.copy(), _flip_boxes(boxes, axis)
+    return PointCloud(xyz, cloud.feat)

@@ -27,7 +27,7 @@ from .config import ConfigError, PipelineConfig, load_config
 from .formats import (FormatError, atomic_write_text, read_frame, read_labels,
                       write_frame, write_grid, write_labels)
 from .learn import (ModelConfig, NumericalError, TrainConfig, evaluate,
-                    finetune_segmentation, load_model, pretrain, save_model)
+                    load_model, save_model, train)
 from .pipeline import (build_samples, generate_dataset, load_sequence,
                        sequence_occupancy, worker_count)
 from .seeding import substream
@@ -168,8 +168,8 @@ def cmd_balance_weights(args) -> int:
         frames = doc["frames"]
         stats = class_stats([{int(k): int(v) for k, v in fr.items()}
                              for fr in frames])
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise DataError(f"{args.stats}: bad stats document: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{args.stats}: bad stats document: {exc!r}") from exc
     weights = sampling_weights(stats)
     print(json.dumps({"class_ids": list(weights.class_ids),
                       "s": list(weights.s)}, indent=2))
@@ -183,8 +183,7 @@ def cmd_pretrain(args) -> int:
     seqs = [load_sequence(d) for d in seq_dirs]
     samples = build_samples(seqs, cfg, augment=not args.no_augment, seed=seed)
     mc, tc = _model_and_train_config(cfg, seed)
-    params, trace = pretrain(samples, cfg.grid, mc, tc,
-                             weights=_loss_weights(cfg))
+    params, trace = train(None, samples, cfg.grid, mc, tc, _loss_weights(cfg))
     out = Path(args.out)
     save_model(out, params, mc, seed, extra={"loss_trace": trace})
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "pretrain",
@@ -207,8 +206,8 @@ def cmd_finetune(args) -> int:
     seqs = [load_sequence(d) for d in seq_dirs[:args.labels]]
     samples = build_samples(seqs, cfg, augment=False, seed=seed)
     _, tc = _model_and_train_config(cfg, seed)
-    params, trace = finetune_segmentation(pretrained, samples, cfg.grid, mc, tc,
-                                          weights=_loss_weights(cfg))
+    params, trace = train(pretrained, samples, cfg.grid, mc, tc,
+                          _loss_weights(cfg))
     out = Path(args.out)
     save_model(out, params, mc, seed, extra={"loss_trace": trace,
                                              "finetuned_from": str(args.ckpt)})

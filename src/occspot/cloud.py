@@ -125,26 +125,6 @@ class Pose:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.eye(3), np.zeros(3))
-
-    @staticmethod
-    def from_yaw(yaw: float, translation=(0.0, 0.0, 0.0)) -> "Pose":
-        """Pose rotating by `yaw` about z, then translating."""
-        c, s = math.cos(yaw), math.sin(yaw)
-        r = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        return Pose(r, np.asarray(translation, dtype=np.float64))
-
-    def compose(self, other: "Pose") -> "Pose":
-        """`self after other`: (self.compose(other))(p) == self(other(p))."""
-        return Pose(self.rotation @ other.rotation,
-                    self.rotation @ other.translation + self.translation)
-
-    def inverse(self) -> "Pose":
-        rt = self.rotation.T
-        return Pose(rt, -rt @ self.translation)
-
     def apply(self, xyz: np.ndarray) -> np.ndarray:
         pts = _as_points(xyz)
         out = pts @ self.rotation.T + self.translation

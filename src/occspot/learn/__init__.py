@@ -5,16 +5,15 @@ from .losses import (lovasz_softmax, softmax_field, softmax_vjp, total_loss,
 from .metrics import confusion_matrix, miou
 from .model import (ModelConfig, init_params, model_backward, model_forward,
                     pillar_features)
-from .train import (NumericalError, TrainConfig, evaluate,
-                    finetune_segmentation, load_model, one_cycle_lr,
-                    pretrain, save_model)
+from .train import (NumericalError, TrainConfig, evaluate, load_model,
+                    one_cycle_lr, save_model, train)
 
 __all__ = [
     "softmax_field", "weighted_ce", "lovasz_softmax", "total_loss",
     "softmax_vjp",
     "ModelConfig", "init_params", "pillar_features",
     "model_forward", "model_backward",
-    "TrainConfig", "pretrain", "finetune_segmentation", "evaluate",
+    "TrainConfig", "train", "evaluate",
     "one_cycle_lr", "save_model", "load_model", "NumericalError",
     "confusion_matrix", "miou",
 ]

@@ -23,7 +23,7 @@ from ..cloud import PointCloud
 from ..occupancy import GridSpec
 
 __all__ = [
-    "ModelConfig", "init_params", "param_names", "flatten_params",
+    "ModelConfig", "init_params", "flatten_params",
     "unflatten_params", "pillar_features", "model_forward", "model_backward",
 ]
 
@@ -129,10 +129,6 @@ def tconv_backward(x: np.ndarray, gy: np.ndarray, w: np.ndarray,
 _LAYER_ORDER = ("embed_w", "conv1_w", "conv1_b", "conv2_w", "conv2_b",
                 "up1_w", "up1_b", "up2_w", "up2_b", "up3_w", "up3_b",
                 "head_w", "head_b")
-
-
-def param_names() -> tuple[str, ...]:
-    return _LAYER_ORDER
 
 
 def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:

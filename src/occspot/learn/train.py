@@ -1,4 +1,4 @@
-"""Adam + one-cycle training loops for pre-training and fine-tuning.
+"""Adam + one-cycle training, one loop for pre-training and fine-tuning.
 
 Training is bit-deterministic for a fixed seed: parameter init, batch order
 and every arithmetic step flow from named RNG sub-streams, and all math is
@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..balance import default_loss_weights
 from ..cloud import PointCloud
-from ..formats import read_checkpoint, write_checkpoint
+from ..formats import FormatError, read_checkpoint, write_checkpoint
 from ..occupancy import GridSpec, OccupancyGrid
 from ..seeding import substream
 from .losses import softmax_field, total_loss
@@ -24,7 +23,7 @@ from .model import (ModelConfig, Params, flatten_params, init_params,
 
 __all__ = [
     "TrainConfig", "NumericalError", "one_cycle_lr", "AdamState",
-    "adam_step", "pretrain", "finetune_segmentation", "evaluate",
+    "adam_step", "train", "evaluate",
     "save_model", "load_model", "prepare_samples",
 ]
 
@@ -42,25 +41,21 @@ class TrainConfig:
     lr_peak: float = 0.003
     seed: int = 0
     lovasz_classes: str = "present"
-    warmup_frac: float = 0.3
-    div_factor: float = 25.0
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.lr_peak < 0:
             raise ValueError("lr_peak must be >= 0")
-        if not 0.0 < self.warmup_frac < 1.0:
-            raise ValueError("warmup_frac must lie in (0, 1)")
 
 
-def one_cycle_lr(step: int, total_steps: int, peak: float,
-                 warmup_frac: float = 0.3, div_factor: float = 25.0) -> float:
-    """Linear warm-up to `peak`, then cosine decay back to peak/div_factor."""
+def one_cycle_lr(step: int, total_steps: int, peak: float) -> float:
+    """Linear warm-up over 30% of the steps from ``peak / 25`` to `peak`,
+    then cosine decay back to ``peak / 25``."""
     if total_steps <= 1:
         return peak
-    floor = peak / div_factor
-    warm_steps = max(1, int(round(warmup_frac * total_steps)))
+    floor = peak / 25.0
+    warm_steps = max(1, int(round(0.3 * total_steps)))
     if step < warm_steps:
         return floor + (peak - floor) * step / warm_steps
     frac = (step - warm_steps) / max(1, total_steps - warm_steps)
@@ -79,10 +74,10 @@ class AdamState:
                          v={k: np.zeros_like(p) for k, p in params.items()})
 
 
-def adam_step(params: Params, grads: Params, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
+def adam_step(params: Params, grads: Params, state: AdamState,
+              lr: float) -> None:
     """One Adam update, in place; a zero learning rate is a no-op."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
@@ -126,8 +121,7 @@ def _run_epochs(params: Params, pillars: np.ndarray, gts: np.ndarray,
         epoch_losses = []
         for s in range(steps_per_epoch):
             sel = order[s * tc.batch_size:(s + 1) * tc.batch_size]
-            lr = one_cycle_lr(step, total_steps, tc.lr_peak,
-                              tc.warmup_frac, tc.div_factor)
+            lr = one_cycle_lr(step, total_steps, tc.lr_peak)
             logits, cache = model_forward(pillars[sel], params)
             try:
                 pred = softmax_field(logits)
@@ -145,46 +139,29 @@ def _run_epochs(params: Params, pillars: np.ndarray, gts: np.ndarray,
     return trace
 
 
-def pretrain(samples: list[tuple[PointCloud, OccupancyGrid]], spec: GridSpec,
-             cfg: ModelConfig, tc: TrainConfig,
-             weights: np.ndarray | None = None
-             ) -> tuple[Params, list[float]]:
-    """Train from scratch on occupancy targets; returns params + loss trace."""
-    if weights is None:
-        weights = default_loss_weights(cfg.n_cls)
-    pillars, gts = prepare_samples(samples, spec, cfg)
-    params = init_params(cfg, substream(tc.seed, "init").integers(2**63))
-    trace = _run_epochs(params, pillars, gts, weights, cfg, tc,
-                        substream(tc.seed, "batch-order"))
-    return params, trace
+def train(init: Params | None,
+          samples: list[tuple[PointCloud, OccupancyGrid]], spec: GridSpec,
+          cfg: ModelConfig, tc: TrainConfig,
+          weights: np.ndarray) -> tuple[Params, list[float]]:
+    """Train on (cloud, grid) samples; returns params + per-epoch loss trace.
 
-
-def finetune_segmentation(pretrained: Params | None,
-                          samples: list[tuple[PointCloud, OccupancyGrid]],
-                          spec: GridSpec, cfg: ModelConfig, tc: TrainConfig,
-                          weights: np.ndarray | None = None
-                          ) -> tuple[Params, list[float]]:
-    """Adapt to few labeled frames with a re-initialized prediction head.
-
-    With `pretrained` given, the encoder and the transposed-conv decode path
-    start from it and only the head is fresh; with None the whole model
-    trains from scratch.  Raises on an empty fine-tune set or a
-    shape-incompatible checkpoint.
+    With `init` None the whole model trains from scratch (pre-training, or
+    the scratch baseline).  With a checkpoint's params the encoder and the
+    transposed-conv decode path start from it and only the head is fresh
+    (fine-tuning).  `weights` are the per-class loss weights, length
+    ``cfg.n_out``.  Raises on an empty sample list or a shape-incompatible
+    checkpoint.
     """
-    if not samples:
-        raise ValueError("empty fine-tune set")
-    if weights is None:
-        weights = default_loss_weights(cfg.n_cls)
     params = init_params(cfg, substream(tc.seed, "init").integers(2**63))
-    if pretrained is not None:
+    if init is not None:
         for name in transfer_param_names():
-            if name not in pretrained:
+            if name not in init:
                 raise ValueError(f"checkpoint is missing parameter {name}")
-            if pretrained[name].shape != params[name].shape:
+            if init[name].shape != params[name].shape:
                 raise ValueError(
                     f"checkpoint parameter {name} has shape "
-                    f"{pretrained[name].shape}, model expects {params[name].shape}")
-            params[name] = pretrained[name].copy()
+                    f"{init[name].shape}, model expects {params[name].shape}")
+            params[name] = init[name].copy()
     pillars, gts = prepare_samples(samples, spec, cfg)
     trace = _run_epochs(params, pillars, gts, weights, cfg, tc,
                         substream(tc.seed, "batch-order"))
@@ -192,16 +169,19 @@ def finetune_segmentation(pretrained: Params | None,
 
 
 def evaluate(params: Params, samples: list[tuple[PointCloud, OccupancyGrid]],
-             spec: GridSpec, cfg: ModelConfig,
-             ignore_empty: bool = True) -> tuple[np.ndarray, np.ndarray, float]:
-    """Argmax predictions over `samples`; returns (cm, per-class IoU, mIoU)."""
+             spec: GridSpec, cfg: ModelConfig
+             ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Argmax predictions over `samples`; returns (cm, per-class IoU, mIoU).
+
+    The mean leaves out class 0 (empty).
+    """
     pillars, gts = prepare_samples(samples, spec, cfg)
     cm = np.zeros((cfg.n_out, cfg.n_out), dtype=np.int64)
     for i in range(pillars.shape[0]):
         logits, _ = model_forward(pillars[i:i + 1], params)
         pred = logits[0].argmax(axis=-1)
         cm += confusion_matrix(gts[i], pred, cfg.n_out)
-    iou, mean = miou(cm, ignore_empty=ignore_empty)
+    iou, mean = miou(cm)
     return cm, iou, mean
 
 
@@ -217,6 +197,9 @@ def save_model(path, params: Params, cfg: ModelConfig, seed: int,
 
 def load_model(path) -> tuple[Params, ModelConfig, dict]:
     header, blob = read_checkpoint(path)
-    cfg = ModelConfig.from_dict(header["model"])
-    params = unflatten_params(blob, cfg)
+    try:
+        cfg = ModelConfig.from_dict(header["model"])
+        params = unflatten_params(blob, cfg)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed checkpoint: {exc!r}") from exc
     return params, cfg, header

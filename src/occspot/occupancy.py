@@ -14,8 +14,9 @@ The split tests a point against a box exactly only when it lies inside the
 box's widened xy bounding circle, and votes are integer counts from one
 ``np.bincount``, so neither shortcut changes a label.
 
-Plurality ties go to the class with the larger loss weight, then to the
-smaller class id, protecting rare foreground classes.
+Plurality ties go to the class with the larger default loss weight
+(``balance.default_loss_weights``), then to the smaller class id,
+protecting rare foreground classes.
 """
 
 from __future__ import annotations
@@ -119,22 +120,14 @@ class SplitResult(NamedTuple):
     box_index: np.ndarray      # owning box per dynamic point, aligned
 
 
-def _is_dynamic_box(box: BoxLabel, speed_threshold: float | None) -> bool:
-    if box.is_dynamic:
-        return True
-    return speed_threshold is not None and box.speed > speed_threshold
-
-
 def split_dynamic_static(cloud: PointCloud, boxes: Sequence[BoxLabel],
-                         speed_threshold: float | None = None,
                          atol: float = 0.0) -> SplitResult:
     """Partition points: dynamic iff inside a dynamic box (inclusive bounds).
 
-    Points inside several dynamic boxes go to the lowest box index.  With
-    `speed_threshold` set, boxes faster than the threshold count as dynamic
-    even when their flag is unset (fallback for untrusted flags).  `atol`
-    inflates boxes slightly; sensor returns lie exactly on surfaces, so a
-    strict test would drop them to float noise.
+    A box is dynamic iff its ``is_dynamic`` flag is set; its speed plays no
+    part.  Points inside several dynamic boxes go to the lowest box index.
+    `atol` inflates boxes slightly; sensor returns lie exactly on surfaces,
+    so a strict test would drop them to float noise.
 
     Each box runs the exact ``BoxLabel.contains`` only on the unowned points
     inside the xy circle around its inflated footprint.  The circle's
@@ -146,7 +139,7 @@ def split_dynamic_static(cloud: PointCloud, boxes: Sequence[BoxLabel],
     x = np.ascontiguousarray(cloud.xyz[:, 0])
     y = np.ascontiguousarray(cloud.xyz[:, 1])
     for bi, box in enumerate(boxes):
-        if not _is_dynamic_box(box, speed_threshold):
+        if not box.is_dynamic:
             continue
         radius = (0.5 * math.hypot(box.l + 2.0 * atol, box.w + 2.0 * atol)
                   * (1.0 + 1e-6) + 1e-6)
@@ -172,8 +165,7 @@ def _rotate_z(xy: np.ndarray, angle: float) -> np.ndarray:
 
 def aggregate(frames: Sequence[PointCloud], labels: Sequence[np.ndarray],
               poses: Sequence[Pose], boxes: Sequence[Sequence[BoxLabel]],
-              keyframe: int, speed_threshold: float | None = None
-              ) -> tuple[PointCloud, np.ndarray]:
+              keyframe: int) -> tuple[PointCloud, np.ndarray]:
     """Fuse a sequence into one labeled world-frame cloud.
 
     Static points map straight through each frame's pose.  Dynamic points
@@ -200,7 +192,7 @@ def aggregate(frames: Sequence[PointCloud], labels: Sequence[np.ndarray],
         lab = validate_labels(labels[f], len(frame), n_cls=255)
         world = transform(frame, poses[f])
         xyz = world.xyz.copy()
-        split = split_dynamic_static(world, boxes[f], speed_threshold, atol=1e-9)
+        split = split_dynamic_static(world, boxes[f], atol=1e-9)
         for bi in np.unique(split.box_index):
             src, dst = boxes[f][bi], key_boxes[bi]
             pts = split.dynamic_index[split.box_index == bi]
@@ -216,11 +208,9 @@ def aggregate(frames: Sequence[PointCloud], labels: Sequence[np.ndarray],
     return fused, np.concatenate(out_labels)
 
 
-def _tie_order(n_cls: int, tie_weights: np.ndarray | None) -> np.ndarray:
-    """Class ids ordered by descending loss weight, then ascending id."""
-    w = default_loss_weights(n_cls) if tie_weights is None else np.asarray(tie_weights)
-    if w.shape != (n_cls + 1,):
-        raise ValueError(f"tie_weights must have length {n_cls + 1}")
+def _tie_order(n_cls: int) -> np.ndarray:
+    """Class ids ordered by descending default loss weight, then ascending id."""
+    w = default_loss_weights(n_cls)
     classes = np.arange(n_cls + 1)
     return classes[np.lexsort((classes, -w))]
 
@@ -234,8 +224,7 @@ def _votes(rows: np.ndarray, classes: np.ndarray, n_rows: int,
 
 
 def knn_label(tree: cKDTree, fused_labels: np.ndarray, queries: np.ndarray,
-              k: int, n_cls: int = 15,
-              tie_weights: np.ndarray | None = None) -> np.ndarray:
+              k: int, n_cls: int = 15) -> np.ndarray:
     """Majority label of the k nearest fused points per query (Euclidean).
 
     `tree` is a ``cKDTree`` over the fused points, built with the default
@@ -254,12 +243,12 @@ def knn_label(tree: cKDTree, fused_labels: np.ndarray, queries: np.ndarray,
     idx = np.asarray(idx).reshape(n_q, k_eff)
     votes = _votes(np.repeat(np.arange(n_q), k_eff), fl[idx].ravel(), n_q, n_cls)
 
-    order = _tie_order(n_cls, tie_weights)
+    order = _tie_order(n_cls)
     return order[np.argmax(votes[:, order], axis=1)]
 
 
-def voxelize_bev(cloud: PointCloud, labels: np.ndarray, spec: GridSpec,
-                 tie_weights: np.ndarray | None = None) -> OccupancyGrid:
+def voxelize_bev(cloud: PointCloud, labels: np.ndarray,
+                 spec: GridSpec) -> OccupancyGrid:
     """Bin points to BEV cells; each cell takes its plurality label.
 
     Cells without points stay 0.  The result is exactly permutation
@@ -269,7 +258,7 @@ def voxelize_bev(cloud: PointCloud, labels: np.ndarray, spec: GridSpec,
     ii, jj, ok = spec.bin_points(cloud.xyz)
     votes = _votes(ii[ok] * spec.w + jj[ok], lab[ok], spec.h * spec.w, spec.n_cls)
 
-    order = _tie_order(spec.n_cls, tie_weights)
+    order = _tie_order(spec.n_cls)
     winner = order[np.argmax(votes[:, order], axis=1)]
     winner[votes.sum(axis=1) == 0] = 0
     return OccupancyGrid(spec, winner.reshape(spec.h, spec.w))
@@ -279,9 +268,7 @@ def make_occupancy(frames: Sequence[PointCloud], labels: Sequence[np.ndarray],
                    poses: Sequence[Pose], boxes: Sequence[Sequence[BoxLabel]],
                    spec: GridSpec, keyframe: int = 0, densify: bool = True,
                    radius: float = DEFAULT_DENSIFY_RADIUS,
-                   k: int = DEFAULT_DENSIFY_K,
-                   speed_threshold: float | None = None,
-                   tie_weights: np.ndarray | None = None) -> OccupancyGrid:
+                   k: int = DEFAULT_DENSIFY_K) -> OccupancyGrid:
     """Full pipeline: split -> aggregate -> voxelize (+ KNN densification).
 
     Densification labels only currently-empty cells whose 3D column center
@@ -291,9 +278,8 @@ def make_occupancy(frames: Sequence[PointCloud], labels: Sequence[np.ndarray],
     nearest neighbor vote; the split inside `aggregate` culls each box's
     exact point test by a bounding circle.
     """
-    fused, fused_labels = aggregate(frames, labels, poses, boxes, keyframe,
-                                    speed_threshold)
-    grid = voxelize_bev(fused, fused_labels, spec, tie_weights)
+    fused, fused_labels = aggregate(frames, labels, poses, boxes, keyframe)
+    grid = voxelize_bev(fused, fused_labels, spec)
     if not densify or len(fused) == 0:
         return grid
 
@@ -307,8 +293,7 @@ def make_occupancy(frames: Sequence[PointCloud], labels: Sequence[np.ndarray],
     near = tree.query_ball_point(centers, r=radius, return_length=True) > 0
     if not near.any():
         return grid
-    filled = knn_label(tree, fused_labels, centers[near], k,
-                       n_cls=spec.n_cls, tie_weights=tie_weights)
+    filled = knn_label(tree, fused_labels, centers[near], k, n_cls=spec.n_cls)
     out = grid.labels.copy()
     out[empty_i[near], empty_j[near]] = filled
     return OccupancyGrid(spec, out)

@@ -28,8 +28,8 @@ import numpy as np
 from .augment import beam_resample, random_flip, resample_factor
 from .cloud import PointCloud, Pose, transform
 from .config import PipelineConfig
-from .formats import (atomic_write_text, read_boxes, read_frame, read_labels,
-                      write_boxes, write_frame, write_labels)
+from .formats import (FormatError, atomic_write_text, read_boxes, read_frame,
+                      read_labels, write_boxes, write_frame, write_labels)
 from .occupancy import OccupancyGrid, make_occupancy
 from .seeding import substream
 from .synth import BeamSpec, Frame, Scene, SceneParams, SequenceMeta, build_scene, generate_sequence
@@ -116,9 +116,13 @@ def generate_dataset(cfg: PipelineConfig, out_dir, seed: int | None = None,
 
 def load_sequence(seq_dir) -> SequenceFiles:
     seq_dir = Path(seq_dir)
-    poses_doc = json.loads((seq_dir / "poses.json").read_text())
-    poses = [Pose(np.array(p["rotation"]), np.array(p["translation"]))
-             for p in poses_doc["poses"]]
+    poses_path = seq_dir / "poses.json"
+    try:
+        poses = [Pose(np.array(p["rotation"]), np.array(p["translation"]))
+                 for p in json.loads(poses_path.read_text())["poses"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{poses_path}: malformed poses document: "
+                          f"{exc!r}") from exc
     frames, labels, boxes = [], [], []
     for f in range(len(poses)):
         frames.append(read_frame(seq_dir / f"frame_{f:03d}.sptc"))
@@ -150,22 +154,21 @@ def build_samples(seqs: list[SequenceFiles], cfg: PipelineConfig,
     for seq in seqs:
         grid = sequence_occupancy(seq, cfg)
         cloud = seq.frames[cfg.keyframe]
-        labels = seq.labels[cfg.keyframe]
         if augment and cfg.target_beams:
             # re-sample in the sensor frame, where elevations mean beams
             target = cfg.target_beams[int(rng.integers(len(cfg.target_beams)))]
             factor = resample_factor(cfg.source_beams, target)
-            cloud, labels = beam_resample(cloud, labels, factor,
-                                          seed=int(rng.integers(2**63)))
+            cloud, _ = beam_resample(cloud, seq.labels[cfg.keyframe], factor,
+                                     seed=int(rng.integers(2**63)))
         cloud = transform(cloud, seq.poses[cfg.keyframe])  # align with the grid
         if augment:
             # PipelineConfig guarantees a centred grid when a flip can
             # happen, so a flip of the points mirrors the grid exactly
             if rng.random() < cfg.flip_prob_x:  # y -> -y mirrors rows
-                cloud, labels, _ = random_flip(cloud, labels, [], "x")
+                cloud = random_flip(cloud, "x")
                 grid = OccupancyGrid(grid.spec, grid.labels[::-1])
             if rng.random() < cfg.flip_prob_y:  # x -> -x mirrors columns
-                cloud, labels, _ = random_flip(cloud, labels, [], "y")
+                cloud = random_flip(cloud, "y")
                 grid = OccupancyGrid(grid.spec, grid.labels[:, ::-1])
         samples.append((cloud, grid))
     return samples

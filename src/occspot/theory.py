@@ -28,7 +28,12 @@ __all__ = [
     "random_joint", "sweep_bayes_bound", "sweep_lemma1", "sweep_risk_ordering",
 ]
 
-_MASS_TOL = 1e-12
+#: mass tolerance of a joint, and the slack every exact check allows
+_TOL = 1e-12
+#: the sweeps draw each variable's support size from 2.._MAX_SUPPORT and
+#: zero each joint entry with probability _SPARSITY
+_MAX_SUPPORT = 8
+_SPARSITY = 0.2
 
 
 @dataclass(frozen=True)
@@ -43,8 +48,8 @@ class DiscreteJoint:
             raise ValueError("joint must be 2- or 3-dimensional")
         if (arr < 0).any():
             raise ValueError("joint has negative mass")
-        if abs(arr.sum() - 1.0) > _MASS_TOL:
-            raise ValueError(f"joint mass {arr.sum()} != 1 within {_MASS_TOL}")
+        if abs(arr.sum() - 1.0) > _TOL:
+            raise ValueError(f"joint mass {arr.sum()} != 1 within {_TOL}")
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
 
@@ -53,8 +58,12 @@ class DiscreteJoint:
         return self.p.shape
 
 
-def _as_joint(j) -> np.ndarray:
-    return j.p if isinstance(j, DiscreteJoint) else DiscreteJoint(np.asarray(j)).p
+def _as_joint(j, ndim: int, name: str) -> np.ndarray:
+    """The validated probability array of `j`, checked to be `ndim`-way."""
+    p = j.p if isinstance(j, DiscreteJoint) else DiscreteJoint(np.asarray(j)).p
+    if p.ndim != ndim:
+        raise ValueError(f"{name} expects a {ndim}-way joint")
+    return p
 
 
 def entropy(p: np.ndarray) -> float:
@@ -66,38 +75,45 @@ def entropy(p: np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def mutual_information(j) -> float:
-    """I(Z, T) of a 2-way joint, zero-mass terms skipped."""
-    p = _as_joint(j)
-    if p.ndim != 2:
-        raise ValueError("mutual_information expects a 2-way joint")
+# The private array functions below trust their input: the public functions
+# validate a joint once, and every array derived from it is a joint by
+# construction.
+
+def _mi(p: np.ndarray) -> float:
     pz = p.sum(axis=1, keepdims=True)
     pt = p.sum(axis=0, keepdims=True)
     mask = p > 0
     return float((p[mask] * np.log(p[mask] / (pz @ pt)[mask])).sum())
 
 
-def conditional_mi(j) -> float:
-    """I(O, T | Z) of a 3-way joint over (O, T, Z), by exact enumeration."""
-    p = _as_joint(j)
-    if p.ndim != 3:
-        raise ValueError("conditional_mi expects a 3-way joint over (O, T, Z)")
+def _cmi(p: np.ndarray) -> float:
     total = 0.0
     for z in range(p.shape[2]):
         slab = p[:, :, z]
         pz = slab.sum()
         if pz == 0:
             continue
-        total += pz * mutual_information(DiscreteJoint(slab / pz))
+        total += pz * _mi(slab / pz)
     return total
+
+
+def _bayes(p: np.ndarray) -> float:
+    return float(1.0 - p.max(axis=1).sum())
+
+
+def mutual_information(j) -> float:
+    """I(Z, T) of a 2-way joint, zero-mass terms skipped."""
+    return _mi(_as_joint(j, 2, "mutual_information"))
+
+
+def conditional_mi(j) -> float:
+    """I(O, T | Z) of a 3-way joint over (O, T, Z), by exact enumeration."""
+    return _cmi(_as_joint(j, 3, "conditional_mi"))
 
 
 def bayes_error(j) -> float:
     """Minimum achievable classification error: 1 - sum_z max_t p(z, t)."""
-    p = _as_joint(j)
-    if p.ndim != 2:
-        raise ValueError("bayes_error expects a 2-way joint")
-    return float(1.0 - p.max(axis=1).sum())
+    return _bayes(_as_joint(j, 2, "bayes_error"))
 
 
 @dataclass(frozen=True)
@@ -114,16 +130,14 @@ class BoundReport:
 
 def check_bayes_bound(j) -> BoundReport:
     """Evaluate ``P_e <= 1 - exp(-H(T) + I(Z, T))`` exactly."""
-    p = _as_joint(j)
-    if p.ndim != 2:
-        raise ValueError("check_bayes_bound expects a 2-way joint")
+    p = _as_joint(j, 2, "check_bayes_bound")
     h_t = entropy(p.sum(axis=0))
-    mi = mutual_information(DiscreteJoint(p))
-    pe = bayes_error(DiscreteJoint(p))
+    mi = _mi(p)
+    pe = _bayes(p)
     bound = 1.0 - np.exp(-h_t + mi)
     slack = bound - pe
     return BoundReport(h_t=h_t, mi=mi, bayes_error=pe, bound_value=float(bound),
-                       slack=float(slack), satisfied=bool(slack >= -_MASS_TOL))
+                       slack=float(slack), satisfied=bool(slack >= -_TOL))
 
 
 def _apply_map(p_ot: np.ndarray, f: np.ndarray, n_z: int) -> np.ndarray:
@@ -139,7 +153,7 @@ def _conditional_mi_given_map(p_ot: np.ndarray, f: np.ndarray, n_z: int) -> floa
     p3 = np.zeros((p_ot.shape[0], p_ot.shape[1], n_z))
     for o in range(p_ot.shape[0]):
         p3[o, :, f[o]] = p_ot[o]
-    return conditional_mi(DiscreteJoint(p3))
+    return _cmi(p3)
 
 
 @dataclass(frozen=True)
@@ -155,17 +169,15 @@ class Lemma1Report:
     holds: bool
 
 
-def lemma1_decomposition(j, f_occ: np.ndarray, f_mae: np.ndarray,
-                         tol: float = 1e-12) -> Lemma1Report:
+def lemma1_decomposition(j, f_occ: np.ndarray, f_mae: np.ndarray
+                         ) -> Lemma1Report:
     """Verify the decomposition for deterministic representations of O.
 
     `j` is a joint over (O, T); `f_occ`/`f_mae` map each O state to a
     representation state.  Non-deterministic representations are out of
     scope (the identity is proven under this precondition only).
     """
-    p = _as_joint(j)
-    if p.ndim != 2:
-        raise ValueError("lemma1_decomposition expects a joint over (O, T)")
+    p = _as_joint(j, 2, "lemma1_decomposition")
     f_occ = np.asarray(f_occ, dtype=np.int64)
     f_mae = np.asarray(f_mae, dtype=np.int64)
     for name, f in (("f_occ", f_occ), ("f_mae", f_mae)):
@@ -175,15 +187,15 @@ def lemma1_decomposition(j, f_occ: np.ndarray, f_mae: np.ndarray,
             raise ValueError(f"{name} must use non-negative state indices")
 
     nz_occ, nz_mae = int(f_occ.max()) + 1, int(f_mae.max()) + 1
-    mi_occ = mutual_information(DiscreteJoint(_apply_map(p, f_occ, nz_occ)))
-    mi_mae = mutual_information(DiscreteJoint(_apply_map(p, f_mae, nz_mae)))
+    mi_occ = _mi(_apply_map(p, f_occ, nz_occ))
+    mi_mae = _mi(_apply_map(p, f_mae, nz_mae))
     gap_mae = _conditional_mi_given_map(p, f_mae, nz_mae)
     gap_occ = _conditional_mi_given_map(p, f_occ, nz_occ)
     lhs = mi_occ - mi_mae
     rhs = gap_mae - gap_occ
     return Lemma1Report(mi_occ=mi_occ, mi_mae=mi_mae, gap_mae=gap_mae,
                         gap_occ=gap_occ, lhs=lhs, rhs=rhs,
-                        holds=bool(abs(lhs - rhs) <= tol))
+                        holds=bool(abs(lhs - rhs) <= _TOL))
 
 
 @dataclass(frozen=True)
@@ -197,8 +209,7 @@ class RiskOrderingReport:
     holds: bool
 
 
-def risk_ordering(j, t_values: np.ndarray, g: np.ndarray,
-                  tol: float = 1e-12) -> RiskOrderingReport:
+def risk_ordering(j, t_values: np.ndarray, g: np.ndarray) -> RiskOrderingReport:
     """Check that garbling Z can only hurt, for both downstream task types.
 
     `j` is a joint over (Z, T); `t_values` assigns a numeric value to each T
@@ -206,9 +217,7 @@ def risk_ordering(j, t_values: np.ndarray, g: np.ndarray,
     Verifies ``E[Var(T|Z)] <= E[Var(T|Z')]`` and
     ``bayes_error(Z) <= bayes_error(Z')``.
     """
-    p = _as_joint(j)
-    if p.ndim != 2:
-        raise ValueError("risk_ordering expects a joint over (Z, T)")
+    p = _as_joint(j, 2, "risk_ordering")
     t_values = np.asarray(t_values, dtype=np.float64)
     if t_values.shape != (p.shape[1],):
         raise ValueError("t_values must assign one numeric value per T state")
@@ -231,48 +240,47 @@ def risk_ordering(j, t_values: np.ndarray, g: np.ndarray,
 
     garbled = _apply_map(p, g, int(g.max()) + 1)
     r, rg = sq_risk(p), sq_risk(garbled)
-    be, beg = bayes_error(DiscreteJoint(p)), bayes_error(DiscreteJoint(garbled))
-    holds = bool(r <= rg + tol and be <= beg + tol)
+    be, beg = _bayes(p), _bayes(garbled)
+    holds = bool(r <= rg + _TOL and be <= beg + _TOL)
     return RiskOrderingReport(sq_risk=r, sq_risk_garbled=rg,
                               bayes=be, bayes_garbled=beg, holds=holds)
 
 
 # -- randomized verification sweeps -------------------------------------------
 
-def random_joint(rng: np.random.Generator, shape: tuple[int, ...],
-                 sparsity: float = 0.0) -> DiscreteJoint:
-    """Random joint via normalized exponentials; optional zero entries."""
+def random_joint(rng: np.random.Generator,
+                 shape: tuple[int, ...]) -> DiscreteJoint:
+    """Random joint via normalized exponentials, about a fifth of them zeroed."""
     mass = rng.exponential(size=shape)
-    if sparsity > 0:
-        mass *= rng.random(shape) >= sparsity
-        if mass.sum() == 0:
-            mass.flat[int(rng.integers(mass.size))] = 1.0
+    mass *= rng.random(shape) >= _SPARSITY
+    if mass.sum() == 0:
+        mass.flat[int(rng.integers(mass.size))] = 1.0
     return DiscreteJoint(mass / mass.sum())
 
 
-def sweep_bayes_bound(n: int, seed: int, max_support: int = 8) -> dict:
+def sweep_bayes_bound(n: int, seed: int) -> dict:
     """Check the Bayes bound on `n` random joints; reports the worst slack."""
     rng = np.random.default_rng(seed)
     min_slack = np.inf
     violations = 0
     for _ in range(n):
-        shape = (int(rng.integers(2, max_support + 1)),
-                 int(rng.integers(2, max_support + 1)))
-        rep = check_bayes_bound(random_joint(rng, shape, sparsity=0.2))
+        shape = (int(rng.integers(2, _MAX_SUPPORT + 1)),
+                 int(rng.integers(2, _MAX_SUPPORT + 1)))
+        rep = check_bayes_bound(random_joint(rng, shape))
         min_slack = min(min_slack, rep.slack)
         violations += not rep.satisfied
     return {"sweeps": n, "min_slack": float(min_slack), "violations": violations}
 
 
-def sweep_lemma1(n: int, seed: int, max_support: int = 8) -> dict:
+def sweep_lemma1(n: int, seed: int) -> dict:
     """Check the decomposition identity on random joints and random maps."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     violations = 0
     for _ in range(n):
-        n_o = int(rng.integers(2, max_support + 1))
-        n_t = int(rng.integers(2, max_support + 1))
-        j = random_joint(rng, (n_o, n_t), sparsity=0.2)
+        n_o = int(rng.integers(2, _MAX_SUPPORT + 1))
+        n_t = int(rng.integers(2, _MAX_SUPPORT + 1))
+        j = random_joint(rng, (n_o, n_t))
         f_occ = rng.integers(0, int(rng.integers(1, n_o + 1)), size=n_o)
         f_mae = rng.integers(0, int(rng.integers(1, n_o + 1)), size=n_o)
         rep = lemma1_decomposition(j, f_occ, f_mae)
@@ -281,16 +289,16 @@ def sweep_lemma1(n: int, seed: int, max_support: int = 8) -> dict:
     return {"sweeps": n, "max_identity_gap": float(worst), "violations": violations}
 
 
-def sweep_risk_ordering(n: int, seed: int, max_support: int = 8) -> dict:
+def sweep_risk_ordering(n: int, seed: int) -> dict:
     """Check both risk orderings on random joints and random garblings."""
     rng = np.random.default_rng(seed)
     violations = 0
     worst_sq = np.inf
     worst_bayes = np.inf
     for _ in range(n):
-        n_z = int(rng.integers(2, max_support + 1))
-        n_t = int(rng.integers(2, max_support + 1))
-        j = random_joint(rng, (n_z, n_t), sparsity=0.2)
+        n_z = int(rng.integers(2, _MAX_SUPPORT + 1))
+        n_t = int(rng.integers(2, _MAX_SUPPORT + 1))
+        j = random_joint(rng, (n_z, n_t))
         g = rng.integers(0, int(rng.integers(1, n_z + 1)), size=n_z)
         t_values = rng.normal(size=n_t)
         rep = risk_ordering(j, t_values, g)

@@ -4,11 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import point_in_box_brute
-
 from occspot.augment import (ResampleFactor, beam_density, beam_resample,
                              estimate_beams, random_flip, resample_factor)
-from occspot.cloud import BoxLabel, PointCloud, Pose
+from occspot.cloud import PointCloud, Pose
 from occspot.synth import BeamSpec, SceneParams, build_scene, scan
 
 
@@ -141,77 +139,26 @@ class TestBeamResample:
         assert len(out) == 0 and olab.size == 0
 
 
-def sample_boxes():
-    return [
-        BoxLabel(3.0, -2.0, 1.0, 2.0, 1.0, 2.0, 0.4, vx=1.0, vy=-0.5,
-                 class_id=1, is_dynamic=True),
-        BoxLabel(-5.0, 4.0, 0.5, 3.0, 2.0, 1.0, -2.1, class_id=7),
-    ]
-
-
 class TestFlip:
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_involution(self, axis):
-        cloud, labels = rand_cloud_labels(seed=1)
-        boxes = sample_boxes()
-        c1, l1, b1 = random_flip(cloud, labels, boxes, axis)
-        c2, l2, b2 = random_flip(c1, l1, b1, axis)
-        assert np.abs(c2.xyz - cloud.xyz).max() <= 1e-12
-        np.testing.assert_array_equal(l2, labels)
-        for orig, back in zip(boxes, b2):
-            assert back.cx == pytest.approx(orig.cx, abs=1e-12)
-            assert back.cy == pytest.approx(orig.cy, abs=1e-12)
-            d_orig = (math.cos(orig.yaw), math.sin(orig.yaw))
-            d_back = (math.cos(back.yaw), math.sin(back.yaw))
-            assert d_back == pytest.approx(d_orig, abs=1e-12)
-
-    def test_yaw_zero_stable_under_x_flip(self):
-        box = BoxLabel(1.0, 2.0, 0.5, 2.0, 1.0, 1.0, yaw=0.0)
-        _, _, out = random_flip(PointCloud(np.zeros((0, 3))), np.zeros(0),
-                                [box], "x")
-        assert out[0].yaw == 0.0
-
-    def test_yaw_maps(self):
-        box = BoxLabel(0, 0, 0, 2, 1, 1, yaw=0.3)
-        _, _, bx = random_flip(PointCloud(np.zeros((0, 3))), np.zeros(0), [box], "x")
-        assert bx[0].yaw == pytest.approx(-0.3)
-        _, _, by = random_flip(PointCloud(np.zeros((0, 3))), np.zeros(0), [box], "y")
-        assert by[0].yaw == pytest.approx(math.pi - 0.3)
-
-    @pytest.mark.parametrize("axis", ["x", "y"])
-    def test_membership_preserved(self, axis):
-        rng = np.random.default_rng(6)
-        boxes = sample_boxes()
-        pts = []
-        for b in boxes:  # points drawn inside each box
-            local = rng.uniform(-0.5, 0.5, (40, 3)) * [b.l, b.w, b.h]
-            c, s = math.cos(b.yaw), math.sin(b.yaw)
-            world = np.stack([
-                b.cx + c * local[:, 0] - s * local[:, 1],
-                b.cy + s * local[:, 0] + c * local[:, 1],
-                b.cz + local[:, 2]], axis=-1)
-            pts.append(world)
-        cloud = PointCloud(np.concatenate(pts))
-        labels = np.repeat(np.arange(len(boxes)), 40)
-        fc, fl, fb = random_flip(cloud, labels, boxes, axis)
-        for p, owner in zip(fc.xyz, fl):
-            assert point_in_box_brute(p, fb[owner], atol=1e-9)
+        cloud, _ = rand_cloud_labels(seed=1)
+        twice = random_flip(random_flip(cloud, axis), axis)
+        np.testing.assert_array_equal(twice.xyz, cloud.xyz)
+        np.testing.assert_array_equal(twice.feat, cloud.feat)
 
     def test_counts_distances_labels_preserved(self):
-        cloud, labels = rand_cloud_labels(seed=2)
-        fc, fl, _ = random_flip(cloud, labels, [], "y")
+        # labels are per point, so keeping the point order keeps them aligned
+        cloud, _ = rand_cloud_labels(seed=2)
+        fc = random_flip(cloud, "y")
         assert len(fc) == len(cloud)
-        np.testing.assert_array_equal(np.sort(fl), np.sort(labels))
+        np.testing.assert_array_equal(fc.xyz[:, 0], -cloud.xyz[:, 0])
+        np.testing.assert_array_equal(fc.xyz[:, 1:], cloud.xyz[:, 1:])
+        np.testing.assert_array_equal(fc.feat, cloud.feat)
         d_in = np.linalg.norm(cloud.xyz[:50, None] - cloud.xyz[None, :50], axis=-1)
         d_out = np.linalg.norm(fc.xyz[:50, None] - fc.xyz[None, :50], axis=-1)
         assert np.abs(d_in - d_out).max() <= 1e-9 * max(1.0, d_in.max())
 
     def test_bad_axis(self):
         with pytest.raises(ValueError):
-            random_flip(PointCloud(np.zeros((0, 3))), np.zeros(0), [], "z")
-
-    def test_probability_gate_deterministic(self):
-        cloud, labels = rand_cloud_labels(seed=3)
-        a = random_flip(cloud, labels, [], "x", seed=5, prob=0.5)
-        b = random_flip(cloud, labels, [], "x", seed=5, prob=0.5)
-        np.testing.assert_array_equal(a[0].xyz, b[0].xyz)
+            random_flip(PointCloud(np.zeros((0, 3))), "z")

@@ -5,6 +5,7 @@ import pytest
 
 from occspot import cli
 from occspot.cli import main
+from occspot.formats import read_checkpoint, write_checkpoint
 
 MINI = {
     "n_sequences": 2,
@@ -160,3 +161,41 @@ class TestTheoryCheck:
         report = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert {k: v["sweeps"] for k, v in report.items()} == {
             "bayes_bound": 1, "lemma1": 1, "risk_ordering": 1}
+
+
+class TestMalformedFiles:
+    """Malformed JSON on disk is a data error naming the file."""
+
+    def test_poses_without_poses_is_a_data_error(self, tmp_path, config,
+                                                 data, capsys):
+        poses = data / "seq_0000" / "poses.json"
+        poses.write_text(json.dumps({"keyframe_hz": 2.0}))
+        assert main(["make-occ", "--config", config, str(poses.parent),
+                     str(tmp_path / "grid.spog")]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(poses) in err
+        assert not (tmp_path / "grid.spog").exists()
+
+    def test_checkpoint_without_model_is_a_data_error(self, tmp_path, config,
+                                                      data, capsys):
+        assert pretrain(config, data, tmp_path) == cli.EXIT_OK
+        ckpt = tmp_path / "model.npz"
+        header, blob = read_checkpoint(ckpt)
+        del header["model"]
+        write_checkpoint(ckpt, header, blob)
+        capsys.readouterr()
+        for argv in (["eval-miou", str(ckpt), str(data), "--config", config],
+                     ["finetune", "--ckpt", str(ckpt), "--labels", "1",
+                      "--config", config, "--data", str(data),
+                      "--out", str(tmp_path / "ft.npz")]):
+            assert main(argv) == cli.EXIT_DATA
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ") and str(ckpt) in err
+        assert not (tmp_path / "ft.npz").exists()
+
+    @pytest.mark.parametrize("frames", [[[1, 2]], {"1": 2}])
+    def test_balance_weights_frames_not_dicts(self, tmp_path, frames, capsys):
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps({"frames": frames}))
+        assert main(["balance-weights", str(stats)]) == cli.EXIT_DATA
+        assert "bad stats document" in capsys.readouterr().err

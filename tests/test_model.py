@@ -10,7 +10,7 @@ from occspot.learn import (ModelConfig, init_params, model_backward,
                            model_forward, pillar_features, softmax_field,
                            total_loss)
 from occspot.learn.model import (conv_backward_input, conv_backward_weight,
-                                 conv_forward, flatten_params, param_names,
+                                 conv_forward, flatten_params,
                                  tconv_backward, tconv_forward,
                                  unflatten_params)
 from occspot.occupancy import GridSpec
@@ -229,6 +229,6 @@ def test_flatten_unflatten_roundtrip():
     params = init_params(CFG, seed=13)
     vec = flatten_params(params)
     back = unflatten_params(vec, CFG)
-    assert set(back) == set(param_names())
+    assert set(back) == set(params)
     for k in params:
         np.testing.assert_array_equal(params[k], back[k])

@@ -38,13 +38,10 @@ class TestSplit:
         box = BoxLabel(0, 0, 0, 2, 2, 2, 0.0, is_dynamic=False)
         res = split_dynamic_static(PointCloud([[0.0, 0.0, 0.0]]), [box])
         assert res.static_index.tolist() == [0]
-
-    def test_speed_fallback(self):
-        box = BoxLabel(0, 0, 0, 2, 2, 2, 0.0, vx=1.0, is_dynamic=False)
-        cloud = PointCloud([[0.0, 0.0, 0.0]])
-        assert split_dynamic_static(cloud, [box]).static_index.size == 1
-        res = split_dynamic_static(cloud, [box], speed_threshold=0.2)
-        assert res.dynamic_index.size == 1
+        # the flag decides, not the speed
+        moving = BoxLabel(0, 0, 0, 2, 2, 2, 0.0, vx=1.0, is_dynamic=False)
+        res = split_dynamic_static(PointCloud([[0.0, 0.0, 0.0]]), [moving])
+        assert res.static_index.tolist() == [0]
 
     def test_partition_matches_brute_force(self):
         rng = np.random.default_rng(3)
@@ -116,7 +113,6 @@ class TestSplitCulling:
             center, boxes = self.random_case(rng, scale)
             cloud = PointCloud(center + rng.normal(0, 4, (2000, 3)))
             self.assert_same(cloud, boxes, atol=atol)
-            self.assert_same(cloud, boxes, atol=atol, speed_threshold=0.5)
 
     @pytest.mark.parametrize("atol", [0.0, 1e-9, 0.05])
     @pytest.mark.parametrize("scale", [0.0, 50.0, 5e3])
@@ -322,7 +318,7 @@ class TestMakeOccupancy:
         spec = small_spec()
         cloud = PointCloud([[0.5, 0.5, 0.0]])
         labels = np.array([4])
-        pose = Pose.identity()
+        pose = Pose(np.eye(3), np.zeros(3))
         grid = make_occupancy([cloud], [labels], [pose], [[]], spec,
                               densify=False)
         direct = voxelize_bev(cloud, labels, spec)

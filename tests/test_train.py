@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from occspot.balance import default_loss_weights
 from occspot.cloud import PointCloud, Pose
 from occspot.learn import (ModelConfig, NumericalError, TrainConfig,
-                           confusion_matrix, evaluate, finetune_segmentation,
-                           load_model, miou, one_cycle_lr, pretrain,
-                           save_model)
+                           confusion_matrix, evaluate, load_model, miou,
+                           one_cycle_lr, save_model, train)
 from occspot.learn.model import init_params
 from occspot.learn.train import AdamState, adam_step
 from occspot.occupancy import GridSpec, OccupancyGrid
@@ -14,6 +14,7 @@ from occspot.config import PipelineConfig
 from occspot.synth import SceneParams, build_scene, generate_sequence
 
 CFG = ModelConfig(n_cls=15, feat_dim=1, channels=(6, 8, 8))
+W = default_loss_weights(15)
 
 
 def toy_config(**kw):
@@ -82,22 +83,24 @@ class TestTrainingLoops:
         cfg = toy_config()
         samples = toy_samples(cfg)
         tc = TrainConfig(epochs=2, batch_size=2, lr_peak=0.003, seed=5)
-        _, trace_a = pretrain(samples, cfg.grid, CFG, tc)
-        _, trace_b = pretrain(samples, cfg.grid, CFG, tc)
+        _, trace_a = train(None, samples, cfg.grid, CFG, tc, W)
+        _, trace_b = train(None, samples, cfg.grid, CFG, tc, W)
         assert trace_a == trace_b  # bit-identical
 
     def test_different_seed_different_trace(self):
         cfg = toy_config()
         samples = toy_samples(cfg)
-        _, a = pretrain(samples, cfg.grid, CFG, TrainConfig(epochs=1, seed=1))
-        _, b = pretrain(samples, cfg.grid, CFG, TrainConfig(epochs=1, seed=2))
+        _, a = train(None, samples, cfg.grid, CFG,
+                     TrainConfig(epochs=1, seed=1), W)
+        _, b = train(None, samples, cfg.grid, CFG,
+                     TrainConfig(epochs=1, seed=2), W)
         assert a != b
 
     def test_loss_decreases_quickly_on_one_sample(self):
         cfg = toy_config()
         samples = toy_samples(cfg, n_scenes=1)
         tc = TrainConfig(epochs=100, batch_size=1, lr_peak=0.01, seed=7)
-        _, trace = pretrain(samples, cfg.grid, CFG, tc)
+        _, trace = train(None, samples, cfg.grid, CFG, tc, W)
         assert trace[-1] < 0.5 * trace[0]
 
     def test_nan_aborts_with_diagnostics(self):
@@ -107,7 +110,7 @@ class TestTrainingLoops:
         # on the true class within a couple of steps
         tc = TrainConfig(epochs=4, batch_size=1, lr_peak=1e6, seed=0)
         with pytest.raises(NumericalError, match="step"):
-            pretrain(samples, cfg.grid, CFG, tc)
+            train(None, samples, cfg.grid, CFG, tc, W)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -119,12 +122,12 @@ class TestTrainingLoops:
         tc = TrainConfig(epochs=3, batch_size=1, lr_peak=1e300, seed=0)
         with pytest.raises(NumericalError,
                            match=r"^logits contain NaN at step \d+ \(epoch"):
-            pretrain(samples, cfg.grid, CFG, tc)
+            train(None, samples, cfg.grid, CFG, tc, W)
 
     def test_finetune_empty_set_rejected(self):
         cfg = toy_config()
-        with pytest.raises(ValueError, match="empty fine-tune set"):
-            finetune_segmentation(None, [], cfg.grid, CFG, TrainConfig())
+        with pytest.raises(ValueError, match="empty sample list"):
+            train(None, [], cfg.grid, CFG, TrainConfig(), W)
 
     def test_finetune_shape_mismatch_rejected(self):
         cfg = toy_config()
@@ -132,16 +135,15 @@ class TestTrainingLoops:
         wrong = init_params(ModelConfig(n_cls=15, feat_dim=1,
                                         channels=(4, 4, 4)), seed=0)
         with pytest.raises(ValueError, match="shape"):
-            finetune_segmentation(wrong, samples, cfg.grid, CFG, TrainConfig())
+            train(wrong, samples, cfg.grid, CFG, TrainConfig(), W)
 
     def test_finetune_uses_pretrained_encoder(self):
         cfg = toy_config()
         samples = toy_samples(cfg, n_scenes=2)
-        pre, _ = pretrain(samples, cfg.grid, CFG,
-                          TrainConfig(epochs=1, seed=3))
-        ft, _ = finetune_segmentation(pre, samples[:1], cfg.grid, CFG,
-                                      TrainConfig(epochs=1, seed=4,
-                                                  lr_peak=0.0))
+        pre, _ = train(None, samples, cfg.grid, CFG,
+                       TrainConfig(epochs=1, seed=3), W)
+        ft, _ = train(pre, samples[:1], cfg.grid, CFG,
+                      TrainConfig(epochs=1, seed=4, lr_peak=0.0), W)
         # with lr 0 the encoder stays exactly the pretrained one
         np.testing.assert_array_equal(ft["conv1_w"], pre["conv1_w"])
 
@@ -149,10 +151,9 @@ class TestTrainingLoops:
         cfg = toy_config()
         samples = toy_samples(cfg, n_scenes=2)
         tc = TrainConfig(epochs=1, batch_size=1, seed=6)
-        pre, _ = pretrain(samples, cfg.grid, CFG, tc)
+        pre, _ = train(None, samples, cfg.grid, CFG, tc, W)
         for init in (pre, None):
-            params, _ = finetune_segmentation(init, samples[:1], cfg.grid,
-                                              CFG, tc)
+            params, _ = train(init, samples[:1], cfg.grid, CFG, tc, W)
             _, _, mean = evaluate(params, samples, cfg.grid, CFG)
             assert 0.0 <= mean <= 1.0
 
