@@ -5,7 +5,8 @@ finetune, eval-miou, theory-check.  Every run writes outputs atomically and
 drops a JSON run manifest (config hash, seed, versions) next to them, so an
 artifact can be regenerated bit-exactly from its manifest.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
+Exit codes: 0 success, 2 config error (including a checkpoint whose
+architecture disagrees with the config), 3 data error, 4 numerical failure.
 OCCSPOT_THREADS caps internal worker count.
 """
 
@@ -15,7 +16,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,7 @@ from .balance import class_stats, sampling_weights
 from .config import ConfigError, PipelineConfig, load_config
 from .formats import (FormatError, atomic_write_text, read_frame, read_labels,
                       write_frame, write_grid, write_labels)
-from .learn import (ModelConfig, NumericalError, TrainConfig, evaluate,
-                    load_model, save_model, train)
+from .learn import NumericalError, evaluate, load_model, save_model, train
 from .pipeline import (build_samples, generate_dataset, load_sequence,
                        sequence_occupancy, worker_count)
 from .seeding import substream
@@ -64,24 +63,6 @@ def _write_manifest(path, command: str, cfg: PipelineConfig | None,
     if extra:
         doc.update(extra)
     atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _model_and_train_config(cfg: PipelineConfig, seed: int
-                            ) -> tuple[ModelConfig, TrainConfig]:
-    mc = ModelConfig(n_cls=cfg.grid.n_cls, feat_dim=1, channels=cfg.channels,
-                     lam=cfg.lam)
-    tc = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                     lr_peak=cfg.lr_peak, seed=seed,
-                     lovasz_classes=cfg.lovasz_classes)
-    return mc, tc
-
-
-def _loss_weights(cfg: PipelineConfig) -> np.ndarray:
-    from .balance import class_loss_weights
-    fg = list(cfg.foreground_classes)
-    bg = [c for c in range(1, cfg.grid.n_cls + 1) if c not in fg]
-    return class_loss_weights(cfg.grid.n_cls, fg, bg,
-                              w_fg=cfg.w_fg, w_bg=cfg.w_bg, w_empty=cfg.w_empty)
 
 
 def _load_dataset_dirs(data_dir: Path) -> list[Path]:
@@ -148,6 +129,9 @@ def cmd_resample(args) -> int:
     labels_path = src.with_suffix(".sptl")
     labels = read_labels(labels_path) if labels_path.exists() else \
         np.zeros(len(cloud), dtype=np.int64)
+    if len(labels) != len(cloud):
+        raise DataError(f"{labels_path}: {len(labels)} labels for the "
+                        f"{len(cloud)} points of {src}")
     out_cloud, out_labels = beam_resample(cloud, labels,
                                           ResampleFactor(args.factor), args.seed)
     out = Path(args.output)
@@ -182,14 +166,13 @@ def cmd_pretrain(args) -> int:
     seq_dirs = _load_dataset_dirs(Path(args.data))
     seqs = [load_sequence(d) for d in seq_dirs]
     samples = build_samples(seqs, cfg, augment=not args.no_augment, seed=seed)
-    mc, tc = _model_and_train_config(cfg, seed)
-    params, trace = train(None, samples, cfg.grid, mc, tc, _loss_weights(cfg))
+    params, trace = train(None, samples, cfg, seed)
     out = Path(args.out)
-    save_model(out, params, mc, seed, extra={"loss_trace": trace})
+    save_model(out, params, cfg, seed, extra={"loss_trace": trace})
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "pretrain",
                     cfg, seed, [out.name],
                     {"data": str(args.data), "loss_trace": trace})
-    print(f"pretrained {tc.epochs} epochs on {len(samples)} samples; "
+    print(f"pretrained {cfg.epochs} epochs on {len(samples)} samples; "
           f"loss {trace[0]:.4f} -> {trace[-1]:.4f}; wrote {out}")
     return EXIT_OK
 
@@ -197,7 +180,7 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
-    pretrained, mc, _ = load_model(args.ckpt)
+    pretrained = load_model(args.ckpt, cfg)
     seq_dirs = _load_dataset_dirs(Path(args.data))
     if args.labels < 1:
         raise DataError("empty fine-tune set: --labels must be >= 1")
@@ -205,12 +188,10 @@ def cmd_finetune(args) -> int:
         raise DataError(f"--labels {args.labels} exceeds {len(seq_dirs)} sequences")
     seqs = [load_sequence(d) for d in seq_dirs[:args.labels]]
     samples = build_samples(seqs, cfg, augment=False, seed=seed)
-    _, tc = _model_and_train_config(cfg, seed)
-    params, trace = train(pretrained, samples, cfg.grid, mc, tc,
-                          _loss_weights(cfg))
+    params, trace = train(pretrained, samples, cfg, seed)
     out = Path(args.out)
-    save_model(out, params, mc, seed, extra={"loss_trace": trace,
-                                             "finetuned_from": str(args.ckpt)})
+    save_model(out, params, cfg, seed, extra={"loss_trace": trace,
+                                              "finetuned_from": str(args.ckpt)})
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "finetune",
                     cfg, seed, [out.name],
                     {"ckpt": str(args.ckpt), "labels": args.labels,
@@ -221,11 +202,11 @@ def cmd_finetune(args) -> int:
 
 def cmd_eval_miou(args) -> int:
     cfg = load_config(args.config)
-    params, mc, _ = load_model(args.ckpt)
+    params = load_model(args.ckpt, cfg)
     seq_dirs = _load_dataset_dirs(Path(args.data))
     seqs = [load_sequence(d) for d in seq_dirs]
     samples = build_samples(seqs, cfg, augment=False)
-    _, iou, mean = evaluate(params, samples, cfg.grid, mc)
+    _, iou, mean = evaluate(params, samples, cfg)
     per_class = {str(i): (None if np.isnan(v) else round(float(v), 6))
                  for i, v in enumerate(iou)}
     print(json.dumps({"miou": round(float(mean), 6), "iou": per_class},

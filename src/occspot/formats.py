@@ -9,7 +9,7 @@ All formats are little-endian with a 4-byte ASCII magic and a u32 version:
   f32 cell_size, u32 H, u32 W, u8 n_cls, then H*W u8 labels row-major
   (y-major).
 * ``SPCK`` checkpoint: magic, version=1, u32 header_len, JSON header
-  (shapes, hyperparameters, seed), then a contiguous f32 parameter blob.
+  (architecture, seed, shapes), then a contiguous f32 parameter blob.
 
 Boxes travel as JSON-lines text: one object per line with keys
 cx, cy, cz, l, w, h, yaw, vx, vy, class_id, is_dynamic.
@@ -74,6 +74,17 @@ def _expect(cond: bool, msg: str) -> None:
         raise FormatError(msg)
 
 
+def _unpack(path, magic: bytes, fmt: str, kind: str) -> tuple[list, np.ndarray]:
+    """Check magic, header length, version; return (later fields, u8 body)."""
+    data = Path(path).read_bytes()
+    size = 4 + struct.calcsize(fmt)
+    _expect(data[:4] == magic, f"{path}: bad {kind} magic")
+    _expect(len(data) >= size, f"{path}: truncated {kind} header")
+    version, *fields = struct.unpack_from(fmt, data, 4)
+    _expect(version == VERSION, f"{path}: unsupported {kind} version {version}")
+    return fields, np.frombuffer(data, dtype=np.uint8, offset=size)
+
+
 # -- frames -----------------------------------------------------------------
 
 def frame_bytes(cloud: PointCloud) -> bytes:
@@ -88,12 +99,9 @@ def write_frame(path, cloud: PointCloud) -> None:
 
 
 def read_frame(path) -> PointCloud:
-    data = Path(path).read_bytes()
-    _expect(data[:4] == FRAME_MAGIC, f"{path}: bad frame magic")
-    version, n, d = struct.unpack_from("<III", data, 4)
-    _expect(version == VERSION, f"{path}: unsupported frame version {version}")
-    _expect(len(data) == 16 + n * (3 + d) * 4, f"{path}: truncated frame body")
-    records = np.frombuffer(data, dtype="<f4", offset=16).reshape(n, 3 + d)
+    (n, d), body = _unpack(path, FRAME_MAGIC, "<III", "frame")
+    _expect(body.size == n * (3 + d) * 4, f"{path}: truncated frame body")
+    records = body.view("<f4").reshape(n, 3 + d)
     return PointCloud(records[:, :3], records[:, 3:])
 
 
@@ -112,11 +120,7 @@ def write_labels(path, labels: np.ndarray) -> None:
 
 
 def read_labels(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    _expect(data[:4] == LABEL_MAGIC, f"{path}: bad label magic")
-    version, n = struct.unpack_from("<II", data, 4)
-    _expect(version == VERSION, f"{path}: unsupported label version {version}")
-    body = np.frombuffer(data, dtype=np.uint8, offset=12)
+    (n,), body = _unpack(path, LABEL_MAGIC, "<II", "label")
     _expect(body.size == n, f"{path}: truncated label body")
     return body.astype(np.int64)
 
@@ -167,11 +171,7 @@ def write_grid(path, grid) -> None:
 def read_grid(path):
     from .occupancy import GridSpec, OccupancyGrid  # local import: cycle guard
 
-    data = Path(path).read_bytes()
-    _expect(data[:4] == GRID_MAGIC, f"{path}: bad grid magic")
-    version, ox, oy, cell, h, w, n_cls = struct.unpack_from("<IfffIIB", data, 4)
-    _expect(version == VERSION, f"{path}: unsupported grid version {version}")
-    body = np.frombuffer(data, dtype=np.uint8, offset=4 + struct.calcsize("<IfffIIB"))
+    (ox, oy, cell, h, w, n_cls), body = _unpack(path, GRID_MAGIC, "<IfffIIB", "grid")
     _expect(body.size == h * w, f"{path}: truncated grid body")
     # z bounds and densification settings are not part of the wire format;
     # readers get neutral z bounds spanning the default synthetic column.
@@ -193,11 +193,11 @@ def write_checkpoint(path, header: dict, blob: np.ndarray) -> None:
 
 
 def read_checkpoint(path) -> tuple[dict, np.ndarray]:
-    data = Path(path).read_bytes()
-    _expect(data[:4] == CKPT_MAGIC, f"{path}: bad checkpoint magic")
-    version, hlen = struct.unpack_from("<II", data, 4)
-    _expect(version == VERSION, f"{path}: unsupported checkpoint version {version}")
-    _expect((len(data) - 12 - hlen) % 4 == 0, f"{path}: truncated checkpoint body")
-    header = json.loads(data[12:12 + hlen].decode("utf-8"))
-    blob = np.frombuffer(data, dtype="<f4", offset=12 + hlen)
-    return header, blob.astype(np.float64)
+    (hlen,), body = _unpack(path, CKPT_MAGIC, "<II", "checkpoint")
+    _expect(body.size >= hlen and (body.size - hlen) % 4 == 0,
+            f"{path}: truncated checkpoint body")
+    try:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        header = json.loads(body[:hlen].tobytes().decode("utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"{path}: checkpoint header is not JSON: {exc}") from exc
+    return header, body[hlen:].view("<f4").astype(np.float64)

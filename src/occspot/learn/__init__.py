@@ -3,17 +3,17 @@
 from .losses import (lovasz_softmax, softmax_field, softmax_vjp, total_loss,
                      weighted_ce)
 from .metrics import confusion_matrix, miou
-from .model import (ModelConfig, init_params, model_backward, model_forward,
+from .model import (PILLAR_DIM, init_params, model_backward, model_forward,
                     pillar_features)
-from .train import (NumericalError, TrainConfig, evaluate, load_model,
+from .train import (NumericalError, evaluate, load_model, loss_weights,
                     one_cycle_lr, save_model, train)
 
 __all__ = [
     "softmax_field", "weighted_ce", "lovasz_softmax", "total_loss",
     "softmax_vjp",
-    "ModelConfig", "init_params", "pillar_features",
+    "PILLAR_DIM", "init_params", "pillar_features",
     "model_forward", "model_backward",
-    "TrainConfig", "train", "evaluate",
+    "train", "evaluate", "loss_weights",
     "one_cycle_lr", "save_model", "load_model", "NumericalError",
     "confusion_matrix", "miou",
 ]

@@ -11,58 +11,30 @@ exact adjoint of the matching strided convolution, which keeps the manual
 gradients honest under finite-difference checks.  Parameters travel as a
 plain dict keyed by layer name so the optimizer and checkpoints can treat
 them uniformly.
+
+The widths (``train.channels``) and classes (``grid.n_cls``) come from
+:class:`~occspot.config.PipelineConfig`; a checkpoint header holds just these.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..cloud import PointCloud
+from ..config import PipelineConfig
 from ..occupancy import GridSpec
 
 __all__ = [
-    "ModelConfig", "init_params", "flatten_params",
+    "FEAT_DIM", "PILLAR_DIM", "init_params", "flatten_params",
     "unflatten_params", "pillar_features", "model_forward", "model_backward",
 ]
 
 Params = dict[str, np.ndarray]
 
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """Architecture hyperparameters; `lam` is the loss mixing coefficient."""
-
-    n_cls: int = 15
-    feat_dim: int = 1
-    channels: tuple[int, int, int] = (8, 16, 16)  # post-embed, enc1, enc2
-    lam: float = 1.0
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if len(self.channels) != 3 or min(self.channels) < 1:
-            raise ValueError("channels must be three positive widths")
-
-    @property
-    def pillar_dim(self) -> int:
-        # per-point features + (dx, dy) cell offsets + normalized height
-        return self.feat_dim + 3
-
-    @property
-    def n_out(self) -> int:
-        return self.n_cls + 1
-
-    def to_dict(self) -> dict:
-        return {"n_cls": self.n_cls, "feat_dim": self.feat_dim,
-                "channels": list(self.channels), "lam": self.lam}
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(n_cls=int(d["n_cls"]), feat_dim=int(d["feat_dim"]),
-                           channels=tuple(int(c) for c in d["channels"]),
-                           lam=float(d["lam"]))
+#: per-point features of a frame (the normalized range)
+FEAT_DIM = 1
+#: pillar channels: the point features, (dx, dy) cell offsets, height
+PILLAR_DIM = FEAT_DIM + 3
 
 
 # -- convolution primitives (channels-last, kernel 3, pad 1) -----------------
@@ -131,21 +103,22 @@ _LAYER_ORDER = ("embed_w", "conv1_w", "conv1_b", "conv2_w", "conv2_b",
                 "head_w", "head_b")
 
 
-def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+def _param_shapes(cfg: PipelineConfig) -> dict[str, tuple[int, ...]]:
     c0, c1, c2 = cfg.channels
+    n_out = cfg.grid.n_cls + 1
     return {
-        "embed_w": (cfg.pillar_dim, c0),
+        "embed_w": (PILLAR_DIM, c0),
         "conv1_w": (_K, _K, c0, c1), "conv1_b": (c1,),
         "conv2_w": (_K, _K, c1, c2), "conv2_b": (c2,),
         # transposed convs store the matching down-conv weight (k,k,Cout,Cin)
         "up1_w": (_K, _K, c1, c2), "up1_b": (c1,),
         "up2_w": (_K, _K, c0, c1), "up2_b": (c0,),
         "up3_w": (_K, _K, c0, c0), "up3_b": (c0,),
-        "head_w": (c0, cfg.n_out), "head_b": (cfg.n_out,),
+        "head_w": (c0, n_out), "head_b": (n_out,),
     }
 
 
-def init_params(cfg: ModelConfig, seed: int) -> Params:
+def init_params(cfg: PipelineConfig, seed: int) -> Params:
     """Fan-in-scaled uniform weights, zero biases."""
     rng = np.random.default_rng(seed)
     params: Params = {}
@@ -163,7 +136,7 @@ def flatten_params(params: Params) -> np.ndarray:
     return np.concatenate([params[k].ravel() for k in _LAYER_ORDER])
 
 
-def unflatten_params(vec: np.ndarray, cfg: ModelConfig) -> Params:
+def unflatten_params(vec: np.ndarray, cfg: PipelineConfig) -> Params:
     shapes = _param_shapes(cfg)
     out: Params = {}
     pos = 0
@@ -178,17 +151,16 @@ def unflatten_params(vec: np.ndarray, cfg: ModelConfig) -> Params:
 
 # -- pillar scatter -----------------------------------------------------------
 
-def pillar_features(cloud: PointCloud, spec: GridSpec,
-                    cfg: ModelConfig) -> np.ndarray:
-    """(H, W, pillar_dim) per-cell means; cells without points stay zero.
+def pillar_features(cloud: PointCloud, spec: GridSpec) -> np.ndarray:
+    """(H, W, PILLAR_DIM) per-cell means; cells without points stay zero.
 
     Channels are the point features followed by the in-cell (dx, dy) offsets
     in cell units and the height centered/normalized over [z_min, z_max].
     Points outside the grid or the z band are ignored.
     """
-    if cloud.d != cfg.feat_dim:
-        raise ValueError(f"cloud has d={cloud.d}, model expects {cfg.feat_dim}")
-    out = np.zeros((spec.h, spec.w, cfg.pillar_dim))
+    if cloud.d != FEAT_DIM:
+        raise ValueError(f"cloud has d={cloud.d}, model expects {FEAT_DIM}")
+    out = np.zeros((spec.h, spec.w, PILLAR_DIM))
     if len(cloud) == 0:
         return out
     ii, jj, ok = spec.bin_points(cloud.xyz)
@@ -213,7 +185,7 @@ def pillar_features(cloud: PointCloud, spec: GridSpec,
     counts = np.bincount(flat, minlength=n_cells).astype(np.float64)
     occupied = counts > 0
     sums[occupied] /= counts[occupied, None]
-    return sums.reshape(spec.h, spec.w, cfg.pillar_dim)
+    return sums.reshape(spec.h, spec.w, PILLAR_DIM)
 
 
 # -- forward / backward -------------------------------------------------------
@@ -224,7 +196,7 @@ def _relu(x: np.ndarray) -> np.ndarray:
 
 def model_forward(pillars: np.ndarray, params: Params
                   ) -> tuple[np.ndarray, dict]:
-    """Batched forward pass: (B, H, W, pillar_dim) -> (B, H, W, n_out) logits.
+    """Batched forward pass: (B, H, W, PILLAR_DIM) -> (B, H, W, n_cls + 1) logits.
 
     H and W must be divisible by 4.  The returned cache carries every
     intermediate needed by :func:`model_backward`, including the raw

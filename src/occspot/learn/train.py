@@ -1,5 +1,9 @@
 """Adam + one-cycle training, one loop for pre-training and fine-tuning.
 
+Every setting comes from :class:`~occspot.config.PipelineConfig`.  A
+checkpoint's header records only the architecture, and loading checks it
+against the config, so fine-tuning trains with its own loss and weights.
+
 Training is bit-deterministic for a fixed seed: parameter init, batch order
 and every arithmetic step flow from named RNG sub-streams, and all math is
 single-threaded float64 numpy.
@@ -11,20 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..balance import class_loss_weights
 from ..cloud import PointCloud
+from ..config import ConfigError, PipelineConfig
 from ..formats import FormatError, read_checkpoint, write_checkpoint
 from ..occupancy import GridSpec, OccupancyGrid
 from ..seeding import substream
 from .losses import softmax_field, total_loss
 from .metrics import confusion_matrix, miou
-from .model import (ModelConfig, Params, flatten_params, init_params,
-                    model_backward, model_forward, pillar_features,
-                    transfer_param_names, unflatten_params)
+from .model import (Params, flatten_params, init_params, model_backward,
+                    model_forward, pillar_features, transfer_param_names,
+                    unflatten_params)
 
 __all__ = [
-    "TrainConfig", "NumericalError", "one_cycle_lr", "AdamState",
-    "adam_step", "train", "evaluate",
-    "save_model", "load_model", "prepare_samples",
+    "NumericalError", "one_cycle_lr", "AdamState", "adam_step", "train",
+    "evaluate", "loss_weights", "save_model", "load_model", "prepare_samples",
 ]
 
 
@@ -32,21 +37,13 @@ class NumericalError(RuntimeError):
     """Raised when training diverges: NaN logits or a non-finite loss."""
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Optimization hyperparameters shared by pre-train and fine-tune."""
-
-    epochs: int = 10
-    batch_size: int = 4
-    lr_peak: float = 0.003
-    seed: int = 0
-    lovasz_classes: str = "present"
-
-    def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.lr_peak < 0:
-            raise ValueError("lr_peak must be >= 0")
+def loss_weights(cfg: PipelineConfig) -> np.ndarray:
+    """Length ``grid.n_cls + 1``: ``loss.w_fg`` on the foreground classes,
+    ``loss.w_bg`` on the others, ``loss.w_empty`` on empty (index 0)."""
+    fg = list(cfg.foreground_classes)
+    bg = [c for c in range(1, cfg.grid.n_cls + 1) if c not in fg]
+    return class_loss_weights(cfg.grid.n_cls, fg, bg,
+                              w_fg=cfg.w_fg, w_bg=cfg.w_bg, w_empty=cfg.w_empty)
 
 
 def one_cycle_lr(step: int, total_steps: int, peak: float) -> float:
@@ -92,22 +89,21 @@ def adam_step(params: Params, grads: Params, state: AdamState,
 
 
 def prepare_samples(samples: list[tuple[PointCloud, OccupancyGrid]],
-                    spec: GridSpec, cfg: ModelConfig
-                    ) -> tuple[np.ndarray, np.ndarray]:
+                    spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Scatter clouds to pillar tensors once; returns (pillars, gts) stacks."""
     if not samples:
         raise ValueError("empty sample list")
-    pillars = np.stack([pillar_features(c, spec, cfg) for c, _ in samples])
+    pillars = np.stack([pillar_features(c, spec) for c, _ in samples])
     gts = np.stack([g.labels for _, g in samples])
     return pillars, gts
 
 
 def _run_epochs(params: Params, pillars: np.ndarray, gts: np.ndarray,
-                weights: np.ndarray, cfg: ModelConfig, tc: TrainConfig,
-                order_rng: np.random.Generator) -> list[float]:
+                cfg: PipelineConfig, order_rng: np.random.Generator) -> list[float]:
     n = pillars.shape[0]
-    steps_per_epoch = (n + tc.batch_size - 1) // tc.batch_size
-    total_steps = steps_per_epoch * tc.epochs
+    weights = loss_weights(cfg)
+    steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
+    total_steps = steps_per_epoch * cfg.epochs
     opt = AdamState.init(params)
     trace: list[float] = []
     step = 0
@@ -116,19 +112,19 @@ def _run_epochs(params: Params, pillars: np.ndarray, gts: np.ndarray,
         return NumericalError(
             f"{why} at step {step} (epoch {len(trace)}, lr {lr:.2e})")
 
-    for _ in range(tc.epochs):
+    for _ in range(cfg.epochs):
         order = order_rng.permutation(n)
         epoch_losses = []
         for s in range(steps_per_epoch):
-            sel = order[s * tc.batch_size:(s + 1) * tc.batch_size]
-            lr = one_cycle_lr(step, total_steps, tc.lr_peak)
+            sel = order[s * cfg.batch_size:(s + 1) * cfg.batch_size]
+            lr = one_cycle_lr(step, total_steps, cfg.lr_peak)
             logits, cache = model_forward(pillars[sel], params)
             try:
                 pred = softmax_field(logits)
             except ValueError as exc:  # NaN logits: the run diverged
                 raise diverged(exc) from exc
             loss, dlogits = total_loss(pred, gts[sel], weights, cfg.lam,
-                                       tc.lovasz_classes)
+                                       cfg.lovasz_classes)
             if not np.isfinite(loss):
                 raise diverged(f"non-finite loss {loss}")
             grads = model_backward(cache, dlogits, params)
@@ -140,19 +136,18 @@ def _run_epochs(params: Params, pillars: np.ndarray, gts: np.ndarray,
 
 
 def train(init: Params | None,
-          samples: list[tuple[PointCloud, OccupancyGrid]], spec: GridSpec,
-          cfg: ModelConfig, tc: TrainConfig,
-          weights: np.ndarray) -> tuple[Params, list[float]]:
+          samples: list[tuple[PointCloud, OccupancyGrid]], cfg: PipelineConfig,
+          seed: int) -> tuple[Params, list[float]]:
     """Train on (cloud, grid) samples; returns params + per-epoch loss trace.
 
     With `init` None the whole model trains from scratch (pre-training, or
     the scratch baseline).  With a checkpoint's params the encoder and the
     transposed-conv decode path start from it and only the head is fresh
-    (fine-tuning).  `weights` are the per-class loss weights, length
-    ``cfg.n_out``.  Raises on an empty sample list or a shape-incompatible
-    checkpoint.
+    (fine-tuning).  `seed` replaces ``cfg.seed``, so a run's ``--seed``
+    leaves the config as loaded.  Raises on an empty sample list or a
+    shape-incompatible checkpoint.
     """
-    params = init_params(cfg, substream(tc.seed, "init").integers(2**63))
+    params = init_params(cfg, substream(seed, "init").integers(2**63))
     if init is not None:
         for name in transfer_param_names():
             if name not in init:
@@ -162,44 +157,58 @@ def train(init: Params | None,
                     f"checkpoint parameter {name} has shape "
                     f"{init[name].shape}, model expects {params[name].shape}")
             params[name] = init[name].copy()
-    pillars, gts = prepare_samples(samples, spec, cfg)
-    trace = _run_epochs(params, pillars, gts, weights, cfg, tc,
-                        substream(tc.seed, "batch-order"))
+    pillars, gts = prepare_samples(samples, cfg.grid)
+    trace = _run_epochs(params, pillars, gts, cfg,
+                        substream(seed, "batch-order"))
     return params, trace
 
 
 def evaluate(params: Params, samples: list[tuple[PointCloud, OccupancyGrid]],
-             spec: GridSpec, cfg: ModelConfig
-             ) -> tuple[np.ndarray, np.ndarray, float]:
+             cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray, float]:
     """Argmax predictions over `samples`; returns (cm, per-class IoU, mIoU).
 
     The mean leaves out class 0 (empty).
     """
-    pillars, gts = prepare_samples(samples, spec, cfg)
-    cm = np.zeros((cfg.n_out, cfg.n_out), dtype=np.int64)
+    pillars, gts = prepare_samples(samples, cfg.grid)
+    n_out = cfg.grid.n_cls + 1
+    cm = np.zeros((n_out, n_out), dtype=np.int64)
     for i in range(pillars.shape[0]):
         logits, _ = model_forward(pillars[i:i + 1], params)
         pred = logits[0].argmax(axis=-1)
-        cm += confusion_matrix(gts[i], pred, cfg.n_out)
+        cm += confusion_matrix(gts[i], pred, n_out)
     iou, mean = miou(cm)
     return cm, iou, mean
 
 
-def save_model(path, params: Params, cfg: ModelConfig, seed: int,
+def save_model(path, params: Params, cfg: PipelineConfig, seed: int,
                extra: dict | None = None) -> None:
-    """Write a checkpoint: JSON header (config, seed) + f32 parameter blob."""
-    header = {"model": cfg.to_dict(), "seed": seed,
+    """Write a checkpoint: JSON header (architecture, seed, shapes), f32 blob."""
+    model = {"n_cls": cfg.grid.n_cls, "channels": list(cfg.channels)}
+    header = {"model": model, "seed": seed,
               "params": {k: list(v.shape) for k, v in params.items()}}
     if extra:
         header["extra"] = extra
     write_checkpoint(path, header, flatten_params(params))
 
 
-def load_model(path) -> tuple[Params, ModelConfig, dict]:
+def load_model(path, cfg: PipelineConfig) -> Params:
+    """The parameters of a checkpoint; a header whose architecture disagrees
+    with `cfg` is a ConfigError, a malformed one a FormatError.  Other
+    header keys (older checkpoints also hold ``feat_dim`` and ``lam``) are
+    ignored."""
     header, blob = read_checkpoint(path)
     try:
-        cfg = ModelConfig.from_dict(header["model"])
-        params = unflatten_params(blob, cfg)
+        model = header["model"]
+        saved = {"grid.n_cls": int(model["n_cls"]),
+                 "train.channels": [int(c) for c in model["channels"]]}
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed checkpoint: {exc!r}") from exc
-    return params, cfg, header
+    for key, want in (("grid.n_cls", cfg.grid.n_cls),
+                      ("train.channels", list(cfg.channels))):
+        if saved[key] != want:
+            raise ConfigError(f"{key}: config has {want}, checkpoint {path} "
+                              f"has {saved[key]}")
+    try:
+        return unflatten_params(blob, cfg)
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed checkpoint: {exc!r}") from exc

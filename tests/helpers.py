@@ -15,7 +15,24 @@ import numpy as np
 
 from occspot.balance import default_loss_weights
 from occspot.cloud import BoxLabel, PointCloud
-from occspot.synth import _RAY_EPS, RANGE_NORM, _ray_box_hits, _ray_directions
+from occspot.config import PipelineConfig
+from occspot.learn import PILLAR_DIM
+from occspot.occupancy import GridSpec
+from occspot.synth import (_RAY_EPS, RANGE_NORM, SceneParams, _ray_box_hits,
+                           _ray_directions)
+
+
+def toy_config(**kw) -> PipelineConfig:
+    """A small model and training setup: a 32x32 grid at 0.5 m, 15 classes,
+    channels (6, 8, 8), 2 epochs at batch 2; `kw` overrides any field."""
+    base = dict(
+        seed=3, n_sequences=3,
+        scene=SceneParams(arena=(-12.0, 12.0, -12.0, 12.0), n_objects=6),
+        grid=GridSpec(-8.0, -8.0, 0.5, 32, 32, -1.0, 3.0, 15),
+        n_frames=3, channels=(6, 8, 8), epochs=2, batch_size=2,
+    )
+    base.update(kw)
+    return PipelineConfig(**base)
 
 
 def point_in_box_brute(p, box: BoxLabel, atol: float = 0.0) -> bool:
@@ -101,14 +118,14 @@ def split_reference(cloud, boxes, speed_threshold=None, atol: float = 0.0):
     return np.nonzero(owner == -1)[0], dynamic, owner[dynamic]
 
 
-def pillar_features_reference(cloud, spec, cfg) -> np.ndarray:
+def pillar_features_reference(cloud, spec) -> np.ndarray:
     """``learn.model.pillar_features`` with its sums scattered by ``np.add.at``.
 
     Shares the library's per-point columns on purpose: the property under
     test is that one ``np.bincount`` per column adds the same values in the
     same order as ``np.add.at``, so the means are bit-identical.
     """
-    out = np.zeros((spec.h, spec.w, cfg.pillar_dim))
+    out = np.zeros((spec.h, spec.w, PILLAR_DIM))
     ii, jj, ok = spec.bin_points(cloud.xyz)
     if not ok.any():
         return out
@@ -122,12 +139,12 @@ def pillar_features_reference(cloud, spec, cfg) -> np.ndarray:
         ((xyz[:, 2] - spec.z_mid) / (spec.z_max - spec.z_min))[:, None],
     ], axis=1)
     flat = ii * spec.w + jj
-    sums = np.zeros((spec.h * spec.w, cfg.pillar_dim))
+    sums = np.zeros((spec.h * spec.w, PILLAR_DIM))
     np.add.at(sums, flat, cols)
     counts = np.bincount(flat, minlength=spec.h * spec.w).astype(np.float64)
     occupied = counts > 0
     sums[occupied] /= counts[occupied, None]
-    return sums.reshape(spec.h, spec.w, cfg.pillar_dim)
+    return sums.reshape(spec.h, spec.w, PILLAR_DIM)
 
 
 def knn_label_brute(fused_xyz, fused_labels, queries, k, n_cls=15,

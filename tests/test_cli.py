@@ -1,11 +1,14 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from occspot import cli
 from occspot.cli import main
-from occspot.formats import read_checkpoint, write_checkpoint
+from occspot.cloud import PointCloud
+from occspot.formats import (read_checkpoint, write_checkpoint, write_frame,
+                             write_labels)
 
 MINI = {
     "n_sequences": 2,
@@ -164,7 +167,7 @@ class TestTheoryCheck:
 
 
 class TestMalformedFiles:
-    """Malformed JSON on disk is a data error naming the file."""
+    """A malformed file on disk is a data error naming the file."""
 
     def test_poses_without_poses_is_a_data_error(self, tmp_path, config,
                                                  data, capsys):
@@ -193,9 +196,149 @@ class TestMalformedFiles:
             assert err.startswith("data error: ") and str(ckpt) in err
         assert not (tmp_path / "ft.npz").exists()
 
+    def test_checkpoint_cut_inside_its_header(self, tmp_path, config, data,
+                                              capsys):
+        ckpt = tmp_path / "cut.spck"
+        ckpt.write_bytes(b"SPCK\x01\x00\x00\x00")
+        assert main(["eval-miou", str(ckpt), str(data),
+                     "--config", config]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {ckpt}: truncated checkpoint header\n")
+
+    def test_checkpoint_header_that_is_not_json(self, tmp_path, config, data,
+                                                capsys):
+        assert pretrain(config, data, tmp_path) == cli.EXIT_OK
+        ckpt = tmp_path / "model.npz"
+        raw = bytearray(ckpt.read_bytes())
+        raw[12] = ord("#")  # the first byte of the JSON header
+        ckpt.write_bytes(bytes(raw))
+        assert main(["eval-miou", str(ckpt), str(data),
+                     "--config", config]) == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith(
+            f"data error: {ckpt}: checkpoint header is not JSON: ")
+
     @pytest.mark.parametrize("frames", [[[1, 2]], {"1": 2}])
     def test_balance_weights_frames_not_dicts(self, tmp_path, frames, capsys):
         stats = tmp_path / "stats.json"
         stats.write_text(json.dumps({"frames": frames}))
         assert main(["balance-weights", str(stats)]) == cli.EXIT_DATA
         assert "bad stats document" in capsys.readouterr().err
+
+
+def finetune(config, ckpt, data, out):
+    return main(["finetune", "--ckpt", str(ckpt), "--labels", "1",
+                 "--config", str(config), "--data", str(data),
+                 "--out", str(out)])
+
+
+def with_override(tmp_path, name, section, **values):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**MINI, section: {**MINI.get(section, {}),
+                                                  **values}}))
+    return path
+
+
+class TestCheckpointAgainstConfig:
+    """The config describes the model; a checkpoint must match it."""
+
+    @pytest.mark.parametrize("section, key, value, saved", [
+        ("train", "channels", [4, 4, 4], "[8, 16, 16]"),
+        ("grid", "n_cls", 20, "15"),
+    ])
+    def test_architecture_mismatch_is_a_config_error(
+            self, tmp_path, config, data, capsys, section, key, value, saved):
+        assert pretrain(config, data, tmp_path) == cli.EXIT_OK
+        ckpt = tmp_path / "model.npz"
+        other = with_override(tmp_path, "other", section, **{key: value})
+        capsys.readouterr()
+        out = tmp_path / "ft.npz"
+        for argv in (["finetune", "--ckpt", str(ckpt), "--labels", "1",
+                      "--config", str(other), "--data", str(data),
+                      "--out", str(out)],
+                     ["eval-miou", str(ckpt), str(data), "--config", str(other)]):
+            assert main(argv) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"config error: {section}.{key}: config has {value}, "
+                f"checkpoint {ckpt} has {saved}\n")
+        assert not out.exists()
+        assert not out.with_suffix(".npz.manifest.json").exists()
+
+    def test_finetune_loss_follows_its_own_config(self, tmp_path, config,
+                                                  data):
+        assert pretrain(config, data, tmp_path) == cli.EXIT_OK
+        traces = []
+        for lam in (1.0, 0.0):
+            other = with_override(tmp_path, f"lam{lam}", "loss", **{"lambda": lam})
+            out = tmp_path / f"ft{lam}.npz"
+            assert finetune(other, tmp_path / "model.npz", data, out) == 0
+            manifest = out.with_suffix(".npz.manifest.json")
+            traces.append(json.loads(manifest.read_text())["loss_trace"])
+        assert traces[0] != traces[1]
+
+    def test_header_with_feat_dim_and_lam_still_loads(self, tmp_path, config,
+                                                      data):
+        assert pretrain(config, data, tmp_path) == cli.EXIT_OK
+        ckpt = tmp_path / "model.npz"
+        header, blob = read_checkpoint(ckpt)
+        header["model"].update(feat_dim=1, lam=1.0)  # as older runs wrote it
+        write_checkpoint(ckpt, header, blob)
+        assert finetune(config, ckpt, data, tmp_path / "ft.npz") == 0
+        assert main(["eval-miou", str(ckpt), str(data),
+                     "--config", config]) == 0
+
+
+class TestResampleBadInput:
+    """Bad `resample` input exits 2 (arguments) or 3 (files), writing nothing."""
+
+    @pytest.fixture
+    def frame(self, tmp_path):
+        # 10 beams at distinct elevations, 10 azimuths each
+        elev, azim = np.meshgrid(np.linspace(-0.4, 0.0, 10),
+                                 np.linspace(0.0, 6.0, 10), indexing="ij")
+        xyz = 10.0 * np.stack([np.cos(elev) * np.cos(azim),
+                               np.cos(elev) * np.sin(azim),
+                               np.sin(elev)], axis=-1).reshape(-1, 3)
+        path = tmp_path / "in.sptc"
+        write_frame(path, PointCloud(xyz, np.ones((100, 1))))
+        return path
+
+    def resample(self, tmp_path, src, factor="0.5"):
+        rc = main(["resample", "--factor", factor, str(src),
+                   str(tmp_path / "out.sptc")])
+        assert not list(tmp_path.glob("out.*"))
+        return rc
+
+    def test_good_input_is_resampled(self, tmp_path, frame):
+        write_labels(frame.with_suffix(".sptl"), np.arange(100) % 7)
+        assert main(["resample", "--factor", "0.5", str(frame),
+                     str(tmp_path / "out.sptc")]) == cli.EXIT_OK
+        assert (tmp_path / "out.sptl").exists()
+
+    @pytest.mark.parametrize("factor", ["0", "1.5", "nan"])
+    def test_factor_outside_unit_interval(self, tmp_path, frame, factor,
+                                          capsys):
+        assert self.resample(tmp_path, frame, factor) == cli.EXIT_CONFIG
+        assert "config error: --factor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "not-a-frame"])
+    def test_bad_frame_is_a_data_error(self, tmp_path, frame, damage, capsys):
+        if damage == "missing":
+            frame.unlink()
+        elif damage == "truncated":
+            frame.write_bytes(frame.read_bytes()[:4])
+        else:
+            frame.write_text("just some text")
+        assert self.resample(tmp_path, frame) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(frame) in err
+
+    @pytest.mark.parametrize("n_labels", [5, 200])
+    def test_labels_of_another_length_are_a_data_error(
+            self, tmp_path, frame, n_labels, capsys):
+        labels = frame.with_suffix(".sptl")
+        write_labels(labels, np.zeros(n_labels, dtype=np.int64))
+        assert self.resample(tmp_path, frame) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {labels}: {n_labels} labels for the 100 points "
+            f"of {frame}\n")
+

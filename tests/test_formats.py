@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -163,3 +165,52 @@ def test_atomic_write_leaves_no_partials(tmp_path):
         fmts.os.fdopen = real_fdopen
     assert target.read_bytes() == b"original"
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+READERS = {"SPTC": (read_frame, 16), "SPTL": (read_labels, 12),
+           "SPOG": (read_grid, 29), "SPCK": (read_checkpoint, 12)}
+
+
+@pytest.mark.parametrize("magic", sorted(READERS))
+@pytest.mark.parametrize("size", [4, 8, "one-short"])
+def test_truncated_header_names_the_file(tmp_path, magic, size):
+    reader, header = READERS[magic]
+    path = tmp_path / "cut.bin"
+    n = header - 1 if size == "one-short" else size
+    path.write_bytes((magic.encode() + (1).to_bytes(4, "little")
+                      + bytes(header))[:n])
+    with pytest.raises(FormatError,
+                       match=f"^{re.escape(str(path))}: truncated .* header$"):
+        reader(path)
+
+
+@pytest.mark.parametrize("magic", sorted(READERS))
+def test_unsupported_version_names_the_file(tmp_path, magic):
+    reader, header = READERS[magic]
+    path = tmp_path / "v2.bin"
+    path.write_bytes(magic.encode() + (2).to_bytes(4, "little")
+                     + bytes(header - 8))
+    with pytest.raises(FormatError,
+                       match=f"^{re.escape(str(path))}: unsupported .* version 2$"):
+        reader(path)
+
+
+def test_checkpoint_header_longer_than_file(tmp_path):
+    path = tmp_path / "m.spck"
+    write_checkpoint(path, {"a": 1}, np.zeros(3))
+    data = bytearray(path.read_bytes())
+    data[8:12] = (len(data)).to_bytes(4, "little")  # header runs past the end
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="truncated checkpoint body"):
+        read_checkpoint(path)
+
+
+def test_checkpoint_header_not_json_names_the_file(tmp_path):
+    path = tmp_path / "m.spck"
+    write_checkpoint(path, {"a": 1}, np.zeros(3))
+    data = bytearray(path.read_bytes())
+    data[12] = 0xFF  # not UTF-8
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "
+                       "checkpoint header is not JSON"):
+        read_checkpoint(path)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from helpers import (lovasz_region_signature, pillar_features_reference,
-                     rel_err)
+                     rel_err, toy_config)
 
 from occspot.balance import default_loss_weights
 from occspot.cloud import PointCloud
-from occspot.learn import (ModelConfig, init_params, model_backward,
+from occspot.learn import (PILLAR_DIM, init_params, model_backward,
                            model_forward, pillar_features, softmax_field,
                            total_loss)
 from occspot.learn.model import (conv_backward_input, conv_backward_weight,
@@ -15,7 +15,7 @@ from occspot.learn.model import (conv_backward_input, conv_backward_weight,
                                  unflatten_params)
 from occspot.occupancy import GridSpec
 
-CFG = ModelConfig(n_cls=15, feat_dim=1, channels=(6, 8, 8))
+CFG = toy_config()  # 15 classes, channels (6, 8, 8)
 W15 = default_loss_weights(15)
 
 
@@ -70,13 +70,13 @@ class TestConvPrimitives:
 class TestPillarFeatures:
     def test_empty_cloud_all_zero(self):
         out = pillar_features(PointCloud(np.zeros((0, 3)), np.zeros((0, 1))),
-                              grid16(), CFG)
-        assert out.shape == (16, 16, CFG.pillar_dim)
+                              grid16())
+        assert out.shape == (16, 16, PILLAR_DIM)
         assert np.all(out == 0.0)
 
     def test_single_point_single_pillar(self):
         cloud = PointCloud([[0.25, 0.25, 1.0]], [[0.8]])
-        out = pillar_features(cloud, grid16(), CFG)
+        out = pillar_features(cloud, grid16())
         nz = np.nonzero(out.any(axis=-1))
         assert (nz[0].tolist(), nz[1].tolist()) == ([8], [8])
         # feature channel, then offsets within the cell, then height
@@ -88,14 +88,14 @@ class TestPillarFeatures:
         xyz = rng.uniform(-8, 8, (400, 3)) * [1, 1, 0.2]
         feat = rng.random((400, 1))
         cloud = PointCloud(xyz, feat)
-        a = pillar_features(cloud, grid16(), CFG)
+        a = pillar_features(cloud, grid16())
         perm = rng.permutation(400)
-        b = pillar_features(PointCloud(xyz[perm], feat[perm]), grid16(), CFG)
+        b = pillar_features(PointCloud(xyz[perm], feat[perm]), grid16())
         assert np.abs(a - b).max() <= 1e-9
 
     def test_out_of_band_points_ignored(self):
         cloud = PointCloud([[0.0, 0.0, 99.0]], [[1.0]])
-        out = pillar_features(cloud, grid16(), CFG)
+        out = pillar_features(cloud, grid16())
         assert np.all(out == 0.0)
 
     def test_matches_add_at_scatter_bit_for_bit(self):
@@ -106,13 +106,13 @@ class TestPillarFeatures:
             xyz = rng.uniform(-3, 3, (n, 3)) * [1, 1, 0.5]
             feat = rng.normal(size=(n, 1)) * 10.0 ** rng.integers(-8, 9, (n, 1))
             cloud = PointCloud(xyz, feat)
-            assert np.array_equal(pillar_features(cloud, grid16(), CFG),
-                                  pillar_features_reference(cloud, grid16(), CFG))
+            assert np.array_equal(pillar_features(cloud, grid16()),
+                                  pillar_features_reference(cloud, grid16()))
 
 
 def encoder_feats(cloud, params):
     """BEV features (H/4, W/4, C2) of one cloud, from the model's forward pass."""
-    _, cache = model_forward(pillar_features(cloud, grid16(), CFG)[None], params)
+    _, cache = model_forward(pillar_features(cloud, grid16())[None], params)
     return cache["feats"][0]
 
 
@@ -151,17 +151,17 @@ class TestDecoder:
         params = init_params(CFG, seed=6)
         for h in (16, 32):
             pillars = np.random.default_rng(6).normal(
-                size=(2, h, h, CFG.pillar_dim))
+                size=(2, h, h, PILLAR_DIM))
             logits, cache = model_forward(pillars, params)
             assert cache["feats"].shape == (2, h // 4, h // 4, CFG.channels[2])
-            assert logits.shape == (2, h, h, CFG.n_out)
+            assert logits.shape == (2, h, h, CFG.grid.n_cls + 1)
 
     def test_zero_input_zero_bias_zero_logits(self):
         params = init_params(CFG, seed=7)
         for k in params:
             if k.endswith("_b"):
                 params[k] = np.zeros_like(params[k])
-        logits, cache = model_forward(np.zeros((1, 16, 16, CFG.pillar_dim)),
+        logits, cache = model_forward(np.zeros((1, 16, 16, PILLAR_DIM)),
                                       params)
         assert np.all(cache["feats"] == 0.0)
         assert np.all(logits == 0.0)
@@ -183,7 +183,7 @@ def relu_mask_signature(cache) -> tuple:
 class TestEndToEndGradient:
     def test_composition_matches_fd(self):
         rng = np.random.default_rng(8)
-        pillars = rng.normal(0, 1.0, (1, 16, 16, CFG.pillar_dim))
+        pillars = rng.normal(0, 1.0, (1, 16, 16, PILLAR_DIM))
         gt = rng.integers(0, 16, (1, 16, 16))
         theta = flatten_params(init_params(CFG, seed=9))
         loss, grad, cache, pred = model_loss_and_grad(theta, pillars, gt)
@@ -212,7 +212,7 @@ class TestEndToEndGradient:
 
     def test_gradient_nonzero_everywhere_reachable(self):
         rng = np.random.default_rng(10)
-        pillars = rng.normal(0, 1.0, (2, 16, 16, CFG.pillar_dim))
+        pillars = rng.normal(0, 1.0, (2, 16, 16, PILLAR_DIM))
         gt = rng.integers(0, 16, (2, 16, 16))
         theta = flatten_params(init_params(CFG, seed=11))
         _, grad, _, _ = model_loss_and_grad(theta, pillars, gt)
@@ -222,7 +222,7 @@ class TestEndToEndGradient:
     def test_divisibility_enforced(self):
         params = init_params(CFG, seed=12)
         with pytest.raises(ValueError, match="divisible"):
-            model_forward(np.zeros((1, 15, 16, CFG.pillar_dim)), params)
+            model_forward(np.zeros((1, 15, 16, PILLAR_DIM)), params)
 
 
 def test_flatten_unflatten_roundtrip():

@@ -68,3 +68,16 @@ def test_hooked_targets_keep_their_argument_names(bench):
         assert need <= params, f"{fn.__module__}.{fn.__name__} lost {need - params}"
         checked.add(span_name)
     assert set(HOOKED_ARGS) <= checked
+
+
+def test_flow_and_setup_probe_names_resolve():
+    """`perfbench/flow.py` runs every stage through ``occspot.cli.main`` and
+    records ``occspot.pipeline.worker_count()``; the set-up probe in
+    `perfbench/run.py` imports ``occspot.cli`` and calls its ``load_config``.
+    """
+    from occspot import cli, pipeline
+
+    for fn in (cli.main, cli.load_config, pipeline.worker_count):
+        assert callable(fn)
+    assert {"argv"} <= set(inspect.signature(cli.main).parameters)
+    assert pipeline.worker_count() >= 1

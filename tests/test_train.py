@@ -1,31 +1,23 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from helpers import toy_config
+
 from occspot.balance import default_loss_weights
-from occspot.cloud import PointCloud, Pose
-from occspot.learn import (ModelConfig, NumericalError, TrainConfig,
-                           confusion_matrix, evaluate, load_model, miou,
-                           one_cycle_lr, save_model, train)
+from occspot.config import ConfigError
+from occspot.formats import FormatError, read_checkpoint, write_checkpoint
+from occspot.learn import (NumericalError, confusion_matrix, evaluate,
+                           load_model, loss_weights, miou, one_cycle_lr,
+                           save_model, train)
 from occspot.learn.model import init_params
 from occspot.learn.train import AdamState, adam_step
-from occspot.occupancy import GridSpec, OccupancyGrid
-from occspot.pipeline import build_samples, ego_trajectory, sequence_occupancy
-from occspot.config import PipelineConfig
-from occspot.synth import SceneParams, build_scene, generate_sequence
+from occspot.pipeline import build_samples, ego_trajectory
+from occspot.synth import build_scene, generate_sequence
 
-CFG = ModelConfig(n_cls=15, feat_dim=1, channels=(6, 8, 8))
-W = default_loss_weights(15)
-
-
-def toy_config(**kw):
-    base = dict(
-        seed=3, n_sequences=3,
-        scene=SceneParams(arena=(-12.0, 12.0, -12.0, 12.0), n_objects=6),
-        grid=GridSpec(-8.0, -8.0, 0.5, 32, 32, -1.0, 3.0, 15),
-        n_frames=3, channels=(6, 8, 8), epochs=2, batch_size=2,
-    )
-    base.update(kw)
-    return PipelineConfig(**base)
+CFG = toy_config()  # 15 classes, channels (6, 8, 8)
 
 
 def toy_samples(cfg, n_scenes=3, seed0=50):
@@ -80,82 +72,88 @@ class TestAdam:
 
 class TestTrainingLoops:
     def test_deterministic_loss_trace(self):
-        cfg = toy_config()
+        cfg = toy_config(epochs=2, batch_size=2, lr_peak=0.003)
         samples = toy_samples(cfg)
-        tc = TrainConfig(epochs=2, batch_size=2, lr_peak=0.003, seed=5)
-        _, trace_a = train(None, samples, cfg.grid, CFG, tc, W)
-        _, trace_b = train(None, samples, cfg.grid, CFG, tc, W)
+        _, trace_a = train(None, samples, cfg, seed=5)
+        _, trace_b = train(None, samples, cfg, seed=5)
         assert trace_a == trace_b  # bit-identical
 
     def test_different_seed_different_trace(self):
-        cfg = toy_config()
+        cfg = toy_config(epochs=1, batch_size=4)
         samples = toy_samples(cfg)
-        _, a = train(None, samples, cfg.grid, CFG,
-                     TrainConfig(epochs=1, seed=1), W)
-        _, b = train(None, samples, cfg.grid, CFG,
-                     TrainConfig(epochs=1, seed=2), W)
+        _, a = train(None, samples, cfg, seed=1)
+        _, b = train(None, samples, cfg, seed=2)
         assert a != b
 
     def test_loss_decreases_quickly_on_one_sample(self):
-        cfg = toy_config()
+        cfg = toy_config(epochs=100, batch_size=1, lr_peak=0.01)
         samples = toy_samples(cfg, n_scenes=1)
-        tc = TrainConfig(epochs=100, batch_size=1, lr_peak=0.01, seed=7)
-        _, trace = train(None, samples, cfg.grid, CFG, tc, W)
+        _, trace = train(None, samples, cfg, seed=7)
         assert trace[-1] < 0.5 * trace[0]
 
     def test_nan_aborts_with_diagnostics(self):
-        cfg = toy_config()
-        samples = toy_samples(cfg, n_scenes=1)
         # an absurd learning rate saturates the softmax to an exact zero
         # on the true class within a couple of steps
-        tc = TrainConfig(epochs=4, batch_size=1, lr_peak=1e6, seed=0)
+        cfg = toy_config(epochs=4, batch_size=1, lr_peak=1e6)
+        samples = toy_samples(cfg, n_scenes=1)
         with pytest.raises(NumericalError, match="step"):
-            train(None, samples, cfg.grid, CFG, tc, W)
+            train(None, samples, cfg, seed=0)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
     def test_nan_logits_are_a_numerical_error(self):
-        cfg = toy_config()
-        samples = toy_samples(cfg, n_scenes=1)
         # parameters overflow after the first update, so the next forward
         # pass yields NaN logits before any loss is computed
-        tc = TrainConfig(epochs=3, batch_size=1, lr_peak=1e300, seed=0)
+        cfg = toy_config(epochs=3, batch_size=1, lr_peak=1e300)
+        samples = toy_samples(cfg, n_scenes=1)
         with pytest.raises(NumericalError,
                            match=r"^logits contain NaN at step \d+ \(epoch"):
-            train(None, samples, cfg.grid, CFG, tc, W)
+            train(None, samples, cfg, seed=0)
 
     def test_finetune_empty_set_rejected(self):
-        cfg = toy_config()
         with pytest.raises(ValueError, match="empty sample list"):
-            train(None, [], cfg.grid, CFG, TrainConfig(), W)
+            train(None, [], CFG, seed=0)
 
     def test_finetune_shape_mismatch_rejected(self):
-        cfg = toy_config()
-        samples = toy_samples(cfg, n_scenes=1)
-        wrong = init_params(ModelConfig(n_cls=15, feat_dim=1,
-                                        channels=(4, 4, 4)), seed=0)
+        samples = toy_samples(CFG, n_scenes=1)
+        wrong = init_params(toy_config(channels=(4, 4, 4)), seed=0)
         with pytest.raises(ValueError, match="shape"):
-            train(wrong, samples, cfg.grid, CFG, TrainConfig(), W)
+            train(wrong, samples, CFG, seed=0)
 
     def test_finetune_uses_pretrained_encoder(self):
-        cfg = toy_config()
+        cfg = toy_config(epochs=1, batch_size=4)
         samples = toy_samples(cfg, n_scenes=2)
-        pre, _ = train(None, samples, cfg.grid, CFG,
-                       TrainConfig(epochs=1, seed=3), W)
-        ft, _ = train(pre, samples[:1], cfg.grid, CFG,
-                      TrainConfig(epochs=1, seed=4, lr_peak=0.0), W)
+        pre, _ = train(None, samples, cfg, seed=3)
+        ft, _ = train(pre, samples[:1], toy_config(epochs=1, lr_peak=0.0),
+                      seed=4)
         # with lr 0 the encoder stays exactly the pretrained one
         np.testing.assert_array_equal(ft["conv1_w"], pre["conv1_w"])
 
     def test_scratch_and_pretrained_produce_valid_miou(self):
-        cfg = toy_config()
+        cfg = toy_config(epochs=1, batch_size=1)
         samples = toy_samples(cfg, n_scenes=2)
-        tc = TrainConfig(epochs=1, batch_size=1, seed=6)
-        pre, _ = train(None, samples, cfg.grid, CFG, tc, W)
+        pre, _ = train(None, samples, cfg, seed=6)
         for init in (pre, None):
-            params, _ = train(init, samples[:1], cfg.grid, CFG, tc, W)
-            _, _, mean = evaluate(params, samples, cfg.grid, CFG)
+            params, _ = train(init, samples[:1], cfg, seed=6)
+            _, _, mean = evaluate(params, samples, cfg)
             assert 0.0 <= mean <= 1.0
+
+    def test_loss_settings_come_from_the_config(self):
+        # the same samples, seed and init; only the loss settings differ
+        cfg = toy_config(epochs=1, batch_size=4)
+        samples = toy_samples(cfg, n_scenes=2)
+        pre, _ = train(None, samples, cfg, seed=3)
+        base = train(pre, samples, cfg, seed=4)[1]
+        for other in (toy_config(epochs=1, batch_size=4, lam=0.0),
+                      toy_config(epochs=1, batch_size=4, w_empty=1.0)):
+            assert train(pre, samples, other, seed=4)[1] != base
+
+    def test_loss_weights_follow_the_config(self):
+        np.testing.assert_array_equal(loss_weights(CFG),
+                                      default_loss_weights(15))
+        w = loss_weights(toy_config(foreground_classes=(2,), w_fg=3.0,
+                                    w_bg=0.5, w_empty=0.25))
+        assert w.tolist() == [0.25, 0.5, 3.0] + [0.5] * 13
 
 
 class TestCheckpoints:
@@ -164,9 +162,10 @@ class TestCheckpoints:
         # checkpoints are f32 on the wire; quantize before comparing
         path = tmp_path / "m.spck"
         save_model(path, params, CFG, seed=8, extra={"note": "t"})
-        loaded, cfg2, header = load_model(path)
-        assert cfg2 == CFG
-        assert header["extra"]["note"] == "t"
+        loaded = load_model(path, CFG)
+        header, _ = read_checkpoint(path)
+        assert header["model"] == {"n_cls": 15, "channels": [6, 8, 8]}
+        assert header["seed"] == 8 and header["extra"]["note"] == "t"
         for k in params:
             np.testing.assert_array_equal(
                 loaded[k], params[k].astype(np.float32).astype(np.float64))
@@ -175,9 +174,44 @@ class TestCheckpoints:
         params = init_params(CFG, seed=9)
         p1, p2 = tmp_path / "a.spck", tmp_path / "b.spck"
         save_model(p1, params, CFG, seed=9)
-        loaded, cfg2, header = load_model(p1)
-        save_model(p2, loaded, cfg2, seed=header["seed"])
+        loaded = load_model(p1, CFG)
+        header, _ = read_checkpoint(p1)
+        save_model(p2, loaded, CFG, seed=header["seed"])
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_older_header_with_feat_dim_and_lam_loads(self, tmp_path):
+        path = tmp_path / "old.spck"
+        save_model(path, init_params(CFG, seed=10), CFG, seed=10)
+        header, blob = read_checkpoint(path)
+        header["model"].update(feat_dim=1, lam=0.5)
+        write_checkpoint(path, header, blob)
+        loaded = load_model(path, CFG)
+        np.testing.assert_array_equal(loaded["head_b"], np.zeros(16))
+
+    @pytest.mark.parametrize("override, key, ours, theirs", [
+        ({"channels": (4, 4, 4)}, "train.channels", "[4, 4, 4]", "[6, 8, 8]"),
+        ({"grid": replace(CFG.grid, n_cls=20)}, "grid.n_cls", "20", "15"),
+    ])
+    def test_architecture_mismatch_is_a_config_error(self, tmp_path, override,
+                                                     key, ours, theirs):
+        path = tmp_path / "m.spck"
+        save_model(path, init_params(CFG, seed=11), CFG, seed=11)
+        with pytest.raises(ConfigError) as info:
+            load_model(path, toy_config(**override))
+        assert str(info.value) == (f"{key}: config has {ours}, checkpoint "
+                                   f"{path} has {theirs}")
+
+    @pytest.mark.parametrize("model", [
+        None, {"n_cls": 15}, {"n_cls": "x", "channels": [6, 8, 8]},
+        {"n_cls": 15, "channels": 6}])
+    def test_malformed_header_is_a_format_error(self, tmp_path, model):
+        path = tmp_path / "m.spck"
+        save_model(path, init_params(CFG, seed=12), CFG, seed=12)
+        header, blob = read_checkpoint(path)
+        header["model"] = model
+        write_checkpoint(path, header, blob)
+        with pytest.raises(FormatError, match=re.escape(str(path))):
+            load_model(path, CFG)
 
 
 class TestMiou:
