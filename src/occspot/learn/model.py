@@ -104,7 +104,7 @@ _LAYER_ORDER = ("embed_w", "conv1_w", "conv1_b", "conv2_w", "conv2_b",
 
 
 def _param_shapes(cfg: PipelineConfig) -> dict[str, tuple[int, ...]]:
-    c0, c1, c2 = cfg.channels
+    c0, c1, c2 = cfg.channels  # post-embed, enc1, enc2
     n_out = cfg.grid.n_cls + 1
     return {
         "embed_w": (PILLAR_DIM, c0),
