@@ -2,7 +2,7 @@
 
 Library layout:
 
-* :mod:`occspot.cloud` — point clouds, poses, boxes, spherical transforms
+* :mod:`occspot.cloud` — point clouds, poses, boxes, sequences, spherical transforms
 * :mod:`occspot.synth` — synthetic labeled scenes and the beam raycaster
 * :mod:`occspot.augment` — beam re-sampling and flips
 * :mod:`occspot.occupancy` — BEV occupancy ground-truth generation

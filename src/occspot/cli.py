@@ -24,8 +24,8 @@ from . import __version__, theory
 from .augment import ResampleFactor, beam_resample
 from .balance import class_stats, sampling_weights
 from .config import ConfigError, PipelineConfig, load_config
-from .formats import (FormatError, atomic_write_text, read_frame, read_labels,
-                      write_frame, write_grid, write_labels)
+from .formats import (atomic_write_text, read_frame, read_labels, write_frame,
+                      write_grid, write_labels)
 from .learn import NumericalError, evaluate, load_model, save_model, train
 from .pipeline import (build_samples, generate_dataset, load_sequence,
                        sequence_occupancy, worker_count)
@@ -165,7 +165,7 @@ def cmd_pretrain(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     seq_dirs = _load_dataset_dirs(Path(args.data))
     seqs = [load_sequence(d) for d in seq_dirs]
-    samples = build_samples(seqs, cfg, augment=not args.no_augment, seed=seed)
+    samples = build_samples(seqs, cfg, augment=True, seed=seed)
     params, trace = train(None, samples, cfg, seed)
     out = Path(args.out)
     save_model(out, params, cfg, seed, extra={"loss_trace": trace})
@@ -266,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--no-augment", action="store_true")
     t.set_defaults(fn=cmd_pretrain)
 
     f = sub.add_parser("finetune", help="fine-tune on K labeled sequences")
@@ -298,13 +297,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, FormatError, FileNotFoundError, NotADirectoryError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (DataError, OSError, ValueError) as exc:  # FormatError is one
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,4 +1,4 @@
-"""Point-cloud data model: clouds, rigid poses, boxes, spherical transforms.
+"""Point-cloud data model: clouds, rigid poses, boxes, sequences, spherical transforms.
 
 Coordinate conventions used throughout the package:
 
@@ -26,6 +26,7 @@ __all__ = [
     "PointCloud",
     "Pose",
     "BoxLabel",
+    "LidarSequence",
     "to_spherical",
     "from_spherical",
     "transform",
@@ -187,6 +188,35 @@ class BoxLabel:
             & (np.abs(local[:, 2]) <= self.h / 2.0 + atol)
         )
         return inside if np.asarray(xyz).ndim > 1 else bool(inside[0])
+
+
+@dataclass(frozen=True)
+class LidarSequence:
+    """One recorded sequence: per frame, a sensor-frame cloud, its per-point
+    labels, the sensor pose and the world-frame boxes.
+
+    Boxes correspond across frames by position, so every frame lists the
+    same number.  Each field is stored as a tuple with one entry per frame.
+    """
+
+    frames: tuple[PointCloud, ...]
+    labels: tuple[np.ndarray, ...]
+    poses: tuple[Pose, ...]
+    boxes: tuple[list[BoxLabel], ...]
+
+    def __post_init__(self):
+        for name in ("frames", "labels", "poses", "boxes"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not self.frames:
+            raise ValueError("a sequence needs at least one frame")
+        if not (len(self.frames) == len(self.labels) == len(self.poses)
+                == len(self.boxes)):
+            raise ValueError("frames, labels, poses and boxes must have equal length")
+        for f, frame_boxes in enumerate(self.boxes):
+            if len(frame_boxes) != len(self.boxes[0]):
+                raise ValueError(
+                    f"frame {f} has {len(frame_boxes)} boxes, frame 0 has "
+                    f"{len(self.boxes[0])}; box lists must correspond by index")
 
 
 def to_spherical(xyz) -> np.ndarray:

@@ -102,7 +102,10 @@ def read_frame(path) -> PointCloud:
     (n, d), body = _unpack(path, FRAME_MAGIC, "<III", "frame")
     _expect(body.size == n * (3 + d) * 4, f"{path}: truncated frame body")
     records = body.view("<f4").reshape(n, 3 + d)
-    return PointCloud(records[:, :3], records[:, 3:])
+    try:
+        return PointCloud(records[:, :3], records[:, 3:])
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # -- labels -----------------------------------------------------------------
@@ -148,7 +151,7 @@ def read_boxes(path) -> list[BoxLabel]:
         try:
             obj = json.loads(line)
             out.append(BoxLabel(**{k: obj[k] for k in BOX_KEYS}))
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
             raise FormatError(f"{path}:{i + 1}: bad box record: {exc}") from exc
     return out
 

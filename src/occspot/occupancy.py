@@ -1,13 +1,14 @@
 """BEV occupancy ground truth from labeled sequences.
 
-The pipeline mirrors how dense occupancy labels are built from driving logs:
-split each frame's points into static and dynamic (inside a moving box),
-fuse static points in the world frame while dynamic points are re-posed at
-their object's keyframe location, then vote per BEV cell for the plurality
-semantic label.  Hole filling is a KNN densification pass over the fused
-cloud instead of mesh reconstruction: cells whose 3D column center lies
-within a radius of any fused point inherit the majority label of their k
-nearest neighbors.  One KD-tree over the fused cloud serves both the
+The input is one :class:`~occspot.cloud.LidarSequence`, generated or loaded
+from disk.  The pipeline mirrors how dense occupancy labels are built from
+driving logs: split each frame's points into static and dynamic (inside a
+moving box), fuse static points in the world frame while dynamic points are
+re-posed at their object's keyframe location, then vote per BEV cell for the
+plurality semantic label.  Hole filling is a KNN densification pass over the
+fused cloud instead of mesh reconstruction: cells whose 3D column center
+lies within a radius of any fused point inherit the majority label of their
+k nearest neighbors.  One KD-tree over the fused cloud serves both the
 radius test and the neighbor vote.
 
 The split tests a point against a box exactly only when it lies inside the
@@ -29,7 +30,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .balance import default_loss_weights
-from .cloud import BoxLabel, PointCloud, Pose, transform, validate_labels
+from .cloud import BoxLabel, LidarSequence, PointCloud, transform, validate_labels
 
 __all__ = [
     "GridSpec", "OccupancyGrid", "SplitResult",
@@ -163,38 +164,26 @@ def _rotate_z(xy: np.ndarray, angle: float) -> np.ndarray:
     return out
 
 
-def aggregate(frames: Sequence[PointCloud], labels: Sequence[np.ndarray],
-              poses: Sequence[Pose], boxes: Sequence[Sequence[BoxLabel]],
-              keyframe: int) -> tuple[PointCloud, np.ndarray]:
+def aggregate(seq: LidarSequence, keyframe: int) -> tuple[PointCloud, np.ndarray]:
     """Fuse a sequence into one labeled world-frame cloud.
 
     Static points map straight through each frame's pose.  Dynamic points
     are lifted into their box's canonical frame at the source frame, then
     re-posed at the box's keyframe pose; boxes correspond across frames by
-    list position.  Output preserves per-frame point order and total count.
+    list position, which ``LidarSequence`` checks.  Output preserves
+    per-frame point order and total count.
     """
-    if not (len(frames) == len(labels) == len(poses) == len(boxes)):
-        raise ValueError("frames, labels, poses and boxes must have equal length")
-    if not frames:
-        raise ValueError("cannot aggregate an empty sequence")
-    if not 0 <= keyframe < len(frames):
+    if not 0 <= keyframe < len(seq.frames):
         raise ValueError(f"keyframe {keyframe} out of range")
-    n_boxes = len(boxes[keyframe])
-    for f, frame_boxes in enumerate(boxes):
-        if len(frame_boxes) != n_boxes:
-            raise ValueError(
-                f"frame {f} has {len(frame_boxes)} boxes, keyframe has {n_boxes}; "
-                "box lists must correspond by index")
-
-    key_boxes = boxes[keyframe]
+    key_boxes = seq.boxes[keyframe]
     out_xyz, out_feat, out_labels = [], [], []
-    for f, frame in enumerate(frames):
-        lab = validate_labels(labels[f], len(frame), n_cls=255)
-        world = transform(frame, poses[f])
+    for f, frame in enumerate(seq.frames):
+        lab = validate_labels(seq.labels[f], len(frame), n_cls=255)
+        world = transform(frame, seq.poses[f])
         xyz = world.xyz.copy()
-        split = split_dynamic_static(world, boxes[f], atol=1e-9)
+        split = split_dynamic_static(world, seq.boxes[f], atol=1e-9)
         for bi in np.unique(split.box_index):
-            src, dst = boxes[f][bi], key_boxes[bi]
+            src, dst = seq.boxes[f][bi], key_boxes[bi]
             pts = split.dynamic_index[split.box_index == bi]
             local = xyz[pts] - src.center
             local[:, :2] = _rotate_z(local[:, :2], -src.yaw)
@@ -264,12 +253,10 @@ def voxelize_bev(cloud: PointCloud, labels: np.ndarray,
     return OccupancyGrid(spec, winner.reshape(spec.h, spec.w))
 
 
-def make_occupancy(frames: Sequence[PointCloud], labels: Sequence[np.ndarray],
-                   poses: Sequence[Pose], boxes: Sequence[Sequence[BoxLabel]],
-                   spec: GridSpec, keyframe: int = 0, densify: bool = True,
-                   radius: float = DEFAULT_DENSIFY_RADIUS,
+def make_occupancy(seq: LidarSequence, spec: GridSpec, keyframe: int = 0,
+                   densify: bool = True, radius: float = DEFAULT_DENSIFY_RADIUS,
                    k: int = DEFAULT_DENSIFY_K) -> OccupancyGrid:
-    """Full pipeline: split -> aggregate -> voxelize (+ KNN densification).
+    """Occupancy of `seq` at `keyframe`: aggregate -> voxelize (+ KNN densify).
 
     Densification labels only currently-empty cells whose 3D column center
     (cell center at mid column height) lies within `radius` of any fused
@@ -278,7 +265,7 @@ def make_occupancy(frames: Sequence[PointCloud], labels: Sequence[np.ndarray],
     nearest neighbor vote; the split inside `aggregate` culls each box's
     exact point test by a bounding circle.
     """
-    fused, fused_labels = aggregate(frames, labels, poses, boxes, keyframe)
+    fused, fused_labels = aggregate(seq, keyframe)
     grid = voxelize_bev(fused, fused_labels, spec)
     if not densify or len(fused) == 0:
         return grid

@@ -1,8 +1,10 @@
 """Dataset plumbing: generate sequence trees on disk, load them back, and
 assemble (cloud, occupancy) training samples.
 
-On-disk layout written by :func:`generate_dataset` (all formats from
-:mod:`occspot.formats`)::
+A sequence travels as one :class:`~occspot.cloud.LidarSequence`:
+:func:`generate_dataset` writes what ``synth.generate_sequence`` returns
+with :func:`write_sequence`, and :func:`load_sequence` reads the same value
+back.  On-disk layout (all formats from :mod:`occspot.formats`)::
 
     out/
       manifest.json
@@ -20,22 +22,21 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .augment import beam_resample, random_flip, resample_factor
-from .cloud import PointCloud, Pose, transform
+from .cloud import LidarSequence, PointCloud, Pose, transform
 from .config import PipelineConfig
 from .formats import (FormatError, atomic_write_text, read_boxes, read_frame,
                       read_labels, write_boxes, write_frame, write_labels)
 from .occupancy import OccupancyGrid, make_occupancy
 from .seeding import substream
-from .synth import BeamSpec, Frame, Scene, SceneParams, SequenceMeta, build_scene, generate_sequence
+from .synth import build_scene, generate_sequence
 
 __all__ = [
-    "SequenceFiles", "worker_count", "ego_trajectory", "generate_dataset",
+    "worker_count", "ego_trajectory", "write_sequence", "generate_dataset",
     "load_sequence", "sequence_occupancy", "build_samples",
 ]
 
@@ -50,40 +51,26 @@ def worker_count() -> int:
     return max(1, n)
 
 
-@dataclass(frozen=True)
-class SequenceFiles:
-    """Loaded contents of one sequence directory."""
-
-    frames: list[PointCloud]
-    labels: list[np.ndarray]
-    poses: list[Pose]
-    boxes: list[list]
-
-
-def ego_trajectory(cfg: PipelineConfig) -> SequenceMeta:
+def ego_trajectory(cfg: PipelineConfig) -> list[Pose]:
     """Straight-line ego motion along +x at ``ego_speed``, sensor at height."""
-    poses = tuple(
-        Pose(np.eye(3), (cfg.ego_speed * i / cfg.keyframe_hz, 0.0,
-                         cfg.sensor_height))
-        for i in range(cfg.n_frames))
-    return SequenceMeta(n_frames=cfg.n_frames, keyframe_hz=cfg.keyframe_hz,
-                        ego_poses=poses)
+    return [Pose(np.eye(3), (cfg.ego_speed * i / cfg.keyframe_hz, 0.0,
+                             cfg.sensor_height))
+            for i in range(cfg.n_frames)]
 
 
-def _poses_doc(meta: SequenceMeta) -> str:
-    doc = {
-        "keyframe_hz": meta.keyframe_hz,
-        "poses": [{"rotation": p.rotation.tolist(),
-                   "translation": p.translation.tolist()}
-                  for p in meta.ego_poses],
-    }
-    return json.dumps(doc, indent=1) + "\n"
-
-
-def render_sequence(scene: Scene, cfg: PipelineConfig,
-                    workers: int = 1) -> tuple[list[Frame], SequenceMeta]:
-    meta = ego_trajectory(cfg)
-    return generate_sequence(scene, cfg.source_beams, meta, workers=workers), meta
+def write_sequence(seq_dir, seq: LidarSequence, keyframe_hz: float) -> None:
+    """Write `seq` into `seq_dir` in the layout :func:`load_sequence` reads."""
+    seq_dir = Path(seq_dir)
+    seq_dir.mkdir(exist_ok=True)
+    doc = {"keyframe_hz": keyframe_hz,
+           "poses": [{"rotation": p.rotation.tolist(),
+                      "translation": p.translation.tolist()}
+                     for p in seq.poses]}
+    atomic_write_text(seq_dir / "poses.json", json.dumps(doc, indent=1) + "\n")
+    for f, cloud in enumerate(seq.frames):
+        write_frame(seq_dir / f"frame_{f:03d}.sptc", cloud)
+        write_labels(seq_dir / f"frame_{f:03d}.sptl", seq.labels[f])
+        write_boxes(seq_dir / f"frame_{f:03d}.boxes.jsonl", seq.boxes[f])
 
 
 def generate_dataset(cfg: PipelineConfig, out_dir, seed: int | None = None,
@@ -99,22 +86,19 @@ def generate_dataset(cfg: PipelineConfig, out_dir, seed: int | None = None,
     out_dir.mkdir(parents=True, exist_ok=True)
 
     scene_seeds = substream(root_seed, "scene").integers(2**63, size=cfg.n_sequences)
+    poses = ego_trajectory(cfg)
     seq_dirs = []
     for i in range(cfg.n_sequences):
         scene = build_scene(cfg.scene, int(scene_seeds[i]))
-        frames, meta = render_sequence(scene, cfg, workers=workers)
-        seq_dir = out_dir / f"seq_{i:04d}"
-        seq_dir.mkdir(exist_ok=True)
-        atomic_write_text(seq_dir / "poses.json", _poses_doc(meta))
-        for f, frame in enumerate(frames):
-            write_frame(seq_dir / f"frame_{f:03d}.sptc", frame.cloud)
-            write_labels(seq_dir / f"frame_{f:03d}.sptl", frame.labels)
-            write_boxes(seq_dir / f"frame_{f:03d}.boxes.jsonl", frame.boxes)
-        seq_dirs.append(seq_dir)
+        seq = generate_sequence(scene, cfg.source_beams, poses,
+                                cfg.keyframe_hz, workers=workers)
+        seq_dirs.append(out_dir / f"seq_{i:04d}")
+        write_sequence(seq_dirs[-1], seq, cfg.keyframe_hz)
     return seq_dirs
 
 
-def load_sequence(seq_dir) -> SequenceFiles:
+def load_sequence(seq_dir) -> LidarSequence:
+    """Read back a sequence directory written by :func:`write_sequence`."""
     seq_dir = Path(seq_dir)
     poses_path = seq_dir / "poses.json"
     try:
@@ -128,18 +112,20 @@ def load_sequence(seq_dir) -> SequenceFiles:
         frames.append(read_frame(seq_dir / f"frame_{f:03d}.sptc"))
         labels.append(read_labels(seq_dir / f"frame_{f:03d}.sptl"))
         boxes.append(read_boxes(seq_dir / f"frame_{f:03d}.boxes.jsonl"))
-    return SequenceFiles(frames, labels, poses, boxes)
+    try:
+        return LidarSequence(frames, labels, poses, boxes)
+    except ValueError as exc:
+        raise FormatError(f"{seq_dir}: {exc}") from exc
 
 
-def sequence_occupancy(seq: SequenceFiles, cfg: PipelineConfig) -> OccupancyGrid:
-    """Aggregate a loaded sequence into its keyframe occupancy grid."""
-    return make_occupancy(seq.frames, seq.labels, seq.poses, seq.boxes,
-                          cfg.grid, keyframe=cfg.keyframe,
+def sequence_occupancy(seq: LidarSequence, cfg: PipelineConfig) -> OccupancyGrid:
+    """Aggregate a sequence into its keyframe occupancy grid."""
+    return make_occupancy(seq, cfg.grid, keyframe=cfg.keyframe,
                           densify=cfg.densify, radius=cfg.densify_radius,
                           k=cfg.densify_k)
 
 
-def build_samples(seqs: list[SequenceFiles], cfg: PipelineConfig,
+def build_samples(seqs: list[LidarSequence], cfg: PipelineConfig,
                   augment: bool = False, seed: int | None = None
                   ) -> list[tuple[PointCloud, OccupancyGrid]]:
     """(keyframe cloud, sequence occupancy) pairs, optionally augmented.

@@ -5,9 +5,12 @@ Geometry is deliberately restricted to a ground plane and oriented boxes so
 every returned point admits an analytic oracle (exact ray-plane and ray-box
 intersections), which downstream tests lean on.
 
-Scans are returned in the sensor frame; per-frame boxes are reported in the
-world frame.  Feature dimension is d=1, filled with range normalized by
-``RANGE_NORM`` (the pipeline treats features opaquely).
+A scene is a ground plane plus a tuple of ``BoxLabel``; each box's class
+labels the points on its surface.  :func:`generate_sequence` scans the scene
+from a list of ego poses and returns a :class:`~occspot.cloud.LidarSequence`:
+clouds in the sensor frame, boxes in the world frame.  Feature dimension is
+d=1, filled with range normalized by ``RANGE_NORM`` (the pipeline treats
+features opaquely).
 """
 
 from __future__ import annotations
@@ -16,16 +19,15 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Sequence
 
 import numpy as np
 
-from .cloud import BoxLabel, PointCloud, Pose, from_spherical
+from .cloud import BoxLabel, LidarSequence, PointCloud, Pose, from_spherical
 
 __all__ = [
-    "BeamSpec", "SceneObject", "Scene", "SceneParams", "SequenceMeta",
-    "Frame", "build_scene", "scan", "generate_sequence",
-    "DEFAULT_GROUND_CLASS",
+    "BeamSpec", "Scene", "SceneParams", "build_scene", "scan",
+    "generate_sequence", "DEFAULT_GROUND_CLASS",
 ]
 
 #: Range divisor for the single synthetic feature channel.
@@ -80,18 +82,6 @@ class BeamSpec:
 
 
 @dataclass(frozen=True)
-class SceneObject:
-    """A box plus the semantic class its surface points receive."""
-
-    box: BoxLabel
-    surface_class: int
-
-    def __post_init__(self):
-        if self.surface_class < 1:
-            raise ValueError("surface_class must be >= 1")
-
-
-@dataclass(frozen=True)
 class Scene:
     """Static description of one synthetic world.
 
@@ -100,13 +90,12 @@ class Scene:
     """
 
     ground_z: float | None
-    objects: tuple[SceneObject, ...]
-    rng_seed: int
+    objects: tuple[BoxLabel, ...]
     ground_class: int = DEFAULT_GROUND_CLASS
 
     def boxes_at(self, time_s: float) -> list[BoxLabel]:
         """World-frame boxes displaced to `time_s` (t=0 is the layout time)."""
-        return [o.box.at_time(time_s) for o in self.objects]
+        return [box.at_time(time_s) for box in self.objects]
 
 
 @dataclass(frozen=True)
@@ -152,32 +141,6 @@ class SceneParams:
             raise ValueError("speed_range must satisfy low <= high")
 
 
-class Frame(NamedTuple):
-    """One simulated frame: sensor-frame cloud, labels, world-frame boxes."""
-
-    cloud: PointCloud
-    labels: np.ndarray
-    boxes: list[BoxLabel]
-
-
-@dataclass(frozen=True)
-class SequenceMeta:
-    """Frame timing and ego trajectory for a simulated sequence."""
-
-    n_frames: int
-    keyframe_hz: float
-    ego_poses: tuple[Pose, ...]
-
-    def __post_init__(self):
-        if self.n_frames < 1:
-            raise ValueError("n_frames must be >= 1")
-        if self.keyframe_hz <= 0:
-            raise ValueError("keyframe_hz must be positive")
-        if len(self.ego_poses) != self.n_frames:
-            raise ValueError(
-                f"got {len(self.ego_poses)} poses for {self.n_frames} frames")
-
-
 def build_scene(params: SceneParams, seed: int) -> Scene:
     """Deterministically place `params.n_objects` boxes in the arena.
 
@@ -192,7 +155,7 @@ def build_scene(params: SceneParams, seed: int) -> Scene:
     mix = np.array([params.class_mix[c] for c in class_ids], dtype=np.float64)
     mix = mix / mix.sum() if class_ids else mix
 
-    objects: list[SceneObject] = []
+    objects: list[BoxLabel] = []
     placed: list[tuple[float, float, float]] = []  # (cx, cy, footprint radius)
     for _ in range(params.n_objects):
         cls = int(rng.choice(class_ids, p=mix))
@@ -223,13 +186,12 @@ def build_scene(params: SceneParams, seed: int) -> Scene:
         else:
             vx = vy = 0.0
 
-        box = BoxLabel(cx, cy, ground_z + h / 2.0, l, w, h, yaw,
-                       vx, vy, cls, dynamic)
-        objects.append(SceneObject(box, cls))
+        objects.append(BoxLabel(cx, cy, ground_z + h / 2.0, l, w, h, yaw,
+                                vx, vy, cls, dynamic))
         placed.append((cx, cy, radius))
 
     return Scene(ground_z=params.ground_z, objects=tuple(objects),
-                 rng_seed=seed, ground_class=params.ground_class)
+                 ground_class=params.ground_class)
 
 
 def _ray_directions(beams: BeamSpec) -> np.ndarray:
@@ -313,8 +275,7 @@ def scan(scene: Scene, beams: BeamSpec, sensor_pose: Pose,
         best_t = np.where(ok, t_ground, np.inf)
         best_label = np.where(ok, scene.ground_class, 0)
 
-    for obj in scene.objects:
-        box = obj.box.at_time(time_s)
+    for box in scene.boxes_at(time_s):
         # Bounding sphere, widened: the margins on the radius cover rays the
         # slab test accepts by rounding at an edge or corner; the
         # 1e-8 * |oc|^2 slack covers the cancellation in |oc|^2 - proj^2
@@ -329,7 +290,7 @@ def scan(scene: Scene, beams: BeamSpec, sensor_pose: Pose,
         t_box = _ray_box_hits(origin, dirs_world[cand], box)
         closer = t_box < best_t[cand]
         best_t[cand[closer]] = t_box[closer]
-        best_label[cand[closer]] = obj.surface_class
+        best_label[cand[closer]] = box.class_id
 
     hit = np.isfinite(best_t)
     t = best_t[hit]
@@ -338,20 +299,20 @@ def scan(scene: Scene, beams: BeamSpec, sensor_pose: Pose,
     return PointCloud(points, feat), best_label[hit]
 
 
-def generate_sequence(scene: Scene, beams: BeamSpec, meta: SequenceMeta,
-                      workers: int = 1) -> list[Frame]:
-    """One scan per ego pose; dynamic boxes advance at ``keyframe_hz``.
+def generate_sequence(scene: Scene, beams: BeamSpec, poses: Sequence[Pose],
+                      keyframe_hz: float, workers: int = 1) -> LidarSequence:
+    """One scan per ego pose; frame i is taken at ``i / keyframe_hz`` s.
 
     Frames are independent pure computations, so ``workers > 1`` may render
     them in parallel; results are assembled by frame index either way.
     """
-
-    def render(i: int) -> Frame:
-        time_s = i / meta.keyframe_hz
-        cloud, labels = scan(scene, beams, meta.ego_poses[i], time_s=time_s)
-        return Frame(cloud, labels, scene.boxes_at(time_s))
-
-    if workers > 1 and meta.n_frames > 1:
+    times = [i / keyframe_hz for i in range(len(poses))]
+    cast = functools.partial(scan, scene, beams)
+    if workers > 1 and len(poses) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(render, range(meta.n_frames)))
-    return [render(i) for i in range(meta.n_frames)]
+            scans = list(pool.map(cast, poses, times))
+    else:
+        scans = list(map(cast, poses, times))
+    return LidarSequence([cloud for cloud, _ in scans],
+                         [labels for _, labels in scans], poses,
+                         [scene.boxes_at(t) for t in times])

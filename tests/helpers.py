@@ -62,8 +62,8 @@ def scene_surface_distance(p, scene) -> float:
     best = math.inf
     if scene.ground_z is not None:
         best = abs(p[2] - scene.ground_z)
-    for obj in scene.objects:
-        best = min(best, box_surface_distance(p, obj.box))
+    for box in scene.objects:
+        best = min(best, box_surface_distance(p, box))
     return best
 
 
@@ -89,11 +89,11 @@ def scan_reference(scene, beams, sensor_pose, time_s: float = 0.0):
         ok = (dz != 0.0) & (t_ground > _RAY_EPS)
         best_t = np.where(ok, t_ground, np.inf)
         best_label = np.where(ok, scene.ground_class, 0)
-    for obj in scene.objects:
-        t_box = _ray_box_hits(origin, dirs_world, obj.box.at_time(time_s))
+    for box in scene.boxes_at(time_s):
+        t_box = _ray_box_hits(origin, dirs_world, box)
         closer = t_box < best_t
         best_t = np.where(closer, t_box, best_t)
-        best_label = np.where(closer, obj.surface_class, best_label)
+        best_label = np.where(closer, box.class_id, best_label)
     hit = np.isfinite(best_t)
     t = best_t[hit]
     return (PointCloud(dirs_sensor[hit] * t[:, None], (t / RANGE_NORM)[:, None]),

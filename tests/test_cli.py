@@ -1,5 +1,7 @@
 import json
+import math
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -114,6 +116,28 @@ def test_malformed_config_is_a_config_error(tmp_path, override, path, capsys):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("damage", ["directory", "missing", "not-utf-8"])
+def test_unreadable_config_is_a_config_error(tmp_path, damage, capsys):
+    config = tmp_path / "config.json"
+    if damage == "directory":
+        config.mkdir()
+    elif damage == "not-utf-8":
+        config.write_bytes(b"\xff\xfe{}")
+    assert main(["gen-scenes", "--config", str(config),
+                 "--out", str(tmp_path / "data")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {config}: ")
+    assert not (tmp_path / "data").exists()
+
+
+def test_pretrain_has_no_augment_switch(tmp_path, config, capsys):
+    # no augmentation is flip probabilities 0 and no beam targets in the config
+    with pytest.raises(SystemExit) as exc:
+        main(["pretrain", "--config", config, "--data", str(tmp_path),
+              "--out", str(tmp_path / "model.npz"), "--no-augment"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-augment" in capsys.readouterr().err
+
+
 class TestFlipsAndGridCentre:
     OFF = {**MINI, "grid": {**MINI["grid"], "origin_x": 0.0}}
 
@@ -216,6 +240,28 @@ class TestMalformedFiles:
                      "--config", config]) == cli.EXIT_DATA
         assert capsys.readouterr().err.startswith(
             f"data error: {ckpt}: checkpoint header is not JSON: ")
+
+    def test_checkpoint_that_is_a_directory(self, tmp_path, config, data,
+                                            capsys):
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        assert main(["eval-miou", str(ckpt), str(data),
+                     "--config", config]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(ckpt) in err
+
+    def test_negative_box_size_names_its_file(self, tmp_path, config, data,
+                                              capsys):
+        boxes = data / "seq_0000" / "frame_001.boxes.jsonl"
+        records = [json.loads(line) for line in boxes.read_text().splitlines()]
+        records[1]["l"] = -1.0
+        boxes.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["make-occ", "--config", config, str(boxes.parent),
+                     str(tmp_path / "grid.spog")]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {boxes}:2: bad box record: box sizes must be "
+            "strictly positive\n")
+        assert not (tmp_path / "grid.spog").exists()
 
     @pytest.mark.parametrize("frames", [[[1, 2]], {"1": 2}])
     def test_balance_weights_frames_not_dicts(self, tmp_path, frames, capsys):
@@ -320,14 +366,19 @@ class TestResampleBadInput:
         assert self.resample(tmp_path, frame, factor) == cli.EXIT_CONFIG
         assert "config error: --factor" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["missing", "truncated", "not-a-frame"])
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "not-a-frame",
+                                        "nan-coordinate"])
     def test_bad_frame_is_a_data_error(self, tmp_path, frame, damage, capsys):
         if damage == "missing":
             frame.unlink()
         elif damage == "truncated":
             frame.write_bytes(frame.read_bytes()[:4])
-        else:
+        elif damage == "not-a-frame":
             frame.write_text("just some text")
+        else:  # the first point's z, after the 16-byte header and x, y
+            raw = bytearray(frame.read_bytes())
+            raw[24:28] = struct.pack("<f", math.nan)
+            frame.write_bytes(bytes(raw))
         assert self.resample(tmp_path, frame) == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and str(frame) in err

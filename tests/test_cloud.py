@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from occspot.cloud import (BoxLabel, PointCloud, Pose, from_spherical,
-                           to_spherical, transform, validate_labels, wrap_angle)
+from occspot.cloud import (BoxLabel, LidarSequence, PointCloud, Pose,
+                           from_spherical, to_spherical, transform,
+                           validate_labels, wrap_angle)
 
 
 class TestToSpherical:
@@ -163,6 +164,40 @@ class TestBoxLabel:
     def test_at_time_static_noop(self):
         box = BoxLabel(0, 0, 0, 1, 1, 1, 0.0, vx=3.0, is_dynamic=False)
         assert box.at_time(2.0) is box
+
+
+class TestLidarSequence:
+    """A sequence is checked once, when it is built."""
+
+    def frames(self, n, boxes_per_frame=1):
+        box = BoxLabel(0, 0, 0, 1, 1, 1, 0.0)
+        return ([PointCloud([[float(i), 0.0, 0.0]]) for i in range(n)],
+                [np.array([1]) for _ in range(n)],
+                [Pose(np.eye(3), (float(i), 0.0, 0.0)) for i in range(n)],
+                [[box] * boxes_per_frame for _ in range(n)])
+
+    def test_fields_are_tuples_one_entry_per_frame(self):
+        seq = LidarSequence(*self.frames(3))
+        for field in (seq.frames, seq.labels, seq.poses, seq.boxes):
+            assert isinstance(field, tuple) and len(field) == 3
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="at least one frame"):
+            LidarSequence([], [], [], [])
+
+    def test_length_mismatch_rejected(self):
+        for short in range(4):  # frames, labels, poses, boxes
+            fields = list(self.frames(2))
+            fields[short] = fields[short][:1]
+            with pytest.raises(ValueError, match="equal length"):
+                LidarSequence(*fields)
+
+    def test_box_count_mismatch_rejected(self):
+        frames, labels, poses, boxes = self.frames(3, boxes_per_frame=2)
+        boxes[2] = boxes[2][:1]
+        with pytest.raises(ValueError,
+                           match="frame 2 has 1 boxes, frame 0 has 2"):
+            LidarSequence(frames, labels, poses, boxes)
 
 
 def test_wrap_angle():

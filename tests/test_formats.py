@@ -55,6 +55,16 @@ def test_frame_truncated(tmp_path, cloud):
         read_frame(path)
 
 
+def test_frame_nan_coordinate_names_the_file(tmp_path, cloud):
+    path = tmp_path / "nan.sptc"
+    raw = bytearray(frame_bytes(cloud))
+    raw[16:20] = np.float32(np.nan).tobytes()  # the first point's x
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: point coordinates must be finite")):
+        read_frame(path)
+
+
 def test_labels_round_trip(tmp_path):
     labels = np.random.default_rng(1).integers(0, 16, 999)
     path = tmp_path / "a.sptl"
@@ -89,6 +99,22 @@ def test_boxes_bad_record(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"cx": 1.0}\n')
     with pytest.raises(FormatError, match="bad box record"):
+        read_boxes(path)
+
+
+@pytest.mark.parametrize("record, why", [
+    ('{"cx": 1.0}', "'cy'"),
+    ("{not json", "Expecting property name"),
+    ('{"cx": 0, "cy": 0, "cz": 0, "l": -1.0, "w": 1, "h": 1, "yaw": 0, '
+     '"vx": 0, "vy": 0, "class_id": 1, "is_dynamic": false}',
+     "box sizes must be strictly positive"),
+], ids=["missing-key", "not-json", "negative-size"])
+def test_boxes_bad_record_names_file_and_line(tmp_path, record, why):
+    path = tmp_path / "bad.jsonl"
+    write_boxes(path, [BoxLabel(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0)])
+    path.write_text(path.read_text() + record + "\n")
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}:2: bad box record: ") + ".*" + re.escape(why)):
         read_boxes(path)
 
 

@@ -8,12 +8,12 @@ from helpers import (box_surface_distance, knn_label_brute,
                      point_in_box_brute, scene_surface_distance,
                      split_reference, voxelize_brute)
 
-from occspot.cloud import BoxLabel, PointCloud, Pose, transform
+from occspot.cloud import BoxLabel, LidarSequence, PointCloud, Pose, transform
 from occspot.occupancy import (GridSpec, OccupancyGrid, aggregate, knn_label,
                                make_occupancy, split_dynamic_static,
                                voxelize_bev)
-from occspot.synth import (BeamSpec, Scene, SceneObject, SceneParams,
-                           SequenceMeta, build_scene, generate_sequence)
+from occspot.synth import (BeamSpec, Scene, SceneParams, build_scene,
+                           generate_sequence)
 
 
 def small_spec(h=16, w=16, cell=1.0, n_cls=15):
@@ -144,36 +144,26 @@ class TestAggregate:
     def make_sequence(self, n_objects=6, n_frames=3, dynamic=0.5, seed=0):
         scene = build_scene(SceneParams(n_objects=n_objects,
                                         dynamic_fraction=dynamic), seed)
-        poses = tuple(Pose(np.eye(3), (0.5 * i, 0.0, 2.0))
-                      for i in range(n_frames))
-        meta = SequenceMeta(n_frames=n_frames, keyframe_hz=10.0, ego_poses=poses)
+        poses = [Pose(np.eye(3), (0.5 * i, 0.0, 2.0)) for i in range(n_frames)]
         beams = BeamSpec(16, -2.0, -30.0, 90)
-        frames = generate_sequence(scene, beams, meta)
-        return scene, meta, frames
+        return scene, generate_sequence(scene, beams, poses, 10.0)
 
     def test_single_frame_is_world_frame(self):
-        scene, meta, frames = self.make_sequence(n_frames=1)
-        fused, labels = aggregate([frames[0].cloud], [frames[0].labels],
-                                  [meta.ego_poses[0]], [frames[0].boxes], 0)
-        world = transform(frames[0].cloud, meta.ego_poses[0])
+        scene, seq = self.make_sequence(n_frames=1)
+        fused, labels = aggregate(seq, 0)
+        world = transform(seq.frames[0], seq.poses[0])
         np.testing.assert_allclose(fused.xyz, world.xyz, atol=1e-12)
-        np.testing.assert_array_equal(labels, frames[0].labels)
+        np.testing.assert_array_equal(labels, seq.labels[0])
 
     def test_count_preserved(self):
-        scene, meta, frames = self.make_sequence(n_frames=4)
-        fused, labels = aggregate([f.cloud for f in frames],
-                                  [f.labels for f in frames],
-                                  list(meta.ego_poses),
-                                  [f.boxes for f in frames], 0)
-        total = sum(len(f.cloud) for f in frames)
+        scene, seq = self.make_sequence(n_frames=4)
+        fused, labels = aggregate(seq, 0)
+        total = sum(len(cloud) for cloud in seq.frames)
         assert len(fused) == total and labels.size == total
 
     def test_static_scene_on_surfaces(self):
-        scene, meta, frames = self.make_sequence(dynamic=0.0, n_frames=2, seed=4)
-        fused, _ = aggregate([f.cloud for f in frames],
-                             [f.labels for f in frames],
-                             list(meta.ego_poses),
-                             [f.boxes for f in frames], 0)
+        scene, seq = self.make_sequence(dynamic=0.0, n_frames=2, seed=4)
+        fused, _ = aggregate(seq, 0)
         for p in fused.xyz:
             assert scene_surface_distance(p, scene) <= 1e-6
 
@@ -181,32 +171,22 @@ class TestAggregate:
         # one box crossing the scene at 1 m/s; frames 1 s apart
         box = BoxLabel(0.0, 6.0, 1.0, 3.0, 2.0, 2.0, 0.4, vx=1.0, vy=0.0,
                        class_id=1, is_dynamic=True)
-        scene = Scene(ground_z=0.0, objects=(SceneObject(box, 1),), rng_seed=0)
-        poses = tuple(Pose(np.eye(3), (0.0, 0.0, 2.0)) for _ in range(11))
-        meta = SequenceMeta(n_frames=11, keyframe_hz=10.0, ego_poses=poses)
+        scene = Scene(ground_z=0.0, objects=(box,))
+        poses = [Pose(np.eye(3), (0.0, 0.0, 2.0)) for _ in range(11)]
         beams = BeamSpec(24, -2.0, -40.0, 180)
-        frames = generate_sequence(scene, beams, meta)
-        fused, labels = aggregate([f.cloud for f in frames],
-                                  [f.labels for f in frames], list(poses),
-                                  [f.boxes for f in frames], keyframe=0)
-        key_box = frames[0].boxes[0]
+        seq = generate_sequence(scene, beams, poses, 10.0)
+        fused, labels = aggregate(seq, keyframe=0)
+        key_box = seq.boxes[0][0]
         box_points = fused.xyz[labels == 1]
         assert len(box_points) > 50
         for p in box_points:
             assert box_surface_distance(p, key_box) <= 1e-6
 
-    def test_length_mismatch_rejected(self):
-        scene, meta, frames = self.make_sequence(n_frames=2)
-        with pytest.raises(ValueError, match="equal length"):
-            aggregate([frames[0].cloud], [frames[0].labels, frames[1].labels],
-                      [meta.ego_poses[0]], [frames[0].boxes], 0)
-
-    def test_box_count_mismatch_rejected(self):
-        scene, meta, frames = self.make_sequence(n_frames=2)
-        with pytest.raises(ValueError, match="boxes"):
-            aggregate([f.cloud for f in frames], [f.labels for f in frames],
-                      list(meta.ego_poses),
-                      [frames[0].boxes, frames[1].boxes[:-1]], 0)
+    @pytest.mark.parametrize("keyframe", [-1, 2])
+    def test_keyframe_out_of_range_rejected(self, keyframe):
+        scene, seq = self.make_sequence(n_frames=2)
+        with pytest.raises(ValueError, match=f"keyframe {keyframe} out of range"):
+            aggregate(seq, keyframe)
 
 
 class TestKnnLabel:
@@ -303,51 +283,42 @@ class TestMakeOccupancy:
         scene = build_scene(SceneParams(
             arena=(-12.0, 12.0, -12.0, 12.0), n_objects=6,
             dynamic_fraction=0.3), seed)
-        poses = tuple(Pose(np.eye(3), (0.2 * i, 0.0, 2.0))
-                      for i in range(n_frames))
-        meta = SequenceMeta(n_frames=n_frames, keyframe_hz=10.0, ego_poses=poses)
+        poses = [Pose(np.eye(3), (0.2 * i, 0.0, 2.0)) for i in range(n_frames)]
         beams = BeamSpec(32, -5.0, -60.0, 240)
-        frames = generate_sequence(scene, beams, meta)
-        return scene, meta, frames
-
-    def args_of(self, meta, frames):
-        return ([f.cloud for f in frames], [f.labels for f in frames],
-                list(meta.ego_poses), [f.boxes for f in frames])
+        return scene, generate_sequence(scene, beams, poses, 10.0)
 
     def test_single_point_matches_voxelize(self):
         spec = small_spec()
         cloud = PointCloud([[0.5, 0.5, 0.0]])
         labels = np.array([4])
-        pose = Pose(np.eye(3), np.zeros(3))
-        grid = make_occupancy([cloud], [labels], [pose], [[]], spec,
-                              densify=False)
+        seq = LidarSequence([cloud], [labels], [Pose(np.eye(3), np.zeros(3))],
+                            [[]])
+        grid = make_occupancy(seq, spec, densify=False)
         direct = voxelize_bev(cloud, labels, spec)
         np.testing.assert_array_equal(grid.labels, direct.labels)
 
     def test_values_in_range(self):
-        scene, meta, frames = self.setup_sequence()
+        scene, seq = self.setup_sequence()
         spec = GridSpec(-8.0, -8.0, 0.5, 32, 32, -1.0, 3.0, n_cls=15)
-        grid = make_occupancy(*self.args_of(meta, frames), spec)
+        grid = make_occupancy(seq, spec)
         assert grid.labels.min() >= 0 and grid.labels.max() <= 15
 
     def test_densification_monotone(self):
-        scene, meta, frames = self.setup_sequence()
+        scene, seq = self.setup_sequence()
         spec = GridSpec(-8.0, -8.0, 0.5, 32, 32, -0.5, 0.5, n_cls=15)
-        off = make_occupancy(*self.args_of(meta, frames), spec, densify=False)
-        on = make_occupancy(*self.args_of(meta, frames), spec, densify=True,
-                            radius=0.6)
+        off = make_occupancy(seq, spec, densify=False)
+        on = make_occupancy(seq, spec, densify=True, radius=0.6)
         assert on.occupied_count >= off.occupied_count
         # cells labeled without densification keep their labels
         mask = off.labels != 0
         np.testing.assert_array_equal(on.labels[mask], off.labels[mask])
 
     def test_box_footprints_carry_box_class(self):
-        scene, meta, frames = self.setup_sequence(seed=12)
+        scene, seq = self.setup_sequence(seed=12)
         spec = GridSpec(-8.0, -8.0, 0.5, 32, 32, -1.0, 3.0, n_cls=15)
-        grid = make_occupancy(*self.args_of(meta, frames), spec, keyframe=0)
+        grid = make_occupancy(seq, spec, keyframe=0)
         xx, yy = spec.cell_centers()
-        for obj_index, obj in enumerate(scene.objects):
-            box = frames[0].boxes[obj_index]
+        for box in seq.boxes[0]:
             # footprint cells whose center is inside and that contain points
             centers = np.stack([xx.ravel(), yy.ravel(),
                                 np.full(xx.size, box.cz)], axis=-1)
@@ -355,7 +326,7 @@ class TestMakeOccupancy:
             hit = (grid.labels.ravel() != 0) & inside
             if hit.sum() == 0:
                 continue
-            agree = (grid.labels.ravel()[hit] == obj.surface_class).mean()
+            agree = (grid.labels.ravel()[hit] == box.class_id).mean()
             assert agree >= 0.9
 
 

@@ -1,11 +1,17 @@
 import dataclasses
 import hashlib
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from occspot.config import PipelineConfig, load_config, parse_config
-from occspot.pipeline import generate_dataset, load_sequence, sequence_occupancy
+from occspot.formats import FormatError, read_boxes, write_boxes
+from occspot.pipeline import (build_samples, ego_trajectory, generate_dataset,
+                              load_sequence, sequence_occupancy,
+                              write_sequence)
+from occspot.synth import build_scene, generate_sequence
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
 
@@ -46,6 +52,46 @@ def test_different_seed_gives_different_frames(tmp_path):
     frames = [k for k in a if k.endswith(".sptc")]
     assert len(frames) == CFG.n_sequences * CFG.n_frames
     assert all(a[k] != b[k] for k in frames)
+
+
+def generated_sequence(seed=3):
+    return generate_sequence(build_scene(CFG.scene, seed), CFG.source_beams,
+                             ego_trajectory(CFG), CFG.keyframe_hz)
+
+
+def test_sequence_round_trips_through_disk(tmp_path):
+    seq = generated_sequence()
+    write_sequence(tmp_path / "a", seq, CFG.keyframe_hz)
+    loaded = load_sequence(tmp_path / "a")
+    write_sequence(tmp_path / "b", loaded, CFG.keyframe_hz)
+    written = tree_bytes(tmp_path / "a")
+    assert len(written) == 1 + 3 * CFG.n_frames
+    assert tree_bytes(tmp_path / "b") == written
+    # boxes and labels are exact; coordinates are stored as f32
+    assert loaded.boxes == seq.boxes
+    for a, b in zip(loaded.labels, seq.labels):
+        np.testing.assert_array_equal(a, b)
+    for a, b in zip(loaded.frames, seq.frames):
+        np.testing.assert_array_equal(a.xyz, b.xyz.astype(np.float32))
+
+
+def test_box_lists_that_do_not_correspond_name_the_directory(tmp_path):
+    write_sequence(tmp_path, generated_sequence(), CFG.keyframe_hz)
+    boxes = tmp_path / "frame_001.boxes.jsonl"
+    write_boxes(boxes, read_boxes(boxes)[1:])
+    with pytest.raises(FormatError, match=re.escape(f"{tmp_path}: frame 1 has ")):
+        load_sequence(tmp_path)
+
+
+def test_config_without_flips_or_beam_targets_does_not_augment():
+    # what `pretrain --no-augment` used to do, stated in the config
+    cfg = dataclasses.replace(CFG, flip_prob_x=0.0, flip_prob_y=0.0)
+    assert cfg.target_beams == ()
+    seqs = [generated_sequence(seed) for seed in (3, 4)]
+    for (c0, g0), (c1, g1) in zip(build_samples(seqs, cfg),
+                                  build_samples(seqs, cfg, augment=True)):
+        assert np.array_equal(c0.xyz, c1.xyz)
+        assert np.array_equal(g0.labels, g1.labels)
 
 
 # The occupancy targets of small seeded datasets, under the default config

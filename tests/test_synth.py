@@ -6,9 +6,8 @@ import pytest
 from helpers import point_in_box_brute, scan_reference, scene_surface_distance
 
 from occspot.cloud import BoxLabel, Pose, to_spherical, transform
-from occspot.synth import (BeamSpec, Scene, SceneObject, SceneParams,
-                           SequenceMeta, _ray_directions, build_scene,
-                           generate_sequence, scan)
+from occspot.synth import (BeamSpec, Scene, SceneParams, _ray_directions,
+                           build_scene, generate_sequence, scan)
 
 
 def down_beams(n=16, steps=90):
@@ -68,8 +67,7 @@ class TestBuildScene:
         scene = build_scene(params, seed=7)
         assert len(scene.objects) == 50
         x0, x1, y0, y1 = params.arena
-        for obj in scene.objects:
-            b = obj.box
+        for b in scene.objects:
             # exhaustive corner check of the footprint
             c, s = math.cos(b.yaw), math.sin(b.yaw)
             for sx in (-1, 1):
@@ -81,7 +79,7 @@ class TestBuildScene:
 
     def test_dynamic_objects_have_velocity(self):
         scene = build_scene(SceneParams(n_objects=40, dynamic_fraction=1.0), 3)
-        assert all(o.box.speed > 0 for o in scene.objects)
+        assert all(b.speed > 0 for b in scene.objects)
 
     def test_infeasible_placement_raises(self):
         params = SceneParams(arena=(-4.0, 4.0, -4.0, 4.0), n_objects=60)
@@ -91,13 +89,13 @@ class TestBuildScene:
 
 class TestScan:
     def test_empty_scene_no_ground(self):
-        scene = Scene(ground_z=None, objects=(), rng_seed=0)
+        scene = Scene(ground_z=None, objects=())
         cloud, labels = scan(scene, down_beams(), sensor())
         assert len(cloud) == 0 and labels.size == 0
 
     def test_ground_hit_analytic(self):
         # single ray at -45 deg from 2 m: range 2*sqrt(2), lands 2 m ahead
-        scene = Scene(ground_z=0.0, objects=(), rng_seed=0, ground_class=15)
+        scene = Scene(ground_z=0.0, objects=(), ground_class=15)
         beams = BeamSpec(1, -44.0, -46.0, azimuth_steps=1)
         cloud, labels = scan(scene, beams, sensor(2.0))
         assert len(cloud) == 1
@@ -111,7 +109,7 @@ class TestScan:
     def test_box_face_hit(self):
         # axis-aligned face 5 m ahead (+y), horizontal ray straight at it
         box = BoxLabel(0.0, 6.0, 1.0, 4.0, 2.0, 2.0, yaw=0.0, class_id=3)
-        scene = Scene(ground_z=None, objects=(SceneObject(box, 3),), rng_seed=0)
+        scene = Scene(ground_z=None, objects=(box,))
         beams = BeamSpec(1, 1.0, -1.0, azimuth_steps=4)  # elevation 0; az 0 is +y
         pose = Pose(np.eye(3), (0.0, 0.0, 1.0))
         cloud, labels = scan(scene, beams, pose)
@@ -132,9 +130,9 @@ class TestScan:
             assert scene_surface_distance(p, scene) <= 1e-6
             if lbl == scene.ground_class and abs(p[2] - scene.ground_z) <= 1e-6:
                 continue
-            owner = next(o for o in scene.objects
-                         if point_in_box_brute(p, o.box, atol=1e-6))
-            assert lbl == owner.surface_class
+            owner = next(b for b in scene.objects
+                         if point_in_box_brute(p, b, atol=1e-6))
+            assert lbl == owner.class_id
 
     def test_point_count_bound(self):
         scene = build_scene(SceneParams(n_objects=5), seed=2)
@@ -152,9 +150,9 @@ class TestScan:
         assert dist.max() <= 1e-9
 
     def test_nearest_surface_wins(self):
-        near = SceneObject(BoxLabel(0.0, 3.0, 1.0, 1.0, 1.0, 2.0, 0.0, class_id=2), 2)
-        far = SceneObject(BoxLabel(0.0, 8.0, 1.0, 1.0, 1.0, 2.0, 0.0, class_id=4), 4)
-        scene = Scene(ground_z=None, objects=(near, far), rng_seed=0)
+        near = BoxLabel(0.0, 3.0, 1.0, 1.0, 1.0, 2.0, 0.0, class_id=2)
+        far = BoxLabel(0.0, 8.0, 1.0, 1.0, 1.0, 2.0, 0.0, class_id=4)
+        scene = Scene(ground_z=None, objects=(near, far))
         beams = BeamSpec(1, 1.0, -1.0, azimuth_steps=4)
         cloud, labels = scan(scene, beams, Pose(np.eye(3), (0, 0, 1.0)))
         assert labels.tolist() == [2]
@@ -199,7 +197,7 @@ class TestScanCulling:
                     (rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(1, 3)))
         labels = assert_matches_reference(scene, self.WIDE, pose,
                                           time_s=float(rng.uniform(0, 2)))
-        assert np.isin(labels, [o.surface_class for o in scene.objects]).any()
+        assert np.isin(labels, [b.class_id for b in scene.objects]).any()
 
     def test_dynamic_boxes_later_times(self):
         scene = build_scene(SceneParams(n_objects=16, dynamic_fraction=1.0), 21)
@@ -213,9 +211,9 @@ class TestScanCulling:
         assert_matches_reference(scene, self.WIDE, sensor())
 
     def test_sensor_inside_box(self):
-        around = SceneObject(BoxLabel(0.5, -0.3, 2.0, 4.0, 3.0, 5.0, 0.4), 2)
-        outside = SceneObject(BoxLabel(8.0, 0.0, 1.0, 2.0, 2.0, 2.0, 0.0), 4)
-        scene = Scene(ground_z=0.0, objects=(around, outside), rng_seed=0)
+        around = BoxLabel(0.5, -0.3, 2.0, 4.0, 3.0, 5.0, 0.4, class_id=2)
+        outside = BoxLabel(8.0, 0.0, 1.0, 2.0, 2.0, 2.0, 0.0, class_id=4)
+        scene = Scene(ground_z=0.0, objects=(around, outside))
         labels = assert_matches_reference(scene, self.WIDE, sensor(2.0))
         assert len(labels) == self.WIDE.n_beams * self.WIDE.azimuth_steps
         assert (labels == 2).all()
@@ -227,11 +225,11 @@ class TestScanCulling:
         ahead = _ray_directions(beams).mean(axis=0)
         ahead /= np.linalg.norm(ahead)
         objects = tuple(
-            SceneObject(BoxLabel(*(-d * ahead + [0.0, 0.0, 2.0] + off),
-                                 1.5, 1.0, 2.0, 0.3 * i), 1 + i % 5)
+            BoxLabel(*(-d * ahead + [0.0, 0.0, 2.0] + off), 1.5, 1.0, 2.0,
+                     0.3 * i, class_id=1 + i % 5)
             for i, (d, off) in enumerate([(3.0, (0, 0, 0)), (6.0, (2, 1, 0)),
                                           (10.0, (-1, 2, 1))]))
-        scene = Scene(ground_z=None, objects=objects, rng_seed=0)
+        scene = Scene(ground_z=None, objects=objects)
         labels = assert_matches_reference(scene, beams, sensor(2.0))
         assert labels.size == 0
 
@@ -255,57 +253,60 @@ class TestScanCulling:
             c, s = math.cos(yaw), math.sin(yaw)
             cx = p[0] - (c * off[0] - s * off[1])
             cy = p[1] - (s * off[0] + c * off[1])
-            box = BoxLabel(cx, cy, p[2] - off[2], l, w, h, yaw)
-            objects.append(SceneObject(box, 1 + i % 5))
+            objects.append(BoxLabel(cx, cy, p[2] - off[2], l, w, h, yaw,
+                                    class_id=1 + i % 5))
         # an axis-aligned top face exactly at sensor height: the horizontal
         # rays graze it
-        objects.append(SceneObject(BoxLabel(0.0, 9.0, 1.2, 4.0, 2.0, 1.0, 0.0), 3))
-        scene = Scene(ground_z=0.0, objects=tuple(objects), rng_seed=0)
+        objects.append(BoxLabel(0.0, 9.0, 1.2, 4.0, 2.0, 1.0, 0.0, class_id=3))
+        scene = Scene(ground_z=0.0, objects=tuple(objects))
         assert_matches_reference(scene, beams, pose)
         flat = BeamSpec(n_beams=1, alpha_up=1.0, alpha_low=-1.0, azimuth_steps=720)
         assert_matches_reference(scene, flat, sensor(1.7))
 
 
 class TestSequence:
-    def make_meta(self, n, hz=10.0, speed=0.0):
-        poses = tuple(Pose(np.eye(3), (speed * i / hz, 0.0, 2.0))
-                      for i in range(n))
-        return SequenceMeta(n_frames=n, keyframe_hz=hz, ego_poses=poses)
+    def make_poses(self, n, hz=10.0, speed=0.0):
+        return [Pose(np.eye(3), (speed * i / hz, 0.0, 2.0)) for i in range(n)]
 
     def test_single_frame_matches_scan(self):
         scene = build_scene(SceneParams(n_objects=6), seed=5)
-        meta = self.make_meta(1)
-        frames = generate_sequence(scene, down_beams(), meta)
-        cloud, labels = scan(scene, down_beams(), meta.ego_poses[0], time_s=0.0)
-        assert len(frames) == 1
-        np.testing.assert_array_equal(frames[0].cloud.xyz, cloud.xyz)
-        np.testing.assert_array_equal(frames[0].labels, labels)
+        poses = self.make_poses(1)
+        seq = generate_sequence(scene, down_beams(), poses, 10.0)
+        cloud, labels = scan(scene, down_beams(), poses[0], time_s=0.0)
+        assert len(seq.frames) == 1
+        np.testing.assert_array_equal(seq.frames[0].xyz, cloud.xyz)
+        np.testing.assert_array_equal(seq.labels[0], labels)
 
     def test_static_scene_fused_points_on_surfaces(self):
         params = SceneParams(n_objects=8, dynamic_fraction=0.0)
         scene = build_scene(params, seed=6)
-        meta = self.make_meta(2, speed=3.0)
-        frames = generate_sequence(scene, down_beams(12, 60), meta)
-        for frame, pose in zip(frames, meta.ego_poses):
-            world = transform(frame.cloud, pose)
+        seq = generate_sequence(scene, down_beams(12, 60),
+                                self.make_poses(2, speed=3.0), 10.0)
+        for cloud, pose in zip(seq.frames, seq.poses):
+            world = transform(cloud, pose)
             for p in world.xyz:
                 assert scene_surface_distance(p, scene) <= 1e-6
 
     def test_dynamic_box_linear_motion(self):
         box = BoxLabel(0.0, 5.0, 1.0, 2.0, 1.0, 2.0, 0.0, vx=1.0, vy=0.0,
                        class_id=1, is_dynamic=True)
-        scene = Scene(ground_z=0.0, objects=(SceneObject(box, 1),), rng_seed=0)
-        meta = self.make_meta(11, hz=10.0)
-        frames = generate_sequence(scene, down_beams(), meta)
-        assert frames[10].boxes[0].cx == pytest.approx(1.0)
-        assert frames[0].boxes[0].cx == pytest.approx(0.0)
+        scene = Scene(ground_z=0.0, objects=(box,))
+        seq = generate_sequence(scene, down_beams(), self.make_poses(11), 10.0)
+        assert seq.boxes[10][0].cx == pytest.approx(1.0)
+        assert seq.boxes[0][0].cx == pytest.approx(0.0)
 
     def test_deterministic_and_parallel_equal(self):
         scene = build_scene(SceneParams(n_objects=10, dynamic_fraction=0.5), 8)
-        meta = self.make_meta(4, speed=2.0)
-        serial = generate_sequence(scene, down_beams(), meta, workers=1)
-        parallel = generate_sequence(scene, down_beams(), meta, workers=4)
-        for a, b in zip(serial, parallel):
-            np.testing.assert_array_equal(a.cloud.xyz, b.cloud.xyz)
-            np.testing.assert_array_equal(a.labels, b.labels)
-            assert a.boxes == b.boxes
+        poses = self.make_poses(4, speed=2.0)
+        serial = generate_sequence(scene, down_beams(), poses, 10.0, workers=1)
+        parallel = generate_sequence(scene, down_beams(), poses, 10.0, workers=4)
+        for a, b in zip(serial.frames, parallel.frames):
+            np.testing.assert_array_equal(a.xyz, b.xyz)
+        for a, b in zip(serial.labels, parallel.labels):
+            np.testing.assert_array_equal(a, b)
+        assert serial.boxes == parallel.boxes
+
+    def test_no_poses_is_rejected(self):
+        scene = build_scene(SceneParams(n_objects=2), seed=1)
+        with pytest.raises(ValueError, match="at least one frame"):
+            generate_sequence(scene, down_beams(), [], 10.0)

@@ -21,18 +21,11 @@ CFG = toy_config()  # 15 classes, channels (6, 8, 8)
 
 
 def toy_samples(cfg, n_scenes=3, seed0=50):
-    from occspot.pipeline import SequenceFiles
-    meta = ego_trajectory(cfg)
-    samples = []
-    for i in range(n_scenes):
-        scene = build_scene(cfg.scene, seed0 + i)
-        frames = generate_sequence(scene, cfg.source_beams, meta)
-        seq = SequenceFiles([f.cloud for f in frames],
-                            [f.labels for f in frames],
-                            list(meta.ego_poses),
-                            [f.boxes for f in frames])
-        samples.extend(build_samples([seq], cfg))
-    return samples
+    poses = ego_trajectory(cfg)
+    seqs = [generate_sequence(build_scene(cfg.scene, seed0 + i),
+                              cfg.source_beams, poses, cfg.keyframe_hz)
+            for i in range(n_scenes)]
+    return build_samples(seqs, cfg)
 
 
 class TestOneCycle:
