@@ -154,6 +154,10 @@ class BoxLabel:
     is_dynamic: bool = False
 
     def __post_init__(self):
+        for name in ("cx", "cy", "cz", "l", "w", "h", "yaw", "vx", "vy"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"box field {name} must be finite, "
+                                 f"got {getattr(self, name)}")
         if not (self.l > 0 and self.w > 0 and self.h > 0):
             raise ValueError("box sizes must be strictly positive")
         if self.class_id < 1:

@@ -265,3 +265,191 @@ def guarded_directional_checks(loss_fn, grad_vec_fn, signature_fn,
     if len(out) < n_dirs:
         raise RuntimeError(f"only {len(out)} kink-free directions in {max_tries} tries")
     return out
+
+
+# -- theory: the per-joint sweeps that the batched ones replaced --------------
+#
+# Like the other ``*_reference`` functions, these share the library's
+# arithmetic on purpose: they are the per-joint loops and kernels that
+# ``occspot.theory`` ran before it computed stacks of joints, kept verbatim.
+# The property under test is bit-identity, so they are compared with
+# ``np.array_equal``, not a tolerance.
+
+_THEORY_TOL = 1e-12
+_MAX_SUPPORT = 8
+_SPARSITY = 0.2
+
+
+def entropy_reference(p: np.ndarray) -> float:
+    nz = p[p > 0]
+    return float(-(nz * np.log(nz)).sum())
+
+
+def mutual_information_reference(p: np.ndarray) -> float:
+    pz = p.sum(axis=1, keepdims=True)
+    pt = p.sum(axis=0, keepdims=True)
+    mask = p > 0
+    return float((p[mask] * np.log(p[mask] / (pz @ pt)[mask])).sum())
+
+
+def conditional_mi_reference(p: np.ndarray) -> float:
+    total = 0.0
+    for z in range(p.shape[2]):
+        slab = p[:, :, z]
+        pz = slab.sum()
+        if pz == 0:
+            continue
+        total += pz * mutual_information_reference(slab / pz)
+    return total
+
+
+def bayes_error_reference(p: np.ndarray) -> float:
+    return float(1.0 - p.max(axis=1).sum())
+
+
+def _apply_map(p_ot: np.ndarray, f: np.ndarray, n_z: int) -> np.ndarray:
+    out = np.zeros((n_z, p_ot.shape[1]))
+    for o in range(p_ot.shape[0]):
+        out[f[o]] += p_ot[o]
+    return out
+
+
+def _cmi_given_map(p_ot: np.ndarray, f: np.ndarray, n_z: int) -> float:
+    p3 = np.zeros((p_ot.shape[0], p_ot.shape[1], n_z))
+    for o in range(p_ot.shape[0]):
+        p3[o, :, f[o]] = p_ot[o]
+    return conditional_mi_reference(p3)
+
+
+def bound_reference(p) -> dict:
+    """The fields of ``check_bayes_bound(p)``, one joint at a time."""
+    p = np.asarray(p, dtype=np.float64)
+    h_t = entropy_reference(p.sum(axis=0))
+    mi = mutual_information_reference(p)
+    pe = bayes_error_reference(p)
+    bound = 1.0 - np.exp(-h_t + mi)
+    slack = bound - pe
+    return dict(h_t=h_t, mi=mi, bayes_error=pe, bound_value=float(bound),
+                slack=float(slack), satisfied=bool(slack >= -_THEORY_TOL))
+
+
+def lemma1_reference(p, f_occ, f_mae) -> dict:
+    """The fields of ``lemma1_decomposition(p, f_occ, f_mae)``."""
+    p = np.asarray(p, dtype=np.float64)
+    f_occ = np.asarray(f_occ, dtype=np.int64)
+    f_mae = np.asarray(f_mae, dtype=np.int64)
+    nz_occ, nz_mae = int(f_occ.max()) + 1, int(f_mae.max()) + 1
+    mi_occ = mutual_information_reference(_apply_map(p, f_occ, nz_occ))
+    mi_mae = mutual_information_reference(_apply_map(p, f_mae, nz_mae))
+    gap_mae = _cmi_given_map(p, f_mae, nz_mae)
+    gap_occ = _cmi_given_map(p, f_occ, nz_occ)
+    lhs = mi_occ - mi_mae
+    rhs = gap_mae - gap_occ
+    return dict(mi_occ=mi_occ, mi_mae=mi_mae, gap_mae=gap_mae,
+                gap_occ=gap_occ, lhs=lhs, rhs=rhs,
+                holds=bool(abs(lhs - rhs) <= _THEORY_TOL))
+
+
+def risk_reference(p, t_values, g) -> dict:
+    """The fields of ``risk_ordering(p, t_values, g)``."""
+    p = np.asarray(p, dtype=np.float64)
+    t_values = np.asarray(t_values, dtype=np.float64)
+    g = np.asarray(g, dtype=np.int64)
+
+    def sq_risk(pzt: np.ndarray) -> float:
+        risk = 0.0
+        for z in range(pzt.shape[0]):
+            pz = pzt[z].sum()
+            if pz == 0:
+                continue
+            cond = pzt[z] / pz
+            mean = float(cond @ t_values)
+            risk += pz * float(cond @ (t_values - mean) ** 2)
+        return risk
+
+    garbled = _apply_map(p, g, int(g.max()) + 1)
+    r, rg = sq_risk(p), sq_risk(garbled)
+    be, beg = bayes_error_reference(p), bayes_error_reference(garbled)
+    holds = bool(r <= rg + _THEORY_TOL and be <= beg + _THEORY_TOL)
+    return dict(sq_risk=r, sq_risk_garbled=rg, bayes=be, bayes_garbled=beg,
+                holds=holds)
+
+
+def random_joint_reference(rng: np.random.Generator, shape) -> np.ndarray:
+    mass = rng.exponential(size=shape)
+    mass *= rng.random(shape) >= _SPARSITY
+    if mass.sum() == 0:
+        mass.flat[int(rng.integers(mass.size))] = 1.0
+    return mass / mass.sum()
+
+
+def _columns(rows: list[dict]) -> dict:
+    return {k: np.array([r[k] for r in rows]) for k in rows[0]}
+
+
+def sweep_bayes_bound_reference(n: int, seed: int) -> tuple[dict, dict]:
+    """(summary, per-joint fields) of the per-joint Bayes-bound sweep.
+
+    The per-joint fields add ``shape`` and ``nnz``, the joint's count of
+    nonzero entries, so a test can show which cases it reached.
+    """
+    rng = np.random.default_rng(seed)
+    min_slack = np.inf
+    violations = 0
+    rows = []
+    for _ in range(n):
+        shape = (int(rng.integers(2, _MAX_SUPPORT + 1)),
+                 int(rng.integers(2, _MAX_SUPPORT + 1)))
+        p = random_joint_reference(rng, shape)
+        rep = bound_reference(p)
+        min_slack = min(min_slack, rep["slack"])
+        violations += not rep["satisfied"]
+        rows.append({**rep, "shape": shape, "nnz": np.count_nonzero(p)})
+    summary = {"sweeps": n, "min_slack": float(min_slack),
+               "violations": violations}
+    return summary, _columns(rows)
+
+
+def sweep_lemma1_reference(n: int, seed: int) -> tuple[dict, dict]:
+    """(summary, per-joint fields) of the per-joint decomposition sweep."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    violations = 0
+    rows = []
+    for _ in range(n):
+        n_o = int(rng.integers(2, _MAX_SUPPORT + 1))
+        n_t = int(rng.integers(2, _MAX_SUPPORT + 1))
+        p = random_joint_reference(rng, (n_o, n_t))
+        f_occ = rng.integers(0, int(rng.integers(1, n_o + 1)), size=n_o)
+        f_mae = rng.integers(0, int(rng.integers(1, n_o + 1)), size=n_o)
+        rep = lemma1_reference(p, f_occ, f_mae)
+        worst = max(worst, abs(rep["lhs"] - rep["rhs"]))
+        violations += not rep["holds"]
+        rows.append({**rep, "shape": (n_o, n_t), "nnz": np.count_nonzero(p)})
+    summary = {"sweeps": n, "max_identity_gap": float(worst),
+               "violations": violations}
+    return summary, _columns(rows)
+
+
+def sweep_risk_ordering_reference(n: int, seed: int) -> tuple[dict, list]:
+    """(summary, per-joint rows) of the risk-ordering sweep; each row holds
+    the drawn ``p``, ``t_values`` and ``g`` beside the report's fields."""
+    rng = np.random.default_rng(seed)
+    violations = 0
+    worst_sq = np.inf
+    worst_bayes = np.inf
+    rows = []
+    for _ in range(n):
+        n_z = int(rng.integers(2, _MAX_SUPPORT + 1))
+        n_t = int(rng.integers(2, _MAX_SUPPORT + 1))
+        p = random_joint_reference(rng, (n_z, n_t))
+        g = rng.integers(0, int(rng.integers(1, n_z + 1)), size=n_z)
+        t_values = rng.normal(size=n_t)
+        rep = risk_reference(p, t_values, g)
+        worst_sq = min(worst_sq, rep["sq_risk_garbled"] - rep["sq_risk"])
+        worst_bayes = min(worst_bayes, rep["bayes_garbled"] - rep["bayes"])
+        violations += not rep["holds"]
+        rows.append({**rep, "p": p, "t_values": t_values, "g": g})
+    summary = {"sweeps": n, "min_sq_margin": float(worst_sq),
+               "min_bayes_margin": float(worst_bayes), "violations": violations}
+    return summary, rows

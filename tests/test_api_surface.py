@@ -23,6 +23,10 @@ ALLOWED = {
     "occspot.theory.mutual_information": "validated entry point, oracle-tested",
     "occspot.theory.conditional_mi": "validated entry point, oracle-tested",
     "occspot.theory.bayes_error": "validated entry point, oracle-tested",
+    "occspot.theory.entropy": "validated entry point, oracle-tested",
+    "occspot.theory.check_bayes_bound": "validated entry point, oracle-tested",
+    "occspot.theory.lemma1_decomposition":
+        "validated entry point, oracle-tested",
 }
 
 

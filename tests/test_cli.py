@@ -263,6 +263,20 @@ class TestMalformedFiles:
             "strictly positive\n")
         assert not (tmp_path / "grid.spog").exists()
 
+    def test_nan_box_field_names_its_file_and_line(self, tmp_path, config,
+                                                   data, capsys):
+        boxes = data / "seq_0000" / "frame_000.boxes.jsonl"
+        records = [json.loads(line) for line in boxes.read_text().splitlines()]
+        records[1]["cx"] = math.nan
+        boxes.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert "NaN" in boxes.read_text()
+        assert main(["make-occ", "--config", config, str(boxes.parent),
+                     str(tmp_path / "grid.spog")]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {boxes}:2: bad box record: box field cx must be "
+            "finite, got nan\n")
+        assert not (tmp_path / "grid.spog").exists()
+
     @pytest.mark.parametrize("frames", [[[1, 2]], {"1": 2}])
     def test_balance_weights_frames_not_dicts(self, tmp_path, frames, capsys):
         stats = tmp_path / "stats.json"

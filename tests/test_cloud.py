@@ -156,6 +156,14 @@ class TestBoxLabel:
         with pytest.raises(ValueError):
             BoxLabel(0, 0, 0, 0.0, 1, 1, 0.0)
 
+    @pytest.mark.parametrize("name", ["cx", "cy", "cz", "l", "w", "h",
+                                      "yaw", "vx", "vy"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, name, value):
+        fields = dict(cx=0.0, cy=0.0, cz=0.0, l=1.0, w=1.0, h=1.0, yaw=0.0)
+        with pytest.raises(ValueError, match=f"box field {name} must be finite"):
+            BoxLabel(**{**fields, name: value})
+
     def test_contains_inclusive_boundary(self):
         box = BoxLabel(0, 0, 0, 2, 2, 2, 0.0)
         assert box.contains(np.array([1.0, 0.0, 0.0]))

@@ -1,19 +1,28 @@
 """Exact theory checks against independent oracles.
 
 The oracles below are plain loops over the joint's entries with
-``math.log``; none of them calls into :mod:`occspot.theory`.
+``math.log``; none of them calls into :mod:`occspot.theory`.  The stacked
+kernels are also held bit for bit to the per-joint ``*_reference`` loops
+in :mod:`helpers`.
 """
 
 import hashlib
 import itertools
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from helpers import (bayes_error_reference, bound_reference,
+                     conditional_mi_reference, entropy_reference,
+                     lemma1_reference, mutual_information_reference,
+                     risk_reference, sweep_bayes_bound_reference,
+                     sweep_lemma1_reference, sweep_risk_ordering_reference)
 
 from occspot import theory
 from occspot.cli import main
-from occspot.theory import (DiscreteJoint, bayes_error, check_bayes_bound,
+from occspot.theory import (BoundReport, DiscreteJoint, Lemma1Report,
+                            RiskOrderingReport, bayes_error, check_bayes_bound,
                             conditional_mi, entropy, lemma1_decomposition,
                             mutual_information, random_joint, risk_ordering)
 
@@ -182,6 +191,16 @@ class TestRiskOrdering:
         with pytest.raises(ValueError, match="g"):
             risk_ordering(P_OT, self.T_VALUES, [0, 1])
 
+    def test_negative_garbling_index_rejected(self):
+        # -1 would wrap to the last state, as [1, 1] does for two states
+        with pytest.raises(ValueError, match="g must use non-negative"):
+            risk_ordering([[0.25, 0.25], [0.25, 0.25]], [0.0, 1.0], [-1, 1])
+
+    def test_risks_are_plain_floats(self):
+        rep = risk_ordering(P_OT, self.T_VALUES, [0, 0, 1, 1])
+        assert type(rep.sq_risk) is float
+        assert type(rep.sq_risk_garbled) is float
+
 
 MALFORMED = {
     "negative": np.array([[0.6, -0.1], [0.3, 0.2]]),
@@ -189,6 +208,7 @@ MALFORMED = {
     "mass_above_one": np.array([[0.25, 0.25], [0.25, 0.25 + 1e-9]]),
     "one_d": np.array([0.5, 0.5]),
     "four_d": np.full((2, 2, 2, 2), 1 / 16),
+    "nan": np.array([[np.nan, 0.5], [0.25, 0.25]]),
 }
 
 TWO_WAY = {
@@ -226,6 +246,11 @@ class TestMalformedJoints:
         with pytest.raises(ValueError):
             conditional_mi(np.full((2, 2), 1 / 4))
 
+    @pytest.mark.parametrize("p", [[np.nan, 0.5], [np.inf, 0.5], [-0.5, 1.5]])
+    def test_entropy_rejects(self, p):
+        with pytest.raises(ValueError):
+            entropy(p)
+
 
 class TestSweeps:
     def test_random_joint_is_a_valid_joint(self):
@@ -256,3 +281,152 @@ class TestSweeps:
                      "--sweeps", str(sweeps)]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- stacked kernels against the per-joint loops -----------------------------
+
+def random_inputs(seed: int, n: int, max_support: int = 10):
+    """`n` random joints of every shape up to `max_support` a side (one-state
+    variables too), a fifth of their entries zero, with random maps."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        a, b = (int(x) for x in rng.integers(1, max_support + 1, size=2))
+        mass = rng.exponential(size=(a, b)) * (rng.random((a, b)) >= 0.2)
+        if mass.sum() == 0:
+            mass.flat[0] = 1.0
+        maps = [rng.integers(0, int(rng.integers(1, a + 3)), size=a)
+                for _ in range(3)]
+        yield mass / mass.sum(), maps, rng.normal(size=b)
+
+
+def assert_fields_equal(report, ref: dict):
+    for name, want in ref.items():
+        got = getattr(report, name)
+        assert type(got) is (bool if isinstance(want, bool) else float), name
+        assert got == want, name
+
+
+class TestSingleJointBitForBit:
+    """Each public function is the stacked kernel on a stack of one; it
+    returns the per-joint code's bits, as plain floats and bools."""
+
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_two_way_functions(self, seed):
+        for p, (f_occ, f_mae, g), t_values in random_inputs(seed, 300):
+            assert_fields_equal(check_bayes_bound(p), bound_reference(p))
+            assert_fields_equal(lemma1_decomposition(p, f_occ, f_mae),
+                                lemma1_reference(p, f_occ, f_mae))
+            assert_fields_equal(risk_ordering(p, t_values, g),
+                                risk_reference(p, t_values, g))
+            assert mutual_information(p) == mutual_information_reference(p)
+            assert bayes_error(p) == bayes_error_reference(p)
+            assert entropy(p) == entropy_reference(p)
+
+    @pytest.mark.parametrize("seed", [23, 24])
+    def test_conditional_mi(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            shape = tuple(int(x) for x in rng.integers(1, 9, size=3))
+            mass = rng.exponential(size=shape) * (rng.random(shape) >= 0.3)
+            mass.flat[0] += 1.0
+            p = mass / mass.sum()
+            assert conditional_mi(p) == conditional_mi_reference(p)
+
+
+def joined(chunks) -> dict:
+    chunks = list(chunks)
+    return {name: np.concatenate([c[name] for c in chunks])
+            for name in chunks[0]}
+
+
+def bound_rows(n, seed):
+    return joined(theory._sweep_rows(n, seed, theory._draw_bound,
+                                     theory._bound_rows))
+
+
+def lemma1_rows(n, seed):
+    return joined(theory._sweep_rows(n, seed, theory._draw_lemma1,
+                                     theory._lemma1_rows))
+
+
+class TestSweepsBitForBit:
+    """Every per-joint value of a batched sweep equals the per-joint loop's.
+
+    Per seed, 3,000 Bayes-bound joints (two chunks, the second partial)
+    reach all 49 support shapes and every count of nonzero entries from 2
+    to 48; 1,000 decomposition joints reach all shapes and the counts from
+    2 to 40.  numpy's pairwise sum is a plain loop below 8 terms and eight
+    accumulators from 8 on.
+    """
+
+    SEEDS = [101, 7, 2024]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_bayes_bound_rows(self, seed):
+        n = 3000
+        assert n % theory._CHUNK and n > theory._CHUNK
+        summary, ref = sweep_bayes_bound_reference(n, seed)
+        got = bound_rows(n, seed)
+        assert set(got) == {f.name for f in fields(BoundReport)}
+        for name in got:
+            assert np.array_equal(got[name], ref[name]), name
+        assert theory.sweep_bayes_bound(n, seed) == summary
+        assert len({tuple(s) for s in ref["shape"]}) == 49
+        assert set(range(2, 49)) <= set(ref["nnz"])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_lemma1_rows(self, seed):
+        n = 1000
+        summary, ref = sweep_lemma1_reference(n, seed)
+        got = lemma1_rows(n, seed)
+        assert set(got) == {f.name for f in fields(Lemma1Report)}
+        for name in got:
+            assert np.array_equal(got[name], ref[name]), name
+        assert theory.sweep_lemma1(n, seed) == summary
+        assert len({tuple(s) for s in ref["shape"]}) == 49
+        assert set(range(2, 41)) <= set(ref["nnz"])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_risk_ordering(self, seed):
+        summary, ref = sweep_risk_ordering_reference(300, seed)
+        assert theory.sweep_risk_ordering(300, seed) == summary
+        for row in ref:
+            rep = risk_ordering(row["p"], row["t_values"], row["g"])
+            assert_fields_equal(rep, {f.name: row[f.name]
+                                      for f in fields(RiskOrderingReport)})
+
+    @pytest.mark.parametrize("sweep, reference", [
+        (theory.sweep_bayes_bound, sweep_bayes_bound_reference),
+        (theory.sweep_lemma1, sweep_lemma1_reference),
+        (theory.sweep_risk_ordering, sweep_risk_ordering_reference)])
+    def test_one_draw(self, sweep, reference):
+        for seed in range(20):
+            assert sweep(1, seed) == reference(1, seed)[0]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunk_size_changes_nothing(self, chunk, monkeypatch):
+        bound, lemma1 = bound_rows(301, 5), lemma1_rows(150, 6)
+        monkeypatch.setattr(theory, "_CHUNK", chunk)
+        for want, got in ((bound, bound_rows(301, 5)),
+                          (lemma1, lemma1_rows(150, 6))):
+            for name in want:
+                assert np.array_equal(got[name], want[name]), name
+
+    def test_a_bad_stack_is_rejected(self):
+        for bad_row in ([np.nan, 1.0], [np.inf, 0.0], [-0.5, 1.5],
+                        [0.5, 0.5 + 1e-9]):
+            flat = [[0.5, 0.5], bad_row, [0.25, 0.75]]
+            with pytest.raises(ValueError):
+                theory._check_joints(np.array(flat))
+
+
+class TestRowSums:
+    """The ragged row sums are numpy's own ``.sum()`` of each row alone."""
+
+    def test_every_term_count(self):
+        rng = np.random.default_rng(0)
+        counts = rng.permutation(np.repeat(np.arange(70), 5))
+        rows = [rng.exponential(size=m) * 10.0 ** rng.integers(-9, 9, size=m)
+                for m in counts]
+        got = theory._row_sums(np.concatenate(rows), counts)
+        assert np.array_equal(got, [r.sum() for r in rows])
