@@ -36,14 +36,9 @@ DEFAULT_MERGE_THRESHOLD_DEG = 0.05
 
 @dataclass(frozen=True)
 class ResampleFactor:
-    """Fraction of beams to keep, already clamped to (0, 1].
-
-    ``clamped`` records that the raw density ratio exceeded 1 (the target
-    sensor is denser than the source; upsampling is impossible).
-    """
+    """Fraction of beams to keep, already clamped to (0, 1]."""
 
     value: float
-    clamped: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.value <= 1.0:
@@ -62,7 +57,7 @@ def resample_factor(source: BeamSpec, target: BeamSpec) -> ResampleFactor:
         warnings.warn(
             f"target denser than source (ratio {raw:.3f}); upsampling is "
             "impossible, clamping to 1.0", stacklevel=2)
-        return ResampleFactor(1.0, clamped=True)
+        return ResampleFactor(1.0)
     return ResampleFactor(raw)
 
 

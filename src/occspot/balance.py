@@ -1,4 +1,4 @@
-"""Class-balancing: sampling weights, frame duplication, per-class loss weights.
+"""Class-balanced sampling: per-class weights and frame duplication.
 
 Sampling weights follow the square-root rule ``s_i = sqrt(m / n_i)`` with
 ``m = 1/N_fg`` and ``n_i = N_i / sum_j N_j`` over foreground instance counts,
@@ -6,9 +6,8 @@ so rare classes weigh more without excessive duplication.  Frames are then
 re-drawn with replacement proportionally to the largest weight among their
 present foreground classes.
 
-Loss weights default to 2.0 for the common foreground categories (car,
-pedestrian, cyclist, bicycle, motorcycle), 1.0 for background classes and
-0.01 for empty cells.
+Per-class loss weights are not set here: they come from the config's
+``loss`` section (``learn.train.loss_weights``).
 """
 
 from __future__ import annotations
@@ -22,25 +21,7 @@ import numpy as np
 __all__ = [
     "ClassStats", "SamplingWeights",
     "class_stats", "sampling_weights", "frame_weights", "resample_frames",
-    "class_loss_weights", "default_loss_weights",
-    "CLASS_NAMES", "DEFAULT_N_CLS", "DEFAULT_FOREGROUND",
-    "W_FOREGROUND", "W_BACKGROUND", "W_EMPTY",
 ]
-
-#: Default 15-class schema; index 0 is the reserved "empty" state.
-CLASS_NAMES = (
-    "empty", "car", "pedestrian", "cyclist", "bicycle", "motorcycle",
-    "truck", "bus", "other_vehicle", "traffic_cone", "barrier",
-    "road", "sidewalk", "building", "vegetation", "ground",
-)
-DEFAULT_N_CLS = len(CLASS_NAMES) - 1
-
-#: Common traffic participants carrying the 2.0 loss weight.
-DEFAULT_FOREGROUND = (1, 2, 3, 4, 5)
-
-W_FOREGROUND = 2.0
-W_BACKGROUND = 1.0
-W_EMPTY = 0.01
 
 
 @dataclass(frozen=True)
@@ -146,37 +127,3 @@ def resample_frames(weights: np.ndarray, epoch_size: int, seed: int) -> np.ndarr
     rng = np.random.default_rng(seed)
     return rng.choice(w.size, size=epoch_size, replace=True, p=w / w.sum())
 
-
-def class_loss_weights(n_cls: int, foreground: Iterable[int],
-                       background: Iterable[int],
-                       w_fg: float = W_FOREGROUND, w_bg: float = W_BACKGROUND,
-                       w_empty: float = W_EMPTY) -> np.ndarray:
-    """Length ``n_cls + 1`` loss-weight vector; index 0 is the empty state.
-
-    `foreground` and `background` must partition ``1..n_cls``.
-    """
-    fg, bg = set(foreground), set(background)
-    overlap = fg & bg
-    if overlap:
-        raise ValueError(f"classes in both foreground and background: {sorted(overlap)}")
-    expected = set(range(1, n_cls + 1))
-    if fg | bg != expected:
-        missing = sorted(expected - (fg | bg))
-        extra = sorted((fg | bg) - expected)
-        raise ValueError(
-            f"foreground+background must partition 1..{n_cls}; "
-            f"missing={missing}, out_of_range={extra}")
-    if min(w_fg, w_bg, w_empty) <= 0:
-        raise ValueError("loss weights must be strictly positive")
-    w = np.full(n_cls + 1, w_bg, dtype=np.float64)
-    w[0] = w_empty
-    for c in fg:
-        w[c] = w_fg
-    return w
-
-
-def default_loss_weights(n_cls: int = DEFAULT_N_CLS) -> np.ndarray:
-    """Default schema weights: 2.0 on classes 1-5, 1.0 elsewhere, 0.01 empty."""
-    fg = [c for c in DEFAULT_FOREGROUND if c <= n_cls]
-    bg = [c for c in range(1, n_cls + 1) if c not in fg]
-    return class_loss_weights(n_cls, fg, bg)

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
 
-from .balance import DEFAULT_N_CLS
 from .occupancy import GridSpec
 from .synth import BeamSpec, SceneParams
 
@@ -46,7 +45,7 @@ class PipelineConfig:
     target_beams: tuple[BeamSpec, ...] = ()
     grid: GridSpec = field(default_factory=lambda: GridSpec(
         origin_x=-16.0, origin_y=-16.0, cell_size=1.0, h=32, w=32,
-        z_min=-1.0, z_max=3.0, n_cls=DEFAULT_N_CLS))
+        z_min=-1.0, z_max=3.0))
     n_frames: int = 5
     keyframe_hz: float = 10.0
     ego_speed: float = 1.0

@@ -21,12 +21,12 @@ def confusion_matrix(gt: np.ndarray, pred: np.ndarray, n_classes: int) -> np.nda
         n_classes, n_classes).astype(np.int64)
 
 
-def miou(cm: np.ndarray, ignore_empty: bool = True) -> tuple[np.ndarray, float]:
+def miou(cm: np.ndarray) -> tuple[np.ndarray, float]:
     """Per-class IoU = TP / (TP + FP + FN) and their mean.
 
     Classes with no support at all (TP + FP + FN = 0) get NaN and are
-    excluded from the mean rather than counted as zero; `ignore_empty`
-    additionally drops class 0 from the mean.
+    excluded from the mean rather than counted as zero; class 0 (empty)
+    is left out of the mean too.
     """
     cm = np.asarray(cm, dtype=np.float64)
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1]:
@@ -38,8 +38,6 @@ def miou(cm: np.ndarray, ignore_empty: bool = True) -> tuple[np.ndarray, float]:
     iou = np.where(denom > 0, tp / np.where(denom > 0, denom, 1.0), np.nan)
 
     mean_mask = denom > 0
-    if ignore_empty:
-        mean_mask = mean_mask.copy()
-        mean_mask[0] = False
+    mean_mask[0] = False
     mean = float(iou[mean_mask].mean()) if mean_mask.any() else float("nan")
     return iou, mean

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..balance import class_loss_weights
 from ..cloud import PointCloud
 from ..config import ConfigError, PipelineConfig
 from ..formats import FormatError, read_checkpoint, write_checkpoint
@@ -38,12 +37,15 @@ class NumericalError(RuntimeError):
 
 
 def loss_weights(cfg: PipelineConfig) -> np.ndarray:
-    """Length ``grid.n_cls + 1``: ``loss.w_fg`` on the foreground classes,
-    ``loss.w_bg`` on the others, ``loss.w_empty`` on empty (index 0)."""
-    fg = list(cfg.foreground_classes)
-    bg = [c for c in range(1, cfg.grid.n_cls + 1) if c not in fg]
-    return class_loss_weights(cfg.grid.n_cls, fg, bg,
-                              w_fg=cfg.w_fg, w_bg=cfg.w_bg, w_empty=cfg.w_empty)
+    """Per-class loss weights, length ``grid.n_cls + 1``, read from the
+    config alone: ``loss.w_empty`` on empty (index 0), ``loss.w_fg`` on
+    ``balance.foreground_classes`` and ``loss.w_bg`` on every other class.
+    The config checks that the weights are positive and that the
+    foreground ids lie in ``1..grid.n_cls``."""
+    w = np.full(cfg.grid.n_cls + 1, cfg.w_bg)
+    w[0] = cfg.w_empty
+    w[list(cfg.foreground_classes)] = cfg.w_fg
+    return w
 
 
 def one_cycle_lr(step: int, total_steps: int, peak: float) -> float:

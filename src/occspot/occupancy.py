@@ -15,9 +15,12 @@ The split tests a point against a box exactly only when it lies inside the
 box's widened xy bounding circle, and votes are integer counts from one
 ``np.bincount``, so neither shortcut changes a label.
 
-Plurality ties go to the class with the larger default loss weight
-(``balance.default_loss_weights``), then to the smaller class id,
-protecting rare foreground classes.
+Plurality ties go to the smaller class id, and empty (0) loses every tie.
+The common traffic classes hold the lowest ids (``CLASS_NAMES``), so this
+is the same order as ranking by default loss weight (2.0 on 1-5, 1.0 on
+the rest, 0.01 on empty) and then by id, at every class count.  The grids
+depend on no loss setting: ``balance.foreground_classes`` changes only
+training.
 """
 
 from __future__ import annotations
@@ -29,17 +32,24 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .balance import default_loss_weights
 from .cloud import BoxLabel, LidarSequence, PointCloud, transform, validate_labels
 
 __all__ = [
-    "GridSpec", "OccupancyGrid", "SplitResult",
+    "CLASS_NAMES", "DEFAULT_N_CLS", "GridSpec", "OccupancyGrid", "SplitResult",
     "split_dynamic_static", "aggregate", "knn_label", "voxelize_bev",
     "make_occupancy",
 ]
 
 DEFAULT_DENSIFY_RADIUS = 0.4
 DEFAULT_DENSIFY_K = 5
+
+#: Default 15-class schema; index 0 is the reserved "empty" state.
+CLASS_NAMES = (
+    "empty", "car", "pedestrian", "cyclist", "bicycle", "motorcycle",
+    "truck", "bus", "other_vehicle", "traffic_cone", "barrier",
+    "road", "sidewalk", "building", "vegetation", "ground",
+)
+DEFAULT_N_CLS = len(CLASS_NAMES) - 1
 
 
 @dataclass(frozen=True)
@@ -58,7 +68,7 @@ class GridSpec:
     w: int
     z_min: float
     z_max: float
-    n_cls: int = 15
+    n_cls: int = DEFAULT_N_CLS
 
     def __post_init__(self):
         if self.cell_size <= 0:
@@ -198,10 +208,8 @@ def aggregate(seq: LidarSequence, keyframe: int) -> tuple[PointCloud, np.ndarray
 
 
 def _tie_order(n_cls: int) -> np.ndarray:
-    """Class ids ordered by descending default loss weight, then ascending id."""
-    w = default_loss_weights(n_cls)
-    classes = np.arange(n_cls + 1)
-    return classes[np.lexsort((classes, -w))]
+    """Class ids in the order that wins ties: ``1..n_cls``, then empty."""
+    return np.append(np.arange(1, n_cls + 1), 0)
 
 
 def _votes(rows: np.ndarray, classes: np.ndarray, n_rows: int,
@@ -213,12 +221,12 @@ def _votes(rows: np.ndarray, classes: np.ndarray, n_rows: int,
 
 
 def knn_label(tree: cKDTree, fused_labels: np.ndarray, queries: np.ndarray,
-              k: int, n_cls: int = 15) -> np.ndarray:
+              k: int, n_cls: int) -> np.ndarray:
     """Majority label of the k nearest fused points per query (Euclidean).
 
     `tree` is a ``cKDTree`` over the fused points, built with the default
-    parameters; `fused_labels` is aligned with its data.  Vote ties break
-    toward the larger loss weight, then the smaller id.
+    parameters; `fused_labels` is aligned with its data.  Vote ties go to
+    the smaller class id, with empty last.
     """
     if tree.n == 0:
         raise ValueError("cannot KNN-label against an empty fused cloud")

@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from occspot.balance import default_loss_weights
 from occspot.cloud import BoxLabel, PointCloud
 from occspot.config import PipelineConfig
 from occspot.learn import PILLAR_DIM
@@ -147,10 +146,19 @@ def pillar_features_reference(cloud, spec) -> np.ndarray:
     return sums.reshape(spec.h, spec.w, PILLAR_DIM)
 
 
-def knn_label_brute(fused_xyz, fused_labels, queries, k, n_cls=15,
-                    tie_weights=None) -> np.ndarray:
-    """Exhaustive nearest-neighbor majority labeling, one query at a time."""
-    w = default_loss_weights(n_cls) if tie_weights is None else np.asarray(tie_weights)
+def tie_weights(n_cls: int) -> np.ndarray:
+    """The weights the voting oracles break ties by, written out: 0.01 on
+    empty, 2.0 on the common traffic classes 1-5 and 1.0 on the rest."""
+    w = np.full(n_cls + 1, 1.0)
+    w[0] = 0.01
+    w[1:6] = 2.0
+    return w
+
+
+def knn_label_brute(fused_xyz, fused_labels, queries, k, n_cls) -> np.ndarray:
+    """Exhaustive nearest-neighbor majority labeling, one query at a time.
+    Ties go to the larger :func:`tie_weights` entry, then the smaller id."""
+    w = tie_weights(n_cls)
     out = np.empty(len(queries), dtype=np.int64)
     for qi, q in enumerate(np.atleast_2d(queries)):
         d2 = ((fused_xyz - q) ** 2).sum(axis=1)
@@ -162,9 +170,10 @@ def knn_label_brute(fused_xyz, fused_labels, queries, k, n_cls=15,
     return out
 
 
-def voxelize_brute(xyz, labels, spec, tie_weights=None) -> np.ndarray:
-    """O(N * H * W) per-cell voting oracle."""
-    w = default_loss_weights(spec.n_cls) if tie_weights is None else np.asarray(tie_weights)
+def voxelize_brute(xyz, labels, spec) -> np.ndarray:
+    """O(N * H * W) per-cell voting oracle, with the ties of
+    :func:`knn_label_brute`."""
+    w = tie_weights(spec.n_cls)
     grid = np.zeros((spec.h, spec.w), dtype=np.int64)
     for i in range(spec.h):
         y0 = spec.origin_y + i * spec.cell_size

@@ -1,12 +1,16 @@
-"""Every public name is used by the package itself.
+"""Every public name, and every defaulted parameter, is used by the package.
 
 A name in a module's ``__all__`` that nothing in ``src/`` refers to, apart
 from its own definition, is code that only its tests reach: either a later
-change wires it in, or it goes.  The allow-list below names each exception
-and why it stays.
+change wires it in, or it goes.  Likewise a parameter with a default that
+no call in ``src/`` sets, by keyword or by position, is a setting only the
+tests change.  Calls are matched to functions by name alone, so the check
+may miss an unset parameter but never reports a set one.  The allow-lists
+below name each exception and why it stays.
 """
 
 import ast
+import math
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -27,6 +31,14 @@ ALLOWED = {
     "occspot.theory.check_bayes_bound": "validated entry point, oracle-tested",
     "occspot.theory.lemma1_decomposition":
         "validated entry point, oracle-tested",
+}
+
+
+#: defaulted parameters that no call in src/ sets, each with its reason
+ALLOWED_DEFAULTS = {
+    "occspot.cli.main(argv)": "set by the tests and perfbench/flow.py",
+    "occspot.synth.scan(time_s)":
+        "set positionally through functools.partial plus map",
 }
 
 
@@ -86,6 +98,62 @@ def unreferenced() -> set[str]:
     return out
 
 
+def functions(tree: ast.Module):
+    """(qualified name, node, is_method) of every function in the module."""
+    owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+             for f in c.body if isinstance(f, ast.FunctionDef)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            cls = owner.get(id(node))
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            name = node.name if cls is None else f"{cls}.{node.name}"
+            yield name, node, cls is not None and not static
+
+
+def defaulted(fn: ast.FunctionDef, method: bool) -> dict[str, int | None]:
+    """Each defaulted parameter -> its index among the arguments a call
+    passes by position, or None if it is keyword-only."""
+    pos = fn.args.posonlyargs + fn.args.args
+    first = len(pos) - len(fn.args.defaults)
+    out = {p.arg: i - int(method) for i, p in enumerate(pos) if i >= first}
+    out.update({p.arg: None for p, d in zip(fn.args.kwonlyargs,
+                                            fn.args.kw_defaults)
+                if d is not None})
+    return out
+
+
+def calls(trees: dict[str, ast.Module]):
+    """(called name, positional count, keyword names) of every call; a
+    ``*args`` counts as every position and a ``**kwargs`` as every name."""
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            n_pos = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                     else len(node.args))
+            kws = {k.arg for k in node.keywords}
+            yield name, n_pos, kws
+
+
+def unset_defaults(trees: dict[str, ast.Module]) -> set[str]:
+    seen = list(calls(trees))
+    out = set()
+    for module, tree in trees.items():
+        for name, fn, method in functions(tree):
+            short = name.rsplit(".", 1)[-1]
+            mine = [(n, kws) for c, n, kws in seen if c == short]
+            for param, index in defaulted(fn, method).items():
+                if not any(param in kws or None in kws
+                           or (index is not None and n > index)
+                           for n, kws in mine):
+                    out.add(f"{module}.{name}({param})")
+    return out
+
+
 def test_every_public_name_is_used_in_src():
     assert unreferenced() == set(ALLOWED)
 
@@ -98,3 +166,21 @@ def test_the_check_sees_an_unused_name():
     assert exported(tree) == ["used", "unused"]
     assert "used" in set(references(tree, definition(tree, "used")))
     assert "unused" not in set(references(tree, definition(tree, "unused")))
+
+
+def test_every_defaulted_parameter_is_set_in_src():
+    assert unset_defaults(parse_src()) == set(ALLOWED_DEFAULTS)
+
+
+def test_the_check_sees_an_unset_default():
+    tree = ast.parse("def f(a, b=1, *, c=2, d=3):\n    return a\n"
+                     "class K:\n"
+                     "    def m(self, x=0, y=0):\n        return f(1, 2, d=4)\n"
+                     "    @staticmethod\n"
+                     "    def s(u=0, v=0):\n        return u\n"
+                     "K().m(5)\nK.s(1)\n")
+    assert unset_defaults({"toy": tree}) == {"toy.f(c)", "toy.K.m(y)",
+                                             "toy.K.s(v)"}
+    star = ast.parse("def g(a=1, *, b=2):\n    return a\n"
+                     "g(*[0], **{})\n")
+    assert unset_defaults({"toy": star}) == set()

@@ -4,8 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from occspot.balance import (ClassStats, class_loss_weights, class_stats,
-                             default_loss_weights, frame_weights,
+from occspot.balance import (ClassStats, class_stats, frame_weights,
                              resample_frames, sampling_weights)
 
 
@@ -138,29 +137,3 @@ class TestResampleFrames:
         with pytest.raises(ValueError):
             resample_frames(np.array([1.0]), 0, 0)
 
-
-class TestLossWeights:
-    def test_default_schema(self):
-        w = default_loss_weights(15)
-        assert w[0] == pytest.approx(0.01)
-        for c in (1, 2, 3, 4, 5):
-            assert w[c] == 2.0
-        for c in range(6, 16):
-            assert w[c] == 1.0
-
-    def test_minimal_schema(self):
-        w = class_loss_weights(1, foreground=[1], background=[])
-        np.testing.assert_allclose(w, [0.01, 2.0])
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError, match="both"):
-            class_loss_weights(3, foreground=[1, 2], background=[2, 3])
-
-    def test_incomplete_partition_rejected(self):
-        with pytest.raises(ValueError, match="partition"):
-            class_loss_weights(3, foreground=[1], background=[3])
-
-    def test_strictly_positive_and_empty_smallest(self):
-        w = default_loss_weights(15)
-        assert (w > 0).all()
-        assert w[0] == w.min() and (w[1:] > w[0]).all()

@@ -6,11 +6,11 @@ import pytest
 from helpers import (central_diff, grad_rel_err, guarded_directional_checks,
                      jaccard_loss_brute, lovasz_region_signature, rel_err)
 
-from occspot.balance import default_loss_weights
-from occspot.learn import (lovasz_softmax, softmax_field, softmax_vjp,
-                           total_loss, weighted_ce)
+from occspot.config import PipelineConfig
+from occspot.learn import (loss_weights, lovasz_softmax, softmax_field,
+                           softmax_vjp, total_loss, weighted_ce)
 
-W15 = default_loss_weights(15)
+W15 = loss_weights(PipelineConfig())
 
 
 def random_instance(seed, h=6, w=6, n_cls=15, scale=2.0):

@@ -4,11 +4,10 @@ import pytest
 from helpers import (lovasz_region_signature, pillar_features_reference,
                      rel_err, toy_config)
 
-from occspot.balance import default_loss_weights
 from occspot.cloud import PointCloud
-from occspot.learn import (PILLAR_DIM, init_params, model_backward,
-                           model_forward, pillar_features, softmax_field,
-                           total_loss)
+from occspot.learn import (PILLAR_DIM, init_params, loss_weights,
+                           model_backward, model_forward, pillar_features,
+                           softmax_field, total_loss)
 from occspot.learn.model import (conv_backward_input, conv_backward_weight,
                                  conv_forward, flatten_params,
                                  tconv_backward, tconv_forward,
@@ -16,7 +15,7 @@ from occspot.learn.model import (conv_backward_input, conv_backward_weight,
 from occspot.occupancy import GridSpec
 
 CFG = toy_config()  # 15 classes, channels (6, 8, 8)
-W15 = default_loss_weights(15)
+W15 = loss_weights(CFG)
 
 
 def grid16():

@@ -6,14 +6,18 @@ from scipy.spatial import cKDTree
 
 from helpers import (box_surface_distance, knn_label_brute,
                      point_in_box_brute, scene_surface_distance,
-                     split_reference, voxelize_brute)
+                     split_reference, tie_weights, voxelize_brute)
 
 from occspot.cloud import BoxLabel, LidarSequence, PointCloud, Pose, transform
-from occspot.occupancy import (GridSpec, OccupancyGrid, aggregate, knn_label,
-                               make_occupancy, split_dynamic_static,
+from occspot.occupancy import (GridSpec, OccupancyGrid, _tie_order, aggregate,
+                               knn_label, make_occupancy, split_dynamic_static,
                                voxelize_bev)
 from occspot.synth import (BeamSpec, Scene, SceneParams, build_scene,
                            generate_sequence)
+
+
+#: class counts at the edges of the foreground block 1-5
+EDGE_N_CLS = (1, 5, 6, 15)
 
 
 def small_spec(h=16, w=16, cell=1.0, n_cls=15):
@@ -193,36 +197,47 @@ class TestKnnLabel:
     def test_coincident_point_k1(self):
         tree = cKDTree([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]])
         labels = np.array([7, 2])
-        out = knn_label(tree, labels, np.array([[0.0, 0.0, 0.0]]), k=1)
+        out = knn_label(tree, labels, np.array([[0.0, 0.0, 0.0]]), k=1,
+                        n_cls=15)
         assert out.tolist() == [7]
 
     def test_majority_of_three(self):
         tree = cKDTree([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0], [9, 9, 9]])
         labels = np.array([2, 2, 5, 5])
-        out = knn_label(tree, labels, np.array([[0.0, 0.0, 0.0]]), k=3)
+        out = knn_label(tree, labels, np.array([[0.0, 0.0, 0.0]]), k=3,
+                        n_cls=15)
         assert out.tolist() == [2]
 
     def test_empty_fused_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             knn_label(cKDTree(np.zeros((0, 3))), np.zeros(0),
-                      np.zeros((1, 3)), k=1)
+                      np.zeros((1, 3)), k=1, n_cls=15)
 
     def test_labels_must_align_with_tree(self):
         with pytest.raises(ValueError, match="length 2"):
             knn_label(cKDTree(np.zeros((2, 3))), np.zeros(3),
-                      np.zeros((1, 3)), k=1)
+                      np.zeros((1, 3)), k=1, n_cls=15)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
-        for trial in range(20):
-            n = int(rng.integers(50, 400))
-            fused = PointCloud(rng.normal(0, 5, (n, 3)))
-            labels = rng.integers(0, 16, n)
-            queries = rng.normal(0, 5, (25, 3))
-            k = int(rng.integers(1, 9))
-            got = knn_label(cKDTree(fused.xyz), labels, queries, k)
-            want = knn_label_brute(fused.xyz, labels, queries, k)
-            np.testing.assert_array_equal(got, want)
+        for n_cls in EDGE_N_CLS:
+            for trial in range(20):
+                n = int(rng.integers(50, 400))
+                fused = PointCloud(rng.normal(0, 5, (n, 3)))
+                labels = rng.integers(0, n_cls + 1, n)
+                queries = rng.normal(0, 5, (25, 3))
+                k = int(rng.integers(1, 9))
+                got = knn_label(cKDTree(fused.xyz), labels, queries, k, n_cls)
+                want = knn_label_brute(fused.xyz, labels, queries, k, n_cls)
+                np.testing.assert_array_equal(got, want)
+
+
+def test_tie_order_is_the_oracles_rule():
+    # larger tie weight first, then smaller id, at every class count
+    for n_cls in range(1, 256):
+        w = tie_weights(n_cls)
+        want = sorted(range(n_cls + 1), key=lambda c: (-w[c], c))
+        assert _tie_order(n_cls).tolist() == want
 
 
 class TestVoxelize:
@@ -243,19 +258,20 @@ class TestVoxelize:
 
     def test_matches_brute_force_voting(self):
         rng = np.random.default_rng(6)
-        for trial in range(15):
-            n = int(rng.integers(1, 2000))
-            spec = GridSpec(origin_x=float(rng.uniform(-4, 0)),
-                            origin_y=float(rng.uniform(-4, 0)),
-                            cell_size=float(rng.uniform(0.4, 1.5)),
-                            h=int(rng.integers(4, 24)),
-                            w=int(rng.integers(4, 24)),
-                            z_min=-1.0, z_max=2.0, n_cls=15)
-            xyz = rng.uniform(-6, 14, (n, 3)) * [1, 1, 0.25]
-            labels = rng.integers(0, 16, n)
-            got = voxelize_bev(PointCloud(xyz), labels, spec)
-            np.testing.assert_array_equal(got.labels,
-                                          voxelize_brute(xyz, labels, spec))
+        for n_cls in EDGE_N_CLS:
+            for trial in range(15):
+                n = int(rng.integers(1, 2000))
+                spec = GridSpec(origin_x=float(rng.uniform(-4, 0)),
+                                origin_y=float(rng.uniform(-4, 0)),
+                                cell_size=float(rng.uniform(0.4, 1.5)),
+                                h=int(rng.integers(4, 24)),
+                                w=int(rng.integers(4, 24)),
+                                z_min=-1.0, z_max=2.0, n_cls=n_cls)
+                xyz = rng.uniform(-6, 14, (n, 3)) * [1, 1, 0.25]
+                labels = rng.integers(0, n_cls + 1, n)
+                got = voxelize_bev(PointCloud(xyz), labels, spec)
+                np.testing.assert_array_equal(
+                    got.labels, voxelize_brute(xyz, labels, spec))
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(7)

@@ -6,8 +6,7 @@ import pytest
 
 from helpers import toy_config
 
-from occspot.balance import default_loss_weights
-from occspot.config import ConfigError
+from occspot.config import ConfigError, PipelineConfig
 from occspot.formats import FormatError, read_checkpoint, write_checkpoint
 from occspot.learn import (NumericalError, confusion_matrix, evaluate,
                            load_model, loss_weights, miou, one_cycle_lr,
@@ -142,11 +141,33 @@ class TestTrainingLoops:
             assert train(pre, samples, other, seed=4)[1] != base
 
     def test_loss_weights_follow_the_config(self):
-        np.testing.assert_array_equal(loss_weights(CFG),
-                                      default_loss_weights(15))
+        assert loss_weights(CFG).tolist() == [0.01] + [2.0] * 5 + [1.0] * 10
         w = loss_weights(toy_config(foreground_classes=(2,), w_fg=3.0,
                                     w_bg=0.5, w_empty=0.25))
         assert w.tolist() == [0.25, 0.5, 3.0] + [0.5] * 13
+
+
+class TestLossWeights:
+    def test_default_schema(self):
+        w = loss_weights(PipelineConfig())
+        assert w.shape == (16,) and w.dtype == np.float64
+        assert w[0] == pytest.approx(0.01)
+        for c in (1, 2, 3, 4, 5):
+            assert w[c] == 2.0
+        for c in range(6, 16):
+            assert w[c] == 1.0
+
+    def test_minimal_schema(self):
+        cfg = toy_config(grid=replace(CFG.grid, n_cls=1),
+                         scene=replace(CFG.scene, ground_class=1,
+                                       class_mix={1: 1.0}),
+                         foreground_classes=(1,))
+        np.testing.assert_allclose(loss_weights(cfg), [0.01, 2.0])
+
+    def test_strictly_positive_and_empty_smallest(self):
+        w = loss_weights(PipelineConfig())
+        assert (w > 0).all()
+        assert w[0] == w.min() and (w[1:] > w[0]).all()
 
 
 class TestCheckpoints:
@@ -210,9 +231,9 @@ class TestCheckpoints:
 class TestMiou:
     def test_diagonal_perfect(self):
         cm = np.diag([5, 3, 2])
-        iou, mean = miou(cm, ignore_empty=False)
+        iou, mean = miou(cm)
         np.testing.assert_allclose(iou, [1.0, 1.0, 1.0])
-        assert mean == 1.0
+        assert np.nanmean(iou) == 1.0 and mean == 1.0
 
     def test_two_class_worked_example(self):
         # realize TP=(8,2), FP=(1,3), FN=(2,1) for the first two classes;
@@ -226,7 +247,7 @@ class TestMiou:
         assert tp[:2].tolist() == [8, 2]
         assert fp[:2].tolist() == [1, 3]
         assert fn[:2].tolist() == [2, 1]
-        iou, _ = miou(cm, ignore_empty=False)
+        iou, _ = miou(cm)
         assert iou[0] == pytest.approx(8 / 11)
         assert iou[1] == pytest.approx(2 / 6)
         assert (iou[0] + iou[1]) / 2 == pytest.approx(0.53030, abs=1e-5)
@@ -235,8 +256,9 @@ class TestMiou:
         cm = np.zeros((3, 3), dtype=int)
         cm[0, 0] = 4
         cm[1, 1] = 2
-        iou, mean = miou(cm, ignore_empty=False)
+        iou, mean = miou(cm)
         assert np.isnan(iou[2])
+        assert np.nanmean(iou) == pytest.approx(1.0)
         assert mean == pytest.approx(1.0)
 
     def test_ignore_empty(self):
@@ -244,17 +266,17 @@ class TestMiou:
         cm[0, 0] = 4
         cm[1, 1] = 1
         cm[1, 0] = 1
-        _, mean = miou(cm, ignore_empty=True)
+        _, mean = miou(cm)
         assert mean == pytest.approx(0.5)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(14)
         cm = rng.integers(0, 30, (5, 5))
         perm = rng.permutation(5)
-        a_iou, a_mean = miou(cm, ignore_empty=False)
-        b_iou, b_mean = miou(cm[np.ix_(perm, perm)], ignore_empty=False)
+        a_iou, _ = miou(cm)
+        b_iou, _ = miou(cm[np.ix_(perm, perm)])
         np.testing.assert_allclose(np.sort(a_iou), np.sort(b_iou))
-        assert a_mean == pytest.approx(b_mean)
+        assert np.nanmean(a_iou) == pytest.approx(np.nanmean(b_iou))
 
     def test_confusion_matrix_layout(self):
         cm = confusion_matrix(np.array([0, 0, 1]), np.array([0, 1, 1]), 2)
