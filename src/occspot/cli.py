@@ -5,9 +5,10 @@ finetune, eval-miou, theory-check.  Every run writes outputs atomically and
 drops a JSON run manifest (config hash, seed, versions) next to them, so an
 artifact can be regenerated bit-exactly from its manifest.
 
-Exit codes: 0 success, 2 config error (including a checkpoint whose
-architecture disagrees with the config), 3 data error, 4 numerical failure.
-OCCSPOT_THREADS caps internal worker count.
+Exit codes: 0 success, 2 config or usage error (including a checkpoint
+whose architecture disagrees with the config, an OCCSPOT_THREADS that is not
+a positive integer and a ``finetune --labels`` below 1), 3 data error, 4
+numerical failure.  OCCSPOT_THREADS caps internal worker count (default 1).
 """
 
 from __future__ import annotations
@@ -97,10 +98,11 @@ def _load_dataset_dirs(data_dir: Path) -> list[Path]:
 def cmd_gen_scenes(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
+    workers = worker_count()
     out = Path(args.out)
     # an earlier run's manifest must not vouch for a tree this run rewrites
     (out / "manifest.json").unlink(missing_ok=True)
-    seq_dirs = generate_dataset(cfg, out, seed=seed, workers=worker_count())
+    seq_dirs = generate_dataset(cfg, out, seed, workers)
     _write_manifest(out / "manifest.json", "gen-scenes", cfg, seed,
                     [d.name for d in seq_dirs])
     print(f"wrote {len(seq_dirs)} sequences to {out}")
@@ -165,7 +167,7 @@ def cmd_pretrain(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     seq_dirs = _load_dataset_dirs(Path(args.data))
     seqs = [load_sequence(d) for d in seq_dirs]
-    samples = build_samples(seqs, cfg, augment=True, seed=seed)
+    samples = build_samples(seqs, cfg, seed)
     params, trace = train(None, samples, cfg, seed)
     out = Path(args.out)
     save_model(out, params, cfg, seed, extra={"loss_trace": trace})
@@ -178,16 +180,16 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
+    if args.labels < 1:
+        raise ConfigError(f"--labels must be >= 1, got {args.labels}")
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
     pretrained = load_model(args.ckpt, cfg)
     seq_dirs = _load_dataset_dirs(Path(args.data))
-    if args.labels < 1:
-        raise DataError("empty fine-tune set: --labels must be >= 1")
     if args.labels > len(seq_dirs):
         raise DataError(f"--labels {args.labels} exceeds {len(seq_dirs)} sequences")
     seqs = [load_sequence(d) for d in seq_dirs[:args.labels]]
-    samples = build_samples(seqs, cfg, augment=False, seed=seed)
+    samples = build_samples(seqs, cfg, None)
     params, trace = train(pretrained, samples, cfg, seed)
     out = Path(args.out)
     save_model(out, params, cfg, seed, extra={"loss_trace": trace,
@@ -205,13 +207,17 @@ def cmd_eval_miou(args) -> int:
     params = load_model(args.ckpt, cfg)
     seq_dirs = _load_dataset_dirs(Path(args.data))
     seqs = [load_sequence(d) for d in seq_dirs]
-    samples = build_samples(seqs, cfg, augment=False)
+    samples = build_samples(seqs, cfg, None)
     _, iou, mean = evaluate(params, samples, cfg)
-    per_class = {str(i): (None if np.isnan(v) else round(float(v), 6))
-                 for i, v in enumerate(iou)}
-    print(json.dumps({"miou": round(float(mean), 6), "iou": per_class},
+    per_class = {str(i): _json_ratio(v) for i, v in enumerate(iou)}
+    print(json.dumps({"miou": _json_ratio(mean), "iou": per_class},
                      indent=2))
     return EXIT_OK
+
+
+def _json_ratio(v) -> float | None:
+    """An IoU for JSON: NaN (no support) is null, else rounded to 6 places."""
+    return None if np.isnan(v) else round(float(v), 6)
 
 
 def cmd_theory_check(args) -> int:

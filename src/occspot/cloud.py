@@ -11,14 +11,15 @@ Coordinate conventions used throughout the package:
   from +x; "flip along x" mirrors across the x-axis (negates y).
 
 Angles are radians everywhere inside the library; degrees appear only at the
-config/CLI boundary.
+config/CLI boundary.  Points travel as (N, 3) arrays, one row per point,
+even when N is 1.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,32 +38,29 @@ __all__ = [
 
 def _as_points(xyz) -> np.ndarray:
     arr = np.asarray(xyz, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError(f"expected (N, 3) coordinates, got shape {arr.shape}")
     return arr
 
 
-def wrap_angle(a):
-    """Wrap angle(s) to the interval (-pi, pi]."""
-    a = np.asarray(a, dtype=np.float64)
+def wrap_angle(a: np.ndarray) -> np.ndarray:
+    """Wrap an array of angles to the interval (-pi, pi]."""
     wrapped = np.remainder(a + np.pi, 2.0 * np.pi) - np.pi
-    wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
-    return float(wrapped) if wrapped.ndim == 0 else wrapped
+    return np.where(wrapped == -np.pi, np.pi, wrapped)
 
 
 @dataclass(frozen=True)
 class PointCloud:
     """An ordered set of N points with d extra feature channels each.
 
-    ``xyz`` is (N, 3) float64, ``feat`` is (N, d) float64 (d >= 0, d=1
-    intensity by default).  Arrays are copied and frozen at construction;
-    instances are immutable values, safe to share across threads.
+    ``xyz`` is (N, 3) float64, ``feat`` is (N, d) float64 (d >= 0; the
+    synthetic scans carry d=1, the normalized range).  Arrays are copied and
+    frozen at construction; instances are immutable values, safe to share
+    across threads.
     """
 
     xyz: np.ndarray
-    feat: np.ndarray = field(default=None)  # type: ignore[assignment]
+    feat: np.ndarray
 
     def __post_init__(self):
         xyz = np.array(self.xyz, dtype=np.float64, copy=True)
@@ -70,16 +68,11 @@ class PointCloud:
             raise ValueError(f"xyz must be (N, 3), got {xyz.shape}")
         if not np.isfinite(xyz).all():
             raise ValueError("point coordinates must be finite")
-        feat = self.feat
-        if feat is None:
-            feat = np.zeros((xyz.shape[0], 0), dtype=np.float64)
-        feat = np.array(feat, dtype=np.float64, copy=True)
-        if feat.ndim == 1:
-            feat = feat[:, None]
-        if feat.shape[0] != xyz.shape[0]:
+        feat = np.array(self.feat, dtype=np.float64, copy=True)
+        if feat.ndim != 2 or feat.shape[0] != xyz.shape[0]:
             raise ValueError(
-                f"feature rows ({feat.shape[0]}) must match point count ({xyz.shape[0]})"
-            )
+                f"feat must be (N, d) with N = {xyz.shape[0]} points, "
+                f"got {feat.shape}")
         xyz.setflags(write=False)
         feat.setflags(write=False)
         object.__setattr__(self, "xyz", xyz)
@@ -127,9 +120,8 @@ class Pose:
         object.__setattr__(self, "translation", t)
 
     def apply(self, xyz: np.ndarray) -> np.ndarray:
-        pts = _as_points(xyz)
-        out = pts @ self.rotation.T + self.translation
-        return out[0] if np.asarray(xyz).ndim == 1 else out
+        """World coordinates of the (N, 3) local points `xyz`."""
+        return _as_points(xyz) @ self.rotation.T + self.translation
 
 
 @dataclass(frozen=True)
@@ -179,8 +171,9 @@ class BoxLabel:
                         self.l, self.w, self.h, self.yaw,
                         self.vx, self.vy, self.class_id, self.is_dynamic)
 
-    def contains(self, xyz: np.ndarray, atol: float = 0.0) -> np.ndarray:
-        """Inclusive point-in-box test; returns a boolean mask."""
+    def contains(self, xyz: np.ndarray, atol: float) -> np.ndarray:
+        """Inclusive point-in-box test of (N, 3) points, with each half
+        extent widened by `atol`; returns an (N,) boolean mask."""
         pts = _as_points(xyz)
         local = pts - self.center
         c, s = math.cos(-self.yaw), math.sin(-self.yaw)
@@ -191,7 +184,7 @@ class BoxLabel:
             & (np.abs(ly) <= self.w / 2.0 + atol)
             & (np.abs(local[:, 2]) <= self.h / 2.0 + atol)
         )
-        return inside if np.asarray(xyz).ndim > 1 else bool(inside[0])
+        return inside
 
 
 @dataclass(frozen=True)
@@ -224,16 +217,12 @@ class LidarSequence:
 
 
 def to_spherical(xyz) -> np.ndarray:
-    """Cartesian -> spherical coordinates, columns ``(r, azimuth, elevation)``.
+    """(N, 3) Cartesian -> (N, 3) spherical, columns ``(r, azimuth, elevation)``.
 
     ``r = sqrt(x^2+y^2+z^2)``, ``azimuth = atan2(x, y)`` in (-pi, pi],
     ``elevation = atan2(z, hypot(x, y))`` in [-pi/2, pi/2].  The origin maps
     to ``(0, 0, 0)`` by convention; a warning flags that case.
-
-    Accepts a single (3,) point or an (N, 3) array and returns the matching
-    shape with three columns.
     """
-    single = np.asarray(xyz).ndim == 1
     pts = _as_points(xyz)
     if not np.isfinite(pts).all():
         raise ValueError("coordinates must be finite")
@@ -248,27 +237,20 @@ def to_spherical(xyz) -> np.ndarray:
                       stacklevel=2)
         az = np.where(at_origin, 0.0, az)
         el = np.where(at_origin, 0.0, el)
-    out = np.stack([r, az, el], axis=-1)
-    return out[0] if single else out
+    return np.stack([r, az, el], axis=-1)
 
 
 def from_spherical(sph) -> np.ndarray:
-    """Inverse of :func:`to_spherical`; columns ``(r, azimuth, elevation)``.
+    """Inverse of :func:`to_spherical`: (N, 3) rows ``(r, azimuth,
+    elevation)`` -> (N, 3) Cartesian.
 
     ``x = r cos(el) sin(az)``, ``y = r cos(el) cos(az)``, ``z = r sin(el)``.
     """
-    single = np.asarray(sph).ndim == 1
-    arr = np.asarray(sph, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.shape[-1] != 3:
-        raise ValueError(f"expected (..., 3) spherical coords, got {arr.shape}")
-    r, az, el = arr[:, 0], arr[:, 1], arr[:, 2]
+    r, az, el = _as_points(sph).T
     if (r < 0).any():
         raise ValueError("range r must be >= 0")
     ce = np.cos(el)
-    out = np.stack([r * ce * np.sin(az), r * ce * np.cos(az), r * np.sin(el)], axis=-1)
-    return out[0] if single else out
+    return np.stack([r * ce * np.sin(az), r * ce * np.cos(az), r * np.sin(el)], axis=-1)
 
 
 def transform(cloud: PointCloud, pose: Pose) -> PointCloud:

@@ -97,7 +97,7 @@ def lovasz_grad(fg_sorted: np.ndarray) -> np.ndarray:
 
 
 def lovasz_softmax(pred: np.ndarray, gt: np.ndarray,
-                   classes: str = "present") -> tuple[float, np.ndarray]:
+                   classes: str) -> tuple[float, np.ndarray]:
     """Lovász-Softmax loss and its gradient w.r.t. the probabilities.
 
     ``classes="present"`` averages over the non-empty classes that occur in
@@ -142,8 +142,7 @@ def lovasz_softmax(pred: np.ndarray, gt: np.ndarray,
 
 
 def total_loss(pred: np.ndarray, gt: np.ndarray, weights: np.ndarray,
-               lam: float = 1.0,
-               lovasz_classes: str = "present") -> tuple[float, np.ndarray]:
+               lam: float, lovasz_classes: str) -> tuple[float, np.ndarray]:
     """``L_ce + lam * L_lov`` with the combined gradient w.r.t. the logits."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")

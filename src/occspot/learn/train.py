@@ -183,13 +183,13 @@ def evaluate(params: Params, samples: list[tuple[PointCloud, OccupancyGrid]],
 
 
 def save_model(path, params: Params, cfg: PipelineConfig, seed: int,
-               extra: dict | None = None) -> None:
-    """Write a checkpoint: JSON header (architecture, seed, shapes), f32 blob."""
+               extra: dict) -> None:
+    """Write a checkpoint: JSON header (architecture, seed, shapes and the
+    caller's `extra` record), f32 blob."""
     model = {"n_cls": cfg.grid.n_cls, "channels": list(cfg.channels)}
     header = {"model": model, "seed": seed,
-              "params": {k: list(v.shape) for k, v in params.items()}}
-    if extra:
-        header["extra"] = extra
+              "params": {k: list(v.shape) for k, v in params.items()},
+              "extra": extra}
     write_checkpoint(path, header, flatten_params(params))
 
 

@@ -40,9 +40,6 @@ __all__ = [
     "make_occupancy",
 ]
 
-DEFAULT_DENSIFY_RADIUS = 0.4
-DEFAULT_DENSIFY_K = 5
-
 #: Default 15-class schema; index 0 is the reserved "empty" state.
 CLASS_NAMES = (
     "empty", "car", "pedestrian", "cyclist", "bicycle", "motorcycle",
@@ -58,7 +55,9 @@ class GridSpec:
 
     ``origin_x/origin_y`` is the minimum corner; cell (i, j) covers
     ``[origin + idx*cell, origin + (idx+1)*cell)`` with i along y and j
-    along x.  Points bin only when z lies in ``[z_min, z_max]``.
+    along x.  Points bin only when z lies in ``[z_min, z_max]``.  Labels
+    and ``n_cls`` are stored as one byte each (SPTL, SPOG), so ``n_cls``
+    lies in ``1..255``.
     """
 
     origin_x: float
@@ -77,8 +76,9 @@ class GridSpec:
             raise ValueError("z_max must exceed z_min")
         if self.h < 1 or self.w < 1:
             raise ValueError("grid must have at least one cell per axis")
-        if self.n_cls < 1:
-            raise ValueError("n_cls must be >= 1")
+        if not 1 <= self.n_cls <= 255:
+            raise ValueError(f"n_cls must lie in 1..255 (labels are stored "
+                             f"as u8), got {self.n_cls}")
 
     def bin_points(self, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cell indices (i along y, j along x) and the in-bounds mask."""
@@ -132,7 +132,7 @@ class SplitResult(NamedTuple):
 
 
 def split_dynamic_static(cloud: PointCloud, boxes: Sequence[BoxLabel],
-                         atol: float = 0.0) -> SplitResult:
+                         atol: float) -> SplitResult:
     """Partition points: dynamic iff inside a dynamic box (inclusive bounds).
 
     A box is dynamic iff its ``is_dynamic`` flag is set; its speed plays no
@@ -222,7 +222,8 @@ def _votes(rows: np.ndarray, classes: np.ndarray, n_rows: int,
 
 def knn_label(tree: cKDTree, fused_labels: np.ndarray, queries: np.ndarray,
               k: int, n_cls: int) -> np.ndarray:
-    """Majority label of the k nearest fused points per query (Euclidean).
+    """Majority label of the k nearest fused points per row of the (Q, 3)
+    float array `queries` (Euclidean).
 
     `tree` is a ``cKDTree`` over the fused points, built with the default
     parameters; `fused_labels` is aligned with its data.  Vote ties go to
@@ -233,7 +234,6 @@ def knn_label(tree: cKDTree, fused_labels: np.ndarray, queries: np.ndarray,
     if k < 1:
         raise ValueError("k must be >= 1")
     fl = validate_labels(fused_labels, tree.n, n_cls)
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     n_q, k_eff = queries.shape[0], min(k, tree.n)
 
     _, idx = tree.query(queries, k=k_eff)
@@ -261,9 +261,8 @@ def voxelize_bev(cloud: PointCloud, labels: np.ndarray,
     return OccupancyGrid(spec, winner.reshape(spec.h, spec.w))
 
 
-def make_occupancy(seq: LidarSequence, spec: GridSpec, keyframe: int = 0,
-                   densify: bool = True, radius: float = DEFAULT_DENSIFY_RADIUS,
-                   k: int = DEFAULT_DENSIFY_K) -> OccupancyGrid:
+def make_occupancy(seq: LidarSequence, spec: GridSpec, keyframe: int,
+                   densify: bool, radius: float, k: int) -> OccupancyGrid:
     """Occupancy of `seq` at `keyframe`: aggregate -> voxelize (+ KNN densify).
 
     Densification labels only currently-empty cells whose 3D column center

@@ -13,9 +13,9 @@ back.  On-disk layout (all formats from :mod:`occspot.formats`)::
         frame_000.sptc / .sptl / .boxes.jsonl
         ...
 
-Samples for training pair each sequence's keyframe scan (optionally beam
-re-sampled and flipped, with the grid mirrored to match) with the occupancy
-grid aggregated over the whole sequence.
+Samples for training pair each sequence's keyframe scan (beam re-sampled
+and flipped when an augmentation seed is given, with the grid mirrored to
+match) with the occupancy grid aggregated over the whole sequence.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .augment import beam_resample, random_flip, resample_factor
 from .cloud import LidarSequence, PointCloud, Pose, transform
-from .config import PipelineConfig
+from .config import ConfigError, PipelineConfig
 from .formats import (FormatError, atomic_write_text, read_boxes, read_frame,
                       read_labels, write_boxes, write_frame, write_labels)
 from .occupancy import OccupancyGrid, make_occupancy
@@ -42,13 +42,17 @@ __all__ = [
 
 
 def worker_count() -> int:
-    """Worker cap from OCCSPOT_THREADS (>= 1); defaults to 1."""
+    """Worker cap from OCCSPOT_THREADS, 1 when it is unset; a value that is
+    not a positive integer is a ConfigError."""
     raw = os.environ.get("OCCSPOT_THREADS", "1")
     try:
         n = int(raw)
     except ValueError:
-        raise ValueError(f"OCCSPOT_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
+        n = 0
+    if n < 1:
+        raise ConfigError(
+            f"OCCSPOT_THREADS must be a positive integer, got {raw!r}")
+    return n
 
 
 def ego_trajectory(cfg: PipelineConfig) -> list[Pose]:
@@ -73,19 +77,17 @@ def write_sequence(seq_dir, seq: LidarSequence, keyframe_hz: float) -> None:
         write_boxes(seq_dir / f"frame_{f:03d}.boxes.jsonl", seq.boxes[f])
 
 
-def generate_dataset(cfg: PipelineConfig, out_dir, seed: int | None = None,
-                     workers: int | None = None) -> list[Path]:
+def generate_dataset(cfg: PipelineConfig, out_dir, seed: int,
+                     workers: int) -> list[Path]:
     """Write ``cfg.n_sequences`` sequence directories; returns their paths.
 
-    Deterministic in (config, seed): sequence i uses the scene sub-stream
-    seed offset by i.
+    Deterministic in (config, seed), whatever the number of `workers`:
+    sequence i uses the i-th draw of the seed's scene sub-stream.
     """
-    root_seed = cfg.seed if seed is None else seed
-    workers = worker_count() if workers is None else workers
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    scene_seeds = substream(root_seed, "scene").integers(2**63, size=cfg.n_sequences)
+    scene_seeds = substream(seed, "scene").integers(2**63, size=cfg.n_sequences)
     poses = ego_trajectory(cfg)
     seq_dirs = []
     for i in range(cfg.n_sequences):
@@ -126,28 +128,31 @@ def sequence_occupancy(seq: LidarSequence, cfg: PipelineConfig) -> OccupancyGrid
 
 
 def build_samples(seqs: list[LidarSequence], cfg: PipelineConfig,
-                  augment: bool = False, seed: int | None = None
+                  augment_seed: int | None
                   ) -> list[tuple[PointCloud, OccupancyGrid]]:
-    """(keyframe cloud, sequence occupancy) pairs, optionally augmented.
+    """(keyframe cloud, sequence occupancy) pairs, one per sequence.
 
-    Augmentation applies beam re-sampling (input-only; targets drawn
-    uniformly from the configured list) and axis flips mirrored onto the
-    grid.  There is no rotation: an arbitrary rotation does not map the
-    label grid onto itself, so ``augment.rotation_range_deg`` has no effect.
+    With `augment_seed` None (fine-tuning, evaluation) the keyframe cloud
+    only moves into the world frame of the grid.  With a seed (pre-training)
+    each sample is augmented from that seed's ``augment`` sub-stream: beam
+    re-sampling (input-only; targets drawn uniformly from the configured
+    list) and axis flips mirrored onto the grid.  There is no rotation: an
+    arbitrary rotation does not map the label grid onto itself, so
+    ``augment.rotation_range_deg`` has no effect.
     """
-    rng = substream(cfg.seed if seed is None else seed, "augment")
+    rng = None if augment_seed is None else substream(augment_seed, "augment")
     samples = []
     for seq in seqs:
         grid = sequence_occupancy(seq, cfg)
         cloud = seq.frames[cfg.keyframe]
-        if augment and cfg.target_beams:
+        if rng is not None and cfg.target_beams:
             # re-sample in the sensor frame, where elevations mean beams
             target = cfg.target_beams[int(rng.integers(len(cfg.target_beams)))]
             factor = resample_factor(cfg.source_beams, target)
             cloud, _ = beam_resample(cloud, seq.labels[cfg.keyframe], factor,
                                      seed=int(rng.integers(2**63)))
         cloud = transform(cloud, seq.poses[cfg.keyframe])  # align with the grid
-        if augment:
+        if rng is not None:
             # PipelineConfig guarantees a centred grid when a flip can
             # happen, so a flip of the points mirrors the grid exactly
             if rng.random() < cfg.flip_prob_x:  # y -> -y mirrors rows

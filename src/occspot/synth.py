@@ -36,6 +36,12 @@ RANGE_NORM = 100.0
 #: Default semantic class painted on ground-plane hits (a background class).
 DEFAULT_GROUND_CLASS = 15
 
+#: Gap (m) that build_scene keeps between the footprint circles of boxes.
+CLEARANCE = 0.5
+
+#: Position draws per box before build_scene gives up on a placement.
+MAX_TRIES_PER_OBJECT = 200
+
 _RAY_EPS = 1e-9
 
 
@@ -103,8 +109,8 @@ class SceneParams:
     """Knobs for :func:`build_scene`.
 
     ``class_mix`` maps class ids to non-negative sampling weights (sum > 0).
-    Placed boxes keep a clear margin from each other and from the arena
-    edge; generation fails loudly when that becomes infeasible.
+    Placed boxes keep ``CLEARANCE`` from each other and stay inside the
+    arena; generation fails loudly when that becomes infeasible.
     """
 
     arena: tuple[float, float, float, float] = (-20.0, 20.0, -20.0, 20.0)
@@ -118,8 +124,6 @@ class SceneParams:
     speed_range: tuple[float, float] = (0.5, 2.0)
     ground_z: float | None = 0.0
     ground_class: int = DEFAULT_GROUND_CLASS
-    clearance: float = 0.5
-    max_tries_per_object: int = 200
 
     def __post_init__(self):
         x0, x1, y0, y1 = self.arena
@@ -165,17 +169,17 @@ def build_scene(params: SceneParams, seed: int) -> Scene:
         yaw = float(rng.uniform(-math.pi, math.pi))
         radius = math.hypot(l, w) / 2.0
 
-        for attempt in range(params.max_tries_per_object):
+        for attempt in range(MAX_TRIES_PER_OBJECT):
             cx = float(rng.uniform(x0 + radius, x1 - radius))
             cy = float(rng.uniform(y0 + radius, y1 - radius))
-            ok = all(math.hypot(cx - px, cy - py) >= radius + pr + params.clearance
+            ok = all(math.hypot(cx - px, cy - py) >= radius + pr + CLEARANCE
                      for px, py, pr in placed)
             if ok:
                 break
         else:
             raise ValueError(
                 "infeasible placement: could not keep clearance "
-                f"{params.clearance} m between {params.n_objects} objects in "
+                f"{CLEARANCE} m between {params.n_objects} objects in "
                 f"arena {params.arena}")
 
         dynamic = bool(rng.random() < params.dynamic_fraction)
@@ -245,7 +249,7 @@ def _ray_box_hits(origin: np.ndarray, dirs: np.ndarray, box: BoxLabel) -> np.nda
 
 
 def scan(scene: Scene, beams: BeamSpec, sensor_pose: Pose,
-         time_s: float = 0.0) -> tuple[PointCloud, np.ndarray]:
+         time_s: float) -> tuple[PointCloud, np.ndarray]:
     """Cast the full beam pattern from `sensor_pose`; nearest hit per ray.
 
     Dynamic boxes are displaced by ``velocity * time_s`` before casting.
@@ -300,7 +304,7 @@ def scan(scene: Scene, beams: BeamSpec, sensor_pose: Pose,
 
 
 def generate_sequence(scene: Scene, beams: BeamSpec, poses: Sequence[Pose],
-                      keyframe_hz: float, workers: int = 1) -> LidarSequence:
+                      keyframe_hz: float, workers: int) -> LidarSequence:
     """One scan per ego pose; frame i is taken at ``i / keyframe_hz`` s.
 
     Frames are independent pure computations, so ``workers > 1`` may render

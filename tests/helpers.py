@@ -34,6 +34,12 @@ def toy_config(**kw) -> PipelineConfig:
     return PipelineConfig(**base)
 
 
+def cloud_of(xyz) -> PointCloud:
+    """A cloud of the (N, 3) points `xyz`, each with one zero feature."""
+    xyz = np.asarray(xyz, dtype=np.float64)
+    return PointCloud(xyz, np.zeros((len(xyz), 1)))
+
+
 def point_in_box_brute(p, box: BoxLabel, atol: float = 0.0) -> bool:
     """Oriented-box membership via explicit corner-frame arithmetic."""
     dx, dy, dz = p[0] - box.cx, p[1] - box.cy, p[2] - box.cz

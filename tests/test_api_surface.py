@@ -1,12 +1,14 @@
 """Every public name, and every defaulted parameter, is used by the package.
 
-A name in a module's ``__all__`` that nothing in ``src/`` refers to, apart
-from its own definition, is code that only its tests reach: either a later
-change wires it in, or it goes.  Likewise a parameter with a default that
-no call in ``src/`` sets, by keyword or by position, is a setting only the
-tests change.  Calls are matched to functions by name alone, so the check
-may miss an unset parameter but never reports a set one.  The allow-lists
-below name each exception and why it stays.
+A public name (one in a module's ``__all__``, or a module-level function or
+class without a leading underscore) that nothing in ``src/`` refers to,
+apart from its own definition, is code that only its tests reach: either a
+later change wires it in, or it goes.  Likewise a parameter with a default
+that no call in ``src/`` sets, by keyword or by position, is a setting only
+the tests change; and one that every call in ``src/`` sets has a default
+only the tests rely on.  Calls are matched to functions by name alone, so
+the checks may miss a parameter but never report a used one.  The
+allow-lists below name each exception and why it stays.
 """
 
 import ast
@@ -31,14 +33,14 @@ ALLOWED = {
     "occspot.theory.check_bayes_bound": "validated entry point, oracle-tested",
     "occspot.theory.lemma1_decomposition":
         "validated entry point, oracle-tested",
+    "occspot.learn.model.min_preactivation_gap":
+        "the ReLU kink distance of the per-step training telemetry row",
 }
 
 
 #: defaulted parameters that no call in src/ sets, each with its reason
 ALLOWED_DEFAULTS = {
     "occspot.cli.main(argv)": "set by the tests and perfbench/flow.py",
-    "occspot.synth.scan(time_s)":
-        "set positionally through functools.partial plus map",
 }
 
 
@@ -59,6 +61,15 @@ def exported(tree: ast.Module) -> list[str]:
                 for t in node.targets):
             return list(ast.literal_eval(node.value))
     return []
+
+
+def public(tree: ast.Module) -> set[str]:
+    """The names in ``__all__`` plus every module-level function and class
+    whose name has no leading underscore."""
+    return set(exported(tree)) | {
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")}
 
 
 def references(tree: ast.Module, skip: ast.AST | None = None):
@@ -91,7 +102,7 @@ def unreferenced() -> set[str]:
     out = set()
     for module, tree in trees.items():
         elsewhere = set().union(*(u for m, u in used.items() if m != module))
-        for name in exported(tree):
+        for name in public(tree):
             own = set(references(tree, definition(tree, name)))
             if name not in own | elsewhere:
                 out.add(f"{module}.{name}")
@@ -139,7 +150,9 @@ def calls(trees: dict[str, ast.Module]):
             yield name, n_pos, kws
 
 
-def unset_defaults(trees: dict[str, ast.Module]) -> set[str]:
+def _defaults_without(trees: dict[str, ast.Module], use) -> set[str]:
+    """Each defaulted parameter for which no call of its function in
+    `trees` satisfies ``use(param, index, n_pos, kws)``."""
     seen = list(calls(trees))
     out = set()
     for module, tree in trees.items():
@@ -147,11 +160,23 @@ def unset_defaults(trees: dict[str, ast.Module]) -> set[str]:
             short = name.rsplit(".", 1)[-1]
             mine = [(n, kws) for c, n, kws in seen if c == short]
             for param, index in defaulted(fn, method).items():
-                if not any(param in kws or None in kws
-                           or (index is not None and n > index)
-                           for n, kws in mine):
+                if not any(use(param, index, n, kws) for n, kws in mine):
                     out.add(f"{module}.{name}({param})")
     return out
+
+
+def unset_defaults(trees: dict[str, ast.Module]) -> set[str]:
+    """Defaulted parameters that no call sets."""
+    return _defaults_without(trees, lambda param, index, n, kws: (
+        param in kws or None in kws or (index is not None and n > index)))
+
+
+def unused_defaults(trees: dict[str, ast.Module]) -> set[str]:
+    """Defaulted parameters that no call leaves at their default; a call
+    with ``*args`` or ``**kwargs`` leaves none there for certain."""
+    return _defaults_without(trees, lambda param, index, n, kws: (
+        param not in kws and None not in kws and n < math.inf
+        and (index is None or n <= index)))
 
 
 def test_every_public_name_is_used_in_src():
@@ -162,8 +187,12 @@ def test_the_check_sees_an_unused_name():
     tree = ast.parse("__all__ = ['used', 'unused']\n"
                      "def used():\n    return 1\n"
                      "def unused():\n    return unused()\n"
+                     "def unlisted():\n    return 2\n"
+                     "class Unlisted:\n    pass\n"
+                     "def _private():\n    return 3\n"
                      "x = used()\n")
     assert exported(tree) == ["used", "unused"]
+    assert public(tree) == {"used", "unused", "unlisted", "Unlisted"}
     assert "used" in set(references(tree, definition(tree, "used")))
     assert "unused" not in set(references(tree, definition(tree, "unused")))
 
@@ -184,3 +213,21 @@ def test_the_check_sees_an_unset_default():
     star = ast.parse("def g(a=1, *, b=2):\n    return a\n"
                      "g(*[0], **{})\n")
     assert unset_defaults({"toy": star}) == set()
+
+
+def test_every_default_is_used_in_src():
+    assert unused_defaults(parse_src()) == set()
+
+
+def test_the_check_sees_a_default_every_call_sets():
+    tree = ast.parse("def f(a, b=1, *, c=2, d=3):\n    return a\n"
+                     "class K:\n"
+                     "    def m(self, x=0, y=0):\n        return f(1, 2, d=4)\n"
+                     "    @staticmethod\n"
+                     "    def s(u=0, v=0):\n        return u\n"
+                     "K().m(5)\nK.s(1, v=2)\nf(0, c=1)\n")
+    assert unused_defaults({"toy": tree}) == {"toy.K.m(x)", "toy.K.s(u)",
+                                              "toy.K.s(v)"}
+    star = ast.parse("def g(a=1, *, b=2):\n    return a\n"
+                     "g(*[0])\ng(**{})\n")
+    assert unused_defaults({"toy": star}) == {"toy.g(a)", "toy.g(b)"}

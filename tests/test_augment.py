@@ -14,7 +14,7 @@ def synth_scan(n_beams=64, steps=180, seed=11):
     scene = build_scene(SceneParams(n_objects=10), seed=seed)
     beams = BeamSpec(n_beams=n_beams, alpha_up=-2.0, alpha_low=-28.0,
                      azimuth_steps=steps)
-    return scan(scene, beams, Pose(np.eye(3), (0.0, 0.0, 2.0)))
+    return scan(scene, beams, Pose(np.eye(3), (0.0, 0.0, 2.0)), 0.0)
 
 
 def rand_cloud_labels(n=200, seed=0, n_cls=15):
@@ -78,7 +78,8 @@ class TestEstimateBeams:
         assert len(clusters) == 64
 
     def test_single_elevation_one_cluster(self):
-        cloud = PointCloud([[1.0, 1.0, 0.0], [0.0, 2.0, 0.0], [-3.0, 1.0, 0.0]])
+        cloud = PointCloud([[1.0, 1.0, 0.0], [0.0, 2.0, 0.0], [-3.0, 1.0, 0.0]],
+                           np.zeros((3, 1)))
         assert len(estimate_beams(cloud)) == 1
 
     def test_partition(self):
@@ -89,7 +90,7 @@ class TestEstimateBeams:
         assert len(np.unique(seen)) == len(cloud)
 
     def test_empty_cloud(self):
-        assert estimate_beams(PointCloud(np.zeros((0, 3)))) == []
+        assert estimate_beams(PointCloud(np.zeros((0, 3)), np.zeros((0, 1)))) == []
 
 
 class TestBeamResample:
@@ -133,8 +134,9 @@ class TestBeamResample:
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_empty_cloud(self):
-        out, olab = beam_resample(PointCloud(np.zeros((0, 3))), np.zeros(0),
-                                  ResampleFactor(0.5), seed=0)
+        empty = PointCloud(np.zeros((0, 3)), np.zeros((0, 1)))
+        out, olab = beam_resample(empty, np.zeros(0), ResampleFactor(0.5),
+                                  seed=0)
         assert len(out) == 0 and olab.size == 0
 
 
@@ -160,4 +162,4 @@ class TestFlip:
 
     def test_bad_axis(self):
         with pytest.raises(ValueError):
-            random_flip(PointCloud(np.zeros((0, 3))), "z")
+            random_flip(PointCloud(np.zeros((0, 3)), np.zeros((0, 1))), "z")

@@ -9,8 +9,8 @@ import pytest
 from occspot import cli
 from occspot.cli import main
 from occspot.cloud import PointCloud
-from occspot.formats import (read_checkpoint, write_checkpoint, write_frame,
-                             write_labels)
+from occspot.formats import (read_checkpoint, read_grid, write_checkpoint,
+                             write_frame, write_labels)
 
 MINI = {
     "n_sequences": 2,
@@ -181,13 +181,108 @@ class TestTheoryCheck:
         assert "--sweeps" in capsys.readouterr().err
 
     def test_prints_standard_json(self, capsys):
-        def reject(name):
-            raise ValueError(f"non-standard JSON constant {name}")
-
         assert main(["theory-check", "--sweeps", "1", "--seed", "4"]) == 0
-        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        report = json.loads(capsys.readouterr().out,
+                            parse_constant=reject_constant)
         assert {k: v["sweeps"] for k, v in report.items()} == {
             "bayes_bound": 1, "lemma1": 1, "risk_ordering": 1}
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestUsageErrors:
+    """A bad argument or environment value exits 2 and writes nothing."""
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-4"])
+    def test_occspot_threads_not_a_positive_integer(self, tmp_path, config,
+                                                    monkeypatch, raw, capsys):
+        monkeypatch.setenv("OCCSPOT_THREADS", raw)
+        out = tmp_path / "data"
+        assert main(["gen-scenes", "--config", config,
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: OCCSPOT_THREADS must be a positive integer, "
+            f"got {raw!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("labels", ["0", "-1"])
+    def test_finetune_labels_below_one(self, tmp_path, config, data, labels,
+                                       capsys):
+        assert pretrain(config, data, tmp_path) == cli.EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "ft.npz"
+        assert main(["finetune", "--ckpt", str(tmp_path / "model.npz"),
+                     "--labels", labels, "--config", config,
+                     "--data", str(data), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: --labels must be >= 1, got {labels}\n")
+        assert not list(tmp_path.glob("ft.*"))
+
+    def test_finetune_labels_above_the_sequence_count(self, tmp_path, config,
+                                                      data, capsys):
+        assert pretrain(config, data, tmp_path) == cli.EXIT_OK
+        capsys.readouterr()
+        assert main(["finetune", "--ckpt", str(tmp_path / "model.npz"),
+                     "--labels", "3", "--config", config, "--data", str(data),
+                     "--out", str(tmp_path / "ft.npz")]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: --labels 3 exceeds 2 sequences\n")
+        assert not list(tmp_path.glob("ft.*"))
+
+
+class TestClassCountFitsInAByte:
+    """SPTL and SPOG store labels and grid.n_cls as u8."""
+
+    def wide_config(self, tmp_path, n_cls):
+        path = tmp_path / f"wide_{n_cls}.json"
+        path.write_text(json.dumps({
+            **MINI, "scene": {**MINI["scene"], "class_mix": {str(n_cls): 1.0}},
+            "grid": {**MINI["grid"], "n_cls": n_cls}}))
+        return str(path)
+
+    def test_255_classes_are_accepted(self, tmp_path):
+        config = self.wide_config(tmp_path, 255)
+        out, grid = tmp_path / "wide", tmp_path / "wide.spog"
+        assert main(["gen-scenes", "--config", config,
+                     "--out", str(out)]) == cli.EXIT_OK
+        assert main(["make-occ", "--config", config, str(out / "seq_0000"),
+                     str(grid)]) == cli.EXIT_OK
+        assert read_grid(grid).spec.n_cls == 255
+
+    def test_256_classes_are_a_config_error(self, tmp_path, data, capsys):
+        config = self.wide_config(tmp_path, 256)
+        out, grid = tmp_path / "wide", tmp_path / "wide.spog"
+        capsys.readouterr()
+        for argv in (["gen-scenes", "--config", config, "--out", str(out)],
+                     ["make-occ", "--config", config, str(data / "seq_0000"),
+                      str(grid)]):
+            assert main(argv) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                "config error: grid: n_cls must lie in 1..255 (labels are "
+                "stored as u8), got 256\n")
+        assert not out.exists()
+        assert not list(tmp_path.glob("wide.spog*"))
+
+
+def test_eval_miou_without_support_prints_null(tmp_path, capsys):
+    # an 8x8 grid far from every scan: every target cell is empty, so no
+    # class but empty has support and the mean is over no class
+    config = tmp_path / "far.json"
+    config.write_text(json.dumps({
+        **MINI, "grid": {**MINI["grid"], "origin_x": 500.0, "origin_y": 500.0},
+        "augment": {"flip_prob_x": 0.0, "flip_prob_y": 0.0}}))
+    data = tmp_path / "data"
+    assert main(["gen-scenes", "--config", str(config),
+                 "--out", str(data)]) == cli.EXIT_OK
+    assert pretrain(str(config), data, tmp_path) == cli.EXIT_OK
+    capsys.readouterr()
+    assert main(["eval-miou", str(tmp_path / "model.npz"), str(data),
+                 "--config", str(config)]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    assert report["miou"] is None
+    assert all(report["iou"][str(c)] is None for c in range(1, 16))
 
 
 class TestMalformedFiles:

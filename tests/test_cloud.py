@@ -10,30 +10,30 @@ from occspot.cloud import (BoxLabel, LidarSequence, PointCloud, Pose,
 
 class TestToSpherical:
     def test_unit_z_axis(self):
-        r, az, el = to_spherical([0.0, 0.0, 1.0])
+        (r, az, el), = to_spherical([[0.0, 0.0, 1.0]])
         assert r == 1.0 and az == 0.0 and el == pytest.approx(math.pi / 2)
 
     def test_diagonal_in_plane(self):
-        r, az, el = to_spherical([1.0, 1.0, 0.0])
+        (r, az, el), = to_spherical([[1.0, 1.0, 0.0]])
         assert r == pytest.approx(math.sqrt(2))
         assert az == pytest.approx(math.pi / 4)
         assert el == 0.0
 
     def test_three_four_zero(self):
         # independent high-precision evaluation of the transform
-        r, az, el = to_spherical([3.0, 4.0, 0.0])
+        (r, az, el), = to_spherical([[3.0, 4.0, 0.0]])
         assert r == pytest.approx(5.0, abs=1e-12)
         assert az == pytest.approx(0.6435011087932844, abs=1e-12)
         assert el == 0.0
 
     def test_origin_flagged_not_error(self):
         with pytest.warns(UserWarning, match="origin"):
-            r, az, el = to_spherical([0.0, 0.0, 0.0])
+            (r, az, el), = to_spherical([[0.0, 0.0, 0.0]])
         assert (r, az, el) == (0.0, 0.0, 0.0)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            to_spherical([np.nan, 0.0, 0.0])
+            to_spherical([[np.nan, 0.0, 0.0]])
 
     def test_range_equals_norm(self):
         rng = np.random.default_rng(0)
@@ -51,14 +51,14 @@ class TestToSpherical:
 
 class TestFromSpherical:
     def test_unit_forward(self):
-        assert from_spherical([1.0, 0.0, 0.0]) == pytest.approx([0.0, 1.0, 0.0])
+        assert from_spherical([[1.0, 0.0, 0.0]])[0] == pytest.approx([0.0, 1.0, 0.0])
 
     def test_zero_range(self):
-        assert from_spherical([0.0, 2.3, -0.7]) == pytest.approx([0.0, 0.0, 0.0])
+        assert from_spherical([[0.0, 2.3, -0.7]])[0] == pytest.approx([0.0] * 3)
 
     def test_negative_range_rejected(self):
         with pytest.raises(ValueError):
-            from_spherical([-1.0, 0.0, 0.0])
+            from_spherical([[-1.0, 0.0, 0.0]])
 
     def test_round_trip_cartesian(self):
         rng = np.random.default_rng(2)
@@ -93,8 +93,8 @@ class TestPose:
 
     def test_quarter_turn(self):
         pose = yaw_pose(math.pi / 2)
-        out = pose.apply(np.array([1.0, 0.0, 0.0]))
-        assert np.abs(out - [0.0, 1.0, 0.0]).max() < 1e-12
+        out = pose.apply(np.array([[1.0, 0.0, 0.0]]))
+        assert np.abs(out - [[0.0, 1.0, 0.0]]).max() < 1e-12
 
     def test_non_orthonormal_rejected(self):
         with pytest.raises(ValueError, match="orthonormal"):
@@ -107,7 +107,7 @@ class TestPose:
 
     def test_rigidity_preserves_pairwise_distances(self):
         rng = np.random.default_rng(5)
-        cloud = PointCloud(rng.normal(0, 10, (60, 3)))
+        cloud = PointCloud(rng.normal(0, 10, (60, 3)), np.zeros((60, 1)))
         pose = yaw_pose(1.1, (4.0, -1.0, 2.0))
         out = transform(cloud, pose)
         d_in = np.linalg.norm(cloud.xyz[:, None] - cloud.xyz[None], axis=-1)
@@ -119,19 +119,21 @@ class TestPose:
 class TestPointCloud:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            PointCloud([[0.0, 0.0, float("nan")]])
+            PointCloud([[0.0, 0.0, float("nan")]], [[0.0]])
 
     def test_feature_length_mismatch(self):
         with pytest.raises(ValueError):
             PointCloud([[0, 0, 0], [1, 1, 1]], [[0.5]])
+        with pytest.raises(ValueError, match=r"feat must be \(N, d\)"):
+            PointCloud([[0, 0, 0], [1, 1, 1]], [0.5, 0.5])
 
     def test_immutable_arrays(self):
-        cloud = PointCloud([[1.0, 2.0, 3.0]])
+        cloud = PointCloud([[1.0, 2.0, 3.0]], [[0.0]])
         with pytest.raises(ValueError):
             cloud.xyz[0, 0] = 9.0
 
     def test_empty_cloud(self):
-        cloud = PointCloud(np.zeros((0, 3)))
+        cloud = PointCloud(np.zeros((0, 3)), np.zeros((0, 0)))
         assert len(cloud) == 0 and cloud.d == 0
 
 
@@ -166,8 +168,9 @@ class TestBoxLabel:
 
     def test_contains_inclusive_boundary(self):
         box = BoxLabel(0, 0, 0, 2, 2, 2, 0.0)
-        assert box.contains(np.array([1.0, 0.0, 0.0]))
-        assert not box.contains(np.array([1.0 + 1e-9, 0.0, 0.0]))
+        inside = box.contains(np.array([[1.0, 0.0, 0.0],
+                                        [1.0 + 1e-9, 0.0, 0.0]]), atol=0.0)
+        assert inside.tolist() == [True, False]
 
     def test_at_time_static_noop(self):
         box = BoxLabel(0, 0, 0, 1, 1, 1, 0.0, vx=3.0, is_dynamic=False)
@@ -179,7 +182,7 @@ class TestLidarSequence:
 
     def frames(self, n, boxes_per_frame=1):
         box = BoxLabel(0, 0, 0, 1, 1, 1, 0.0)
-        return ([PointCloud([[float(i), 0.0, 0.0]]) for i in range(n)],
+        return ([PointCloud([[float(i), 0.0, 0.0]], [[0.0]]) for i in range(n)],
                 [np.array([1]) for _ in range(n)],
                 [Pose(np.eye(3), (float(i), 0.0, 0.0)) for i in range(n)],
                 [[box] * boxes_per_frame for _ in range(n)])
@@ -209,8 +212,7 @@ class TestLidarSequence:
 
 
 def test_wrap_angle():
-    assert wrap_angle(math.pi) == pytest.approx(math.pi)
-    assert wrap_angle(-math.pi) == pytest.approx(math.pi)
-    assert wrap_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
+    out = wrap_angle(np.array([math.pi, -math.pi, 3 * math.pi / 2]))
+    assert out == pytest.approx([math.pi, math.pi, -math.pi / 2])
     arr = wrap_angle(np.array([0.0, 2 * math.pi, -2 * math.pi]))
     assert np.abs(arr).max() < 1e-12

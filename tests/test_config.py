@@ -83,6 +83,19 @@ def test_malformed_config_names_its_path(text, path):
         parse_config(json.loads(text))
 
 
+def test_n_cls_must_fit_in_a_byte(tmp_path):
+    # labels and n_cls are stored as u8 in SPTL and SPOG files
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"grid": {"n_cls": 255}}))
+    assert load_config(path).grid.n_cls == 255
+    path.write_text(json.dumps({"grid": {"n_cls": 256}}))
+    with pytest.raises(ConfigError,
+                       match=r"^grid: n_cls must lie in 1\.\.255 .*got 256$"):
+        load_config(path)
+    with pytest.raises(ValueError, match="n_cls must lie in 1..255"):
+        GridSpec(0.0, 0.0, 1.0, 4, 4, -1.0, 1.0, n_cls=256)
+
+
 OFF_CENTRE = GridSpec(0.0, -16.0, 1.0, 32, 32, -1.0, 3.0)
 
 

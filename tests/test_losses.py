@@ -94,14 +94,14 @@ class TestLovaszSoftmax:
         _, gt = random_instance(5)
         pred = np.zeros((6, 6, 16))
         np.put_along_axis(pred, gt[..., None], 1.0, axis=-1)
-        loss, grad = lovasz_softmax(pred, gt)
+        loss, grad = lovasz_softmax(pred, gt, "present")
         assert loss == 0.0
 
     def test_single_cell_one_minus_p(self):
         for p in (0.0, 0.2, 0.7, 1.0):
             pred = np.array([[[1.0 - p, p]]])
             gt = np.array([[1]])
-            loss, _ = lovasz_softmax(pred, gt)
+            loss, _ = lovasz_softmax(pred, gt, "present")
             assert loss == pytest.approx(1.0 - p, abs=1e-12)
 
     def test_binary_vertices_match_jaccard_2x2(self):
@@ -130,8 +130,8 @@ class TestLovaszSoftmax:
     def test_gradient_constant_within_region(self):
         logits, gt = random_instance(7)
         pred = softmax_field(logits)
-        _, g1 = lovasz_softmax(pred, gt)
-        _, g2 = lovasz_softmax(np.clip(pred + 1e-12, 0, 1), gt)
+        _, g1 = lovasz_softmax(pred, gt, "present")
+        _, g2 = lovasz_softmax(np.clip(pred + 1e-12, 0, 1), gt, "present")
         assert np.abs(g1 - g2).max() <= 1e-9
 
     def test_gradient_matches_fd_along_clean_directions(self):
@@ -140,8 +140,8 @@ class TestLovaszSoftmax:
         pred = softmax_field(logits)
 
         checks = guarded_directional_checks(
-            lambda p: lovasz_softmax(p, gt)[0],
-            lambda p: lovasz_softmax(p, gt)[1],
+            lambda p: lovasz_softmax(p, gt, "present")[0],
+            lambda p: lovasz_softmax(p, gt, "present")[1],
             lambda p: lovasz_region_signature(p, gt),
             pred, rng, n_dirs=5)
         for fd, an in checks:
@@ -149,17 +149,18 @@ class TestLovaszSoftmax:
 
     def test_empty_gt_present_mode_zero(self):
         pred = softmax_field(np.random.default_rng(10).normal(size=(3, 3, 4)))
-        loss, grad = lovasz_softmax(pred, np.zeros((3, 3), dtype=int))
+        loss, grad = lovasz_softmax(pred, np.zeros((3, 3), dtype=int),
+                                    "present")
         assert loss == 0.0 and np.all(grad == 0.0)
 
     def test_out_of_range_gt_rejected(self):
         with pytest.raises(ValueError):
-            lovasz_softmax(np.zeros((1, 1, 3)), np.array([[7]]))
+            lovasz_softmax(np.zeros((1, 1, 3)), np.array([[7]]), "present")
 
     def test_nonnegative(self):
         for seed in range(20):
             logits, gt = random_instance(seed, h=4, w=4)
-            loss, _ = lovasz_softmax(softmax_field(logits), gt)
+            loss, _ = lovasz_softmax(softmax_field(logits), gt, "present")
             assert loss >= 0.0
 
 
@@ -168,7 +169,7 @@ class TestTotalLoss:
         logits, gt = random_instance(11)
         pred = softmax_field(logits)
         ce, gce = weighted_ce(pred, gt, W15)
-        tot, gtot = total_loss(pred, gt, W15, lam=0.0)
+        tot, gtot = total_loss(pred, gt, W15, 0.0, "present")
         assert tot == ce
         np.testing.assert_array_equal(gtot, gce)
 
@@ -176,7 +177,7 @@ class TestTotalLoss:
         _, gt = random_instance(12)
         pred = np.zeros((6, 6, 16))
         np.put_along_axis(pred, gt[..., None], 1.0, axis=-1)
-        loss, _ = total_loss(pred, gt, W15, lam=1.0)
+        loss, _ = total_loss(pred, gt, W15, 1.0, "present")
         assert loss == 0.0
 
     def test_gradient_matches_central_differences(self):
@@ -184,16 +185,16 @@ class TestTotalLoss:
         logits, gt = random_instance(13)
 
         def f(lg):
-            return total_loss(softmax_field(lg), gt, W15, lam=1.0)[0]
+            return total_loss(softmax_field(lg), gt, W15, 1.0, "present")[0]
 
-        _, grad = total_loss(softmax_field(logits), gt, W15, lam=1.0)
+        _, grad = total_loss(softmax_field(logits), gt, W15, 1.0, "present")
         fd = central_diff(f, logits, h=1e-5)
         assert grad_rel_err(fd, grad) <= 1e-6
 
     def test_negative_lambda_rejected(self):
         logits, gt = random_instance(14)
         with pytest.raises(ValueError):
-            total_loss(softmax_field(logits), gt, W15, lam=-0.1)
+            total_loss(softmax_field(logits), gt, W15, -0.1, "present")
 
 
 def test_softmax_vjp_matches_jacobian():

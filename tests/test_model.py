@@ -170,7 +170,7 @@ def model_loss_and_grad(theta_vec, pillars, gt, lam=1.0):
     params = unflatten_params(theta_vec, CFG)
     logits, cache = model_forward(pillars, params)
     pred = softmax_field(logits)
-    loss, dlogits = total_loss(pred, gt, W15, lam)
+    loss, dlogits = total_loss(pred, gt, W15, lam, "present")
     grads = model_backward(cache, dlogits, params)
     return loss, flatten_params(grads), cache, pred
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from helpers import (box_surface_distance, knn_label_brute,
+from helpers import (box_surface_distance, cloud_of, knn_label_brute,
                      point_in_box_brute, scene_surface_distance,
                      split_reference, tie_weights, voxelize_brute)
 
-from occspot.cloud import BoxLabel, LidarSequence, PointCloud, Pose, transform
+from occspot.cloud import BoxLabel, LidarSequence, Pose, transform
 from occspot.occupancy import (GridSpec, OccupancyGrid, _tie_order, aggregate,
                                knn_label, make_occupancy, split_dynamic_static,
                                voxelize_bev)
@@ -27,37 +27,38 @@ def small_spec(h=16, w=16, cell=1.0, n_cls=15):
 
 class TestSplit:
     def test_no_boxes_all_static(self):
-        cloud = PointCloud(np.random.default_rng(0).normal(0, 5, (50, 3)))
-        res = split_dynamic_static(cloud, [])
+        cloud = cloud_of(np.random.default_rng(0).normal(0, 5, (50, 3)))
+        res = split_dynamic_static(cloud, [], atol=0.0)
         assert res.static_index.size == 50 and res.dynamic_index.size == 0
 
     def test_point_at_dynamic_center(self):
         box = BoxLabel(1.0, 2.0, 0.5, 2, 2, 2, 0.3, is_dynamic=True)
-        cloud = PointCloud([[1.0, 2.0, 0.5]])
-        res = split_dynamic_static(cloud, [box])
+        cloud = cloud_of([[1.0, 2.0, 0.5]])
+        res = split_dynamic_static(cloud, [box], atol=0.0)
         assert res.dynamic_index.tolist() == [0]
         assert res.box_index.tolist() == [0]
 
     def test_static_box_not_dynamic(self):
         box = BoxLabel(0, 0, 0, 2, 2, 2, 0.0, is_dynamic=False)
-        res = split_dynamic_static(PointCloud([[0.0, 0.0, 0.0]]), [box])
+        res = split_dynamic_static(cloud_of([[0.0, 0.0, 0.0]]), [box], atol=0.0)
         assert res.static_index.tolist() == [0]
         # the flag decides, not the speed
         moving = BoxLabel(0, 0, 0, 2, 2, 2, 0.0, vx=1.0, is_dynamic=False)
-        res = split_dynamic_static(PointCloud([[0.0, 0.0, 0.0]]), [moving])
+        res = split_dynamic_static(cloud_of([[0.0, 0.0, 0.0]]), [moving],
+                                   atol=0.0)
         assert res.static_index.tolist() == [0]
 
     def test_partition_matches_brute_force(self):
         rng = np.random.default_rng(3)
         for trial in range(10):
-            cloud = PointCloud(rng.normal(0, 6, (300, 3)))
+            cloud = cloud_of(rng.normal(0, 6, (300, 3)))
             boxes = [BoxLabel(*rng.uniform(-5, 5, 3),
                               *rng.uniform(0.5, 4.0, 3),
                               rng.uniform(-math.pi, math.pi),
                               class_id=int(rng.integers(1, 15)),
                               is_dynamic=bool(rng.random() < 0.6))
                      for _ in range(6)]
-            res = split_dynamic_static(cloud, boxes)
+            res = split_dynamic_static(cloud, boxes, atol=0.0)
             assert res.static_index.size + res.dynamic_index.size == 300
             for i in range(300):
                 owners = [bi for bi, b in enumerate(boxes)
@@ -103,9 +104,9 @@ class TestSplitCulling:
                  for _ in range(int(rng.integers(1, 9)))]
         return center, boxes
 
-    def assert_same(self, cloud, boxes, **kwargs):
-        got = split_dynamic_static(cloud, boxes, **kwargs)
-        want = split_reference(cloud, boxes, **kwargs)
+    def assert_same(self, cloud, boxes, atol):
+        got = split_dynamic_static(cloud, boxes, atol=atol)
+        want = split_reference(cloud, boxes, atol=atol)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
@@ -115,7 +116,7 @@ class TestSplitCulling:
         rng = np.random.default_rng(17)
         for trial in range(12):
             center, boxes = self.random_case(rng, scale)
-            cloud = PointCloud(center + rng.normal(0, 4, (2000, 3)))
+            cloud = cloud_of(center + rng.normal(0, 4, (2000, 3)))
             self.assert_same(cloud, boxes, atol=atol)
 
     @pytest.mark.parametrize("atol", [0.0, 1e-9, 0.05])
@@ -130,18 +131,18 @@ class TestSplitCulling:
             # the same points an ulp away on either side
             pts = np.concatenate([pts, np.nextafter(pts, np.inf),
                                   np.nextafter(pts, -np.inf)])
-            self.assert_same(PointCloud(pts), boxes, atol=atol)
-            dynamic += split_reference(PointCloud(pts), boxes, atol=atol)[1].size
+            self.assert_same(cloud_of(pts), boxes, atol=atol)
+            dynamic += split_reference(cloud_of(pts), boxes, atol=atol)[1].size
         assert dynamic > 0
 
     def test_overlapping_boxes_lowest_index_wins(self):
         a = BoxLabel(0, 0, 0, 4, 4, 4, 0.0, is_dynamic=True)
         b = BoxLabel(1, 0, 0, 4, 4, 4, 0.7, is_dynamic=True)
         pts = np.concatenate([shell_points(a, 0.0), shell_points(b, 0.0)])
-        res = split_dynamic_static(PointCloud(pts), [a, b])
+        res = split_dynamic_static(cloud_of(pts), [a, b], atol=0.0)
         assert {0, 1} == set(res.box_index.tolist())
-        self.assert_same(PointCloud(pts), [a, b])
-        self.assert_same(PointCloud(pts), [b, a])
+        self.assert_same(cloud_of(pts), [a, b], atol=0.0)
+        self.assert_same(cloud_of(pts), [b, a], atol=0.0)
 
 
 class TestAggregate:
@@ -150,7 +151,7 @@ class TestAggregate:
                                         dynamic_fraction=dynamic), seed)
         poses = [Pose(np.eye(3), (0.5 * i, 0.0, 2.0)) for i in range(n_frames)]
         beams = BeamSpec(16, -2.0, -30.0, 90)
-        return scene, generate_sequence(scene, beams, poses, 10.0)
+        return scene, generate_sequence(scene, beams, poses, 10.0, workers=1)
 
     def test_single_frame_is_world_frame(self):
         scene, seq = self.make_sequence(n_frames=1)
@@ -178,7 +179,7 @@ class TestAggregate:
         scene = Scene(ground_z=0.0, objects=(box,))
         poses = [Pose(np.eye(3), (0.0, 0.0, 2.0)) for _ in range(11)]
         beams = BeamSpec(24, -2.0, -40.0, 180)
-        seq = generate_sequence(scene, beams, poses, 10.0)
+        seq = generate_sequence(scene, beams, poses, 10.0, workers=1)
         fused, labels = aggregate(seq, keyframe=0)
         key_box = seq.boxes[0][0]
         box_points = fused.xyz[labels == 1]
@@ -223,7 +224,7 @@ class TestKnnLabel:
         for n_cls in EDGE_N_CLS:
             for trial in range(20):
                 n = int(rng.integers(50, 400))
-                fused = PointCloud(rng.normal(0, 5, (n, 3)))
+                fused = cloud_of(rng.normal(0, 5, (n, 3)))
                 labels = rng.integers(0, n_cls + 1, n)
                 queries = rng.normal(0, 5, (25, 3))
                 k = int(rng.integers(1, 9))
@@ -242,18 +243,19 @@ def test_tie_order_is_the_oracles_rule():
 
 class TestVoxelize:
     def test_empty_cloud_zero_grid(self):
-        grid = voxelize_bev(PointCloud(np.zeros((0, 3))), np.zeros(0), small_spec())
+        grid = voxelize_bev(cloud_of(np.zeros((0, 3))), np.zeros(0),
+                            small_spec())
         assert grid.labels.sum() == 0
 
     def test_single_point(self):
         spec = small_spec()
-        grid = voxelize_bev(PointCloud([[0.5, 0.5, 0.0]]), np.array([3]), spec)
+        grid = voxelize_bev(cloud_of([[0.5, 0.5, 0.0]]), np.array([3]), spec)
         assert grid.occupied_count == 1
         assert grid.labels[8, 8] == 3  # cell containing (0.5, 0.5)
 
     def test_out_of_band_z_ignored(self):
         spec = small_spec()
-        grid = voxelize_bev(PointCloud([[0.5, 0.5, 9.0]]), np.array([3]), spec)
+        grid = voxelize_bev(cloud_of([[0.5, 0.5, 9.0]]), np.array([3]), spec)
         assert grid.occupied_count == 0
 
     def test_matches_brute_force_voting(self):
@@ -269,7 +271,7 @@ class TestVoxelize:
                                 z_min=-1.0, z_max=2.0, n_cls=n_cls)
                 xyz = rng.uniform(-6, 14, (n, 3)) * [1, 1, 0.25]
                 labels = rng.integers(0, n_cls + 1, n)
-                got = voxelize_bev(PointCloud(xyz), labels, spec)
+                got = voxelize_bev(cloud_of(xyz), labels, spec)
                 np.testing.assert_array_equal(
                     got.labels, voxelize_brute(xyz, labels, spec))
 
@@ -278,19 +280,19 @@ class TestVoxelize:
         xyz = rng.uniform(-8, 8, (500, 3)) * [1, 1, 0.2]
         labels = rng.integers(0, 16, 500)
         spec = small_spec()
-        a = voxelize_bev(PointCloud(xyz), labels, spec)
+        a = voxelize_bev(cloud_of(xyz), labels, spec)
         perm = rng.permutation(500)
-        b = voxelize_bev(PointCloud(xyz[perm]), labels[perm], spec)
+        b = voxelize_bev(cloud_of(xyz[perm]), labels[perm], spec)
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_tie_breaks_prefer_heavier_class(self):
         spec = small_spec(n_cls=15)
         # one foreground (class 1, weight 2.0) vs one background point (class 11)
         xyz = np.array([[0.1, 0.1, 0.0], [0.2, 0.2, 0.0]])
-        grid = voxelize_bev(PointCloud(xyz), np.array([11, 1]), spec)
+        grid = voxelize_bev(cloud_of(xyz), np.array([11, 1]), spec)
         assert grid.labels[8, 8] == 1
         # two background classes tie -> smaller id
-        grid = voxelize_bev(PointCloud(xyz), np.array([12, 11]), spec)
+        grid = voxelize_bev(cloud_of(xyz), np.array([12, 11]), spec)
         assert grid.labels[8, 8] == 11
 
 
@@ -301,29 +303,32 @@ class TestMakeOccupancy:
             dynamic_fraction=0.3), seed)
         poses = [Pose(np.eye(3), (0.2 * i, 0.0, 2.0)) for i in range(n_frames)]
         beams = BeamSpec(32, -5.0, -60.0, 240)
-        return scene, generate_sequence(scene, beams, poses, 10.0)
+        return scene, generate_sequence(scene, beams, poses, 10.0, workers=1)
 
     def test_single_point_matches_voxelize(self):
         spec = small_spec()
-        cloud = PointCloud([[0.5, 0.5, 0.0]])
+        cloud = cloud_of([[0.5, 0.5, 0.0]])
         labels = np.array([4])
         seq = LidarSequence([cloud], [labels], [Pose(np.eye(3), np.zeros(3))],
                             [[]])
-        grid = make_occupancy(seq, spec, densify=False)
+        grid = make_occupancy(seq, spec, keyframe=0, densify=False, radius=0.4,
+                              k=5)
         direct = voxelize_bev(cloud, labels, spec)
         np.testing.assert_array_equal(grid.labels, direct.labels)
 
     def test_values_in_range(self):
         scene, seq = self.setup_sequence()
         spec = GridSpec(-8.0, -8.0, 0.5, 32, 32, -1.0, 3.0, n_cls=15)
-        grid = make_occupancy(seq, spec)
+        grid = make_occupancy(seq, spec, keyframe=0, densify=True, radius=0.4,
+                              k=5)
         assert grid.labels.min() >= 0 and grid.labels.max() <= 15
 
     def test_densification_monotone(self):
         scene, seq = self.setup_sequence()
         spec = GridSpec(-8.0, -8.0, 0.5, 32, 32, -0.5, 0.5, n_cls=15)
-        off = make_occupancy(seq, spec, densify=False)
-        on = make_occupancy(seq, spec, densify=True, radius=0.6)
+        off = make_occupancy(seq, spec, keyframe=0, densify=False, radius=0.6,
+                             k=5)
+        on = make_occupancy(seq, spec, keyframe=0, densify=True, radius=0.6, k=5)
         assert on.occupied_count >= off.occupied_count
         # cells labeled without densification keep their labels
         mask = off.labels != 0
@@ -332,7 +337,8 @@ class TestMakeOccupancy:
     def test_box_footprints_carry_box_class(self):
         scene, seq = self.setup_sequence(seed=12)
         spec = GridSpec(-8.0, -8.0, 0.5, 32, 32, -1.0, 3.0, n_cls=15)
-        grid = make_occupancy(seq, spec, keyframe=0)
+        grid = make_occupancy(seq, spec, keyframe=0, densify=True, radius=0.4,
+                              k=5)
         xx, yy = spec.cell_centers()
         for box in seq.boxes[0]:
             # footprint cells whose center is inside and that contain points

@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from occspot.config import PipelineConfig, load_config, parse_config
+from occspot.config import (ConfigError, PipelineConfig, load_config,
+                            parse_config)
 from occspot.formats import FormatError, read_boxes, write_boxes
 from occspot.pipeline import (build_samples, ego_trajectory, generate_dataset,
-                              load_sequence, sequence_occupancy,
+                              load_sequence, sequence_occupancy, worker_count,
                               write_sequence)
 from occspot.synth import build_scene, generate_sequence
 
@@ -45,6 +46,22 @@ def test_worker_count_does_not_change_bytes(tmp_path):
             == generate(tmp_path / "threads", seed=5, workers=2))
 
 
+def test_worker_count_reads_occspot_threads(monkeypatch):
+    monkeypatch.delenv("OCCSPOT_THREADS", raising=False)
+    assert worker_count() == 1
+    monkeypatch.setenv("OCCSPOT_THREADS", "3")
+    assert worker_count() == 3
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-4", "1.5", ""])
+def test_worker_count_rejects_what_is_not_a_positive_integer(monkeypatch,
+                                                             raw):
+    monkeypatch.setenv("OCCSPOT_THREADS", raw)
+    with pytest.raises(ConfigError, match="^OCCSPOT_THREADS must be a "
+                                          "positive integer, got "):
+        worker_count()
+
+
 def test_different_seed_gives_different_frames(tmp_path):
     a = generate(tmp_path / "a", seed=5)
     b = generate(tmp_path / "b", seed=6)
@@ -56,7 +73,7 @@ def test_different_seed_gives_different_frames(tmp_path):
 
 def generated_sequence(seed=3):
     return generate_sequence(build_scene(CFG.scene, seed), CFG.source_beams,
-                             ego_trajectory(CFG), CFG.keyframe_hz)
+                             ego_trajectory(CFG), CFG.keyframe_hz, workers=1)
 
 
 def test_sequence_round_trips_through_disk(tmp_path):
@@ -88,8 +105,8 @@ def test_config_without_flips_or_beam_targets_does_not_augment():
     cfg = dataclasses.replace(CFG, flip_prob_x=0.0, flip_prob_y=0.0)
     assert cfg.target_beams == ()
     seqs = [generated_sequence(seed) for seed in (3, 4)]
-    for (c0, g0), (c1, g1) in zip(build_samples(seqs, cfg),
-                                  build_samples(seqs, cfg, augment=True)):
+    for (c0, g0), (c1, g1) in zip(build_samples(seqs, cfg, None),
+                                  build_samples(seqs, cfg, 0)):
         assert np.array_equal(c0.xyz, c1.xyz)
         assert np.array_equal(g0.labels, g1.labels)
 
@@ -112,7 +129,7 @@ def test_sequence_occupancy_is_pinned(tmp_path, name, n_sequences, sha256):
         load_config(WORKLOADS / f"{name}.json")
     cfg = dataclasses.replace(cfg, n_sequences=n_sequences)
     digest = hashlib.sha256()
-    for seq_dir in generate_dataset(cfg, tmp_path, seed=7):
+    for seq_dir in generate_dataset(cfg, tmp_path, seed=7, workers=1):
         grid = sequence_occupancy(load_sequence(seq_dir), cfg)
         digest.update(grid.labels.tobytes())
     assert digest.hexdigest() == sha256

@@ -90,14 +90,14 @@ class TestBuildScene:
 class TestScan:
     def test_empty_scene_no_ground(self):
         scene = Scene(ground_z=None, objects=())
-        cloud, labels = scan(scene, down_beams(), sensor())
+        cloud, labels = scan(scene, down_beams(), sensor(), 0.0)
         assert len(cloud) == 0 and labels.size == 0
 
     def test_ground_hit_analytic(self):
         # single ray at -45 deg from 2 m: range 2*sqrt(2), lands 2 m ahead
         scene = Scene(ground_z=0.0, objects=(), ground_class=15)
         beams = BeamSpec(1, -44.0, -46.0, azimuth_steps=1)
-        cloud, labels = scan(scene, beams, sensor(2.0))
+        cloud, labels = scan(scene, beams, sensor(2.0), 0.0)
         assert len(cloud) == 1
         r = np.linalg.norm(cloud.xyz[0])
         assert r == pytest.approx(2 * math.sqrt(2), abs=1e-9)
@@ -112,7 +112,7 @@ class TestScan:
         scene = Scene(ground_z=None, objects=(box,))
         beams = BeamSpec(1, 1.0, -1.0, azimuth_steps=4)  # elevation 0; az 0 is +y
         pose = Pose(np.eye(3), (0.0, 0.0, 1.0))
-        cloud, labels = scan(scene, beams, pose)
+        cloud, labels = scan(scene, beams, pose, 0.0)
         assert len(cloud) == 1  # only the +y ray meets the box
         hits = cloud.xyz[np.abs(to_spherical(cloud.xyz)[:, 1]) < 1e-9]
         assert len(hits) == 1
@@ -123,7 +123,7 @@ class TestScan:
     def test_points_on_surfaces_and_labels_match(self):
         scene = build_scene(SceneParams(n_objects=12), seed=11)
         pose = sensor(1.8)
-        cloud, labels = scan(scene, down_beams(24, 120), pose)
+        cloud, labels = scan(scene, down_beams(24, 120), pose, 0.0)
         assert len(cloud) > 0
         world = transform(cloud, pose)
         for p, lbl in zip(world.xyz, labels):
@@ -137,13 +137,13 @@ class TestScan:
     def test_point_count_bound(self):
         scene = build_scene(SceneParams(n_objects=5), seed=2)
         beams = down_beams(8, 64)
-        cloud, _ = scan(scene, beams, sensor())
+        cloud, _ = scan(scene, beams, sensor(), 0.0)
         assert len(cloud) <= beams.n_beams * beams.azimuth_steps
 
     def test_elevations_are_nominal(self):
         scene = build_scene(SceneParams(n_objects=6), seed=4)
         beams = down_beams(16, 90)
-        cloud, _ = scan(scene, beams, sensor())
+        cloud, _ = scan(scene, beams, sensor(), 0.0)
         got = to_spherical(cloud.xyz)[:, 2]
         nominal = beams.elevations()
         dist = np.abs(got[:, None] - nominal[None, :]).min(axis=1)
@@ -154,7 +154,7 @@ class TestScan:
         far = BoxLabel(0.0, 8.0, 1.0, 1.0, 1.0, 2.0, 0.0, class_id=4)
         scene = Scene(ground_z=None, objects=(near, far))
         beams = BeamSpec(1, 1.0, -1.0, azimuth_steps=4)
-        cloud, labels = scan(scene, beams, Pose(np.eye(3), (0, 0, 1.0)))
+        cloud, labels = scan(scene, beams, Pose(np.eye(3), (0, 0, 1.0)), 0.0)
         assert labels.tolist() == [2]
         assert cloud.xyz[0][1] == pytest.approx(2.5, abs=1e-9)
 
@@ -271,7 +271,7 @@ class TestSequence:
     def test_single_frame_matches_scan(self):
         scene = build_scene(SceneParams(n_objects=6), seed=5)
         poses = self.make_poses(1)
-        seq = generate_sequence(scene, down_beams(), poses, 10.0)
+        seq = generate_sequence(scene, down_beams(), poses, 10.0, workers=1)
         cloud, labels = scan(scene, down_beams(), poses[0], time_s=0.0)
         assert len(seq.frames) == 1
         np.testing.assert_array_equal(seq.frames[0].xyz, cloud.xyz)
@@ -281,7 +281,7 @@ class TestSequence:
         params = SceneParams(n_objects=8, dynamic_fraction=0.0)
         scene = build_scene(params, seed=6)
         seq = generate_sequence(scene, down_beams(12, 60),
-                                self.make_poses(2, speed=3.0), 10.0)
+                                self.make_poses(2, speed=3.0), 10.0, workers=1)
         for cloud, pose in zip(seq.frames, seq.poses):
             world = transform(cloud, pose)
             for p in world.xyz:
@@ -291,7 +291,8 @@ class TestSequence:
         box = BoxLabel(0.0, 5.0, 1.0, 2.0, 1.0, 2.0, 0.0, vx=1.0, vy=0.0,
                        class_id=1, is_dynamic=True)
         scene = Scene(ground_z=0.0, objects=(box,))
-        seq = generate_sequence(scene, down_beams(), self.make_poses(11), 10.0)
+        seq = generate_sequence(scene, down_beams(), self.make_poses(11), 10.0,
+                                workers=1)
         assert seq.boxes[10][0].cx == pytest.approx(1.0)
         assert seq.boxes[0][0].cx == pytest.approx(0.0)
 
@@ -309,4 +310,4 @@ class TestSequence:
     def test_no_poses_is_rejected(self):
         scene = build_scene(SceneParams(n_objects=2), seed=1)
         with pytest.raises(ValueError, match="at least one frame"):
-            generate_sequence(scene, down_beams(), [], 10.0)
+            generate_sequence(scene, down_beams(), [], 10.0, workers=1)

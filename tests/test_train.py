@@ -22,9 +22,10 @@ CFG = toy_config()  # 15 classes, channels (6, 8, 8)
 def toy_samples(cfg, n_scenes=3, seed0=50):
     poses = ego_trajectory(cfg)
     seqs = [generate_sequence(build_scene(cfg.scene, seed0 + i),
-                              cfg.source_beams, poses, cfg.keyframe_hz)
+                              cfg.source_beams, poses, cfg.keyframe_hz,
+                              workers=1)
             for i in range(n_scenes)]
-    return build_samples(seqs, cfg)
+    return build_samples(seqs, cfg, None)
 
 
 class TestOneCycle:
@@ -187,15 +188,15 @@ class TestCheckpoints:
     def test_byte_identical_rewrite(self, tmp_path):
         params = init_params(CFG, seed=9)
         p1, p2 = tmp_path / "a.spck", tmp_path / "b.spck"
-        save_model(p1, params, CFG, seed=9)
+        save_model(p1, params, CFG, seed=9, extra={})
         loaded = load_model(p1, CFG)
         header, _ = read_checkpoint(p1)
-        save_model(p2, loaded, CFG, seed=header["seed"])
+        save_model(p2, loaded, CFG, seed=header["seed"], extra={})
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_older_header_with_feat_dim_and_lam_loads(self, tmp_path):
         path = tmp_path / "old.spck"
-        save_model(path, init_params(CFG, seed=10), CFG, seed=10)
+        save_model(path, init_params(CFG, seed=10), CFG, seed=10, extra={})
         header, blob = read_checkpoint(path)
         header["model"].update(feat_dim=1, lam=0.5)
         write_checkpoint(path, header, blob)
@@ -209,7 +210,7 @@ class TestCheckpoints:
     def test_architecture_mismatch_is_a_config_error(self, tmp_path, override,
                                                      key, ours, theirs):
         path = tmp_path / "m.spck"
-        save_model(path, init_params(CFG, seed=11), CFG, seed=11)
+        save_model(path, init_params(CFG, seed=11), CFG, seed=11, extra={})
         with pytest.raises(ConfigError) as info:
             load_model(path, toy_config(**override))
         assert str(info.value) == (f"{key}: config has {ours}, checkpoint "
@@ -220,7 +221,7 @@ class TestCheckpoints:
         {"n_cls": 15, "channels": 6}])
     def test_malformed_header_is_a_format_error(self, tmp_path, model):
         path = tmp_path / "m.spck"
-        save_model(path, init_params(CFG, seed=12), CFG, seed=12)
+        save_model(path, init_params(CFG, seed=12), CFG, seed=12, extra={})
         header, blob = read_checkpoint(path)
         header["model"] = model
         write_checkpoint(path, header, blob)
