@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "FieldError",
     "PointCloud",
     "Pose",
     "BoxLabel",
@@ -34,6 +35,18 @@ __all__ = [
     "validate_labels",
     "wrap_angle",
 ]
+
+
+class FieldError(ValueError):
+    """A dataclass field holds a value out of range; `field` names it.
+
+    The message reads ``"<field> <why>"``; a config layer that knows where
+    the dataclass sits in its document prefixes the path to `field`.
+    """
+
+    def __init__(self, field: str, why: str):
+        super().__init__(f"{field} {why}")
+        self.field, self.why = field, why
 
 
 def _as_points(xyz) -> np.ndarray:

@@ -11,7 +11,10 @@ Unknown keys are rejected (silent hyperparameter typos are the main
 reproducibility hazard).  Range checks live in ``PipelineConfig.__post_init__``
 and in the section dataclasses (``SceneParams``, ``GridSpec``, ``BeamSpec``),
 so a config built directly in code is checked exactly like a parsed one.
-Every error is a :class:`ConfigError` that names the JSON path.
+Every error is a :class:`ConfigError` that names the JSON path: a check on
+one field (a :class:`~occspot.cloud.FieldError` from a section dataclass)
+names that field, ``grid.n_cls``; a check across fields names the section
+or the object, ``beams.source``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
 
+from .cloud import FieldError
 from .occupancy import GridSpec
 from .synth import BeamSpec, SceneParams
 
@@ -203,6 +207,8 @@ class _Beams:
         _reject_extras(obj, path)
         try:  # a TypeError names a missing required key
             return BeamSpec(**kwargs)
+        except FieldError as exc:
+            raise ConfigError(f"{path}.{exc.field}: {exc.why}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
@@ -285,8 +291,10 @@ def parse_config(doc: dict) -> PipelineConfig:
         _reject_extras(obj, section)
     defaults = PipelineConfig()
     for name, kwargs in nested.items():
-        try:
+        try:  # the section attributes share their JSON sections' names
             top[name] = replace(getattr(defaults, name), **kwargs)
+        except FieldError as exc:
+            raise ConfigError(f"{name}.{exc.field}: {exc.why}") from exc
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
     return PipelineConfig(**top)

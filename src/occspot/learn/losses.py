@@ -108,6 +108,18 @@ def lovasz_softmax(pred: np.ndarray, gt: np.ndarray,
 
     The loss is piecewise linear; the returned gradient is exact wherever
     the descending error sort is strict (ties contribute a subgradient).
+
+    Only the head of each class's order is sorted.  Let m be the smallest
+    error on a cell of class n (the largest error when n is absent).  In
+    the stable descending order every cell with error below m comes after
+    the last foreground cell, where the Jaccard loss is 1 on both sides of
+    each step, so its ``lovasz_grad`` entry is exactly +0.0 whatever order
+    those cells take.  The head (error >= m) is sorted stably with ties in
+    index order, exactly as a full ``argsort(-errors, kind="stable")``
+    orders it, and the tail follows in index order.  ``lovasz_grad`` and
+    the dot with the errors still run over all cells, so every sum keeps
+    its length and its terms' positions: loss and gradient are the same
+    bits as with the full sort.
     """
     pred, gt = _check_pair(pred, gt)
     if classes not in ("present", "all"):
@@ -127,9 +139,14 @@ def lovasz_softmax(pred: np.ndarray, gt: np.ndarray,
 
     loss = 0.0
     for n in active:
-        fg = (flat_gt == n).astype(np.float64)
-        errors = np.where(fg > 0, 1.0 - flat_p[:, n], flat_p[:, n])
-        perm = np.argsort(-errors, kind="stable")
+        is_fg = flat_gt == n
+        fg = is_fg.astype(np.float64)
+        errors = np.where(is_fg, 1.0 - flat_p[:, n], flat_p[:, n])
+        m = errors[is_fg].min() if is_fg.any() else errors.max()
+        in_head = errors >= m
+        head = np.flatnonzero(in_head)
+        head = head[np.argsort(-errors[head], kind="stable")]
+        perm = np.concatenate([head, np.flatnonzero(~in_head)])
         g = lovasz_grad(fg[perm])
         loss += float(errors[perm] @ g)
         g_unsorted = np.empty_like(g)

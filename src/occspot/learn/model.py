@@ -65,16 +65,21 @@ def conv_backward_weight(x: np.ndarray, gy: np.ndarray, stride: int) -> np.ndarr
 
 def conv_backward_input(gy: np.ndarray, w: np.ndarray, in_hw: tuple[int, int],
                         stride: int) -> np.ndarray:
-    """Scatter output gradients back through the 3x3 stencil (col2im)."""
-    b, oh, ow, _ = gy.shape
+    """Scatter output gradients back through the 3x3 stencil (col2im).
+
+    One GEMM per tap, ``gy @ w[i, j].T`` over the output channels, added
+    into the padded input gradient in row-major (i, j) order: each cell
+    receives its tap terms in that order, whatever the stride.
+    """
+    b, oh, ow, cout = gy.shape
     h, w_in = in_hw
     cin = w.shape[2]
-    gcols = np.einsum("bhwo,ijco->bhwijc", gy, w, optimize=True)
+    rows = gy.reshape(-1, cout)
     gx = np.zeros((b, h + 2 * _PAD, w_in + 2 * _PAD, cin))
     for i in range(_K):
         for j in range(_K):
             gx[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
-                gcols[:, :, :, i, j]
+                (rows @ w[i, j].T).reshape(b, oh, ow, cin)
     return gx[:, _PAD:_PAD + h, _PAD:_PAD + w_in]
 
 

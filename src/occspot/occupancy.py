@@ -32,7 +32,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cloud import BoxLabel, LidarSequence, PointCloud, transform, validate_labels
+from .cloud import (BoxLabel, FieldError, LidarSequence, PointCloud, transform,
+                    validate_labels)
 
 __all__ = [
     "CLASS_NAMES", "DEFAULT_N_CLS", "GridSpec", "OccupancyGrid", "SplitResult",
@@ -71,13 +72,14 @@ class GridSpec:
 
     def __post_init__(self):
         if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+            raise FieldError("cell_size", "must be positive")
         if self.z_max <= self.z_min:
             raise ValueError("z_max must exceed z_min")
-        if self.h < 1 or self.w < 1:
-            raise ValueError("grid must have at least one cell per axis")
+        for axis in ("h", "w"):
+            if getattr(self, axis) < 1:
+                raise FieldError(axis, "must be >= 1 (one cell per axis)")
         if not 1 <= self.n_cls <= 255:
-            raise ValueError(f"n_cls must lie in 1..255 (labels are stored "
+            raise FieldError("n_cls", f"must lie in 1..255 (labels are stored "
                              f"as u8), got {self.n_cls}")
 
     def bin_points(self, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -23,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cloud import BoxLabel, LidarSequence, PointCloud, Pose, from_spherical
+from .cloud import (BoxLabel, FieldError, LidarSequence, PointCloud, Pose,
+                    from_spherical)
 
 __all__ = [
     "BeamSpec", "Scene", "SceneParams", "build_scene", "scan",
@@ -61,9 +62,9 @@ class BeamSpec:
 
     def __post_init__(self):
         if self.n_beams < 1:
-            raise ValueError("n_beams must be >= 1")
+            raise FieldError("n_beams", "must be >= 1")
         if self.azimuth_steps < 1:
-            raise ValueError("azimuth_steps must be >= 1")
+            raise FieldError("azimuth_steps", "must be >= 1")
         if not self.alpha_up > self.alpha_low:
             raise ValueError(
                 f"degenerate VFOV: alpha_up ({self.alpha_up}) must exceed "
@@ -128,21 +129,21 @@ class SceneParams:
     def __post_init__(self):
         x0, x1, y0, y1 = self.arena
         if not (x1 > x0 and y1 > y0):
-            raise ValueError("arena bounds must satisfy x_max > x_min, y_max > y_min")
+            raise FieldError("arena", "bounds must satisfy x_max > x_min, y_max > y_min")
         if self.n_objects < 0:
-            raise ValueError("n_objects must be >= 0")
+            raise FieldError("n_objects", "must be >= 0")
         if any(w < 0 for w in self.class_mix.values()):
-            raise ValueError("class_mix weights must be >= 0")
+            raise FieldError("class_mix", "weights must be >= 0")
         if self.n_objects > 0 and sum(self.class_mix.values()) <= 0:
             raise ValueError("class_mix weights must sum > 0")
         if not 0.0 <= self.dynamic_fraction <= 1.0:
-            raise ValueError("dynamic_fraction must lie in [0, 1]")
+            raise FieldError("dynamic_fraction", "must lie in [0, 1]")
         for name in ("size_range_l", "size_range_w", "size_range_h"):
             low, high = getattr(self, name)
             if not 0 < low <= high:
-                raise ValueError(f"{name} must satisfy 0 < low <= high")
+                raise FieldError(name, "must satisfy 0 < low <= high")
         if not self.speed_range[0] <= self.speed_range[1]:
-            raise ValueError("speed_range must satisfy low <= high")
+            raise FieldError("speed_range", "must satisfy low <= high")
 
 
 def build_scene(params: SceneParams, seed: int) -> Scene:

@@ -16,6 +16,7 @@ import numpy as np
 from occspot.cloud import BoxLabel, PointCloud
 from occspot.config import PipelineConfig
 from occspot.learn import PILLAR_DIM
+from occspot.learn.losses import _check_pair, lovasz_grad
 from occspot.occupancy import GridSpec
 from occspot.synth import (_RAY_EPS, RANGE_NORM, SceneParams, _ray_box_hits,
                            _ray_directions)
@@ -202,6 +203,61 @@ def jaccard_loss_brute(pred_mask, gt_mask) -> float:
     inter = int(np.logical_and(pred_mask, gt_mask).sum())
     union = int(np.logical_or(pred_mask, gt_mask).sum())
     return 0.0 if union == 0 else 1.0 - inter / union
+
+
+def lovasz_softmax_reference(pred, gt, classes: str) -> tuple[float, np.ndarray]:
+    """Lovász-Softmax with a full stable sort of every class's errors.
+
+    The library sorts only the head of each order and must equal this bit
+    for bit, loss, gradient and the sign of every zero; the same algorithm
+    is the point, so it is a reference rather than an independent oracle.
+    """
+    pred, gt = _check_pair(pred, gt)
+    n_classes = pred.shape[-1]
+    flat_p = pred.reshape(-1, n_classes)
+    flat_gt = gt.reshape(-1)
+
+    if classes == "present":
+        active = [n for n in np.unique(flat_gt) if n != 0]
+    else:
+        active = list(range(1, n_classes))
+
+    grad = np.zeros_like(flat_p)
+    if not active:
+        return 0.0, grad.reshape(pred.shape)
+
+    loss = 0.0
+    for n in active:
+        fg = (flat_gt == n).astype(np.float64)
+        errors = np.where(fg > 0, 1.0 - flat_p[:, n], flat_p[:, n])
+        perm = np.argsort(-errors, kind="stable")
+        g = lovasz_grad(fg[perm])
+        loss += float(errors[perm] @ g)
+        g_unsorted = np.empty_like(g)
+        g_unsorted[perm] = g
+        grad[:, n] += g_unsorted * (1.0 - 2.0 * fg)
+
+    k = len(active)
+    return loss / k, (grad / k).reshape(pred.shape)
+
+
+def conv_backward_input_reference(gy, w, in_hw, stride: int) -> np.ndarray:
+    """col2im through one einsum over every tap, then per-tap adds.
+
+    The library makes one GEMM per tap and must equal this bit for bit at
+    both strides; like :func:`lovasz_softmax_reference` it pins the bits,
+    so it shares the add order it checks.
+    """
+    b, oh, ow, _ = gy.shape
+    h, w_in = in_hw
+    cin = w.shape[2]
+    gcols = np.einsum("bhwo,ijco->bhwijc", gy, w, optimize=True)
+    gx = np.zeros((b, h + 2, w_in + 2, cin))
+    for i in range(3):
+        for j in range(3):
+            gx[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
+                gcols[:, :, :, i, j]
+    return gx[:, 1:1 + h, 1:1 + w_in]
 
 
 def rel_err(a: float, b: float, floor: float = 1e-300) -> float:

@@ -260,7 +260,7 @@ class TestClassCountFitsInAByte:
                       str(grid)]):
             assert main(argv) == cli.EXIT_CONFIG
             assert capsys.readouterr().err == (
-                "config error: grid: n_cls must lie in 1..255 (labels are "
+                "config error: grid.n_cls: must lie in 1..255 (labels are "
                 "stored as u8), got 256\n")
         assert not out.exists()
         assert not list(tmp_path.glob("wide.spog*"))

@@ -56,9 +56,13 @@ MALFORMED = [
      "balance.foreground_classes[0]"),
     ('{"train": {"channels": ["x", 16, 16]}}', "train.channels[0]"),
     ('{"scene": {"size_range_l": [1.0]}}', "scene.size_range_l"),
-    ('{"scene": {"size_range_l": [-2.0, -1.0]}}', "scene"),
-    ('{"scene": {"size_range_w": [2.0, 1.0]}}', "scene"),
-    ('{"scene": {"speed_range": [3.0, 1.0]}}', "scene"),
+    ('{"scene": {"size_range_l": [-2.0, -1.0]}}', "scene.size_range_l"),
+    ('{"scene": {"size_range_w": [2.0, 1.0]}}', "scene.size_range_w"),
+    ('{"scene": {"speed_range": [3.0, 1.0]}}', "scene.speed_range"),
+    ('{"scene": {"arena": [1.0, -1.0, -1.0, 1.0]}}', "scene.arena"),
+    ('{"scene": {"n_objects": -1}}', "scene.n_objects"),
+    ('{"scene": {"dynamic_fraction": 1.5}}', "scene.dynamic_fraction"),
+    ('{"scene": {"class_mix": {"1": 0.0}}}', "scene"),
     ('{"scene": {"arena": [-1.0, 1.0, -1.0]}}', "scene.arena"),
     ('{"scene": {"arena": [-1.0, 1.0, -1.0, 1.0, 2.0]}}', "scene.arena"),
     ('{"balance": {"epoch_size": true}}', "balance.epoch_size"),
@@ -69,9 +73,20 @@ MALFORMED = [
     ('{"scene": {"class_mix": {"0": 1.0}}}', "scene.class_mix"),
     ('{"scene": {"class_mix": {"16": 1.0}}}', "scene.class_mix"),
     ('{"scene": {"class_mix": {"01": 1.0}}}', "scene.class_mix"),
-    ('{"scene": {"class_mix": {"1": 2.0, "2": -1.0}}}', "scene"),
+    ('{"scene": {"class_mix": {"1": 2.0, "2": -1.0}}}', "scene.class_mix"),
+    ('{"grid": {"n_cls": 0}}', "grid.n_cls"),
+    ('{"grid": {"cell_size": 0.0}}', "grid.cell_size"),
+    ('{"grid": {"h": 0}}', "grid.h"),
+    ('{"grid": {"w": -4}}', "grid.w"),
+    ('{"grid": {"z_min": 3.0, "z_max": 3.0}}', "grid"),
     ('{"grid": {"n_cls": 4}}', "scene.ground_class"),
     ('{"beams": {"source": {"n_beams": 8, "alpha_up": 1.0}}}', "beams.source"),
+    ('{"beams": {"source": {"n_beams": 8, "alpha_up": 1.0, "alpha_low": 1.0}}}',
+     "beams.source"),
+    ('{"beams": {"source": {"n_beams": 0, "alpha_up": 1.0, "alpha_low": -1.0}}}',
+     "beams.source.n_beams"),
+    ('{"beams": {"targets": [{"n_beams": 4, "alpha_up": 1.0, "alpha_low": -1.0,'
+     ' "azimuth_steps": 0}]}}', "beams.targets[0].azimuth_steps"),
     ('{"train": {"bogus": 1}}', "train"),
     ('[]', "<root>"),
 ]
@@ -90,7 +105,7 @@ def test_n_cls_must_fit_in_a_byte(tmp_path):
     assert load_config(path).grid.n_cls == 255
     path.write_text(json.dumps({"grid": {"n_cls": 256}}))
     with pytest.raises(ConfigError,
-                       match=r"^grid: n_cls must lie in 1\.\.255 .*got 256$"):
+                       match=r"^grid\.n_cls: must lie in 1\.\.255 .*got 256$"):
         load_config(path)
     with pytest.raises(ValueError, match="n_cls must lie in 1..255"):
         GridSpec(0.0, 0.0, 1.0, 4, 4, -1.0, 1.0, n_cls=256)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import (central_diff, grad_rel_err, guarded_directional_checks,
-                     jaccard_loss_brute, lovasz_region_signature, rel_err)
+                     jaccard_loss_brute, lovasz_region_signature,
+                     lovasz_softmax_reference, rel_err)
 
 from occspot.config import PipelineConfig
 from occspot.learn import (loss_weights, lovasz_softmax, softmax_field,
@@ -162,6 +163,48 @@ class TestLovaszSoftmax:
             logits, gt = random_instance(seed, h=4, w=4)
             loss, _ = lovasz_softmax(softmax_field(logits), gt, "present")
             assert loss >= 0.0
+
+
+def oracle_cases():
+    """(name, pred, gt): inputs where sorting only the head of each class's
+    order could slip a bit against the full sort."""
+    rng = np.random.default_rng(21)
+    shape, n_out = (2, 10, 12), 6
+    gt = rng.integers(0, n_out, shape)
+    gt[rng.random(shape) < 0.5] = 0
+    logits = rng.normal(0.0, 2.0, shape + (n_out,))
+    cases = [
+        ("random", softmax_field(logits), gt),
+        ("near_constant", softmax_field(1e-9 * logits), gt),
+        ("sharp", softmax_field(30.0 * logits), gt),
+        ("rounded", softmax_field(np.round(logits)), gt),
+        # errors p and 1 - p from one small set: background errors tie
+        # with the smallest foreground error m, and both signs of zero occur
+        ("ties_on_m", rng.choice([0.0, 0.25, 0.5, 0.75, 1.0],
+                                 shape + (n_out,)), gt),
+        # classes 2..5 are absent, which only the "all" mode visits
+        ("absent", softmax_field(logits), np.minimum(gt, 1)),
+        ("single_cell", softmax_field(logits),
+         np.where(np.arange(gt.size).reshape(shape) == 37, 4, 0)),
+        ("all_foreground", softmax_field(logits), np.full(shape, 2)),
+    ]
+    big = rng.normal(0.0, 1.0, (4, 32, 32, 16))
+    cases.append(("large", softmax_field(big),
+                  np.where(rng.random((4, 32, 32)) < 0.7, 0,
+                           rng.integers(1, 16, (4, 32, 32)))))
+    return cases
+
+
+@pytest.mark.parametrize("classes", ["present", "all"])
+@pytest.mark.parametrize("name, pred, gt", oracle_cases(),
+                         ids=[c[0] for c in oracle_cases()])
+def test_lovasz_equals_the_full_sort_bit_for_bit(name, pred, gt, classes):
+    loss, grad = lovasz_softmax(pred, gt, classes)
+    want_loss, want_grad = lovasz_softmax_reference(pred, gt, classes)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert np.array_equal(grad, want_grad)
+    # array_equal takes -0.0 for +0.0; the sign bits must agree too
+    assert np.array_equal(np.signbit(grad), np.signbit(want_grad))
 
 
 class TestTotalLoss:

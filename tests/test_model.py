@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from helpers import (lovasz_region_signature, pillar_features_reference,
-                     rel_err, toy_config)
+from helpers import (conv_backward_input_reference, lovasz_region_signature,
+                     pillar_features_reference, rel_err, toy_config)
 
 from occspot.cloud import PointCloud
 from occspot.learn import (PILLAR_DIM, init_params, loss_weights,
@@ -23,17 +25,32 @@ def grid16():
                     z_min=-1.0, z_max=3.0, n_cls=15)
 
 
+#: (B, H, W, C) conv inputs: square, non-square, odd
+CONV_SHAPES = [(2, 8, 8, 3), (2, 12, 8, 3), (1, 7, 9, 4)]
+
+
 class TestConvPrimitives:
     def test_adjoint_identity(self):
         rng = np.random.default_rng(0)
-        for stride in (1, 2):
-            x = rng.normal(size=(2, 8, 8, 3))
-            w = rng.normal(size=(3, 3, 3, 5))
+        for shape, stride in itertools.product(CONV_SHAPES, (1, 2)):
+            x = rng.normal(size=shape)
+            w = rng.normal(size=(3, 3, shape[3], 5))
             y = conv_forward(x, w, None, stride)
             gy = rng.normal(size=y.shape)
             lhs = float((y * gy).sum())
-            rhs = float((x * conv_backward_input(gy, w, (8, 8), stride)).sum())
-            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+            rhs = float((x * conv_backward_input(gy, w, shape[1:3], stride)).sum())
+            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs)), (shape, stride)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("shape", CONV_SHAPES, ids=str)
+    def test_col2im_equals_the_einsum_oracle(self, shape, stride):
+        rng = np.random.default_rng(13)
+        w = rng.normal(size=(3, 3, shape[3], 5))
+        y = conv_forward(rng.normal(size=shape), w, None, stride)
+        gy = rng.normal(size=y.shape)
+        assert np.array_equal(
+            conv_backward_input(gy, w, shape[1:3], stride),
+            conv_backward_input_reference(gy, w, shape[1:3], stride))
 
     def test_tconv_shapes(self):
         rng = np.random.default_rng(1)
@@ -46,24 +63,29 @@ class TestConvPrimitives:
 
     def test_tconv_gradients_match_fd(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(1, 4, 4, 3))
-        w = rng.normal(size=(3, 3, 2, 3))
-        b = rng.normal(size=(2,))
-        gy = rng.normal(size=(1, 8, 8, 2))
-        dx, dw, db = tconv_backward(x, gy, w, stride=2)
         h = 1e-6
+        # stride 1 on a non-square grid is the decoder's last layer, up3
+        for stride, x_shape, out_hw in ((2, (1, 4, 4, 3), (8, 8)),
+                                        (1, (2, 5, 6, 3), (5, 6))):
+            x = rng.normal(size=x_shape)
+            w = rng.normal(size=(3, 3, 2, 3))
+            b = rng.normal(size=(2,))
+            gy = rng.normal(size=(x_shape[0], *out_hw, 2))
+            dx, dw, db = tconv_backward(x, gy, w, stride)
 
-        def loss(wa):
-            return float((tconv_forward(x, wa, b, (8, 8), 2) * gy).sum())
+            def loss(xa, wa):
+                return float((tconv_forward(xa, wa, b, out_hw, stride) * gy).sum())
 
-        for _ in range(25):
-            idx = tuple(rng.integers(0, s) for s in w.shape)
-            wp, wm = w.copy(), w.copy()
-            wp[idx] += h
-            wm[idx] -= h
-            fd = (loss(wp) - loss(wm)) / (2 * h)
-            assert rel_err(fd, dw[idx]) <= 1e-6
-        np.testing.assert_allclose(db, gy.sum(axis=(0, 1, 2)), atol=1e-12)
+            for arr, grad, at in ((w, dw, lambda a: loss(x, a)),
+                                  (x, dx, lambda a: loss(a, w))):
+                for _ in range(25):
+                    idx = tuple(rng.integers(0, s) for s in arr.shape)
+                    ap, am = arr.copy(), arr.copy()
+                    ap[idx] += h
+                    am[idx] -= h
+                    fd = (at(ap) - at(am)) / (2 * h)
+                    assert rel_err(fd, grad[idx]) <= 1e-6, (stride, idx)
+            np.testing.assert_allclose(db, gy.sum(axis=(0, 1, 2)), atol=1e-12)
 
 
 class TestPillarFeatures:

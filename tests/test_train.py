@@ -4,10 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import toy_config
+from helpers import (conv_backward_input_reference, lovasz_softmax_reference,
+                     toy_config)
 
 from occspot.config import ConfigError, PipelineConfig
 from occspot.formats import FormatError, read_checkpoint, write_checkpoint
+from occspot.learn import losses, model
 from occspot.learn import (NumericalError, confusion_matrix, evaluate,
                            load_model, loss_weights, miou, one_cycle_lr,
                            save_model, train)
@@ -102,6 +104,30 @@ class TestTrainingLoops:
         with pytest.raises(NumericalError,
                            match=r"^logits contain NaN at step \d+ \(epoch"):
             train(None, samples, cfg, seed=0)
+
+    @pytest.mark.parametrize("classes", ["present", "all"])
+    def test_training_equals_the_oracle_kernels(self, classes, monkeypatch):
+        cfg = toy_config(lovasz_classes=classes)
+        samples = toy_samples(cfg)
+        params, trace = train(None, samples, cfg, seed=5)
+        calls = {"lovasz": 0, "col2im": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(losses, "lovasz_softmax",
+                            counted("lovasz", lovasz_softmax_reference))
+        monkeypatch.setattr(model, "conv_backward_input",
+                            counted("col2im", conv_backward_input_reference))
+        want_params, want_trace = train(None, samples, cfg, seed=5)
+        assert calls["lovasz"] > 0 and calls["col2im"] > 0
+        assert trace == want_trace
+        assert params.keys() == want_params.keys()
+        for name in params:
+            assert np.array_equal(params[name], want_params[name]), name
 
     def test_finetune_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty sample list"):
