@@ -148,14 +148,29 @@ def cmd_resample(args) -> int:
     return EXIT_OK
 
 
+def _frame_counts(frame, path: str) -> dict[int, int]:
+    """One stats frame, ``{"<class id>": count}``.  Keys are canonical
+    decimal integers and counts JSON integers, so nothing is coerced and no
+    two keys merge."""
+    if not isinstance(frame, dict):
+        raise ValueError(f"{path}: expected an object, got {frame!r:.40}")
+    for key, n in frame.items():
+        if not (key.isascii() and key.isdigit() and str(int(key)) == key):
+            raise ValueError(f"{path}: key {key!r} is not a class id")
+        if type(n) is not int:
+            raise ValueError(f"{path}.{key}: expected int, got {n!r:.40}")
+    return {int(k): n for k, n in frame.items()}
+
+
 def cmd_balance_weights(args) -> int:
     try:
         doc = json.loads(Path(args.stats).read_text())
-        frames = doc["frames"]
-        stats = class_stats([{int(k): int(v) for k, v in fr.items()}
-                             for fr in frames])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        stats = class_stats([_frame_counts(fr, f"frames[{i}]")
+                             for i, fr in enumerate(doc["frames"])])
+    except (KeyError, TypeError) as exc:
         raise DataError(f"{args.stats}: bad stats document: {exc!r}") from exc
+    except ValueError as exc:  # JSON syntax, or a frame or its counts
+        raise DataError(f"{args.stats}: bad stats document: {exc}") from exc
     weights = sampling_weights(stats)
     print(json.dumps({"class_ids": list(weights.class_ids),
                       "s": list(weights.s)}, indent=2))

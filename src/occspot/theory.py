@@ -1,7 +1,7 @@
 """Exact finite-distribution sandbox for the information-theoretic claims.
 
 Everything here enumerates small discrete joints exactly (supports up to
-~16 states per variable), in nats.  The checks cover:
+~16 states per variable), in nats.  Three randomized sweeps check:
 
 * the Bayes-error bound ``P_e <= 1 - exp(-H(T) + I(Z, T))``;
 * the mutual-information decomposition behind the pre-training comparison,
@@ -14,14 +14,11 @@ Everything here enumerates small discrete joints exactly (supports up to
 No estimators are involved; the claims are inequalities/identities and are
 verified to machine precision.
 
-The measures are computed on stacks of joints of one support shape, a
-``(K, a, b)`` array; a single-joint function is a stack of one.  The
-Bayes-bound and decomposition sweeps draw their joints one at a time, in
-the generator's order, then compute each support shape's stack at once
-(at most 49 shapes); the risk-ordering sweep stays a loop over joints (see
-:func:`_sq_risk`).  Every sum is numpy's own reduction over the same terms
-in the same order as on one joint, so a stack gives each joint the bits it
-would get alone:
+Each sweep draws its joints one at a time, in the generator's order, then
+computes each support shape's stack, a ``(K, a, b)`` array, at once (at
+most 49 shapes; see :func:`_sweep_rows`).  Every sum is numpy's own
+reduction over the same terms in the same order as on one joint, so a
+stack gives each joint the bits it would get alone:
 
 * a sum along the last axis of a C-contiguous stack runs, on each row, the
   pairwise loop that ``.sum()`` runs on that row alone;
@@ -31,21 +28,22 @@ would get alone:
 * a masked sum (``p[p > 0]``) has a term count that varies by joint, and
   numpy's pairwise order depends on that count (a plain loop below 8 terms,
   eight accumulators from 8 on).  :func:`_row_sums` therefore groups the
-  rows by term count and sums each ``(rows, count)`` block along its rows.
+  rows by term count and sums each ``(rows, count)`` block along its rows;
+* for the same reason the garbled Bayes error, a last-axis sum over the
+  garbled states, is computed per group of joints with one state count:
+  padded zero states would lengthen the sum and change its order.
+
+One product stays per row: ``E[Var(T | Z)]`` takes each conditional mean
+and variance as a BLAS dot of one row (:func:`_sq_risk`).  A stacked form
+(``(cond * t).sum(-1)``, ``matmul`` or ``einsum``) adds the same terms in
+another order and changed over a third of the values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 
-__all__ = [
-    "DiscreteJoint", "BoundReport", "Lemma1Report", "RiskOrderingReport",
-    "entropy", "mutual_information", "conditional_mi", "bayes_error",
-    "check_bayes_bound", "lemma1_decomposition", "risk_ordering",
-    "random_joint", "sweep_bayes_bound", "sweep_lemma1", "sweep_risk_ordering",
-]
+__all__ = ["sweep_bayes_bound", "sweep_lemma1", "sweep_risk_ordering"]
 
 #: mass tolerance of a joint, and the slack every exact check allows
 _TOL = 1e-12
@@ -67,36 +65,9 @@ def _check_joints(flat: np.ndarray) -> None:
         raise ValueError(f"joint mass {total[off][0]} != 1 within {_TOL}")
 
 
-@dataclass(frozen=True)
-class DiscreteJoint:
-    """A validated joint probability tensor (2-way or 3-way)."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.p, dtype=np.float64, order="C")  # a copy
-        if arr.ndim not in (2, 3):
-            raise ValueError("joint must be 2- or 3-dimensional")
-        _check_joints(arr.reshape(1, -1))
-        arr.setflags(write=False)
-        object.__setattr__(self, "p", arr)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.p.shape
-
-
-def _as_joint(j, ndim: int, name: str) -> np.ndarray:
-    """The validated probability array of `j`, checked to be `ndim`-way."""
-    p = j.p if isinstance(j, DiscreteJoint) else DiscreteJoint(np.asarray(j)).p
-    if p.ndim != ndim:
-        raise ValueError(f"{name} expects a {ndim}-way joint")
-    return p
-
-
-# The private stack functions below trust their input: the public functions
-# and the sweeps validate each joint once, and every array derived from a
-# joint is a joint by construction.
+# The stack functions below trust their input: the sweeps validate each
+# joint once, and every array derived from a joint is a joint by
+# construction.
 
 def _row_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum of each row of a ragged array, as ``.sum()`` of that row alone.
@@ -144,54 +115,12 @@ def _cmis(slabs: np.ndarray) -> np.ndarray:
 
 
 def _bayes(p: np.ndarray) -> np.ndarray:
+    """Minimum classification error of each joint: 1 - sum_z max_t p(z, t)."""
     return 1.0 - p.max(axis=2).sum(axis=1)
 
 
-def entropy(p: np.ndarray) -> float:
-    """Shannon entropy in nats, with 0 ln 0 = 0."""
-    p = np.asarray(p, dtype=np.float64)
-    if (p < 0).any():
-        raise ValueError("distribution has negative mass")
-    if not np.isfinite(p).all():
-        raise ValueError("distribution mass must be finite")
-    return float(_entropies(p.reshape(1, -1))[0])
-
-
-def mutual_information(j) -> float:
-    """I(Z, T) of a 2-way joint, zero-mass terms skipped."""
-    return float(_mis(_as_joint(j, 2, "mutual_information")[None])[0])
-
-
-def conditional_mi(j) -> float:
-    """I(O, T | Z) of a 3-way joint over (O, T, Z), by exact enumeration."""
-    p = _as_joint(j, 3, "conditional_mi")
-    return float(_cmis(np.moveaxis(p, 2, 0)[None])[0])
-
-
-def bayes_error(j) -> float:
-    """Minimum achievable classification error: 1 - sum_z max_t p(z, t)."""
-    return float(_bayes(_as_joint(j, 2, "bayes_error")[None])[0])
-
-
-def _report(cls, rows: dict):
-    """The fields of a stack of one joint, as a `cls` report."""
-    return cls(**{f.name: rows[f.name][0].item() for f in fields(cls)})
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Both sides of the Bayes-error bound plus the realized slack."""
-
-    h_t: float
-    mi: float
-    bayes_error: float
-    bound_value: float
-    slack: float
-    satisfied: bool
-
-
 def _bound_rows(p: np.ndarray) -> dict:
-    """The BoundReport fields of each joint in the stack `p`."""
+    """Both sides of the Bayes-error bound, and the slack, of each joint."""
     h_t = _entropies(p.sum(axis=1))
     mi = _mis(p)
     pe = _bayes(p)
@@ -199,22 +128,6 @@ def _bound_rows(p: np.ndarray) -> dict:
     slack = bound - pe
     return {"h_t": h_t, "mi": mi, "bayes_error": pe, "bound_value": bound,
             "slack": slack, "satisfied": slack >= -_TOL}
-
-
-def check_bayes_bound(j) -> BoundReport:
-    """Evaluate ``P_e <= 1 - exp(-H(T) + I(Z, T))`` exactly."""
-    p = _as_joint(j, 2, "check_bayes_bound")
-    return _report(BoundReport, _bound_rows(p[None]))
-
-
-def _check_map(f, n: int, name: str) -> np.ndarray:
-    """`f` as a map of `n` states to non-negative state indices."""
-    f = np.asarray(f, dtype=np.int64)
-    if f.shape != (n,):
-        raise ValueError(f"{name} must map each of the {n} states")
-    if (f < 0).any():
-        raise ValueError(f"{name} must use non-negative state indices")
-    return f
 
 
 def _map_slabs(p: np.ndarray, f: np.ndarray, n_z: int) -> np.ndarray:
@@ -232,21 +145,9 @@ def _induced(slabs: np.ndarray) -> np.ndarray:
     return slabs.cumsum(axis=2)[:, :, -1].copy()
 
 
-@dataclass(frozen=True)
-class Lemma1Report:
-    """Both sides of the information-gap decomposition."""
-
-    mi_occ: float
-    mi_mae: float
-    gap_mae: float  # I(O, T | z_mae)
-    gap_occ: float  # I(O, T | z_occ)
-    lhs: float      # mi_occ - mi_mae
-    rhs: float      # gap_mae - gap_occ
-    holds: bool
-
-
 def _lemma1_rows(p: np.ndarray, f_occ: np.ndarray, f_mae: np.ndarray) -> dict:
-    """The Lemma1Report fields of each joint over (O, T) and its two maps."""
+    """Both sides of the decomposition of each joint over (O, T), with the
+    deterministic representations Z = f_occ(O) and Z = f_mae(O)."""
     occ = _map_slabs(p, f_occ, int(f_occ.max()) + 1)
     mae = _map_slabs(p, f_mae, int(f_mae.max()) + 1)
     mi_occ, mi_mae = _mis(_induced(occ)), _mis(_induced(mae))
@@ -256,32 +157,6 @@ def _lemma1_rows(p: np.ndarray, f_occ: np.ndarray, f_mae: np.ndarray) -> dict:
     return {"mi_occ": mi_occ, "mi_mae": mi_mae, "gap_mae": gap_mae,
             "gap_occ": gap_occ, "lhs": lhs, "rhs": rhs,
             "holds": np.abs(lhs - rhs) <= _TOL}
-
-
-def lemma1_decomposition(j, f_occ: np.ndarray, f_mae: np.ndarray
-                         ) -> Lemma1Report:
-    """Verify the decomposition for deterministic representations of O.
-
-    `j` is a joint over (O, T); `f_occ`/`f_mae` map each O state to a
-    representation state.  Non-deterministic representations are out of
-    scope (the identity is proven under this precondition only).
-    """
-    p = _as_joint(j, 2, "lemma1_decomposition")
-    f_occ = _check_map(f_occ, p.shape[0], "f_occ")
-    f_mae = _check_map(f_mae, p.shape[0], "f_mae")
-    return _report(Lemma1Report,
-                   _lemma1_rows(p[None], f_occ[None], f_mae[None]))
-
-
-@dataclass(frozen=True)
-class RiskOrderingReport:
-    """Classification and regression risks before/after garbling Z."""
-
-    sq_risk: float          # E[Var(T | Z)]
-    sq_risk_garbled: float
-    bayes: float
-    bayes_garbled: float
-    holds: bool
 
 
 def _sq_risk(p: np.ndarray, t_values: np.ndarray) -> float:
@@ -301,34 +176,30 @@ def _sq_risk(p: np.ndarray, t_values: np.ndarray) -> float:
     return float(risk)
 
 
-def risk_ordering(j, t_values: np.ndarray, g: np.ndarray) -> RiskOrderingReport:
-    """Check that garbling Z can only hurt, for both downstream task types.
-
-    `j` is a joint over (Z, T); `t_values` assigns a numeric value to each T
-    state (regression target); `g` deterministically coarsens Z to Z'.
-    Verifies ``E[Var(T|Z)] <= E[Var(T|Z')]`` and
-    ``bayes_error(Z) <= bayes_error(Z')``.
-    """
-    p = _as_joint(j, 2, "risk_ordering")
-    t_values = np.asarray(t_values, dtype=np.float64)
-    if t_values.shape != (p.shape[1],):
-        raise ValueError("t_values must assign one numeric value per T state")
-    if not np.isfinite(t_values).all():
-        raise ValueError("t_values must be numeric and finite")
-    g = _check_map(g, p.shape[0], "g")
-
-    garbled = _induced(_map_slabs(p[None], g[None], int(g.max()) + 1))[0]
-    r, rg = _sq_risk(p, t_values), _sq_risk(garbled, t_values)
-    be, beg = float(_bayes(p[None])[0]), float(_bayes(garbled[None])[0])
-    holds = bool(r <= rg + _TOL and be <= beg + _TOL)
-    return RiskOrderingReport(sq_risk=r, sq_risk_garbled=rg,
-                              bayes=be, bayes_garbled=beg, holds=holds)
+def _risk_rows(p: np.ndarray, g: np.ndarray, t_values: np.ndarray) -> dict:
+    """Squared and Bayes risks of each joint over (Z, T), before and after
+    the garbling Z' = g(Z); ``t_values`` are the numeric values of T."""
+    sq = np.array([_sq_risk(q, t) for q, t in zip(p, t_values)])
+    sq_g, bayes_g = np.empty(len(p)), np.empty(len(p))
+    n_g = g.max(axis=1) + 1
+    for m in np.unique(n_g):  # unpadded, see the module docstring
+        rows = np.flatnonzero(n_g == m)
+        garbled = _induced(_map_slabs(p[rows], g[rows], int(m)))
+        sq_g[rows] = [_sq_risk(q, t) for q, t in zip(garbled, t_values[rows])]
+        bayes_g[rows] = _bayes(garbled)
+    bayes = _bayes(p)
+    return {"sq_risk": sq, "sq_risk_garbled": sq_g, "bayes": bayes,
+            "bayes_garbled": bayes_g,
+            "holds": (sq <= sq_g + _TOL) & (bayes <= bayes_g + _TOL)}
 
 
 # -- randomized verification sweeps -------------------------------------------
 
-def _draw_mass(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Exponential masses, about a fifth of them zeroed, never all zero."""
+def _draw_mass(rng: np.random.Generator) -> np.ndarray:
+    """Masses of a joint of 2.._MAX_SUPPORT states a side: exponentials,
+    about a fifth of them zeroed, never all zero."""
+    shape = (int(rng.integers(2, _MAX_SUPPORT + 1)),
+             int(rng.integers(2, _MAX_SUPPORT + 1)))
     mass = rng.exponential(size=shape)
     mass *= rng.random(shape) >= _SPARSITY
     if mass.sum() == 0:
@@ -336,89 +207,69 @@ def _draw_mass(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return mass
 
 
-def random_joint(rng: np.random.Generator,
-                 shape: tuple[int, ...]) -> DiscreteJoint:
-    """Random joint via normalized exponentials, about a fifth of them zeroed."""
-    mass = _draw_mass(rng, shape)
-    return DiscreteJoint(mass / mass.sum())
+def _draw_map(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A map of `n` states into 0..m-1, with m drawn from 1..n."""
+    return rng.integers(0, int(rng.integers(1, n + 1)), size=n)
 
 
-def _sweep_rows(n: int, seed: int, draw, rows):
-    """Yield the fields of `n` random draws, one array each, _CHUNK draws at
-    a time and in draw order.
+def _draw_bound(rng: np.random.Generator) -> tuple:
+    return (_draw_mass(rng),)
 
-    ``draw(rng)`` returns a joint's masses and the maps that go with it;
-    ``rows(p, *maps)`` computes the fields of a stack of joints of one
-    support shape.
+
+def _draw_lemma1(rng: np.random.Generator) -> tuple:
+    mass = _draw_mass(rng)
+    return mass, _draw_map(rng, len(mass)), _draw_map(rng, len(mass))
+
+
+def _draw_risk(rng: np.random.Generator) -> tuple:
+    mass = _draw_mass(rng)
+    return mass, _draw_map(rng, len(mass)), rng.normal(size=mass.shape[1])
+
+
+def _sweep_rows(n: int, seed: int, draw, rows) -> dict:
+    """The fields of `n` >= 1 random draws, one array each, in draw order.
+
+    ``draw(rng)`` returns a joint's masses and the maps or values that go
+    with it; ``rows(p, *maps)`` computes the fields of a stack of joints of
+    one support shape.  The draws are computed _CHUNK at a time.
     """
     rng = np.random.default_rng(seed)
+    out: dict[str, np.ndarray] = {}
     for start in range(0, n, _CHUNK):
         draws = [draw(rng) for _ in range(min(_CHUNK, n - start))]
         by_shape: dict[tuple, list[int]] = {}
         for i, d in enumerate(draws):
             by_shape.setdefault(d[0].shape, []).append(i)
-        out: dict[str, np.ndarray] = {}
         for idx in by_shape.values():
             mass, *maps = (np.stack(col)
                            for col in zip(*(draws[i] for i in idx)))
             p = mass / mass.reshape(len(idx), -1).sum(axis=1)[:, None, None]
             _check_joints(p.reshape(len(idx), -1))
+            at = start + np.array(idx)
             for name, v in rows(p, *maps).items():
-                out.setdefault(name, np.empty(len(draws), v.dtype))[idx] = v
-        yield out
-
-
-def _draw_bound(rng: np.random.Generator) -> tuple:
-    shape = (int(rng.integers(2, _MAX_SUPPORT + 1)),
-             int(rng.integers(2, _MAX_SUPPORT + 1)))
-    return (_draw_mass(rng, shape),)
-
-
-def _draw_lemma1(rng: np.random.Generator) -> tuple:
-    n_o = int(rng.integers(2, _MAX_SUPPORT + 1))
-    n_t = int(rng.integers(2, _MAX_SUPPORT + 1))
-    mass = _draw_mass(rng, (n_o, n_t))
-    f_occ = rng.integers(0, int(rng.integers(1, n_o + 1)), size=n_o)
-    f_mae = rng.integers(0, int(rng.integers(1, n_o + 1)), size=n_o)
-    return mass, f_occ, f_mae
+                out.setdefault(name, np.empty(n, v.dtype))[at] = v
+    return out
 
 
 def sweep_bayes_bound(n: int, seed: int) -> dict:
     """Check the Bayes bound on `n` random joints; reports the worst slack."""
-    min_slack = np.inf
-    violations = 0
-    for r in _sweep_rows(n, seed, _draw_bound, _bound_rows):
-        min_slack = min(min_slack, r["slack"].min())
-        violations += int(np.count_nonzero(~r["satisfied"]))
-    return {"sweeps": n, "min_slack": float(min_slack), "violations": violations}
+    r = _sweep_rows(n, seed, _draw_bound, _bound_rows)
+    return {"sweeps": n, "min_slack": float(r["slack"].min()),
+            "violations": int(np.count_nonzero(~r["satisfied"]))}
 
 
 def sweep_lemma1(n: int, seed: int) -> dict:
     """Check the decomposition identity on random joints and random maps."""
-    worst = 0.0
-    violations = 0
-    for r in _sweep_rows(n, seed, _draw_lemma1, _lemma1_rows):
-        worst = max(worst, np.abs(r["lhs"] - r["rhs"]).max())
-        violations += int(np.count_nonzero(~r["holds"]))
-    return {"sweeps": n, "max_identity_gap": float(worst),
-            "violations": violations}
+    r = _sweep_rows(n, seed, _draw_lemma1, _lemma1_rows)
+    return {"sweeps": n,
+            "max_identity_gap": float(np.abs(r["lhs"] - r["rhs"]).max()),
+            "violations": int(np.count_nonzero(~r["holds"]))}
 
 
 def sweep_risk_ordering(n: int, seed: int) -> dict:
     """Check both risk orderings on random joints and random garblings."""
-    rng = np.random.default_rng(seed)
-    violations = 0
-    worst_sq = np.inf
-    worst_bayes = np.inf
-    for _ in range(n):
-        n_z = int(rng.integers(2, _MAX_SUPPORT + 1))
-        n_t = int(rng.integers(2, _MAX_SUPPORT + 1))
-        j = random_joint(rng, (n_z, n_t))
-        g = rng.integers(0, int(rng.integers(1, n_z + 1)), size=n_z)
-        t_values = rng.normal(size=n_t)
-        rep = risk_ordering(j, t_values, g)
-        worst_sq = min(worst_sq, rep.sq_risk_garbled - rep.sq_risk)
-        worst_bayes = min(worst_bayes, rep.bayes_garbled - rep.bayes)
-        violations += not rep.holds
-    return {"sweeps": n, "min_sq_margin": float(worst_sq),
-            "min_bayes_margin": float(worst_bayes), "violations": violations}
+    r = _sweep_rows(n, seed, _draw_risk, _risk_rows)
+    sq_margin = r["sq_risk_garbled"] - r["sq_risk"]
+    return {"sweeps": n, "min_sq_margin": float(sq_margin.min()),
+            "min_bayes_margin": float((r["bayes_garbled"] - r["bayes"]).min()),
+            "violations": int(np.count_nonzero(~r["holds"]))}

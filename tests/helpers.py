@@ -338,13 +338,16 @@ def guarded_directional_checks(loss_fn, grad_vec_fn, signature_fn,
     return out
 
 
-# -- theory: the per-joint sweeps that the batched ones replaced --------------
+# -- theory: the per-joint sweeps that the stacked ones replaced --------------
 #
 # Like the other ``*_reference`` functions, these share the library's
 # arithmetic on purpose: they are the per-joint loops and kernels that
 # ``occspot.theory`` ran before it computed stacks of joints, kept verbatim.
 # The property under test is bit-identity, so they are compared with
-# ``np.array_equal``, not a tolerance.
+# ``np.array_equal``, not a tolerance.  The single-joint functions that the
+# docstrings below name are gone; their fields are those of
+# ``theory._bound_rows``, ``_lemma1_rows`` and ``_risk_rows`` on a stack of
+# one.
 
 _THEORY_TOL = 1e-12
 _MAX_SUPPORT = 8

@@ -25,14 +25,6 @@ ALLOWED = {
         "class-balanced frame sampling, to be wired into training",
     "occspot.formats.read_grid":
         "training from make-occ's grids will read them; a benchmark target",
-    # the sweeps call the unchecked kernels behind these
-    "occspot.theory.mutual_information": "validated entry point, oracle-tested",
-    "occspot.theory.conditional_mi": "validated entry point, oracle-tested",
-    "occspot.theory.bayes_error": "validated entry point, oracle-tested",
-    "occspot.theory.entropy": "validated entry point, oracle-tested",
-    "occspot.theory.check_bayes_bound": "validated entry point, oracle-tested",
-    "occspot.theory.lemma1_decomposition":
-        "validated entry point, oracle-tested",
     "occspot.learn.model.min_preactivation_gap":
         "the ReLU kink distance of the per-step training telemetry row",
 }

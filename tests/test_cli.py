@@ -372,12 +372,36 @@ class TestMalformedFiles:
             "finite, got nan\n")
         assert not (tmp_path / "grid.spog").exists()
 
-    @pytest.mark.parametrize("frames", [[[1, 2]], {"1": 2}])
-    def test_balance_weights_frames_not_dicts(self, tmp_path, frames, capsys):
+    @pytest.mark.parametrize("frames, where", [
+        ([[1, 2]], "frames[0]: expected an object"),
+        ({"1": 2}, "frames[0]: expected an object"),
+        ([{"1": 1}, {"1": True}], "frames[1].1: expected int, got True"),
+        ([{"2": 2.7}], "frames[0].2: expected int, got 2.7"),
+        ([{"3": "3"}], "frames[0].3: expected int, got '3'"),
+        ([{"1": 4, "01": 1, "2": 1}], "frames[0]: key '01' is not a class"),
+        ([{"+1": 1}], "frames[0]: key '+1' is not a class"),
+        ([{"1.0": 1}], "frames[0]: key '1.0' is not a class"),
+    ], ids=["frames0", "frames1", "bool_count", "float_count", "str_count",
+            "padded_key", "signed_key", "float_key"])
+    def test_balance_weights_frames_not_dicts(self, tmp_path, frames, where,
+                                              capsys):
+        """Each frame is an object of class ids to JSON integer counts;
+        nothing is coerced, and the error names the frame and the key."""
         stats = tmp_path / "stats.json"
         stats.write_text(json.dumps({"frames": frames}))
         assert main(["balance-weights", str(stats)]) == cli.EXIT_DATA
-        assert "bad stats document" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {stats}: bad stats document: ")
+        assert where in err
+
+    def test_balance_weights_prints_the_weights(self, tmp_path, capsys):
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps({"frames": [{"1": 4}, {"1": 1, "2": 1}]}))
+        assert main(["balance-weights", str(stats)]) == cli.EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["class_ids"] == [1, 2]
+        # s_i = sqrt(m / n_i), m = 1/2, n = (5/6, 1/6)
+        assert out["s"] == pytest.approx([math.sqrt(0.6), math.sqrt(3.0)])
 
 
 def finetune(config, ckpt, data, out):
