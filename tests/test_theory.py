@@ -216,8 +216,35 @@ class TestRiskOrdering:
         assert rep["bayes"] == pytest.approx(bayes_oracle(P_OT), abs=1e-15)
         assert rep["sq_risk"] <= rep["sq_risk_garbled"] and rep["holds"]
 
+    def test_risks_are_plain_floats(self):
+        # `theory-check` dumps the sweep reports as JSON
+        p = np.asarray(P_OT)
+        assert type(theory._sq_risk(p, np.array(self.T_VALUES))) is float
+        rep = theory.sweep_risk_ordering(5, seed=0)
+        for name in ("min_sq_margin", "min_bayes_margin"):
+            assert type(rep[name]) is float
+        assert type(rep["violations"]) is int
+
 
 class TestSweeps:
+    def test_random_joint_is_a_valid_joint(self):
+        # each sweep's draw: masses of 2.._MAX_SUPPORT states a side, never
+        # all zero, and maps of O into its own states
+        rng = np.random.default_rng(0)
+        for draw, n_maps in [(theory._draw_bound, 0), (theory._draw_lemma1, 2),
+                             (theory._draw_risk, 1)]:
+            for _ in range(200):
+                mass, *rest = draw(rng)
+                assert mass.ndim == 2 and min(mass.shape) >= 2
+                assert max(mass.shape) <= theory._MAX_SUPPORT
+                assert (mass >= 0).all() and mass.sum() > 0
+                p = mass / mass.sum()
+                assert abs(p.sum() - 1.0) <= 1e-12
+                for f in rest[:n_maps]:
+                    assert f.shape == (len(mass),)
+                    assert 0 <= f.min() and f.max() < len(mass)
+                if draw is theory._draw_risk:
+                    assert rest[1].shape == (mass.shape[1],)
     @pytest.mark.parametrize("sweep", [theory.sweep_bayes_bound,
                                        theory.sweep_lemma1,
                                        theory.sweep_risk_ordering])
