@@ -3,7 +3,9 @@
 Subcommands: gen-scenes, make-occ, resample, balance-weights, pretrain,
 finetune, eval-miou, theory-check.  Every run writes outputs atomically and
 drops a JSON run manifest (config hash, seed, versions) next to them, so an
-artifact can be regenerated bit-exactly from its manifest.
+artifact can be regenerated bit-exactly from its manifest.  The manifest is
+written last, and an earlier run's is deleted before its outputs are
+overwritten, so a manifest never vouches for an output it did not describe.
 
 Exit codes: 0 success, 2 config or usage error (including a checkpoint
 whose architecture disagrees with the config, an OCCSPOT_THREADS that is not
@@ -66,6 +68,15 @@ def _write_manifest(path, command: str, cfg: PipelineConfig | None,
     atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _unlinked_manifest(out: Path) -> Path:
+    """``<out>.manifest.json``, deleted: a run that dies between writing
+    `out` and its manifest must not leave an earlier manifest vouching for
+    the new artifact."""
+    manifest = out.with_suffix(out.suffix + ".manifest.json")
+    manifest.unlink(missing_ok=True)
+    return manifest
+
+
 def _load_dataset_dirs(data_dir: Path) -> list[Path]:
     """The sequence directories listed in the `gen-scenes` manifest.
 
@@ -114,9 +125,9 @@ def cmd_make_occ(args) -> int:
     seq = load_sequence(args.sequence_dir)
     grid = sequence_occupancy(seq, cfg)
     out = Path(args.out)
+    manifest = _unlinked_manifest(out)
     write_grid(out, grid)
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "make-occ",
-                    cfg, cfg.seed, [out.name],
+    _write_manifest(manifest, "make-occ", cfg, cfg.seed, [out.name],
                     {"sequence_dir": str(args.sequence_dir),
                      "occupied_cells": grid.occupied_count})
     print(f"wrote {out} ({grid.occupied_count} occupied cells)")
@@ -137,11 +148,11 @@ def cmd_resample(args) -> int:
     out_cloud, out_labels = beam_resample(cloud, labels,
                                           ResampleFactor(args.factor), args.seed)
     out = Path(args.output)
+    manifest = _unlinked_manifest(out)
     write_frame(out, out_cloud)
     if labels_path.exists():
         write_labels(out.with_suffix(".sptl"), out_labels)
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "resample",
-                    None, args.seed, [out.name],
+    _write_manifest(manifest, "resample", None, args.seed, [out.name],
                     {"factor": args.factor, "input": str(src),
                      "points_in": len(cloud), "points_out": len(out_cloud)})
     print(f"kept {len(out_cloud)}/{len(cloud)} points -> {out}")
@@ -185,9 +196,9 @@ def cmd_pretrain(args) -> int:
     samples = build_samples(seqs, cfg, seed)
     params, trace = train(None, samples, cfg, seed)
     out = Path(args.out)
+    manifest = _unlinked_manifest(out)
     save_model(out, params, cfg, seed, extra={"loss_trace": trace})
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "pretrain",
-                    cfg, seed, [out.name],
+    _write_manifest(manifest, "pretrain", cfg, seed, [out.name],
                     {"data": str(args.data), "loss_trace": trace})
     print(f"pretrained {cfg.epochs} epochs on {len(samples)} samples; "
           f"loss {trace[0]:.4f} -> {trace[-1]:.4f}; wrote {out}")
@@ -207,10 +218,10 @@ def cmd_finetune(args) -> int:
     samples = build_samples(seqs, cfg, None)
     params, trace = train(pretrained, samples, cfg, seed)
     out = Path(args.out)
+    manifest = _unlinked_manifest(out)
     save_model(out, params, cfg, seed, extra={"loss_trace": trace,
                                               "finetuned_from": str(args.ckpt)})
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "finetune",
-                    cfg, seed, [out.name],
+    _write_manifest(manifest, "finetune", cfg, seed, [out.name],
                     {"ckpt": str(args.ckpt), "labels": args.labels,
                      "loss_trace": trace})
     print(f"finetuned on {len(samples)} labeled frames; wrote {out}")

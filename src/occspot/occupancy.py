@@ -8,8 +8,31 @@ re-posed at their object's keyframe location, then vote per BEV cell for the
 plurality semantic label.  Hole filling is a KNN densification pass over the
 fused cloud instead of mesh reconstruction: cells whose 3D column center
 lies within a radius of any fused point inherit the majority label of their
-k nearest neighbors.  One KD-tree over the fused cloud serves both the
-radius test and the neighbor vote.
+k nearest neighbors.
+
+Only the fused points near an empty cell can matter to either step, so
+each step builds its KD-tree over a window of the cloud (``_window``): the
+points whose z lies within a half-width ``h`` of the column centers' height
+and whose xy cell lies within ``ceil(h / cell)`` cells of one of the cells
+in question.  A z slack and the half cell between the window's last cell
+and ``h`` cover rounding, so every point left out is farther than ``h``
+from each of those centers, in computed distance too.
+
+- **Radius test** (``h = radius``, the empty cells): every point within
+  the radius of an empty center is in the window, so one tree over the
+  window finds a point near exactly the centers that one tree over the
+  whole cloud does.
+- **Neighbor vote** (the near cells, ``h = 2 * radius`` at first): the
+  window's tree returns each cell's k+1 nearest points.  A cell whose
+  (k+1)-th distance is at most ``h`` and strictly above its k-th is labeled
+  from that tree: no point outside the window can come nearer, and no
+  point ties at the k-th distance, so the k-set is the whole cloud's, and
+  unique.  The other cells go to the next round with ``h`` doubled.
+- **Termination**: the round whose window would hold every point, or cover
+  the cloud's bounding box, labels every cell left with one tree over the
+  whole cloud, as before the windows.  Exact ties at the k-th distance are
+  only ever resolved there, so they resolve as they always did; and since
+  ``h`` doubles, that round always comes.
 
 The split tests a point against a box exactly only when it lies inside the
 box's widened xy bounding circle, and votes are integer counts from one
@@ -48,6 +71,10 @@ CLASS_NAMES = (
     "road", "sidewalk", "building", "vegetation", "ground",
 )
 DEFAULT_N_CLS = len(CLASS_NAMES) - 1
+
+#: points binned at a time by the densification window: a wide z band can
+#: hold most of the cloud, and its float temporaries stay this size
+_BIN_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -224,12 +251,15 @@ def _votes(rows: np.ndarray, classes: np.ndarray, n_rows: int,
 
 def knn_label(tree: cKDTree, fused_labels: np.ndarray, queries: np.ndarray,
               k: int, n_cls: int) -> np.ndarray:
-    """Majority label of the k nearest fused points per row of the (Q, 3)
+    """Majority label of the k nearest points of `tree` per row of the (Q, 3)
     float array `queries` (Euclidean).
 
-    `tree` is a ``cKDTree`` over the fused points, built with the default
-    parameters; `fused_labels` is aligned with its data.  Vote ties go to
-    the smaller class id, with empty last.
+    `tree` is a ``cKDTree`` built with the default parameters, over the
+    whole fused cloud or over a window of it; `fused_labels` is aligned
+    with its data.  Which of several points tied at the k-th distance joins
+    the k-set depends on the tree, so :func:`make_occupancy` calls this on
+    a window only for queries whose k-set the window fixes (see the module
+    docstring).  Vote ties go to the smaller class id, with empty last.
     """
     if tree.n == 0:
         raise ValueError("cannot KNN-label against an empty fused cloud")
@@ -263,33 +293,97 @@ def voxelize_bev(cloud: PointCloud, labels: np.ndarray,
     return OccupancyGrid(spec, winner.reshape(spec.h, spec.w))
 
 
+def _window(xyz: np.ndarray, spec: GridSpec, cells: np.ndarray,
+            half: float) -> np.ndarray:
+    """Ascending indices of the points of `xyz` that may lie within `half`
+    of the column center of a cell of the (H, W) bool mask `cells`.
+
+    A point is kept when its z lies within ``half`` of ``z_mid``, plus a
+    rounding slack, and its xy cell (off the grid too) lies within
+    ``ceil(half / cell)`` cells of a masked cell, as one 2-D cumulative
+    count of the mask tells.  A point in a cell farther out lies at least
+    ``half`` + cell/2 from each masked center along x or y: rounding moves
+    a cell index only for a point within rounding of a cell edge, and the
+    nearest such edge is that far out.  So every point left out is farther
+    than ``half`` from every masked center, by a margin far above the
+    rounding of a computed distance.  The cull makes no float temporary
+    the size of the cloud: on the whole cloud it only compares z, and it
+    bins the z band ``_BIN_CHUNK`` points at a time.
+    """
+    pad = half + 1e-6 * (half + abs(spec.z_mid))
+    z = xyz[:, 2]
+    band = np.flatnonzero((z >= spec.z_mid - pad) & (z <= spec.z_mid + pad))
+    reach = math.ceil(half / spec.cell_size)
+    count = np.zeros((spec.h + 1, spec.w + 1), dtype=np.int64)
+    count[1:, 1:] = cells.cumsum(axis=0).cumsum(axis=1)
+    keep = np.empty(band.size, dtype=bool)
+    for at in range(0, band.size, _BIN_CHUNK):
+        ii, jj, _ = spec.bin_points(xyz[band[at:at + _BIN_CHUNK]])
+        i0, i1 = np.clip(ii - reach, 0, spec.h), np.clip(ii + reach + 1, 0, spec.h)
+        j0, j1 = np.clip(jj - reach, 0, spec.w), np.clip(jj + reach + 1, 0, spec.w)
+        keep[at:at + _BIN_CHUNK] = (count[i1, j1] - count[i0, j1]
+                                    - count[i1, j0] + count[i0, j0]) > 0
+    return band[keep]
+
+
 def make_occupancy(seq: LidarSequence, spec: GridSpec, keyframe: int,
                    densify: bool, radius: float, k: int) -> OccupancyGrid:
     """Occupancy of `seq` at `keyframe`: aggregate -> voxelize (+ KNN densify).
 
     Densification labels only currently-empty cells whose 3D column center
     (cell center at mid column height) lies within `radius` of any fused
-    point, so it can only add occupied cells, never remove them.  One
-    KD-tree over the fused cloud answers both the radius test and the k
-    nearest neighbor vote; the split inside `aggregate` culls each box's
-    exact point test by a bounding circle.
+    point, so it can only add occupied cells, never remove them.  The
+    radius test and the k nearest neighbor vote each query a KD-tree over a
+    window of the fused cloud (:func:`_window`); the vote widens its window
+    by doubling until every cell's k-set is fixed, and labels what is left
+    at the last round with one tree over the whole cloud.  The grid equals
+    that of one tree over the whole cloud for both steps, bit for bit (the
+    module docstring gives the argument).  The split inside `aggregate`
+    culls each box's exact point test by a bounding circle.
     """
     fused, fused_labels = aggregate(seq, keyframe)
     grid = voxelize_bev(fused, fused_labels, spec)
     if not densify or len(fused) == 0:
         return grid
 
-    empty_i, empty_j = np.nonzero(grid.labels == 0)
+    empty = grid.labels == 0
+    empty_i, empty_j = np.nonzero(empty)
     if empty_i.size == 0:
         return grid
     xx, yy = spec.cell_centers()
     centers = np.stack([xx[empty_i, empty_j], yy[empty_i, empty_j],
                         np.full(empty_i.size, spec.z_mid)], axis=-1)
-    tree = cKDTree(fused.xyz)
-    near = tree.query_ball_point(centers, r=radius, return_length=True) > 0
-    if not near.any():
+    tree = cKDTree(fused.xyz[_window(fused.xyz, spec, empty, radius)])
+    near = np.flatnonzero(
+        tree.query_ball_point(centers, r=radius, return_length=True) > 0)
+    if near.size == 0:
         return grid
-    filled = knn_label(tree, fused_labels, centers[near], k, n_cls=spec.n_cls)
+
+    n, kq = len(fused), min(k, len(fused))
     out = grid.labels.copy()
-    out[empty_i[near], empty_j[near]] = filled
+    rest, half = near, 2.0 * radius
+    while True:
+        cells = np.zeros_like(empty)
+        cells[empty_i[rest], empty_j[rest]] = True
+        pts = _window(fused.xyz, spec, cells, half)
+        if pts.size == n:
+            break
+        tree = cKDTree(fused.xyz[pts])
+        dist, _ = tree.query(centers[rest], k=kq + 1)
+        fixed = (dist[:, kq] <= half) & (dist[:, kq - 1] < dist[:, kq])
+        out[empty_i[rest[fixed]], empty_j[rest[fixed]]] = knn_label(
+            tree, fused_labels[pts], centers[rest[fixed]], k, n_cls=spec.n_cls)
+        rest, half = rest[~fixed], 2.0 * half
+        if rest.size == 0:
+            return OccupancyGrid(spec, out)
+        # a window that would cover the cloud's bounding box is the cloud;
+        # per column, as a reduction along axis 0 of (N, 3) is slower
+        lo = np.array([fused.xyz[:, a].min() for a in range(3)])
+        hi = np.array([fused.xyz[:, a].max() for a in range(3)])
+        c = centers[rest]
+        if np.maximum(hi - c, c - lo).max(axis=1).min() <= half:
+            break
+    # the last round: one tree over the whole cloud labels every cell left
+    out[empty_i[rest], empty_j[rest]] = knn_label(
+        cKDTree(fused.xyz), fused_labels, centers[rest], k, n_cls=spec.n_cls)
     return OccupancyGrid(spec, out)

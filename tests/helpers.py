@@ -12,12 +12,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from occspot.cloud import BoxLabel, PointCloud
 from occspot.config import PipelineConfig
 from occspot.learn import PILLAR_DIM
 from occspot.learn.losses import _check_pair, lovasz_grad
-from occspot.occupancy import GridSpec
+from occspot.occupancy import (GridSpec, OccupancyGrid, aggregate, knn_label,
+                               voxelize_bev)
 from occspot.synth import (_RAY_EPS, RANGE_NORM, SceneParams, _ray_box_hits,
                            _ray_directions)
 
@@ -122,6 +124,36 @@ def split_reference(cloud, boxes, speed_threshold=None, atol: float = 0.0):
             owner[box.contains(cloud.xyz, atol=atol) & (owner == -1)] = bi
     dynamic = np.nonzero(owner >= 0)[0]
     return np.nonzero(owner == -1)[0], dynamic, owner[dynamic]
+
+
+def make_occupancy_reference(seq, spec, keyframe, densify, radius, k):
+    """``occupancy.make_occupancy`` with one KD-tree over the whole fused cloud.
+
+    Like :func:`split_reference`, this shares the library's kernels
+    (``aggregate``, ``voxelize_bev``, ``knn_label``) on purpose: it is the
+    reference for the windowed densification trees, and the property under
+    test is bit-identity, ties at the k-th distance included.  The body is
+    the library's before the windows, kept verbatim.
+    """
+    fused, fused_labels = aggregate(seq, keyframe)
+    grid = voxelize_bev(fused, fused_labels, spec)
+    if not densify or len(fused) == 0:
+        return grid
+
+    empty_i, empty_j = np.nonzero(grid.labels == 0)
+    if empty_i.size == 0:
+        return grid
+    xx, yy = spec.cell_centers()
+    centers = np.stack([xx[empty_i, empty_j], yy[empty_i, empty_j],
+                        np.full(empty_i.size, spec.z_mid)], axis=-1)
+    tree = cKDTree(fused.xyz)
+    near = tree.query_ball_point(centers, r=radius, return_length=True) > 0
+    if not near.any():
+        return grid
+    filled = knn_label(tree, fused_labels, centers[near], k, n_cls=spec.n_cls)
+    out = grid.labels.copy()
+    out[empty_i[near], empty_j[near]] = filled
+    return OccupancyGrid(spec, out)
 
 
 def pillar_features_reference(cloud, spec) -> np.ndarray:

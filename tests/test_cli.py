@@ -101,6 +101,49 @@ class TestDatasetManifest:
         assert pretrain(config, data, tmp_path) == cli.EXIT_DATA
 
 
+class TestStaleArtifactManifest:
+    """A run killed between writing its artifact and the manifest leaves no
+    manifest, not the previous run's, beside the new artifact."""
+
+    def run(self, command, tmp_path, config, data):
+        out = tmp_path / {"make-occ": "grid.spog", "resample": "out.sptc",
+                          "pretrain": "model.npz", "finetune": "ft.npz"}[command]
+        argv = {
+            "make-occ": ["make-occ", "--config", config,
+                         str(data / "seq_0000"), str(out)],
+            "resample": ["resample", "--factor", "0.5",
+                         str(data / "seq_0000" / "frame_000.sptc"), str(out)],
+            "pretrain": ["pretrain", "--config", config, "--data", str(data),
+                         "--out", str(out)],
+            "finetune": ["finetune", "--ckpt", str(tmp_path / "model.npz"),
+                         "--labels", "1", "--config", config, "--data",
+                         str(data), "--out", str(out)],
+        }[command]
+        assert main(argv) == cli.EXIT_OK
+        return out, out.with_suffix(out.suffix + ".manifest.json")
+
+    @pytest.mark.parametrize("command", ["make-occ", "resample", "pretrain",
+                                         "finetune"])
+    def test_killed_after_the_artifact(self, tmp_path, config, data, command,
+                                       monkeypatch):
+        if command == "finetune":
+            assert pretrain(config, data, tmp_path) == cli.EXIT_OK
+        out, manifest = self.run(command, tmp_path, config, data)
+        first = out.read_bytes(), manifest.read_bytes()
+
+        def killed(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_write_manifest", killed)
+            with pytest.raises(KeyboardInterrupt):
+                self.run(command, tmp_path, config, data)
+        assert out.exists() and not manifest.exists()
+        # a run that completes writes the same bytes as the first
+        self.run(command, tmp_path, config, data)
+        assert (out.read_bytes(), manifest.read_bytes()) == first
+
+
 @pytest.mark.parametrize("override, path", [
     ({"scene": {"arena": ["a", 1, 2, 3]}}, "scene.arena[0]"),
     ({"beams": {"targets": [3]}}, "beams.targets[0]"),

@@ -5,8 +5,9 @@ import pytest
 from scipy.spatial import cKDTree
 
 from helpers import (box_surface_distance, cloud_of, knn_label_brute,
-                     point_in_box_brute, scene_surface_distance,
-                     split_reference, tie_weights, voxelize_brute)
+                     make_occupancy_reference, point_in_box_brute,
+                     scene_surface_distance, split_reference, tie_weights,
+                     voxelize_brute)
 
 from occspot.cloud import BoxLabel, LidarSequence, Pose, transform
 from occspot.occupancy import (GridSpec, OccupancyGrid, _tie_order, aggregate,
@@ -350,6 +351,172 @@ class TestMakeOccupancy:
                 continue
             agree = (grid.labels.ravel()[hit] == box.class_id).mean()
             assert agree >= 0.9
+
+
+def one_frame(xyz, labels) -> LidarSequence:
+    """A one-frame sequence at the identity pose; its fused cloud is `xyz`."""
+    cloud = cloud_of(xyz)
+    seq = LidarSequence([cloud], [np.asarray(labels)],
+                        [Pose(np.eye(3), np.zeros(3))], [[]])
+    assert np.array_equal(aggregate(seq, 0)[0].xyz, cloud.xyz)
+    return seq
+
+
+class TestDensifyCulling:
+    """The windowed densification trees give the grid of one KD-tree over
+    the whole fused cloud (``make_occupancy_reference``), bit for bit."""
+
+    #: 8 x 8 cells of 1 m from (-4, -4); z_mid 1.0.  Cell (4, 4) is
+    #: centred at (0.5, 0.5); every offset below is exact in binary.
+    SPEC = GridSpec(-4.0, -4.0, 1.0, 8, 8, 0.5, 1.5, n_cls=15)
+
+    def assert_same(self, seq, spec, radius, k):
+        got = make_occupancy(seq, spec, 0, True, radius, k)
+        want = make_occupancy_reference(seq, spec, 0, True, radius, k)
+        assert np.array_equal(got.labels, want.labels)
+        return want
+
+    def densified(self, seq, spec, radius, k):
+        """Cells that densification filled, after checking the grid."""
+        grid = self.assert_same(seq, spec, radius, k)
+        plain = make_occupancy(seq, spec, 0, False, radius, k)
+        return int(((grid.labels != 0) & (plain.labels == 0)).sum())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_sequences(self, seed):
+        scene = build_scene(SceneParams(
+            arena=(-12.0, 12.0, -12.0, 12.0), n_objects=8,
+            dynamic_fraction=0.5), seed)
+        poses = [Pose(np.eye(3), (0.7 * i, 0.3 * i, 2.0)) for i in range(3)]
+        seq = generate_sequence(scene, BeamSpec(24, -2.0, -40.0, 180), poses,
+                                10.0, workers=1)
+        filled = 0
+        for cell, radius, k in [(0.5, 0.4, 5), (0.25, 0.3, 1), (1.0, 0.9, 8),
+                                (0.5, 1.7, 3)]:
+            spec = GridSpec(-8.0, -8.0, cell, int(16 / cell), int(16 / cell),
+                            -1.0, 3.0, n_cls=15)
+            filled += self.densified(seq, spec, radius, k)
+        assert filled > 0
+
+    def test_seeded_clouds_on_a_lattice(self):
+        # coordinates on a 1/8 m lattice: exact distance ties are common
+        rng = np.random.default_rng(41)
+        filled = 0
+        for trial in range(40):
+            n = int(rng.choice([3, 20, 200, 2000]))
+            xyz = rng.integers(-56, 57, (n, 3)) / 8.0 * [1.0, 1.0, 0.3]
+            xyz[:, 2] += 1.0
+            labels = rng.integers(0, 16, n)
+            dup = rng.random(n) < 0.2  # coincident points, other labels
+            xyz = np.concatenate([xyz, xyz[dup]])
+            labels = np.concatenate([labels, rng.integers(0, 16, dup.sum())])
+            cell = float(rng.choice([0.25, 0.5, 1.0]))
+            side = int(rng.integers(4, 17))
+            spec = GridSpec(-side * cell / 2, -side * cell / 2, cell, side,
+                            side, float(rng.choice([-1.0, 0.5])), 1.5, 15)
+            radius = float(rng.choice([0.125, 0.375, 0.75, 1.5]))
+            filled += self.densified(one_frame(xyz, labels), spec, radius,
+                                     int(rng.integers(1, 9)))
+        assert filled > 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_ties_at_the_kth_distance(self, k):
+        # four points 0.625 m from the centre of empty cell (4, 4), some
+        # doubled with another label, around far filler that shapes the
+        # whole-cloud tree; which tied point a tree keeps is its own choice
+        rng = np.random.default_rng(k)
+        ring = np.array([[1.125, 0.5, 1.0], [-0.125, 0.5, 1.0],
+                         [0.5, 1.125, 1.0], [0.5, -0.125, 1.0]])
+        for trial in range(30):
+            tied = np.concatenate([ring, ring[rng.integers(0, 4, 4)]])
+            filler = rng.uniform(-3.5, 3.5, (int(rng.integers(20, 400)), 3))
+            filler[:, 2] = rng.choice([-20.0, 20.0], len(filler))
+            xyz = np.concatenate([tied, filler])
+            order = rng.permutation(len(xyz))
+            labels = rng.integers(1, 16, len(xyz))
+            self.assert_same(one_frame(xyz[order], labels[order]), self.SPEC,
+                             0.75, k)
+
+    def test_points_exactly_radius_from_a_centre(self):
+        # 0.75 m from the centre of cell (4, 4) along x, y or z, and one ulp
+        # nearer or farther; z = 1.75 and 0.25 lie outside the band, so
+        # only densification can fill the cell, and it does unless farther
+        centre = np.array([0.5, 0.5, 1.0])
+        for exact, axis in [([1.25, 0.5, 1.0], 0), ([0.5, -0.25, 1.0], 1),
+                            ([0.5, 0.5, 1.75], 2), ([0.5, 0.5, 0.25], 2)]:
+            for nudge in (None, -np.inf, np.inf):
+                p = np.array(exact)
+                if nudge is not None:
+                    p[axis] = np.nextafter(p[axis], nudge)
+                grid = self.assert_same(one_frame(p[None], [7]), self.SPEC,
+                                        0.75, 1)
+                near = abs(p[axis] - centre[axis]) <= 0.75
+                assert grid.labels[4, 4] == (7 if near else 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
+    def test_fewer_points_than_k_plus_one(self, n):
+        rng = np.random.default_rng(n)
+        filled = 0
+        for trial in range(10):
+            xyz = rng.uniform(-2.0, 2.0, (n, 3)) * [1.0, 1.0, 0.1] + [0, 0, 1]
+            filled += self.densified(one_frame(xyz, rng.integers(1, 16, n)),
+                                     self.SPEC, 0.75, 5)
+        assert filled > 0
+
+    @pytest.mark.parametrize("n_far", [2, 9])
+    def test_kth_neighbour_many_windows_away(self, n_far):
+        # one point beside cell (4, 4); the rest 40-60 m off, so the k-th
+        # neighbour lies a dozen doublings of the window away
+        rng = np.random.default_rng(n_far)
+        far = rng.uniform(40.0, 60.0, (n_far, 3)) * rng.choice([-1, 1], (n_far, 3))
+        xyz = np.concatenate([[[1.125, 0.5, 1.0]], far])
+        labels = np.concatenate([[3], rng.integers(4, 16, n_far)])
+        assert self.densified(one_frame(xyz, labels), self.SPEC, 0.75, 3) > 0
+
+    @pytest.mark.parametrize("outside", [[0.5, 0.5, 2.6], [3.0, 0.5, 1.6]])
+    def test_a_neighbour_just_outside_the_window(self, outside):
+        # cell (4, 4) is the only one near a point, and its first window
+        # spans 1.5 m in z and 2 cells in x and y.  The point `outside` lies
+        # just beyond it (1.6 m up, or 2.5 m along x), nearer than the
+        # window's 2nd and 3rd neighbours (2.60 and 2.70 m)
+        xyz = np.array([[1.125, 0.5, 1.0], outside, [0.5, 2.625, 2.5],
+                        [-1.75, 0.5, 2.5]])
+        assert self.densified(one_frame(xyz, [9, 5, 12, 12]), self.SPEC,
+                              0.75, 2) > 0
+
+    def test_points_just_off_the_grid(self):
+        # beside border cells, just outside each edge, and one ulp outside
+        edge = []
+        for c in (-3.5, -0.5, 2.5, 3.5):
+            edge += [[-4.25, c, 1.0], [c, 4.25, 1.0],
+                     [np.nextafter(-4.0, -np.inf), c + 0.125, 1.0],
+                     [c + 0.125, np.nextafter(4.0, np.inf), 1.0],
+                     [4.625, c, 1.0], [c, -4.625, 1.25]]
+        xyz = np.array(edge)
+        labels = np.arange(len(xyz)) % 15 + 1
+        for k in (1, 2, 4):
+            assert self.densified(one_frame(xyz, labels), self.SPEC, 0.75,
+                                  k) > 0
+
+    def test_points_far_outside_the_z_band(self):
+        # the near point is in the band; its neighbours are 30-500 m above
+        # or below the columns, so the vote reaches far out in z
+        rng = np.random.default_rng(8)
+        xy = rng.uniform(-3.5, 3.5, (12, 2))
+        z = rng.choice([-500.0, -30.0, 30.0, 500.0], (12, 1))
+        xyz = np.concatenate([[[0.5, 1.125, 1.0]], np.hstack([xy, z])])
+        labels = np.concatenate([[2], rng.integers(5, 16, 12)])
+        for k in (1, 3, 6):
+            assert self.densified(one_frame(xyz, labels), self.SPEC, 0.75,
+                                  k) > 0
+
+    def test_a_grid_with_no_empty_cell(self):
+        spec = GridSpec(-2.0, -2.0, 1.0, 4, 4, 0.5, 1.5, n_cls=15)
+        xx, yy = spec.cell_centers()
+        xyz = np.stack([xx.ravel(), yy.ravel(), np.ones(16)], axis=-1)
+        grid = self.assert_same(one_frame(xyz, np.arange(1, 17) % 15 + 1),
+                                spec, 0.75, 3)
+        assert grid.occupied_count == 16
 
 
 def test_grid_spec_validation():
