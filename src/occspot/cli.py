@@ -8,9 +8,10 @@ written last, and an earlier run's is deleted before its outputs are
 overwritten, so a manifest never vouches for an output it did not describe.
 
 Exit codes: 0 success, 2 config or usage error (including a checkpoint
-whose architecture disagrees with the config, an OCCSPOT_THREADS that is not
-a positive integer and a ``finetune --labels`` below 1), 3 data error, 4
-numerical failure.  OCCSPOT_THREADS caps internal worker count (default 1).
+whose architecture disagrees with the config, more scene objects than the
+arena can place, an OCCSPOT_THREADS that is not a positive integer and a
+``finetune --labels`` below 1), 3 data error (a non-finite checkpoint too),
+4 numerical failure.  OCCSPOT_THREADS caps internal worker count (default 1).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from . import __version__, theory
 from .augment import ResampleFactor, beam_resample
 from .balance import class_stats, sampling_weights
+from .cloud import FieldError
 from .config import ConfigError, PipelineConfig, load_config
 from .formats import (atomic_write_text, read_frame, read_labels, write_frame,
                       write_grid, write_labels)
@@ -82,7 +84,7 @@ def _load_dataset_dirs(data_dir: Path) -> list[Path]:
 
     The manifest is written last, so a tree without one is incomplete; and
     only listed directories count, so stale ones from an earlier, larger run
-    into the same directory are never loaded.
+    into the same directory are never loaded, nor any outside `data_dir`.
     """
     manifest = data_dir / "manifest.json"
     try:
@@ -94,9 +96,10 @@ def _load_dataset_dirs(data_dir: Path) -> list[Path]:
             TypeError) as exc:
         raise DataError(f"{manifest}: unreadable manifest: {exc}") from exc
     if (not isinstance(outputs, list) or not outputs
-            or not all(isinstance(n, str) for n in outputs)):
+            or not all(isinstance(n, str) and Path(n).name == n
+                       and n not in ("", ".", "..") for n in outputs)):
         raise DataError(f"{manifest}: 'outputs' must be a non-empty list of "
-                        "sequence names")
+                        f"sequence names, each a directory in {data_dir}")
     dirs = [data_dir / name for name in outputs]
     missing = [d.name for d in dirs if not d.is_dir()]
     if missing:
@@ -113,7 +116,10 @@ def cmd_gen_scenes(args) -> int:
     out = Path(args.out)
     # an earlier run's manifest must not vouch for a tree this run rewrites
     (out / "manifest.json").unlink(missing_ok=True)
-    seq_dirs = generate_dataset(cfg, out, seed, workers)
+    try:
+        seq_dirs = generate_dataset(cfg, out, seed, workers)
+    except FieldError as exc:  # more objects than the arena can place
+        raise ConfigError(f"scene.{exc.field}: {exc.why}") from exc
     _write_manifest(out / "manifest.json", "gen-scenes", cfg, seed,
                     [d.name for d in seq_dirs])
     print(f"wrote {len(seq_dirs)} sequences to {out}")

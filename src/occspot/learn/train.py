@@ -195,9 +195,9 @@ def save_model(path, params: Params, cfg: PipelineConfig, seed: int,
 
 def load_model(path, cfg: PipelineConfig) -> Params:
     """The parameters of a checkpoint; a header whose architecture disagrees
-    with `cfg` is a ConfigError, a malformed one a FormatError.  Other
-    header keys (older checkpoints also hold ``feat_dim`` and ``lam``) are
-    ignored."""
+    with `cfg` is a ConfigError, a malformed one or a parameter that is not
+    finite a FormatError.  Other header keys (older checkpoints also hold
+    ``feat_dim`` and ``lam``) are ignored."""
     header, blob = read_checkpoint(path)
     try:
         model = header["model"]
@@ -210,6 +210,8 @@ def load_model(path, cfg: PipelineConfig) -> Params:
         if saved[key] != want:
             raise ConfigError(f"{key}: config has {want}, checkpoint {path} "
                               f"has {saved[key]}")
+    if not np.isfinite(blob).all():
+        raise FormatError(f"{path}: checkpoint has non-finite parameters")
     try:
         return unflatten_params(blob, cfg)
     except ValueError as exc:

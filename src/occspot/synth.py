@@ -149,8 +149,8 @@ class SceneParams:
 def build_scene(params: SceneParams, seed: int) -> Scene:
     """Deterministically place `params.n_objects` boxes in the arena.
 
-    Raises ValueError naming the violated constraint when placement stays
-    infeasible after the bounded retry budget.
+    Raises a FieldError on ``n_objects`` when placement stays infeasible
+    after the bounded retry budget.
     """
     rng = np.random.default_rng(seed)
     x0, x1, y0, y1 = params.arena
@@ -178,8 +178,8 @@ def build_scene(params: SceneParams, seed: int) -> Scene:
             if ok:
                 break
         else:
-            raise ValueError(
-                "infeasible placement: could not keep clearance "
+            raise FieldError(
+                "n_objects", "infeasible placement: could not keep clearance "
                 f"{CLEARANCE} m between {params.n_objects} objects in "
                 f"arena {params.arena}")
 

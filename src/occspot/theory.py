@@ -14,11 +14,11 @@ Everything here enumerates small discrete joints exactly (supports up to
 No estimators are involved; the claims are inequalities/identities and are
 verified to machine precision.
 
-Each sweep draws its joints one at a time, in the generator's order, then
-computes each support shape's stack, a ``(K, a, b)`` array, at once (at
-most 49 shapes; see :func:`_sweep_rows`).  Every sum is numpy's own
-reduction over the same terms in the same order as on one joint, so a
-stack gives each joint the bits it would get alone:
+Each sweep draws its joints in bulk, a chunk at a time, and computes each
+support shape's stack, a ``(K, a, b)`` array, at once (at most 49 shapes a
+chunk; see :func:`_sweep_rows`).  Every sum is numpy's own reduction over
+the same terms in the same order as on one joint, so a stack gives each
+joint the bits it would get alone:
 
 * a sum along the last axis of a C-contiguous stack runs, on each row, the
   pairwise loop that ``.sum()`` runs on that row alone;
@@ -51,7 +51,8 @@ _TOL = 1e-12
 #: zero each joint entry with probability _SPARSITY
 _MAX_SUPPORT = 8
 _SPARSITY = 0.2
-#: the sweeps draw, then compute, this many joints at a time
+#: the sweeps draw, then compute, this many joints at a time; it also fixes
+#: the draw order, so which joints a seed draws
 _CHUNK = 2048
 
 
@@ -195,57 +196,42 @@ def _risk_rows(p: np.ndarray, g: np.ndarray, t_values: np.ndarray) -> dict:
 
 # -- randomized verification sweeps -------------------------------------------
 
-def _draw_mass(rng: np.random.Generator) -> np.ndarray:
-    """Masses of a joint of 2.._MAX_SUPPORT states a side: exponentials,
-    about a fifth of them zeroed, never all zero."""
-    shape = (int(rng.integers(2, _MAX_SUPPORT + 1)),
-             int(rng.integers(2, _MAX_SUPPORT + 1)))
-    mass = rng.exponential(size=shape)
-    mass *= rng.random(shape) >= _SPARSITY
-    if mass.sum() == 0:
-        mass.flat[int(rng.integers(mass.size))] = 1.0
+def _draw_masses(rng: np.random.Generator, k: int, a: int,
+                 b: int) -> np.ndarray:
+    """Masses of `k` joints of `a` x `b` states: exponentials, about a fifth
+    of them zeroed; an all-zero joint gets mass 1 at one drawn entry."""
+    mass = rng.exponential(size=(k, a, b))
+    mass *= rng.random((k, a, b)) >= _SPARSITY
+    empty = np.flatnonzero(~mass.any(axis=(1, 2)))
+    mass.reshape(k, -1)[empty, rng.integers(a * b, size=len(empty))] = 1.0
     return mass
 
 
-def _draw_map(rng: np.random.Generator, n: int) -> np.ndarray:
-    """A map of `n` states into 0..m-1, with m drawn from 1..n."""
-    return rng.integers(0, int(rng.integers(1, n + 1)), size=n)
-
-
-def _draw_bound(rng: np.random.Generator) -> tuple:
-    return (_draw_mass(rng),)
-
-
-def _draw_lemma1(rng: np.random.Generator) -> tuple:
-    mass = _draw_mass(rng)
-    return mass, _draw_map(rng, len(mass)), _draw_map(rng, len(mass))
-
-
-def _draw_risk(rng: np.random.Generator) -> tuple:
-    mass = _draw_mass(rng)
-    return mass, _draw_map(rng, len(mass)), rng.normal(size=mass.shape[1])
+def _draw_maps(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
+    """`k` maps of `n` states, each into 0..m-1 with its own m from 1..n."""
+    return rng.integers(0, rng.integers(1, n + 1, size=(k, 1)), size=(k, n))
 
 
 def _sweep_rows(n: int, seed: int, draw, rows) -> dict:
-    """The fields of `n` >= 1 random draws, one array each, in draw order.
+    """The fields of `n` >= 1 random joints, one array each, in joint order.
 
-    ``draw(rng)`` returns a joint's masses and the maps or values that go
-    with it; ``rows(p, *maps)`` computes the fields of a stack of joints of
-    one support shape.  The draws are computed _CHUNK at a time.
+    Each chunk of _CHUNK joints draws its support shapes in one call; then,
+    for each shape in ascending order, the masses of that shape's joints
+    and ``draw(rng, k, a, b)``, the maps or values that go with them.
+    ``rows(p, *maps)`` computes the fields of that stack.  _CHUNK bounds
+    the memory of a sweep, and it also fixes which joints a seed draws.
     """
     rng = np.random.default_rng(seed)
     out: dict[str, np.ndarray] = {}
     for start in range(0, n, _CHUNK):
-        draws = [draw(rng) for _ in range(min(_CHUNK, n - start))]
-        by_shape: dict[tuple, list[int]] = {}
-        for i, d in enumerate(draws):
-            by_shape.setdefault(d[0].shape, []).append(i)
-        for idx in by_shape.values():
-            mass, *maps = (np.stack(col)
-                           for col in zip(*(draws[i] for i in idx)))
-            p = mass / mass.reshape(len(idx), -1).sum(axis=1)[:, None, None]
-            _check_joints(p.reshape(len(idx), -1))
-            at = start + np.array(idx)
+        shapes = rng.integers(2, _MAX_SUPPORT + 1,
+                              size=(min(_CHUNK, n - start), 2))
+        for a, b in np.unique(shapes, axis=0):
+            at = start + np.flatnonzero((shapes == (a, b)).all(axis=1))
+            mass = _draw_masses(rng, len(at), a, b)
+            maps = draw(rng, len(at), a, b)
+            p = mass / mass.reshape(len(at), -1).sum(axis=1)[:, None, None]
+            _check_joints(p.reshape(len(at), -1))
             for name, v in rows(p, *maps).items():
                 out.setdefault(name, np.empty(n, v.dtype))[at] = v
     return out
@@ -253,14 +239,16 @@ def _sweep_rows(n: int, seed: int, draw, rows) -> dict:
 
 def sweep_bayes_bound(n: int, seed: int) -> dict:
     """Check the Bayes bound on `n` random joints; reports the worst slack."""
-    r = _sweep_rows(n, seed, _draw_bound, _bound_rows)
+    r = _sweep_rows(n, seed, lambda rng, k, a, b: (), _bound_rows)
     return {"sweeps": n, "min_slack": float(r["slack"].min()),
             "violations": int(np.count_nonzero(~r["satisfied"]))}
 
 
 def sweep_lemma1(n: int, seed: int) -> dict:
     """Check the decomposition identity on random joints and random maps."""
-    r = _sweep_rows(n, seed, _draw_lemma1, _lemma1_rows)
+    r = _sweep_rows(n, seed, lambda rng, k, a, b: (_draw_maps(rng, k, a),
+                                                   _draw_maps(rng, k, a)),
+                    _lemma1_rows)
     return {"sweeps": n,
             "max_identity_gap": float(np.abs(r["lhs"] - r["rhs"]).max()),
             "violations": int(np.count_nonzero(~r["holds"]))}
@@ -268,7 +256,9 @@ def sweep_lemma1(n: int, seed: int) -> dict:
 
 def sweep_risk_ordering(n: int, seed: int) -> dict:
     """Check both risk orderings on random joints and random garblings."""
-    r = _sweep_rows(n, seed, _draw_risk, _risk_rows)
+    r = _sweep_rows(n, seed, lambda rng, k, a, b: (_draw_maps(rng, k, a),
+                                                   rng.normal(size=(k, b))),
+                    _risk_rows)
     sq_margin = r["sq_risk_garbled"] - r["sq_risk"]
     return {"sweeps": n, "min_sq_margin": float(sq_margin.min()),
             "min_bayes_margin": float((r["bayes_garbled"] - r["bayes"]).min()),

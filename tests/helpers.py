@@ -370,16 +370,19 @@ def guarded_directional_checks(loss_fn, grad_vec_fn, signature_fn,
     return out
 
 
-# -- theory: the per-joint sweeps that the stacked ones replaced --------------
+# -- theory: the sweeps one joint at a time ------------------------------------
 #
 # Like the other ``*_reference`` functions, these share the library's
-# arithmetic on purpose: they are the per-joint loops and kernels that
-# ``occspot.theory`` ran before it computed stacks of joints, kept verbatim.
-# The property under test is bit-identity, so they are compared with
-# ``np.array_equal``, not a tolerance.  The single-joint functions that the
-# docstrings below name are gone; their fields are those of
-# ``theory._bound_rows``, ``_lemma1_rows`` and ``_risk_rows`` on a stack of
-# one.
+# arithmetic on purpose: ``bound_reference``, ``lemma1_reference`` and
+# ``risk_reference`` are the per-joint kernels that ``occspot.theory`` ran
+# before it computed stacks of joints, kept verbatim.  The sweeps below draw
+# the library's random stream (:func:`draw_joints_reference`, which fixes up
+# and normalises each joint on its own) and run those kernels joint by
+# joint, in joint order.  The property under test is
+# bit-identity, so they are compared with ``np.array_equal``, not a
+# tolerance.  The single-joint functions that the docstrings below name are
+# gone; their fields are those of ``theory._bound_rows``, ``_lemma1_rows``
+# and ``_risk_rows`` on a stack of one.
 
 _THEORY_TOL = 1e-12
 _MAX_SUPPORT = 8
@@ -481,81 +484,98 @@ def risk_reference(p, t_values, g) -> dict:
                 holds=holds)
 
 
-def random_joint_reference(rng: np.random.Generator, shape) -> np.ndarray:
-    mass = rng.exponential(size=shape)
-    mass *= rng.random(shape) >= _SPARSITY
-    if mass.sum() == 0:
-        mass.flat[int(rng.integers(mass.size))] = 1.0
-    return mass / mass.sum()
+def _maps_reference(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
+    return rng.integers(0, rng.integers(1, n + 1, size=(k, 1)), size=(k, n))
+
+
+def draw_joints_reference(n: int, seed: int, chunk: int, rest) -> list:
+    """The ``(p, *maps)`` of `n` sweep joints, in joint order, drawn `chunk`
+    at a time in the sweeps' order: a chunk's shapes, then for each shape in
+    ascending order its masses and ``rest(rng, k, a, b)``, the maps or
+    values that follow them."""
+    rng = np.random.default_rng(seed)
+    joints = []
+    for start in range(0, n, chunk):
+        drawn = rng.integers(2, _MAX_SUPPORT + 1, size=(min(chunk, n - start), 2))
+        shapes = [(int(a), int(b)) for a, b in drawn]
+        out = [None] * len(shapes)
+        for a, b in sorted(set(shapes)):
+            idx = [i for i, s in enumerate(shapes) if s == (a, b)]
+            mass = rng.exponential(size=(len(idx), a, b))
+            mass *= rng.random(mass.shape) >= _SPARSITY
+            empty = [j for j in range(len(idx)) if mass[j].sum() == 0]
+            for j, e in zip(empty, rng.integers(a * b, size=len(empty))):
+                mass[j].flat[e] = 1.0
+            extra = rest(rng, len(idx), a, b)
+            for j, i in enumerate(idx):
+                out[i] = (mass[j] / mass[j].sum(), *(x[j] for x in extra))
+        joints += out
+    return joints
 
 
 def _columns(rows: list[dict]) -> dict:
     return {k: np.array([r[k] for r in rows]) for k in rows[0]}
 
 
-def sweep_bayes_bound_reference(n: int, seed: int) -> tuple[dict, dict]:
-    """(summary, per-joint fields) of the per-joint Bayes-bound sweep.
+def sweep_bayes_bound_reference(n: int, seed: int,
+                                chunk: int) -> tuple[dict, dict]:
+    """(summary, per-joint fields) of the Bayes-bound sweep, one joint at a
+    time.
 
     The per-joint fields add ``shape`` and ``nnz``, the joint's count of
     nonzero entries, so a test can show which cases it reached.
     """
-    rng = np.random.default_rng(seed)
     min_slack = np.inf
     violations = 0
     rows = []
-    for _ in range(n):
-        shape = (int(rng.integers(2, _MAX_SUPPORT + 1)),
-                 int(rng.integers(2, _MAX_SUPPORT + 1)))
-        p = random_joint_reference(rng, shape)
+    for (p,) in draw_joints_reference(n, seed, chunk, lambda *_: ()):
         rep = bound_reference(p)
         min_slack = min(min_slack, rep["slack"])
         violations += not rep["satisfied"]
-        rows.append({**rep, "shape": shape, "nnz": np.count_nonzero(p)})
+        rows.append({**rep, "shape": p.shape, "nnz": np.count_nonzero(p)})
     summary = {"sweeps": n, "min_slack": float(min_slack),
                "violations": violations}
     return summary, _columns(rows)
 
 
-def sweep_lemma1_reference(n: int, seed: int) -> tuple[dict, dict]:
-    """(summary, per-joint fields) of the per-joint decomposition sweep."""
-    rng = np.random.default_rng(seed)
+def sweep_lemma1_reference(n: int, seed: int, chunk: int) -> tuple[dict, dict]:
+    """(summary, per-joint fields) of the decomposition sweep."""
+    def maps(rng, k, a, b):
+        return _maps_reference(rng, k, a), _maps_reference(rng, k, a)
+
     worst = 0.0
     violations = 0
     rows = []
-    for _ in range(n):
-        n_o = int(rng.integers(2, _MAX_SUPPORT + 1))
-        n_t = int(rng.integers(2, _MAX_SUPPORT + 1))
-        p = random_joint_reference(rng, (n_o, n_t))
-        f_occ = rng.integers(0, int(rng.integers(1, n_o + 1)), size=n_o)
-        f_mae = rng.integers(0, int(rng.integers(1, n_o + 1)), size=n_o)
+    for p, f_occ, f_mae in draw_joints_reference(n, seed, chunk, maps):
         rep = lemma1_reference(p, f_occ, f_mae)
         worst = max(worst, abs(rep["lhs"] - rep["rhs"]))
         violations += not rep["holds"]
-        rows.append({**rep, "shape": (n_o, n_t), "nnz": np.count_nonzero(p)})
+        rows.append({**rep, "shape": p.shape, "nnz": np.count_nonzero(p)})
     summary = {"sweeps": n, "max_identity_gap": float(worst),
                "violations": violations}
     return summary, _columns(rows)
 
 
-def sweep_risk_ordering_reference(n: int, seed: int) -> tuple[dict, list]:
-    """(summary, per-joint rows) of the risk-ordering sweep; each row holds
-    the drawn ``p``, ``t_values`` and ``g`` beside the report's fields."""
-    rng = np.random.default_rng(seed)
+def sweep_risk_ordering_reference(n: int, seed: int,
+                                  chunk: int) -> tuple[dict, dict]:
+    """(summary, per-joint fields) of the risk-ordering sweep.
+
+    The per-joint fields add ``shape`` and ``n_garbled``, the garbling's
+    count of states, so a test can show which cases it reached.
+    """
+    def garbling(rng, k, a, b):
+        return _maps_reference(rng, k, a), rng.normal(size=(k, b))
+
     violations = 0
     worst_sq = np.inf
     worst_bayes = np.inf
     rows = []
-    for _ in range(n):
-        n_z = int(rng.integers(2, _MAX_SUPPORT + 1))
-        n_t = int(rng.integers(2, _MAX_SUPPORT + 1))
-        p = random_joint_reference(rng, (n_z, n_t))
-        g = rng.integers(0, int(rng.integers(1, n_z + 1)), size=n_z)
-        t_values = rng.normal(size=n_t)
+    for p, g, t_values in draw_joints_reference(n, seed, chunk, garbling):
         rep = risk_reference(p, t_values, g)
         worst_sq = min(worst_sq, rep["sq_risk_garbled"] - rep["sq_risk"])
         worst_bayes = min(worst_bayes, rep["bayes_garbled"] - rep["bayes"])
         violations += not rep["holds"]
-        rows.append({**rep, "p": p, "t_values": t_values, "g": g})
+        rows.append({**rep, "shape": p.shape, "n_garbled": int(g.max()) + 1})
     summary = {"sweeps": n, "min_sq_margin": float(worst_sq),
                "min_bayes_margin": float(worst_bayes), "violations": violations}
-    return summary, rows
+    return summary, _columns(rows)

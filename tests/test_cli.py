@@ -67,12 +67,22 @@ class TestDatasetManifest:
 
     @pytest.mark.parametrize("damage", [
         "no-manifest", "garbled", "no-outputs", "outputs-not-names",
-        "empty-outputs", "listed-dir-missing"])
+        "empty-outputs", "listed-dir-missing", "absolute-path",
+        "parent-path"])
     def test_incomplete_tree_is_a_data_error(self, tmp_path, config, data,
                                              damage, capsys):
         manifest = data / "manifest.json"
         doc = json.loads(manifest.read_text())
-        if damage == "no-manifest":
+        # a sequence outside the data directory, loadable if it were listed
+        outside = tmp_path / "outside"
+        shutil.copytree(data / "seq_0001", outside)
+        if damage == "absolute-path":
+            manifest.write_text(json.dumps({**doc, "outputs": [
+                "seq_0000", str(outside)]}))
+        elif damage == "parent-path":
+            manifest.write_text(json.dumps({**doc, "outputs": [
+                "seq_0000", "../outside"]}))
+        elif damage == "no-manifest":
             manifest.unlink()
         elif damage == "garbled":
             manifest.write_text("{\"outputs\": [")
@@ -157,6 +167,17 @@ def test_malformed_config_is_a_config_error(tmp_path, override, path, capsys):
                  "--out", str(tmp_path / "data")]) == cli.EXIT_CONFIG
     assert f"config error: {path}: " in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
+
+
+def test_infeasible_scene_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "crowded.json"
+    config.write_text(json.dumps({**MINI, "scene": {
+        "n_objects": 40, "arena": [-3.0, 3.0, -3.0, 3.0]}}))
+    assert main(["gen-scenes", "--config", str(config),
+                 "--out", str(tmp_path / "data")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: scene.n_objects: infeasible placement: ")
+    assert not (tmp_path / "data" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("damage", ["directory", "missing", "not-utf-8"])
@@ -357,6 +378,28 @@ class TestMalformedFiles:
             err = capsys.readouterr().err
             assert err.startswith("data error: ") and str(ckpt) in err
         assert not (tmp_path / "ft.npz").exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_checkpoint_is_a_data_error(self, tmp_path, config,
+                                                   data, bad, capsys):
+        assert pretrain(config, data, tmp_path) == cli.EXIT_OK
+        ckpt = tmp_path / "model.npz"
+        header, blob = read_checkpoint(ckpt)
+        if bad == "nan":
+            blob[:] = np.nan
+        else:
+            blob[len(blob) // 2] = np.inf
+        write_checkpoint(ckpt, header, blob)
+        capsys.readouterr()
+        for argv in (["eval-miou", str(ckpt), str(data), "--config", config],
+                     ["finetune", "--ckpt", str(ckpt), "--labels", "1",
+                      "--config", config, "--data", str(data),
+                      "--out", str(tmp_path / "ft.npz")]):
+            assert main(argv) == cli.EXIT_DATA
+            out, err = capsys.readouterr()
+            assert out == "" and err == (
+                f"data error: {ckpt}: checkpoint has non-finite parameters\n")
+        assert not list(tmp_path.glob("ft.*"))
 
     def test_checkpoint_cut_inside_its_header(self, tmp_path, config, data,
                                               capsys):

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 
+import helpers
 import numpy as np
 import pytest
 from helpers import (bayes_error_reference, bound_reference,
@@ -228,23 +229,40 @@ class TestRiskOrdering:
 
 class TestSweeps:
     def test_random_joint_is_a_valid_joint(self):
-        # each sweep's draw: masses of 2.._MAX_SUPPORT states a side, never
-        # all zero, and maps of O into its own states
+        # the sweeps' bulk draws: masses of every support shape, never all
+        # zero, and maps of O into its own states, each with its own image
+        # count from 1 to the state count
         rng = np.random.default_rng(0)
-        for draw, n_maps in [(theory._draw_bound, 0), (theory._draw_lemma1, 2),
-                             (theory._draw_risk, 1)]:
-            for _ in range(200):
-                mass, *rest = draw(rng)
-                assert mass.ndim == 2 and min(mass.shape) >= 2
-                assert max(mass.shape) <= theory._MAX_SUPPORT
-                assert (mass >= 0).all() and mass.sum() > 0
-                p = mass / mass.sum()
-                assert abs(p.sum() - 1.0) <= 1e-12
-                for f in rest[:n_maps]:
-                    assert f.shape == (len(mass),)
-                    assert 0 <= f.min() and f.max() < len(mass)
-                if draw is theory._draw_risk:
-                    assert rest[1].shape == (mass.shape[1],)
+        sides = range(2, theory._MAX_SUPPORT + 1)
+        for a, b in itertools.product(sides, sides):
+            mass = theory._draw_masses(rng, 40, a, b)
+            assert mass.shape == (40, a, b)
+            assert (mass >= 0).all() and (mass.sum(axis=(1, 2)) > 0).all()
+            p = mass / mass.sum(axis=(1, 2))[:, None, None]
+            assert np.abs(p.sum(axis=(1, 2)) - 1.0).max() <= 1e-12
+            f = theory._draw_maps(rng, 200, a)
+            assert f.shape == (200, a) and f.min() >= 0
+            assert set(f.max(axis=1) + 1) == set(range(1, a + 1))
+
+    def test_all_zero_joints_get_one_drawn_entry(self, monkeypatch):
+        # with every entry zeroed, each joint is a point mass at a drawn
+        # entry, as drawn one joint at a time, and no check fails on it
+        monkeypatch.setattr(theory, "_SPARSITY", 1.0)
+        monkeypatch.setattr(helpers, "_SPARSITY", 1.0)
+        rng = np.random.default_rng(0)
+        mass = theory._draw_masses(rng, 200, 3, 5).reshape(200, -1)
+        assert (np.count_nonzero(mass, axis=1) == 1).all()
+        assert (mass.sum(axis=1) == 1.0).all()
+        assert len(set(mass.argmax(axis=1))) == 15
+        for sweep, reference in SWEEPS:
+            summary, got = sweep_fields(sweep, 300, 11)
+            want_summary, want = reference(300, 11, theory._CHUNK)
+            assert_fields_equal_bits(got, want)
+            assert summary == want_summary and summary["violations"] == 0
+        _, bound = sweep_fields(theory.sweep_bayes_bound, 300, 11)
+        assert (bound["bayes_error"] == 0.0).all()
+        assert (bound["h_t"] == 0.0).all()
+
     @pytest.mark.parametrize("sweep", [theory.sweep_bayes_bound,
                                        theory.sweep_lemma1,
                                        theory.sweep_risk_ordering])
@@ -257,11 +275,11 @@ class TestSweeps:
     # the report's float formatting are all pinned
     @pytest.mark.parametrize("seed, sweeps, digest", [
         (0, 1, "d7b72ad3fcfd786aa27aed80e57ef43933b145445e376ffe21eb10b2a1faef27"),
-        (7, 9, "05ea620a98fd99ac8c8598fdafe6d3084b047ddb97ce6286ae1f756df3864d5c"),
-        (1, 200, "7920b2a707087933a52304005b9380c2729060fedc402b89b500fa6230477627"),
-        (101, 200, "feb8614662f9894dc97f0c60ff936b0f869b1241584f8aaf16759e30b24b82d3"),
+        (7, 9, "20cf00a1c8e45aef227176d5bb6871509395a44823885496df5568067958986f"),
+        (1, 200, "1687280dab12dc89947d8d1a2ba954474ccda2978ef74ddb68acc01536c1f5c1"),
+        (101, 200, "eeadcf9ed26e512051c9dcec35c7208c3569877731aa1fe8513f5654ca4b4de7"),
         # the benchmark's own call
-        (101, 20000, "4b5f5dc0898bb68dde50d7b02b3e5b6baa51b29d376035a8daba707cb834aba7"),
+        (101, 20000, "e88ef6f4ea5fd0dbd50472fe42d967ba7474df379be249e72e32ec832d9349a2"),
     ])
     def test_theory_check_stdout_pinned(self, seed, sweeps, digest, capsys):
         assert main(["theory-check", "--seed", str(seed),
@@ -331,21 +349,37 @@ class TestSingleJointBitForBit:
             assert conditional_mi(p) == conditional_mi_reference(p)
 
 
-def bound_rows(n, seed):
-    return theory._sweep_rows(n, seed, theory._draw_bound, theory._bound_rows)
+SWEEPS = [(theory.sweep_bayes_bound, sweep_bayes_bound_reference),
+          (theory.sweep_lemma1, sweep_lemma1_reference),
+          (theory.sweep_risk_ordering, sweep_risk_ordering_reference)]
 
 
-def lemma1_rows(n, seed):
-    return theory._sweep_rows(n, seed, theory._draw_lemma1,
-                              theory._lemma1_rows)
+def sweep_fields(sweep, n: int, seed: int) -> tuple[dict, dict]:
+    """(summary, per-joint fields) of one run of `sweep`: the fields are
+    what its ``_sweep_rows`` call returned."""
+    seen = []
+    real = theory._sweep_rows
+
+    def recording(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theory, "_sweep_rows", recording)
+        summary = sweep(n, seed)
+    return summary, seen[0]
 
 
-def risk_rows(n, seed):
-    return theory._sweep_rows(n, seed, theory._draw_risk, theory._risk_rows)
+def assert_fields_equal_bits(got: dict, ref: dict):
+    """Every field of a sweep equals the reference's, bit for bit."""
+    assert set(got) == set(ref) - {"shape", "nnz", "n_garbled"}
+    for name in got:
+        assert np.array_equal(got[name], ref[name]), name
 
 
 class TestSweepsBitForBit:
-    """Every per-joint value of a batched sweep equals the per-joint loop's.
+    """Every per-joint value of a batched sweep equals the per-joint loop's,
+    on the same draws.
 
     Per seed, 3,000 Bayes-bound joints (two chunks, the second partial)
     reach all 49 support shapes and every count of nonzero entries from 2
@@ -361,58 +395,50 @@ class TestSweepsBitForBit:
     def test_bayes_bound_rows(self, seed):
         n = 3000
         assert n % theory._CHUNK and n > theory._CHUNK
-        summary, ref = sweep_bayes_bound_reference(n, seed)
-        got = bound_rows(n, seed)
-        assert set(got) == set(ref) - {"shape", "nnz"}
-        for name in got:
-            assert np.array_equal(got[name], ref[name]), name
-        assert theory.sweep_bayes_bound(n, seed) == summary
+        summary, ref = sweep_bayes_bound_reference(n, seed, theory._CHUNK)
+        got_summary, got = sweep_fields(theory.sweep_bayes_bound, n, seed)
+        assert_fields_equal_bits(got, ref)
+        assert got_summary == summary
         assert len({tuple(s) for s in ref["shape"]}) == 49
         assert set(range(2, 49)) <= set(ref["nnz"])
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_lemma1_rows(self, seed):
         n = 1000
-        summary, ref = sweep_lemma1_reference(n, seed)
-        got = lemma1_rows(n, seed)
-        assert set(got) == set(ref) - {"shape", "nnz"}
-        for name in got:
-            assert np.array_equal(got[name], ref[name]), name
-        assert theory.sweep_lemma1(n, seed) == summary
+        summary, ref = sweep_lemma1_reference(n, seed, theory._CHUNK)
+        got_summary, got = sweep_fields(theory.sweep_lemma1, n, seed)
+        assert_fields_equal_bits(got, ref)
+        assert got_summary == summary
         assert len({tuple(s) for s in ref["shape"]}) == 49
         assert set(range(2, 41)) <= set(ref["nnz"])
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_risk_ordering(self, seed):
         n = 3000
-        summary, ref = sweep_risk_ordering_reference(n, seed)
-        got = risk_rows(n, seed)
-        assert set(got) == set(ref[0]) - {"p", "t_values", "g"}
-        for name in got:
-            want = np.array([row[name] for row in ref])
-            assert np.array_equal(got[name], want), name
-        assert theory.sweep_risk_ordering(n, seed) == summary
-        assert len({row["p"].shape for row in ref}) == 49
-        assert {int(row["g"].max()) + 1 for row in ref} == set(range(1, 9))
+        summary, ref = sweep_risk_ordering_reference(n, seed, theory._CHUNK)
+        got_summary, got = sweep_fields(theory.sweep_risk_ordering, n, seed)
+        assert_fields_equal_bits(got, ref)
+        assert got_summary == summary
+        assert len({tuple(s) for s in ref["shape"]}) == 49
+        assert set(ref["n_garbled"]) == set(range(1, 9))
 
-    @pytest.mark.parametrize("sweep, reference", [
-        (theory.sweep_bayes_bound, sweep_bayes_bound_reference),
-        (theory.sweep_lemma1, sweep_lemma1_reference),
-        (theory.sweep_risk_ordering, sweep_risk_ordering_reference)])
+    @pytest.mark.parametrize("sweep, reference", SWEEPS)
     def test_one_draw(self, sweep, reference):
         for seed in range(20):
-            assert sweep(1, seed) == reference(1, seed)[0]
+            assert sweep(1, seed) == reference(1, seed, theory._CHUNK)[0]
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_chunk_size_changes_nothing(self, chunk, monkeypatch):
-        bound, lemma1 = bound_rows(301, 5), lemma1_rows(150, 6)
-        risk = risk_rows(150, 7)
+        # _CHUNK picks which joints a seed draws, and changes nothing in
+        # the fields computed from them: at each size every field equals
+        # the per-joint reference on the joints drawn at that size
         monkeypatch.setattr(theory, "_CHUNK", chunk)
-        for want, got in ((bound, bound_rows(301, 5)),
-                          (lemma1, lemma1_rows(150, 6)),
-                          (risk, risk_rows(150, 7))):
-            for name in want:
-                assert np.array_equal(got[name], want[name]), name
+        for (sweep, reference), n, seed in zip(SWEEPS, (301, 150, 150),
+                                               (5, 6, 7)):
+            summary, got = sweep_fields(sweep, n, seed)
+            want_summary, want = reference(n, seed, chunk)
+            assert_fields_equal_bits(got, want)
+            assert summary == want_summary
 
     def test_a_bad_stack_is_rejected(self):
         for bad_row in ([np.nan, 1.0], [np.inf, 0.0], [-0.5, 1.5],
