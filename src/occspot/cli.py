@@ -141,6 +141,8 @@ def cmd_make_occ(args) -> int:
 
 
 def cmd_resample(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if not 0.0 < args.factor <= 1.0:
         raise ConfigError(f"--factor must lie in (0, 1], got {args.factor}")
     src = Path(args.input)
@@ -252,9 +254,14 @@ def _json_ratio(v) -> float | None:
     return None if np.isnan(v) else round(float(v), 6)
 
 
+#: the largest --sweeps: about 0.4 GB of Bayes-bound results (see its help)
+_MAX_SWEEPS = 10**7
+
+
 def cmd_theory_check(args) -> int:
-    if args.sweeps < 1:
-        raise ConfigError(f"--sweeps must be >= 1, got {args.sweeps}")
+    if not 1 <= args.sweeps <= _MAX_SWEEPS:
+        raise ConfigError(f"--sweeps must lie in 1..{_MAX_SWEEPS}, "
+                          f"got {args.sweeps}")
     rng = substream(args.seed, "theory")
     bound = theory.sweep_bayes_bound(args.sweeps, int(rng.integers(2**63)))
     lemma = theory.sweep_lemma1(max(1, args.sweeps // 10),
@@ -322,7 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(fn=cmd_eval_miou)
 
     c = sub.add_parser("theory-check", help="randomized bound verification")
-    c.add_argument("--sweeps", type=int, default=100000)
+    c.add_argument("--sweeps", type=int, default=100000,
+                   help="joints in the Bayes-bound sweep, 1..10**7, and a "
+                        "tenth as many in each other sweep; a Bayes-bound "
+                        "joint keeps 41 bytes of results, so 10**7 take "
+                        "about 0.4 GB")
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(fn=cmd_theory_check)
     return p

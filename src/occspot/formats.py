@@ -143,14 +143,27 @@ def write_boxes(path, boxes: Sequence[BoxLabel]) -> None:
     atomic_write_text(path, boxes_text(boxes))
 
 
+#: the JSON type of each box field, by the Python types json.loads gives it
+#: (``type(v)`` is exact, so a bool is not a number)
+_BOX_TYPES = {k: ((int, float), "a number") for k in BOX_KEYS[:9]} | {
+    "class_id": ((int,), "an integer"), "is_dynamic": ((bool,), "a bool")}
+
+
+def _box(obj: dict) -> BoxLabel:
+    """The box of one record, with no field coerced to its type."""
+    for k, (types, name) in _BOX_TYPES.items():
+        if type(obj[k]) not in types:
+            raise TypeError(f"{k} must be {name}, got {json.dumps(obj[k])}")
+    return BoxLabel(**{k: obj[k] for k in BOX_KEYS})
+
+
 def read_boxes(path) -> list[BoxLabel]:
     out = []
     for i, line in enumerate(Path(path).read_text().splitlines()):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-            out.append(BoxLabel(**{k: obj[k] for k in BOX_KEYS}))
+            out.append(_box(json.loads(line)))
         except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
             raise FormatError(f"{path}:{i + 1}: bad box record: {exc}") from exc
     return out

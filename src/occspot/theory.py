@@ -16,27 +16,11 @@ verified to machine precision.
 
 Each sweep draws its joints in bulk, a chunk at a time, and computes each
 support shape's stack, a ``(K, a, b)`` array, at once (at most 49 shapes a
-chunk; see :func:`_sweep_rows`).  Every sum is numpy's own reduction over
-the same terms in the same order as on one joint, so a stack gives each
-joint the bits it would get alone:
-
-* a sum along the last axis of a C-contiguous stack runs, on each row, the
-  pairwise loop that ``.sum()`` runs on that row alone;
-* a sum over a middle axis adds whole rows in order, so the zero rows that
-  pad a coarser map's joint up to the stack's state count add +0.0 (the
-  sweeps' joints have at least two T states: a one-column sum is pairwise);
-* a masked sum (``p[p > 0]``) has a term count that varies by joint, and
-  numpy's pairwise order depends on that count (a plain loop below 8 terms,
-  eight accumulators from 8 on).  :func:`_row_sums` therefore groups the
-  rows by term count and sums each ``(rows, count)`` block along its rows;
-* for the same reason the garbled Bayes error, a last-axis sum over the
-  garbled states, is computed per group of joints with one state count:
-  padded zero states would lengthen the sum and change its order.
-
-One product stays per row: ``E[Var(T | Z)]`` takes each conditional mean
-and variance as a BLAS dot of one row (:func:`_sq_risk`).  A stacked form
-(``(cond * t).sum(-1)``, ``matmul`` or ``einsum``) adds the same terms in
-another order and changed over a third of the values.
+chunk; see :func:`_sweep_rows`).  Every kernel is a whole-row numpy
+reduction over the stack: a zero term (``0 ln 0``, an empty conditional)
+stays in its sum as +0.0 instead of being masked out, and a map of O pads
+to as many states as O has.  A joint's terms, and so its bits, then depend
+only on that joint, never on the others in its stack.
 """
 
 from __future__ import annotations
@@ -67,52 +51,29 @@ def _check_joints(flat: np.ndarray) -> None:
 
 
 # The stack functions below trust their input: the sweeps validate each
-# joint once, and every array derived from a joint is a joint by
-# construction.
-
-def _row_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum of each row of a ragged array, as ``.sum()`` of that row alone.
-
-    `terms` holds the rows end to end, row i with ``counts[i]`` entries.
-    The rows of each count are summed as one ``(rows, count)`` block.
-    """
-    out = np.zeros(len(counts))
-    starts = np.cumsum(counts) - counts
-    for m in np.unique(counts[counts > 0]):
-        rows = np.flatnonzero(counts == m)
-        out[rows] = terms[starts[rows, None] + np.arange(m)].sum(axis=1)
-    return out
-
+# joint once, every array derived from a joint is a joint by construction,
+# and every stack is C-contiguous, so each row sums as it would alone.
 
 def _entropies(p: np.ndarray) -> np.ndarray:
     """Shannon entropy of each row of `p` (K, n), with 0 ln 0 = 0."""
-    mask = p > 0
-    nz = p[mask]
-    return -_row_sums(nz * np.log(nz), mask.sum(axis=1))
+    return -(p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum(-1)
 
 
 def _mis(p: np.ndarray) -> np.ndarray:
     """I(Z, T) of each joint in the stack `p` (K, n_z, n_t)."""
-    pz = p.sum(axis=2)
-    pt = p.sum(axis=1)
-    mask = p > 0
-    nz = p[mask]
-    terms = nz * np.log(nz / (pz[:, :, None] * pt[:, None, :])[mask])
-    return _row_sums(terms, mask.sum(axis=(1, 2)))
+    outer = p.sum(axis=2)[:, :, None] * p.sum(axis=1)[:, None, :]
+    ratio = np.divide(p, outer, out=np.ones_like(p), where=p > 0)
+    return (p * np.log(ratio)).sum(axis=(1, 2))
 
 
 def _cmis(slabs: np.ndarray) -> np.ndarray:
     """I(O, T | Z) of each joint; ``slabs[k, z]`` is p(o, t, z) of joint k."""
-    slabs = np.ascontiguousarray(slabs)  # so each slab sums as one row
     k, n_z = slabs.shape[:2]
     pz = slabs.reshape(k, n_z, -1).sum(axis=2)
-    live = pz > 0
-    mi = np.zeros((k, n_z))
-    mi[live] = _mis(slabs[live] / pz[live][:, None, None])
-    total = np.zeros(k)
-    for z in range(n_z):  # in state order, as a running total
-        total += pz[:, z] * mi[:, z]
-    return total
+    cond = np.divide(slabs, pz[:, :, None, None], out=np.zeros(slabs.shape),
+                     where=pz[:, :, None, None] > 0)
+    mi = _mis(cond.reshape(k * n_z, *slabs.shape[2:])).reshape(k, n_z)
+    return (pz * mi).sum(axis=1)
 
 
 def _bayes(p: np.ndarray) -> np.ndarray:
@@ -131,12 +92,10 @@ def _bound_rows(p: np.ndarray) -> dict:
             "slack": slack, "satisfied": slack >= -_TOL}
 
 
-def _map_slabs(p: np.ndarray, f: np.ndarray, n_z: int) -> np.ndarray:
-    """Slabs p(o, t, z) = p(o, t) 1[z = f(o)] of Z = f(O), z first.
-
-    Slabs at and past a joint's own ``f.max() + 1`` are zero.
-    """
-    hit = f[:, None, :, None] == np.arange(n_z)[None, :, None, None]
+def _map_slabs(p: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Slabs p(o, t, z) = p(o, t) 1[z = f(o)] of Z = f(O), z first: f maps
+    O into its own states, so there is one slab per O state."""
+    hit = f[:, None, :, None] == np.arange(p.shape[1])[None, :, None, None]
     return np.where(hit, p[:, None], 0.0)
 
 
@@ -149,8 +108,8 @@ def _induced(slabs: np.ndarray) -> np.ndarray:
 def _lemma1_rows(p: np.ndarray, f_occ: np.ndarray, f_mae: np.ndarray) -> dict:
     """Both sides of the decomposition of each joint over (O, T), with the
     deterministic representations Z = f_occ(O) and Z = f_mae(O)."""
-    occ = _map_slabs(p, f_occ, int(f_occ.max()) + 1)
-    mae = _map_slabs(p, f_mae, int(f_mae.max()) + 1)
+    occ = _map_slabs(p, f_occ)
+    mae = _map_slabs(p, f_mae)
     mi_occ, mi_mae = _mis(_induced(occ)), _mis(_induced(mae))
     gap_mae, gap_occ = _cmis(mae), _cmis(occ)
     lhs = mi_occ - mi_mae
@@ -160,35 +119,23 @@ def _lemma1_rows(p: np.ndarray, f_occ: np.ndarray, f_mae: np.ndarray) -> dict:
             "holds": np.abs(lhs - rhs) <= _TOL}
 
 
-def _sq_risk(p: np.ndarray, t_values: np.ndarray) -> float:
-    """E[Var(T | Z)] of one joint over (Z, T), T valued `t_values`.
-
-    Each conditional mean and variance is a dot product of one row, as BLAS
-    adds it; a stacked product may add in another order, so this stays a
-    loop over the rows.
-    """
-    pz = p.sum(axis=1)
-    live = pz > 0
-    cond = p[live] / pz[live, None]
-    mean = np.array([row @ t_values for row in cond])
-    risk = 0.0
-    for w, row, dev2 in zip(pz[live], cond, (t_values - mean[:, None]) ** 2):
-        risk += w * float(row @ dev2)
-    return float(risk)
+def _sq_risks(p: np.ndarray, t_values: np.ndarray) -> np.ndarray:
+    """E[Var(T | Z)] of each joint over (Z, T), T valued ``t_values[k]``."""
+    pz = p.sum(axis=2)
+    cond = np.divide(p, pz[:, :, None], out=np.zeros_like(p),
+                     where=pz[:, :, None] > 0)
+    t = t_values[:, None, :]
+    mean = (cond * t).sum(-1)
+    var = (cond * (t - mean[:, :, None]) ** 2).sum(-1)
+    return (pz * var).sum(-1)
 
 
 def _risk_rows(p: np.ndarray, g: np.ndarray, t_values: np.ndarray) -> dict:
     """Squared and Bayes risks of each joint over (Z, T), before and after
     the garbling Z' = g(Z); ``t_values`` are the numeric values of T."""
-    sq = np.array([_sq_risk(q, t) for q, t in zip(p, t_values)])
-    sq_g, bayes_g = np.empty(len(p)), np.empty(len(p))
-    n_g = g.max(axis=1) + 1
-    for m in np.unique(n_g):  # unpadded, see the module docstring
-        rows = np.flatnonzero(n_g == m)
-        garbled = _induced(_map_slabs(p[rows], g[rows], int(m)))
-        sq_g[rows] = [_sq_risk(q, t) for q, t in zip(garbled, t_values[rows])]
-        bayes_g[rows] = _bayes(garbled)
-    bayes = _bayes(p)
+    garbled = _induced(_map_slabs(p, g))
+    sq, sq_g = _sq_risks(p, t_values), _sq_risks(garbled, t_values)
+    bayes, bayes_g = _bayes(p), _bayes(garbled)
     return {"sq_risk": sq, "sq_risk_garbled": sq_g, "bayes": bayes,
             "bayes_garbled": bayes_g,
             "holds": (sq <= sq_g + _TOL) & (bayes <= bayes_g + _TOL)}

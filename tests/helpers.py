@@ -373,59 +373,63 @@ def guarded_directional_checks(loss_fn, grad_vec_fn, signature_fn,
 # -- theory: the sweeps one joint at a time ------------------------------------
 #
 # Like the other ``*_reference`` functions, these share the library's
-# arithmetic on purpose: ``bound_reference``, ``lemma1_reference`` and
-# ``risk_reference`` are the per-joint kernels that ``occspot.theory`` ran
-# before it computed stacks of joints, kept verbatim.  The sweeps below draw
-# the library's random stream (:func:`draw_joints_reference`, which fixes up
-# and normalises each joint on its own) and run those kernels joint by
-# joint, in joint order.  The property under test is
-# bit-identity, so they are compared with ``np.array_equal``, not a
-# tolerance.  The single-joint functions that the docstrings below name are
-# gone; their fields are those of ``theory._bound_rows``, ``_lemma1_rows``
-# and ``_risk_rows`` on a stack of one.
+# arithmetic on purpose: each takes one joint, row by row where a row is
+# summed on its own, and adds the same terms in the same order as the
+# whole-row reductions of ``occspot.theory``.  A zero term stays in its sum
+# as +0.0, and a map of O pads to as many states as O has, so a joint's
+# bits depend on that joint alone.  The sweeps below draw the library's
+# random stream (:func:`draw_joints_reference`, which fixes up and
+# normalises each joint on its own) and run these functions joint by joint,
+# in joint order.  The property under test is that a stack gives each joint
+# those bits, so they are compared with ``np.array_equal``, not a
+# tolerance.  Their fields are those of ``theory._bound_rows``,
+# ``_lemma1_rows`` and ``_risk_rows``.
 
 _THEORY_TOL = 1e-12
 _MAX_SUPPORT = 8
 _SPARSITY = 0.2
 
 
-def entropy_reference(p: np.ndarray) -> float:
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+def entropy_reference(p) -> float:
+    """H of the distribution `p`, flattened; 0 ln 0 is a +0.0 term."""
+    p = np.ravel(p)
+    return float(-(p * np.log(np.where(p > 0, p, 1.0))).sum())
 
 
 def mutual_information_reference(p: np.ndarray) -> float:
-    pz = p.sum(axis=1, keepdims=True)
-    pt = p.sum(axis=0, keepdims=True)
-    mask = p > 0
-    return float((p[mask] * np.log(p[mask] / (pz @ pt)[mask])).sum())
+    """I(Z, T) of one joint; a zero entry is a +0.0 term (ratio 1)."""
+    outer = p.sum(axis=1)[:, None] * p.sum(axis=0)[None, :]
+    live = p > 0
+    ratio = np.where(live, p, 1.0) / np.where(live, outer, 1.0)
+    return float((p * np.log(ratio)).sum())
 
 
 def conditional_mi_reference(p: np.ndarray) -> float:
-    total = 0.0
-    for z in range(p.shape[2]):
-        slab = p[:, :, z]
-        pz = slab.sum()
-        if pz == 0:
-            continue
-        total += pz * mutual_information_reference(slab / pz)
-    return total
+    """I(O, T | Z) of one joint over (O, T, Z): every Z state's term is
+    kept, an empty one as 0 * 0."""
+    slabs = np.ascontiguousarray(np.moveaxis(p, 2, 0))
+    pz = np.array([slab.sum() for slab in slabs])
+    mi = np.array([mutual_information_reference(slab / w) if w > 0 else 0.0
+                   for slab, w in zip(slabs, pz)])
+    return float((pz * mi).sum())
 
 
 def bayes_error_reference(p: np.ndarray) -> float:
     return float(1.0 - p.max(axis=1).sum())
 
 
-def _apply_map(p_ot: np.ndarray, f: np.ndarray, n_z: int) -> np.ndarray:
-    out = np.zeros((n_z, p_ot.shape[1]))
+def _apply_map(p_ot: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Joint (Z, T) of Z = f(O), padded to as many Z states as O has."""
+    out = np.zeros(p_ot.shape)
     for o in range(p_ot.shape[0]):
         out[f[o]] += p_ot[o]
     return out
 
 
-def _cmi_given_map(p_ot: np.ndarray, f: np.ndarray, n_z: int) -> float:
-    p3 = np.zeros((p_ot.shape[0], p_ot.shape[1], n_z))
-    for o in range(p_ot.shape[0]):
+def _cmi_given_map(p_ot: np.ndarray, f: np.ndarray) -> float:
+    n_o = p_ot.shape[0]
+    p3 = np.zeros((n_o, p_ot.shape[1], n_o))
+    for o in range(n_o):
         p3[o, :, f[o]] = p_ot[o]
     return conditional_mi_reference(p3)
 
@@ -447,11 +451,10 @@ def lemma1_reference(p, f_occ, f_mae) -> dict:
     p = np.asarray(p, dtype=np.float64)
     f_occ = np.asarray(f_occ, dtype=np.int64)
     f_mae = np.asarray(f_mae, dtype=np.int64)
-    nz_occ, nz_mae = int(f_occ.max()) + 1, int(f_mae.max()) + 1
-    mi_occ = mutual_information_reference(_apply_map(p, f_occ, nz_occ))
-    mi_mae = mutual_information_reference(_apply_map(p, f_mae, nz_mae))
-    gap_mae = _cmi_given_map(p, f_mae, nz_mae)
-    gap_occ = _cmi_given_map(p, f_occ, nz_occ)
+    mi_occ = mutual_information_reference(_apply_map(p, f_occ))
+    mi_mae = mutual_information_reference(_apply_map(p, f_mae))
+    gap_mae = _cmi_given_map(p, f_mae)
+    gap_occ = _cmi_given_map(p, f_occ)
     lhs = mi_occ - mi_mae
     rhs = gap_mae - gap_occ
     return dict(mi_occ=mi_occ, mi_mae=mi_mae, gap_mae=gap_mae,
@@ -466,17 +469,15 @@ def risk_reference(p, t_values, g) -> dict:
     g = np.asarray(g, dtype=np.int64)
 
     def sq_risk(pzt: np.ndarray) -> float:
-        risk = 0.0
-        for z in range(pzt.shape[0]):
-            pz = pzt[z].sum()
-            if pz == 0:
-                continue
-            cond = pzt[z] / pz
-            mean = float(cond @ t_values)
-            risk += pz * float(cond @ (t_values - mean) ** 2)
-        return risk
+        pz = pzt.sum(axis=1)
+        var = np.zeros(len(pz))
+        for z in np.flatnonzero(pz > 0):
+            cond = pzt[z] / pz[z]
+            mean = (cond * t_values).sum()
+            var[z] = (cond * (t_values - mean) ** 2).sum()
+        return float((pz * var).sum())
 
-    garbled = _apply_map(p, g, int(g.max()) + 1)
+    garbled = _apply_map(p, g)
     r, rg = sq_risk(p), sq_risk(garbled)
     be, beg = bayes_error_reference(p), bayes_error_reference(garbled)
     holds = bool(r <= rg + _THEORY_TOL and be <= beg + _THEORY_TOL)

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from occspot import cli
+from occspot import cli, theory
 from occspot.cli import main
 from occspot.cloud import PointCloud
 from occspot.formats import (read_checkpoint, read_grid, write_checkpoint,
@@ -244,6 +244,16 @@ class TestTheoryCheck:
         assert main(["theory-check", "--sweeps", sweeps]) == cli.EXIT_CONFIG
         assert "--sweeps" in capsys.readouterr().err
 
+    def test_sweeps_above_ten_million_is_a_config_error(self, monkeypatch,
+                                                        capsys):
+        # rejected before anything is drawn: no sweep runs
+        monkeypatch.setattr(theory, "_sweep_rows", None)
+        assert main(["theory-check", "--sweeps",
+                     str(10**7 + 1)]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "config error: --sweeps must lie in 1..10000000, got 10000001\n")
+
     def test_prints_standard_json(self, capsys):
         assert main(["theory-check", "--sweeps", "1", "--seed", "4"]) == 0
         report = json.loads(capsys.readouterr().out,
@@ -458,6 +468,24 @@ class TestMalformedFiles:
             "finite, got nan\n")
         assert not (tmp_path / "grid.spog").exists()
 
+    @pytest.mark.parametrize("key, value, why", [
+        ("is_dynamic", "false", 'is_dynamic must be a bool, got "false"'),
+        ("class_id", True, "class_id must be an integer, got true"),
+        ("cx", True, "cx must be a number, got true"),
+    ])
+    def test_box_field_of_the_wrong_json_type(self, tmp_path, config, data,
+                                              key, value, why, capsys):
+        # nothing is coerced: the string "false" is not a static box
+        boxes = data / "seq_0000" / "frame_000.boxes.jsonl"
+        records = [json.loads(line) for line in boxes.read_text().splitlines()]
+        records[1][key] = value
+        boxes.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["make-occ", "--config", config, str(boxes.parent),
+                     str(tmp_path / "grid.spog")]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {boxes}:2: bad box record: {why}\n")
+        assert not (tmp_path / "grid.spog").exists()
+
     @pytest.mark.parametrize("frames, where", [
         ([[1, 2]], "frames[0]: expected an object"),
         ({"1": 2}, "frames[0]: expected an object"),
@@ -584,6 +612,15 @@ class TestResampleBadInput:
                                           capsys):
         assert self.resample(tmp_path, frame, factor) == cli.EXIT_CONFIG
         assert "config error: --factor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("factor", ["0.5", "1.0"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, frame, factor,
+                                             capsys):
+        assert main(["resample", "--factor", factor, "--seed", "-1",
+                     str(frame), str(tmp_path / "out.sptc")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: --seed must be >= 0, got -1\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.sptc"]
 
     @pytest.mark.parametrize("damage", ["missing", "truncated", "not-a-frame",
                                         "nan-coordinate"])

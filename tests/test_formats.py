@@ -108,7 +108,23 @@ def test_boxes_bad_record(tmp_path):
     ('{"cx": 0, "cy": 0, "cz": 0, "l": -1.0, "w": 1, "h": 1, "yaw": 0, '
      '"vx": 0, "vy": 0, "class_id": 1, "is_dynamic": false}',
      "box sizes must be strictly positive"),
-], ids=["missing-key", "not-json", "negative-size"])
+    ('{"cx": 0, "cy": 0, "cz": 0, "l": 1, "w": 1, "h": 1, "yaw": 0, '
+     '"vx": 0, "vy": 0, "class_id": 1, "is_dynamic": "false"}',
+     'is_dynamic must be a bool, got "false"'),
+    ('{"cx": 0, "cy": 0, "cz": 0, "l": 1, "w": 1, "h": 1, "yaw": 0, '
+     '"vx": 0, "vy": 0, "class_id": true, "is_dynamic": false}',
+     "class_id must be an integer, got true"),
+    ('{"cx": 0, "cy": 0, "cz": 0, "l": 1, "w": 1, "h": 1, "yaw": 0, '
+     '"vx": 0, "vy": 0, "class_id": 2.0, "is_dynamic": false}',
+     "class_id must be an integer, got 2.0"),
+    ('{"cx": true, "cy": 0, "cz": 0, "l": 1, "w": 1, "h": 1, "yaw": 0, '
+     '"vx": 0, "vy": 0, "class_id": 1, "is_dynamic": false}',
+     "cx must be a number, got true"),
+    ('{"cx": 0, "cy": 0, "cz": 0, "l": 1, "w": 1, "h": 1, "yaw": 0, '
+     '"vx": "0", "vy": 0, "class_id": 1, "is_dynamic": false}',
+     'vx must be a number, got "0"'),
+], ids=["missing-key", "not-json", "negative-size", "dynamic-string",
+        "class-bool", "class-float", "geometry-bool", "geometry-string"])
 def test_boxes_bad_record_names_file_and_line(tmp_path, record, why):
     path = tmp_path / "bad.jsonl"
     write_boxes(path, [BoxLabel(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0)])
@@ -116,6 +132,16 @@ def test_boxes_bad_record_names_file_and_line(tmp_path, record, why):
     with pytest.raises(FormatError, match=re.escape(
             f"{path}:2: bad box record: ") + ".*" + re.escape(why)):
         read_boxes(path)
+
+
+def test_boxes_integer_numbers_are_read(tmp_path):
+    # a JSON integer is a number: "vx": 0 reads as a zero velocity
+    path = tmp_path / "b.jsonl"
+    path.write_text('{"cx": 1, "cy": -2, "cz": 0, "l": 4, "w": 2, "h": 1, '
+                    '"yaw": 0, "vx": 0, "vy": 0, "class_id": 3, '
+                    '"is_dynamic": true}\n')
+    assert read_boxes(path) == [BoxLabel(1.0, -2.0, 0.0, 4.0, 2.0, 1.0, 0.0,
+                                         0.0, 0.0, 3, True)]
 
 
 def test_grid_round_trip(tmp_path):
