@@ -9,9 +9,10 @@ overwritten, so a manifest never vouches for an output it did not describe.
 
 Exit codes: 0 success, 2 config or usage error (including a checkpoint
 whose architecture disagrees with the config, more scene objects than the
-arena can place, an OCCSPOT_THREADS that is not a positive integer and a
-``finetune --labels`` below 1), 3 data error (a non-finite checkpoint too),
-4 numerical failure.  OCCSPOT_THREADS caps internal worker count (default 1).
+arena can place, an OCCSPOT_THREADS that is not a positive integer, a
+``finetune --labels`` below 1 and a ``--seed`` outside 0..2**64-1), 3 data
+error (a non-finite checkpoint too), 4 numerical failure.  OCCSPOT_THREADS
+caps internal worker count (default 1).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, theory
 from .augment import ResampleFactor, beam_resample
@@ -62,6 +64,7 @@ def _write_manifest(path, command: str, cfg: PipelineConfig | None,
         "versions": {
             "occspot": __version__,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
     }
@@ -141,8 +144,6 @@ def cmd_make_occ(args) -> int:
 
 
 def cmd_resample(args) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if not 0.0 < args.factor <= 1.0:
         raise ConfigError(f"--factor must lie in (0, 1], got {args.factor}")
     src = Path(args.input)
@@ -277,6 +278,23 @@ def cmd_theory_check(args) -> int:
 
 # -- entry point ---------------------------------------------------------------
 
+#: the largest seed: ``seeding.subseed`` takes seeds modulo 2**64
+_MAX_SEED = 2**64 - 1
+
+
+def _seed(text: str) -> int:
+    """The argparse type of every ``--seed``: an integer in 0..2**64-1, so
+    no two accepted seeds alias; anything else is a usage error."""
+    try:
+        seed = int(text)
+        if 0 <= seed <= _MAX_SEED:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be an integer in 0..{_MAX_SEED}, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="occspot",
                                 description=__doc__.splitlines()[0])
@@ -285,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-scenes", help="generate a synthetic dataset tree")
     g.add_argument("--config", required=True)
-    g.add_argument("--seed", type=int, default=None)
+    g.add_argument("--seed", type=_seed, default=None)
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_gen_scenes)
 
@@ -297,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("resample", help="beam-resample a frame file")
     r.add_argument("--factor", type=float, required=True)
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=_seed, default=0)
     r.add_argument("input")
     r.add_argument("output")
     r.set_defaults(fn=cmd_resample)
@@ -310,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--config", required=True)
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--seed", type=int, default=None)
+    t.add_argument("--seed", type=_seed, default=None)
     t.set_defaults(fn=cmd_pretrain)
 
     f = sub.add_parser("finetune", help="fine-tune on K labeled sequences")
@@ -319,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--config", required=True)
     f.add_argument("--data", required=True)
     f.add_argument("--out", required=True)
-    f.add_argument("--seed", type=int, default=None)
+    f.add_argument("--seed", type=_seed, default=None)
     f.set_defaults(fn=cmd_finetune)
 
     e = sub.add_parser("eval-miou", help="evaluate a checkpoint's mIoU")
@@ -334,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "tenth as many in each other sweep; a Bayes-bound "
                         "joint keeps 41 bytes of results, so 10**7 take "
                         "about 0.4 GB")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_seed, default=0)
     c.set_defaults(fn=cmd_theory_check)
     return p
 

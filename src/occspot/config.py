@@ -56,7 +56,6 @@ class PipelineConfig:
     sensor_height: float = 2.0
     flip_prob_x: float = 0.5
     flip_prob_y: float = 0.5
-    rotation_range_deg: float = 0.0
     foreground_classes: tuple[int, ...] = (1, 2, 3, 4, 5)
     epoch_size: int | None = None
     w_fg: float = 2.0
@@ -98,8 +97,6 @@ class PipelineConfig:
             ("augment.flip_prob_y", self.flip_prob_y == 0 or centred_x,
              f"above 0 needs grid.origin_x = {mid_x} (centred), "
              f"got {g.origin_x}"),
-            ("augment.rotation_range_deg", self.rotation_range_deg >= 0,
-             "must be >= 0"),
             ("balance.foreground_classes",
              all(1 <= c <= n_cls for c in self.foreground_classes),
              f"classes {list(self.foreground_classes)} not all in 1..{n_cls}"),
@@ -249,7 +246,6 @@ _FIELDS = (
     ("grid.n_cls", "grid.n_cls", _INT),
     ("augment.flip_prob_x", "flip_prob_x", _FLOAT),
     ("augment.flip_prob_y", "flip_prob_y", _FLOAT),
-    ("augment.rotation_range_deg", "rotation_range_deg", _FLOAT),
     ("balance.foreground_classes", "foreground_classes", _Tuple(_INT)),
     ("balance.epoch_size", "epoch_size", _Plain(int, null=True)),
     ("loss.w_fg", "w_fg", _FLOAT),

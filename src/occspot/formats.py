@@ -216,4 +216,4 @@ def read_checkpoint(path) -> tuple[dict, np.ndarray]:
         header = json.loads(body[:hlen].tobytes().decode("utf-8"))
     except ValueError as exc:
         raise FormatError(f"{path}: checkpoint header is not JSON: {exc}") from exc
-    return header, body[hlen:].view("<f4").astype(np.float64)
+    return header, body[hlen:].view("<f4").astype(np.float32)

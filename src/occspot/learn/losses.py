@@ -16,6 +16,9 @@ Cross-entropy gradients are taken with respect to the *logits* feeding the
 softmax (the composition collapses to ``w/W * (p - onehot)``); the Lovász
 gradient is with respect to the probabilities, and :func:`softmax_vjp`
 pulls it back through the softmax when mixing the two.
+
+Every function computes in the dtype of the prediction it is given; the
+class weights and the foreground indicators are cast to it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ __all__ = ["softmax_field", "weighted_ce", "lovasz_softmax", "total_loss",
 
 def softmax_field(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last (class) axis."""
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = np.asarray(logits)
     if np.isnan(logits).any():
         raise ValueError("logits contain NaN")
     shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -43,7 +46,7 @@ def softmax_vjp(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
 
 
 def _check_pair(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pred = np.asarray(pred, dtype=np.float64)
+    pred = np.asarray(pred)
     gt = np.asarray(gt)
     if pred.ndim != gt.ndim + 1 or pred.shape[:-1] != gt.shape:
         raise ValueError(
@@ -62,7 +65,7 @@ def weighted_ce(pred: np.ndarray, gt: np.ndarray,
     array shaped like `pred` holding dL/dlogits.
     """
     pred, gt = _check_pair(pred, gt)
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = np.asarray(weights, dtype=pred.dtype)
     if weights.shape != (pred.shape[-1],):
         raise ValueError(
             f"weights must have length {pred.shape[-1]}, got {weights.shape}")
@@ -140,7 +143,7 @@ def lovasz_softmax(pred: np.ndarray, gt: np.ndarray,
     loss = 0.0
     for n in active:
         is_fg = flat_gt == n
-        fg = is_fg.astype(np.float64)
+        fg = is_fg.astype(pred.dtype)
         errors = np.where(is_fg, 1.0 - flat_p[:, n], flat_p[:, n])
         m = errors[is_fg].min() if is_fg.any() else errors.max()
         in_head = errors >= m

@@ -6,11 +6,12 @@ convolutions with ReLU, so BEV features live at H/4 x W/4.  Decoder: three
 3x3 transposed convolutions (strides 2, 2, 1) restoring H x W, then a
 per-cell linear head producing one logit per class including empty.
 
-Everything is float64 numpy; transposed convolutions are implemented as the
-exact adjoint of the matching strided convolution, which keeps the manual
-gradients honest under finite-difference checks.  Parameters travel as a
-plain dict keyed by layer name so the optimizer and checkpoints can treat
-them uniformly.
+Everything is numpy in the dtype of the parameters: float32 from
+:func:`init_params`, float64 when the parameters are float64.  Transposed
+convolutions are implemented as the exact adjoint of the matching strided
+convolution, which keeps the manual gradients honest under
+finite-difference checks.  Parameters travel as a plain dict keyed by layer
+name so the optimizer and checkpoints can treat them uniformly.
 
 The widths (``train.channels``) and classes (``grid.n_cls``) come from
 :class:`~occspot.config.PipelineConfig`; a checkpoint header holds just these.
@@ -43,10 +44,13 @@ _K = 3
 _PAD = 1
 
 
+def _pad(x: np.ndarray) -> np.ndarray:
+    return np.pad(x, ((0, 0), (_PAD, _PAD), (_PAD, _PAD), (0, 0)))
+
+
 def _patches(x: np.ndarray, stride: int) -> np.ndarray:
     """(B, H, W, C) -> (B, OH, OW, k, k, C) sliding 3x3 windows."""
-    padded = np.pad(x, ((0, 0), (_PAD, _PAD), (_PAD, _PAD), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(padded, (_K, _K), axis=(1, 2))
+    win = np.lib.stride_tricks.sliding_window_view(_pad(x), (_K, _K), axis=(1, 2))
     # sliding_window_view yields (B, H', W', C, k, k)
     win = win[:, ::stride, ::stride]
     return np.ascontiguousarray(np.moveaxis(win, 3, 5))
@@ -54,8 +58,20 @@ def _patches(x: np.ndarray, stride: int) -> np.ndarray:
 
 def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                  stride: int) -> np.ndarray:
-    """3x3 convolution, padding 1; weight is (k, k, Cin, Cout)."""
-    y = np.einsum("bhwijc,ijco->bhwo", _patches(x, stride), w, optimize=True)
+    """3x3 convolution, padding 1; weight is (k, k, Cin, Cout).
+
+    One GEMM per tap, ``padded[:, i::s, j::s] @ w[i, j]`` over the input
+    channels, added into the output in row-major (i, j) order, as
+    :func:`conv_backward_input` scatters its taps.
+    """
+    bsz, h, w_in, _ = x.shape
+    oh, ow = (h - 1) // stride + 1, (w_in - 1) // stride + 1
+    padded = _pad(x)
+    y = np.zeros((bsz, oh, ow, w.shape[3]), dtype=np.result_type(x, w))
+    for i in range(_K):
+        for j in range(_K):
+            y += padded[:, i:i + stride * oh:stride,
+                        j:j + stride * ow:stride] @ w[i, j]
     return y if b is None else y + b
 
 
@@ -75,7 +91,7 @@ def conv_backward_input(gy: np.ndarray, w: np.ndarray, in_hw: tuple[int, int],
     h, w_in = in_hw
     cin = w.shape[2]
     rows = gy.reshape(-1, cout)
-    gx = np.zeros((b, h + 2 * _PAD, w_in + 2 * _PAD, cin))
+    gx = np.zeros((b, h + 2 * _PAD, w_in + 2 * _PAD, cin), dtype=gy.dtype)
     for i in range(_K):
         for j in range(_K):
             gx[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
@@ -124,16 +140,17 @@ def _param_shapes(cfg: PipelineConfig) -> dict[str, tuple[int, ...]]:
 
 
 def init_params(cfg: PipelineConfig, seed: int) -> Params:
-    """Fan-in-scaled uniform weights, zero biases."""
+    """Fan-in-scaled uniform float32 weights, zero biases."""
     rng = np.random.default_rng(seed)
     params: Params = {}
     for name, shape in _param_shapes(cfg).items():
         if name.endswith("_b"):
-            params[name] = np.zeros(shape)
+            params[name] = np.zeros(shape, dtype=np.float32)
         else:
             fan_in = int(np.prod(shape[:-1]))
             bound = 1.0 / np.sqrt(fan_in)
-            params[name] = rng.uniform(-bound, bound, size=shape)
+            params[name] = rng.uniform(-bound, bound,
+                                       size=shape).astype(np.float32)
     return params
 
 
@@ -147,7 +164,7 @@ def unflatten_params(vec: np.ndarray, cfg: PipelineConfig) -> Params:
     pos = 0
     for name in _LAYER_ORDER:
         size = int(np.prod(shapes[name]))
-        out[name] = np.array(vec[pos:pos + size], dtype=np.float64).reshape(shapes[name])
+        out[name] = np.array(vec[pos:pos + size]).reshape(shapes[name])
         pos += size
     if pos != vec.size:
         raise ValueError(f"parameter blob has {vec.size} entries, expected {pos}")
@@ -203,13 +220,16 @@ def model_forward(pillars: np.ndarray, params: Params
                   ) -> tuple[np.ndarray, dict]:
     """Batched forward pass: (B, H, W, PILLAR_DIM) -> (B, H, W, n_cls + 1) logits.
 
-    H and W must be divisible by 4.  The returned cache carries every
-    intermediate needed by :func:`model_backward`, including the raw
-    pre-activations (useful for locating ReLU kinks).
+    H and W must be divisible by 4.  The pillars are cast to the dtype of
+    the parameters, which every intermediate and the logits then share.
+    The returned cache carries every intermediate needed by
+    :func:`model_backward`, including the raw pre-activations (useful for
+    locating ReLU kinks).
     """
     b, h, w, _ = pillars.shape
     if h % 4 or w % 4:
         raise ValueError(f"grid ({h}, {w}) must be divisible by 4")
+    pillars = pillars.astype(params["embed_w"].dtype, copy=False)
 
     e0 = pillars @ params["embed_w"]
     z1 = conv_forward(e0, params["conv1_w"], params["conv1_b"], stride=2)

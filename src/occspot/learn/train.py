@@ -6,11 +6,13 @@ against the config, so fine-tuning trains with its own loss and weights.
 
 Training is bit-deterministic for a fixed seed: parameter init, batch order
 and every arithmetic step flow from named RNG sub-streams, and all math is
-single-threaded float64 numpy.
+single-threaded numpy in the dtype of the parameters (float32 from
+:func:`~occspot.learn.model.init_params`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +60,7 @@ def one_cycle_lr(step: int, total_steps: int, peak: float) -> float:
     if step < warm_steps:
         return floor + (peak - floor) * step / warm_steps
     frac = (step - warm_steps) / max(1, total_steps - warm_steps)
-    return floor + (peak - floor) * 0.5 * (1.0 + np.cos(np.pi * min(frac, 1.0)))
+    return floor + (peak - floor) * 0.5 * (1.0 + math.cos(math.pi * min(frac, 1.0)))
 
 
 @dataclass
@@ -75,18 +77,23 @@ class AdamState:
 
 def adam_step(params: Params, grads: Params, state: AdamState,
               lr: float) -> None:
-    """One Adam update, in place; a zero learning rate is a no-op."""
+    """One Adam update, in place, in the dtype of the parameters (the
+    moments `m` and `v` are made like them and updated in place); a zero
+    learning rate is a no-op."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
     for name in sorted(params):
         g = grads[name]
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
+        m, v = state.m[name], state.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
         if lr != 0.0:
-            m_hat = state.m[name] / bc1
-            v_hat = state.v[name] / bc2
+            m_hat = m / bc1
+            v_hat = v / bc2
             params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
@@ -158,7 +165,7 @@ def train(init: Params | None,
                 raise ValueError(
                     f"checkpoint parameter {name} has shape "
                     f"{init[name].shape}, model expects {params[name].shape}")
-            params[name] = init[name].copy()
+            params[name] = init[name].astype(params[name].dtype)
     pillars, gts = prepare_samples(samples, cfg.grid)
     trace = _run_epochs(params, pillars, gts, cfg,
                         substream(seed, "batch-order"))
@@ -185,7 +192,8 @@ def evaluate(params: Params, samples: list[tuple[PointCloud, OccupancyGrid]],
 def save_model(path, params: Params, cfg: PipelineConfig, seed: int,
                extra: dict) -> None:
     """Write a checkpoint: JSON header (architecture, seed, shapes and the
-    caller's `extra` record), f32 blob."""
+    caller's `extra` record), f32 blob, which holds float32 parameters
+    exactly."""
     model = {"n_cls": cfg.grid.n_cls, "channels": list(cfg.channels)}
     header = {"model": model, "seed": seed,
               "params": {k: list(v.shape) for k, v in params.items()},

@@ -137,8 +137,7 @@ def build_samples(seqs: list[LidarSequence], cfg: PipelineConfig,
     each sample is augmented from that seed's ``augment`` sub-stream: beam
     re-sampling (input-only; targets drawn uniformly from the configured
     list) and axis flips mirrored onto the grid.  There is no rotation: an
-    arbitrary rotation does not map the label grid onto itself, so
-    ``augment.rotation_range_deg`` has no effect.
+    arbitrary rotation does not map the label grid onto itself.
     """
     rng = None if augment_seed is None else substream(augment_seed, "augment")
     samples = []

@@ -18,6 +18,7 @@ from occspot.cloud import BoxLabel, PointCloud
 from occspot.config import PipelineConfig
 from occspot.learn import PILLAR_DIM
 from occspot.learn.losses import _check_pair, lovasz_grad
+from occspot.learn.model import _patches
 from occspot.occupancy import (GridSpec, OccupancyGrid, aggregate, knn_label,
                                voxelize_bev)
 from occspot.synth import (_RAY_EPS, RANGE_NORM, SceneParams, _ray_box_hits,
@@ -260,7 +261,7 @@ def lovasz_softmax_reference(pred, gt, classes: str) -> tuple[float, np.ndarray]
 
     loss = 0.0
     for n in active:
-        fg = (flat_gt == n).astype(np.float64)
+        fg = (flat_gt == n).astype(pred.dtype)
         errors = np.where(fg > 0, 1.0 - flat_p[:, n], flat_p[:, n])
         perm = np.argsort(-errors, kind="stable")
         g = lovasz_grad(fg[perm])
@@ -271,6 +272,17 @@ def lovasz_softmax_reference(pred, gt, classes: str) -> tuple[float, np.ndarray]
 
     k = len(active)
     return loss / k, (grad / k).reshape(pred.shape)
+
+
+def conv_forward_reference(x, w, b, stride: int) -> np.ndarray:
+    """3x3 convolution as one einsum over the im2col patches.
+
+    The library adds one GEMM per tap in row-major (i, j) order; this sums
+    every (tap, channel) term of an output in whatever order einsum's
+    contraction takes, so the two agree to rounding, not bit for bit.
+    """
+    y = np.einsum("bhwijc,ijco->bhwo", _patches(x, stride), w, optimize=True)
+    return y if b is None else y + b
 
 
 def conv_backward_input_reference(gy, w, in_hw, stride: int) -> np.ndarray:
@@ -284,7 +296,7 @@ def conv_backward_input_reference(gy, w, in_hw, stride: int) -> np.ndarray:
     h, w_in = in_hw
     cin = w.shape[2]
     gcols = np.einsum("bhwo,ijco->bhwijc", gy, w, optimize=True)
-    gx = np.zeros((b, h + 2, w_in + 2, cin))
+    gx = np.zeros((b, h + 2, w_in + 2, cin), dtype=gy.dtype)
     for i in range(3):
         for j in range(3):
             gx[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += \

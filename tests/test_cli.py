@@ -11,6 +11,8 @@ from occspot.cli import main
 from occspot.cloud import PointCloud
 from occspot.formats import (read_checkpoint, read_grid, write_checkpoint,
                              write_frame, write_labels)
+from occspot.learn import train
+from occspot.learn.model import transfer_param_names
 
 MINI = {
     "n_sequences": 2,
@@ -305,6 +307,32 @@ class TestUsageErrors:
             "data error: --labels 3 exceeds 2 sequences\n")
         assert not list(tmp_path.glob("ft.*"))
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5", "abc"])
+    @pytest.mark.parametrize("command", ["gen-scenes", "pretrain", "finetune",
+                                         "resample", "theory-check"])
+    def test_seed_outside_64_bits(self, tmp_path, command, seed, capsys):
+        # seeds alias modulo 2**64, so only 0..2**64-1 are accepted; the
+        # parser rejects the rest before any file is read or written
+        cfg, out = str(tmp_path / "c.json"), str(tmp_path / "out")
+        argv = {"gen-scenes": ["--config", cfg, "--out", out],
+                "pretrain": ["--config", cfg, "--data", str(tmp_path),
+                             "--out", out],
+                "finetune": ["--ckpt", out, "--labels", "1", "--config",
+                             cfg, "--data", str(tmp_path), "--out", out],
+                "resample": ["--factor", "0.5", out, out],
+                "theory-check": ["--sweeps", "1"]}[command]
+        with pytest.raises(SystemExit) as info:
+            main([command, *argv, "--seed", seed])
+        assert info.value.code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.endswith(
+            "error: argument --seed: must be an integer in "
+            f"0..18446744073709551615, got '{seed}'\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_largest_seed_is_accepted(self, capsys):
+        assert main(["theory-check", "--sweeps", "1",
+                     "--seed", str(2**64 - 1)]) == cli.EXIT_OK
+
 
 class TestClassCountFitsInAByte:
     """SPTL and SPOG store labels and grid.n_cls as u8."""
@@ -568,6 +596,25 @@ class TestCheckpointAgainstConfig:
             traces.append(json.loads(manifest.read_text())["loss_trace"])
         assert traces[0] != traces[1]
 
+    def test_finetune_starts_from_the_pretrained_parameters(
+            self, tmp_path, config, data, monkeypatch):
+        # float32 parameters and an f32 checkpoint: nothing is rounded
+        runs = []
+
+        def recorded(init, samples, cfg, seed):
+            params, trace = train(init, samples, cfg, seed)
+            runs.append((init, params))
+            return params, trace
+
+        monkeypatch.setattr(cli, "train", recorded)
+        assert pretrain(config, data, tmp_path) == cli.EXIT_OK
+        assert finetune(config, tmp_path / "model.npz", data,
+                        tmp_path / "ft.npz") == cli.EXIT_OK
+        (_, pretrained), (loaded, _) = runs
+        for name in transfer_param_names():
+            assert loaded[name].dtype == pretrained[name].dtype == np.float32
+            assert np.array_equal(loaded[name], pretrained[name]), name
+
     def test_header_with_feat_dim_and_lam_still_loads(self, tmp_path, config,
                                                       data):
         assert pretrain(config, data, tmp_path) == cli.EXIT_OK
@@ -616,10 +663,14 @@ class TestResampleBadInput:
     @pytest.mark.parametrize("factor", ["0.5", "1.0"])
     def test_negative_seed_is_a_config_error(self, tmp_path, frame, factor,
                                              capsys):
-        assert main(["resample", "--factor", factor, "--seed", "-1",
-                     str(frame), str(tmp_path / "out.sptc")]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            "config error: --seed must be >= 0, got -1\n")
+        # a usage error from the argument parser: exit 2, naming the flag
+        with pytest.raises(SystemExit) as info:
+            main(["resample", "--factor", factor, "--seed", "-1",
+                  str(frame), str(tmp_path / "out.sptc")])
+        assert info.value.code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.endswith(
+            "error: argument --seed: must be an integer in "
+            "0..18446744073709551615, got '-1'\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.sptc"]
 
     @pytest.mark.parametrize("damage", ["missing", "truncated", "not-a-frame",

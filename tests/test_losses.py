@@ -189,9 +189,18 @@ def oracle_cases():
         ("all_foreground", softmax_field(logits), np.full(shape, 2)),
     ]
     big = rng.normal(0.0, 1.0, (4, 32, 32, 16))
-    cases.append(("large", softmax_field(big),
-                  np.where(rng.random((4, 32, 32)) < 0.7, 0,
-                           rng.integers(1, 16, (4, 32, 32)))))
+    big_gt = np.where(rng.random((4, 32, 32)) < 0.7, 0,
+                      rng.integers(1, 16, (4, 32, 32)))
+    cases.append(("large", softmax_field(big), big_gt))
+    # the same inputs in float32, where errors tie more often; rounded
+    # logits through a float32 softmax tie on many cells
+    f32 = np.float32
+    cases += [(name + "_f32", pred.astype(f32), gt)
+              for name, pred, gt in cases]
+    cases.append(("rounded_logits_f32",
+                  softmax_field(np.round(logits).astype(f32)), gt))
+    cases.append(("rounded_large_f32",
+                  softmax_field(np.round(2.0 * big).astype(f32)), big_gt))
     return cases
 
 
@@ -201,6 +210,7 @@ def oracle_cases():
 def test_lovasz_equals_the_full_sort_bit_for_bit(name, pred, gt, classes):
     loss, grad = lovasz_softmax(pred, gt, classes)
     want_loss, want_grad = lovasz_softmax_reference(pred, gt, classes)
+    assert grad.dtype == want_grad.dtype == pred.dtype
     assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
     assert np.array_equal(grad, want_grad)
     # array_equal takes -0.0 for +0.0; the sign bits must agree too
@@ -238,6 +248,20 @@ class TestTotalLoss:
         logits, gt = random_instance(14)
         with pytest.raises(ValueError):
             total_loss(softmax_field(logits), gt, W15, -0.1, "present")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_losses_follow_the_dtype_of_the_prediction(dtype):
+    logits, gt = random_instance(16)
+    pred = softmax_field(logits.astype(dtype))
+    assert pred.dtype == dtype
+    for lam in (0.0, 1.0):
+        loss, grad = total_loss(pred, gt, W15, lam, "present")
+        assert type(loss) is float and grad.dtype == dtype
+    for fn in (lambda: weighted_ce(pred, gt, W15),
+               lambda: lovasz_softmax(pred, gt, "all")):
+        loss, grad = fn()
+        assert type(loss) is float and grad.dtype == dtype
 
 
 def test_softmax_vjp_matches_jacobian():

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import (conv_backward_input_reference, lovasz_region_signature,
-                     pillar_features_reference, rel_err, toy_config)
+from helpers import (conv_backward_input_reference, conv_forward_reference,
+                     lovasz_region_signature, pillar_features_reference,
+                     rel_err, toy_config)
 
 from occspot.cloud import PointCloud
 from occspot.learn import (PILLAR_DIM, init_params, loss_weights,
@@ -51,6 +52,26 @@ class TestConvPrimitives:
         assert np.array_equal(
             conv_backward_input(gy, w, shape[1:3], stride),
             conv_backward_input_reference(gy, w, shape[1:3], stride))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("shape", CONV_SHAPES + [(4, 32, 32, 8)], ids=str)
+    def test_per_tap_forward_equals_the_einsum_oracle(self, shape, stride,
+                                                      dtype):
+        # the taps are summed in another order than einsum's, so the two
+        # agree to within the rounding of an n-term sum, n = 9 * Cin: each
+        # output may differ by at most 2 n eps times the sum of its terms'
+        # magnitudes (the einsum of |x| and |w|)
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=shape).astype(dtype)
+        w = rng.normal(size=(3, 3, shape[3], 5)).astype(dtype)
+        got = conv_forward(x, w, None, stride)
+        want = conv_forward_reference(x, w, None, stride)
+        assert got.dtype == want.dtype == dtype
+        n = 9 * shape[3]
+        bound = 2 * n * np.finfo(dtype).eps * conv_forward_reference(
+            np.abs(x), np.abs(w), None, stride)
+        assert (np.abs(got - want) <= bound).all()
 
     def test_tconv_shapes(self):
         rng = np.random.default_rng(1)
@@ -206,7 +227,8 @@ class TestEndToEndGradient:
         rng = np.random.default_rng(8)
         pillars = rng.normal(0, 1.0, (1, 16, 16, PILLAR_DIM))
         gt = rng.integers(0, 16, (1, 16, 16))
-        theta = flatten_params(init_params(CFG, seed=9))
+        # finite differences need float64: the model then runs in float64
+        theta = flatten_params(init_params(CFG, seed=9)).astype(np.float64)
         loss, grad, cache, pred = model_loss_and_grad(theta, pillars, gt)
 
         def f(vec):
@@ -246,6 +268,27 @@ class TestEndToEndGradient:
             model_forward(np.zeros((1, 15, 16, PILLAR_DIM)), params)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_model_follows_the_dtype_of_the_parameters(dtype):
+    params = {k: v.astype(dtype) for k, v in init_params(CFG, seed=14).items()}
+    rng = np.random.default_rng(14)
+    # the pillars stay float64, as pillar_features makes them
+    pillars = rng.normal(size=(2, 16, 16, PILLAR_DIM))
+    gt = rng.integers(0, 16, (2, 16, 16))
+    logits, cache = model_forward(pillars, params)
+    assert logits.dtype == dtype
+    assert {k: v.dtype for k, v in cache.items()} == dict.fromkeys(cache, dtype)
+    loss, dlogits = total_loss(softmax_field(logits), gt, W15, 1.0, "present")
+    assert type(loss) is float and dlogits.dtype == dtype
+    grads = model_backward(cache, dlogits, params)
+    assert {k: g.dtype for k, g in grads.items()} == dict.fromkeys(params, dtype)
+
+
+def test_init_params_are_float32():
+    assert {p.dtype for p in init_params(CFG, seed=15).values()} == {
+        np.dtype(np.float32)}
+
+
 def test_flatten_unflatten_roundtrip():
     params = init_params(CFG, seed=13)
     vec = flatten_params(params)
@@ -253,3 +296,7 @@ def test_flatten_unflatten_roundtrip():
     assert set(back) == set(params)
     for k in params:
         np.testing.assert_array_equal(params[k], back[k])
+    # a blob keeps its dtype, whichever it is
+    for blob in (vec, vec.astype(np.float64)):
+        assert {p.dtype for p in unflatten_params(blob, CFG).values()} == {
+            blob.dtype}

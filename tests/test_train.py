@@ -48,6 +48,11 @@ class TestOneCycle:
         assert all(a <= b + 1e-15 for a, b in zip(lrs[:peak_at], lrs[1:peak_at + 1]))
         assert all(a >= b - 1e-15 for a, b in zip(lrs[peak_at:-1], lrs[peak_at + 1:]))
 
+    @pytest.mark.parametrize("step", [0, 29, 30, 99, 100])
+    def test_a_python_float_on_both_branches(self, step):
+        # a numpy float64 would promote every float32 Adam update to float64
+        assert type(one_cycle_lr(step, 100, 0.003)) is float
+
 
 class TestAdam:
     def test_zero_lr_noop(self):
@@ -57,6 +62,16 @@ class TestAdam:
         adam_step(params, grads, AdamState.init(params), lr=0.0)
         for k in params:
             np.testing.assert_array_equal(params[k], before[k])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_the_dtype_of_the_parameters(self, dtype):
+        params = {k: v.astype(dtype) for k, v in init_params(CFG, 1).items()}
+        state = AdamState.init(params)
+        grads = {k: np.ones(v.shape) for k, v in params.items()}  # float64
+        for step in (0, 9):  # the warm-up and the decay branch
+            adam_step(params, grads, state, one_cycle_lr(step, 10, 0.003))
+        for arrays in (params, state.m, state.v):
+            assert {a.dtype for a in arrays.values()} == {np.dtype(dtype)}
 
     def test_step_moves_against_gradient(self):
         params = {"w": np.array([1.0, -1.0])}
@@ -200,16 +215,17 @@ class TestLossWeights:
 class TestCheckpoints:
     def test_save_load_roundtrip(self, tmp_path):
         params = init_params(CFG, seed=8)
-        # checkpoints are f32 on the wire; quantize before comparing
+        # float32 parameters and an f32 blob: the round trip is exact
         path = tmp_path / "m.spck"
         save_model(path, params, CFG, seed=8, extra={"note": "t"})
         loaded = load_model(path, CFG)
         header, _ = read_checkpoint(path)
         assert header["model"] == {"n_cls": 15, "channels": [6, 8, 8]}
         assert header["seed"] == 8 and header["extra"]["note"] == "t"
+        assert loaded.keys() == params.keys()
         for k in params:
-            np.testing.assert_array_equal(
-                loaded[k], params[k].astype(np.float32).astype(np.float64))
+            assert loaded[k].dtype == np.float32
+            assert np.array_equal(loaded[k], params[k])
 
     def test_byte_identical_rewrite(self, tmp_path):
         params = init_params(CFG, seed=9)
