@@ -24,7 +24,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
+# numpy loads these lazily, at the first seeded generator and the first
+# np.unique; importing them here loads them with the package, not inside
+# whichever command first needs them
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from . import __version__, theory
 from .augment import ResampleFactor, beam_resample
@@ -64,7 +68,6 @@ def _write_manifest(path, command: str, cfg: PipelineConfig | None,
         "versions": {
             "occspot": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
     }

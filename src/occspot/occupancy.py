@@ -10,29 +10,35 @@ fused cloud instead of mesh reconstruction: cells whose 3D column center
 lies within a radius of any fused point inherit the majority label of their
 k nearest neighbors.
 
-Only the fused points near an empty cell can matter to either step, so
-each step builds its KD-tree over a window of the cloud (``_window``): the
-points whose z lies within a half-width ``h`` of the column centers' height
-and whose xy cell lies within ``ceil(h / cell)`` cells of one of the cells
-in question.  A z slack and the half cell between the window's last cell
-and ``h`` cover rounding, so every point left out is farther than ``h``
-from each of those centers, in computed distance too.
+Nearest means smallest squared distance, summed over x, then y, then z; a
+tie at the k-th distance goes to the lower fused-point index, in the order
+:func:`aggregate` emits.  So the grid depends on the points alone, not on
+the structure that searches them.
 
-- **Radius test** (``h = radius``, the empty cells): every point within
-  the radius of an empty center is in the window, so one tree over the
-  window finds a point near exactly the centers that one tree over the
-  whole cloud does.
-- **Neighbor vote** (the near cells, ``h = 2 * radius`` at first): the
-  window's tree returns each cell's k+1 nearest points.  A cell whose
-  (k+1)-th distance is at most ``h`` and strictly above its k-th is labeled
-  from that tree: no point outside the window can come nearer, and no
-  point ties at the k-th distance, so the k-set is the whole cloud's, and
-  unique.  The other cells go to the next round with ``h`` doubled.
+The search is exact and runs over the BEV cells.  Every fused point is
+binned once (``GridSpec.bin_points``), and the bins serve the votes of
+:func:`voxelize_bev`, the windows and the searches.  A step at half-width
+``h`` first takes the window of the cloud (``_window``): the points whose z
+lies within ``h`` of the column centers' height and whose xy cell lies
+within ``ceil(h / cell)`` cells of one of the cells in question.  A z slack
+and the half cell between the window's last cell and ``h`` cover rounding,
+so every point left out is farther than ``h`` from each of those centers,
+in computed distance too.  A cell's candidates are the window's points in
+the cells within that reach of it (``_pairs``), and only the pairs at
+squared distance at most ``h**2`` count.
+
+- **Radius test** (``h = radius``, the empty cells): a cell is near when
+  one of its pairs counts, which holds exactly when a point of the whole
+  cloud lies within the radius of its center.
+- **Neighbor vote** (the near cells, ``h = 2 * radius`` at first): a cell
+  with at least k counted pairs is labeled from its k nearest among them.
+  No point outside them comes within ``h``, so they are the whole cloud's k
+  nearest, ties included.  The other cells go to the next round with ``h``
+  doubled.
 - **Termination**: the round whose window would hold every point, or cover
-  the cloud's bounding box, labels every cell left with one tree over the
-  whole cloud, as before the windows.  Exact ties at the k-th distance are
-  only ever resolved there, so they resolve as they always did; and since
-  ``h`` doubles, that round always comes.
+  the cloud's bounding box, labels every cell left with :func:`knn_label`,
+  a brute force over the whole cloud.  Since ``h`` doubles, that round
+  always comes.
 
 The split tests a point against a box exactly only when it lies inside the
 box's widened xy bounding circle, and votes are integer counts from one
@@ -53,9 +59,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .cloud import (BoxLabel, FieldError, LidarSequence, PointCloud, transform,
+from .cloud import (BoxLabel, FieldError, LidarSequence, PointCloud,
                     validate_labels)
 
 __all__ = [
@@ -72,9 +77,9 @@ CLASS_NAMES = (
 )
 DEFAULT_N_CLS = len(CLASS_NAMES) - 1
 
-#: points binned at a time by the densification window: a wide z band can
-#: hold most of the cloud, and its float temporaries stay this size
-_BIN_CHUNK = 1 << 15
+#: (query, point) pairs the neighbor search, and distances the brute force
+#: of ``knn_label``, hold at a time
+_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -160,9 +165,10 @@ class SplitResult(NamedTuple):
     box_index: np.ndarray      # owning box per dynamic point, aligned
 
 
-def split_dynamic_static(cloud: PointCloud, boxes: Sequence[BoxLabel],
+def split_dynamic_static(xyz: np.ndarray, boxes: Sequence[BoxLabel],
                          atol: float) -> SplitResult:
-    """Partition points: dynamic iff inside a dynamic box (inclusive bounds).
+    """Partition the (N, 3) points `xyz`: dynamic iff inside a dynamic box
+    (inclusive bounds).
 
     A box is dynamic iff its ``is_dynamic`` flag is set; its speed plays no
     part.  Points inside several dynamic boxes go to the lowest box index.
@@ -174,10 +180,9 @@ def split_dynamic_static(cloud: PointCloud, boxes: Sequence[BoxLabel],
     radius is widened by margins far above the rounding error of both
     tests, so no point the exact test accepts is skipped.
     """
-    n = len(cloud)
-    owner = np.full(n, -1, dtype=np.int64)
-    x = np.ascontiguousarray(cloud.xyz[:, 0])
-    y = np.ascontiguousarray(cloud.xyz[:, 1])
+    owner = np.full(len(xyz), -1, dtype=np.int64)
+    x = np.ascontiguousarray(xyz[:, 0])
+    y = np.ascontiguousarray(xyz[:, 1])
     for bi, box in enumerate(boxes):
         if not box.is_dynamic:
             continue
@@ -189,7 +194,7 @@ def split_dynamic_static(cloud: PointCloud, boxes: Sequence[BoxLabel],
         dx += dy
         cand = np.flatnonzero(dx <= radius * radius)
         cand = cand[owner[cand] == -1]
-        owner[cand[box.contains(cloud.xyz[cand], atol=atol)]] = bi
+        owner[cand[box.contains(xyz[cand], atol=atol)]] = bi
     dynamic = np.nonzero(owner >= 0)[0]
     static = np.nonzero(owner == -1)[0]
     return SplitResult(static, dynamic, owner[dynamic])
@@ -210,30 +215,37 @@ def aggregate(seq: LidarSequence, keyframe: int) -> tuple[PointCloud, np.ndarray
     are lifted into their box's canonical frame at the source frame, then
     re-posed at the box's keyframe pose; boxes correspond across frames by
     list position, which ``LidarSequence`` checks.  Output preserves
-    per-frame point order and total count.
+    per-frame point order and total count.  Each frame is written into its
+    slice of the fused arrays, with the arithmetic of ``Pose.apply``.
     """
     if not 0 <= keyframe < len(seq.frames):
         raise ValueError(f"keyframe {keyframe} out of range")
     key_boxes = seq.boxes[keyframe]
-    out_xyz, out_feat, out_labels = [], [], []
-    for f, frame in enumerate(seq.frames):
-        lab = validate_labels(seq.labels[f], len(frame), n_cls=255)
-        world = transform(frame, seq.poses[f])
-        xyz = world.xyz.copy()
-        split = split_dynamic_static(world, seq.boxes[f], atol=1e-9)
+    n = sum(len(frame) for frame in seq.frames)
+    xyz = np.empty((n, 3))
+    feat = np.empty((n, seq.frames[0].d))
+    labels = np.empty(n, dtype=np.int64)
+    at = 0
+    for frame, lab, pose, boxes in zip(seq.frames, seq.labels, seq.poses,
+                                       seq.boxes):
+        part = slice(at, at + len(frame))
+        at = part.stop
+        labels[part] = validate_labels(lab, len(frame), n_cls=255)
+        feat[part] = frame.feat
+        world = xyz[part]
+        np.matmul(frame.xyz, pose.rotation.T, out=world)
+        world += pose.translation
+        if not any(box.is_dynamic for box in boxes):
+            continue
+        split = split_dynamic_static(world, boxes, atol=1e-9)
         for bi in np.unique(split.box_index):
-            src, dst = seq.boxes[f][bi], key_boxes[bi]
+            src, dst = boxes[bi], key_boxes[bi]
             pts = split.dynamic_index[split.box_index == bi]
-            local = xyz[pts] - src.center
+            local = world[pts] - src.center
             local[:, :2] = _rotate_z(local[:, :2], -src.yaw)
             local[:, :2] = _rotate_z(local[:, :2], dst.yaw)
-            xyz[pts] = local + dst.center
-        out_xyz.append(xyz)
-        out_feat.append(world.feat)
-        out_labels.append(lab)
-
-    fused = PointCloud(np.concatenate(out_xyz), np.concatenate(out_feat))
-    return fused, np.concatenate(out_labels)
+            world[pts] = local + dst.center
+    return PointCloud(xyz, feat), labels
 
 
 def _tie_order(n_cls: int) -> np.ndarray:
@@ -249,54 +261,106 @@ def _votes(rows: np.ndarray, classes: np.ndarray, n_rows: int,
         n_rows, n_cls + 1)
 
 
-def knn_label(tree: cKDTree, fused_labels: np.ndarray, queries: np.ndarray,
-              k: int, n_cls: int) -> np.ndarray:
-    """Majority label of the k nearest points of `tree` per row of the (Q, 3)
-    float array `queries` (Euclidean).
-
-    `tree` is a ``cKDTree`` built with the default parameters, over the
-    whole fused cloud or over a window of it; `fused_labels` is aligned
-    with its data.  Which of several points tied at the k-th distance joins
-    the k-set depends on the tree, so :func:`make_occupancy` calls this on
-    a window only for queries whose k-set the window fixes (see the module
-    docstring).  Vote ties go to the smaller class id, with empty last.
-    """
-    if tree.n == 0:
-        raise ValueError("cannot KNN-label against an empty fused cloud")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    fl = validate_labels(fused_labels, tree.n, n_cls)
-    n_q, k_eff = queries.shape[0], min(k, tree.n)
-
-    _, idx = tree.query(queries, k=k_eff)
-    idx = np.asarray(idx).reshape(n_q, k_eff)
-    votes = _votes(np.repeat(np.arange(n_q), k_eff), fl[idx].ravel(), n_q, n_cls)
-
+def _plurality(votes: np.ndarray, n_cls: int) -> np.ndarray:
+    """The winning class of each row of `votes` (see :func:`_tie_order`)."""
     order = _tie_order(n_cls)
     return order[np.argmax(votes[:, order], axis=1)]
 
 
-def voxelize_bev(cloud: PointCloud, labels: np.ndarray,
-                 spec: GridSpec) -> OccupancyGrid:
-    """Bin points to BEV cells; each cell takes its plurality label.
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances of the broadcast rows of `a` and `b`, summed over x,
+    then y, then z: every search and check ranks by these bits."""
+    d = a - b
+    d *= d
+    return d[..., 0] + d[..., 1] + d[..., 2]
+
+
+def _nearest_vote(q: np.ndarray, pt: np.ndarray, d2: np.ndarray, n_q: int,
+                  kq: int, fused_labels: np.ndarray, n_cls: int):
+    """``(fixed, labels)`` of the ``n_q`` queries of the pairs ``(q, pt,
+    d2)``, ordered by query: a query with at least `kq` pairs is fixed, and
+    its label is the majority of its `kq` pairs that rank first by
+    (``d2``, ``pt``)."""
+    n = np.bincount(q, minlength=n_q)
+    fixed = n >= kq
+    if not fixed.any():
+        return fixed, np.zeros(0, dtype=np.int64)
+    take = fixed[q]
+    n = n[fixed]
+    row = (np.cumsum(fixed) - 1)[q[take]]
+    col = np.arange(row.size) - np.repeat(np.cumsum(n) - n, n)
+    dist = np.full((n.size, n.max()), np.inf)
+    dist[row, col] = d2[take]
+    idx = np.zeros(dist.shape, dtype=np.int64)
+    idx[row, col] = pt[take]
+    # each row takes every entry below its kq-th distance, then the lowest
+    # indices among those tied at it
+    kth = np.partition(dist, kq - 1, axis=1)[:, kq - 1, None]
+    nearest = dist < kth
+    tied = dist == kth
+    left = kq - nearest.sum(axis=1)
+    over = np.flatnonzero(tied.sum(axis=1) > left)
+    if over.size:   # more ties at the kq-th distance than places left
+        ids = np.where(tied[over], idx[over], np.iinfo(np.int64).max)
+        cut = np.sort(ids, axis=1)[np.arange(over.size), left[over] - 1]
+        tied[over] &= ids <= cut[:, None]
+    row, col = np.nonzero(nearest | tied)
+    votes = _votes(row, fused_labels[idx[row, col]], n.size, n_cls)
+    return fixed, _plurality(votes, n_cls)
+
+
+def knn_label(points: np.ndarray, fused_labels: np.ndarray,
+              queries: np.ndarray, k: int, n_cls: int) -> np.ndarray:
+    """Majority label of the k nearest of the (N, 3) `points` per row of the
+    (Q, 3) float array `queries`.
+
+    Nearest is by squared Euclidean distance, and a tie at the k-th
+    distance goes to the lower index into `points` (the module docstring's
+    rule); `fused_labels` is aligned with `points`.  An exact brute force,
+    a chunk of queries at a time; :func:`make_occupancy` runs it over the
+    whole fused cloud for the cells its windows leave.  Vote ties go to the
+    smaller class id, with empty last.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    queries = np.asarray(queries, dtype=np.float64)
+    n = len(points)
+    if n == 0:
+        raise ValueError("cannot KNN-label against an empty fused cloud")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    fl = validate_labels(fused_labels, n, n_cls)
+    kq, step = min(k, n), max(1, _PAIRS // n)
+    out = np.empty(len(queries), dtype=np.int64)
+    for at in range(0, len(queries), step):
+        d2 = _sq_dist(points, queries[at:at + step, None])
+        n_q = len(d2)
+        _, out[at:at + n_q] = _nearest_vote(
+            np.repeat(np.arange(n_q), n), np.tile(np.arange(n), n_q),
+            d2.ravel(), n_q, kq, fl, n_cls)
+    return out
+
+
+def voxelize_bev(bins: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 labels: np.ndarray, spec: GridSpec) -> OccupancyGrid:
+    """Each BEV cell's plurality label over the points ``spec.bin_points``
+    binned as `bins`.
 
     Cells without points stay 0.  The result is exactly permutation
     invariant in point order (integer vote counts).
     """
-    lab = validate_labels(labels, len(cloud), spec.n_cls)
-    ii, jj, ok = spec.bin_points(cloud.xyz)
+    ii, jj, ok = bins
+    lab = validate_labels(labels, ii.size, spec.n_cls)
     votes = _votes(ii[ok] * spec.w + jj[ok], lab[ok], spec.h * spec.w, spec.n_cls)
-
-    order = _tie_order(spec.n_cls)
-    winner = order[np.argmax(votes[:, order], axis=1)]
+    winner = _plurality(votes, spec.n_cls)
     winner[votes.sum(axis=1) == 0] = 0
     return OccupancyGrid(spec, winner.reshape(spec.h, spec.w))
 
 
-def _window(xyz: np.ndarray, spec: GridSpec, cells: np.ndarray,
-            half: float) -> np.ndarray:
-    """Ascending indices of the points of `xyz` that may lie within `half`
-    of the column center of a cell of the (H, W) bool mask `cells`.
+def _window(z: np.ndarray, ii: np.ndarray, jj: np.ndarray, spec: GridSpec,
+            cells: np.ndarray, half: float) -> np.ndarray:
+    """Ascending indices of the points (heights `z`, cells ``ii``, ``jj``)
+    that may lie within `half` of the column center of a cell of the (H, W)
+    bool mask `cells`.
 
     A point is kept when its z lies within ``half`` of ``z_mid``, plus a
     rounding slack, and its xy cell (off the grid too) lies within
@@ -306,24 +370,68 @@ def _window(xyz: np.ndarray, spec: GridSpec, cells: np.ndarray,
     a cell index only for a point within rounding of a cell edge, and the
     nearest such edge is that far out.  So every point left out is farther
     than ``half`` from every masked center, by a margin far above the
-    rounding of a computed distance.  The cull makes no float temporary
-    the size of the cloud: on the whole cloud it only compares z, and it
-    bins the z band ``_BIN_CHUNK`` points at a time.
+    rounding of a computed distance.
     """
     pad = half + 1e-6 * (half + abs(spec.z_mid))
-    z = xyz[:, 2]
     band = np.flatnonzero((z >= spec.z_mid - pad) & (z <= spec.z_mid + pad))
     reach = math.ceil(half / spec.cell_size)
     count = np.zeros((spec.h + 1, spec.w + 1), dtype=np.int64)
     count[1:, 1:] = cells.cumsum(axis=0).cumsum(axis=1)
-    keep = np.empty(band.size, dtype=bool)
-    for at in range(0, band.size, _BIN_CHUNK):
-        ii, jj, _ = spec.bin_points(xyz[band[at:at + _BIN_CHUNK]])
-        i0, i1 = np.clip(ii - reach, 0, spec.h), np.clip(ii + reach + 1, 0, spec.h)
-        j0, j1 = np.clip(jj - reach, 0, spec.w), np.clip(jj + reach + 1, 0, spec.w)
-        keep[at:at + _BIN_CHUNK] = (count[i1, j1] - count[i0, j1]
-                                    - count[i1, j0] + count[i0, j0]) > 0
-    return band[keep]
+    ii, jj = ii[band], jj[band]
+    i0, i1 = np.clip(ii - reach, 0, spec.h), np.clip(ii + reach + 1, 0, spec.h)
+    j0, j1 = np.clip(jj - reach, 0, spec.w), np.clip(jj + reach + 1, 0, spec.w)
+    return band[(count[i1, j1] - count[i0, j1] - count[i1, j0]
+                 + count[i0, j0]) > 0]
+
+
+def _pairs(xyz: np.ndarray, ii: np.ndarray, jj: np.ndarray, pts: np.ndarray,
+           qi: np.ndarray, qj: np.ndarray, centers: np.ndarray, half: float,
+           spec: GridSpec):
+    """Chunks ``(queries, q, point, d2)`` of the (query, point) pairs within
+    `half` of each other: squared distance ``d2`` at most ``half**2``.
+
+    Query ``q`` of the slice ``queries`` lies in cell ``(qi, qj)`` at
+    ``centers``.  Its candidates are the points of the window `pts` whose
+    cell (``ii``, ``jj``) lies within ``ceil(half / cell)`` cells of its own
+    along both axes, which holds every point within `half` (see
+    :func:`_window`).  The window is bucketed by cell with one sort, so a
+    query's candidates in one bucket row are one slice of the sorted points,
+    and the slices of every query and row expand in one pass.  ``q``
+    ascends, and a chunk holds about ``_PAIRS`` candidates.
+    """
+    if pts.size == 0:
+        return
+    reach = math.ceil(half / spec.cell_size)
+    pi, pj = ii[pts], jj[pts]
+    i0, j0 = pi.min(), pj.min()
+    rows, cols = int(pi.max() - i0) + 1, int(pj.max() - j0) + 1
+    key = (pi - i0) * cols + (pj - j0)
+    pts = pts[np.argsort(key)]
+    coords = xyz[pts]
+    start = np.zeros(rows * cols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=rows * cols), out=start[1:])
+    # one slice per (query, bucket row) that the query's reach meets
+    di = np.arange(max(-reach, i0 - qi.max()),
+                   min(reach, i0 + rows - 1 - qi.min()) + 1)
+    row = qi[:, None] + (di - i0)
+    meets = (row >= 0) & (row < rows)
+    row = np.clip(row, 0, rows - 1) * cols
+    lo = start[row + np.clip(qj - reach - j0, 0, cols)[:, None]]
+    hi = start[row + np.clip(qj + reach + 1 - j0, 0, cols)[:, None]]
+    count = np.where(meets, hi - lo, 0)
+    per_query = count.sum(axis=1)
+    before = np.cumsum(per_query) - per_query
+    a = 0
+    while a < qi.size:
+        b = max(a + 1, int(np.searchsorted(before, before[a] + _PAIRS)))
+        n = count[a:b].ravel()
+        pos = np.repeat(lo[a:b].ravel() - (np.cumsum(n) - n), n)
+        pos += np.arange(pos.size)
+        q = np.repeat(np.arange(b - a), per_query[a:b])
+        d2 = _sq_dist(coords[pos], centers[a:b][q])
+        keep = d2 <= half * half
+        yield slice(a, b), q[keep], pts[pos[keep]], d2[keep]
+        a = b
 
 
 def make_occupancy(seq: LidarSequence, spec: GridSpec, keyframe: int,
@@ -332,17 +440,19 @@ def make_occupancy(seq: LidarSequence, spec: GridSpec, keyframe: int,
 
     Densification labels only currently-empty cells whose 3D column center
     (cell center at mid column height) lies within `radius` of any fused
-    point, so it can only add occupied cells, never remove them.  The
-    radius test and the k nearest neighbor vote each query a KD-tree over a
-    window of the fused cloud (:func:`_window`); the vote widens its window
-    by doubling until every cell's k-set is fixed, and labels what is left
-    at the last round with one tree over the whole cloud.  The grid equals
-    that of one tree over the whole cloud for both steps, bit for bit (the
-    module docstring gives the argument).  The split inside `aggregate`
-    culls each box's exact point test by a bounding circle.
+    point, so it can only add occupied cells, never remove them.  Each such
+    cell takes the majority label of its k nearest fused points, ranked by
+    squared distance and then by fused index.  Both steps search the cells
+    around each empty cell, over windows of the fused cloud that widen by
+    doubling until every cell's k nearest are fixed; the cells left at the
+    last round go to a brute force over the whole cloud.  Every label is
+    the whole cloud's, exactly (the module docstring gives the argument).
+    The split inside `aggregate` culls each box's exact point test by a
+    bounding circle.
     """
     fused, fused_labels = aggregate(seq, keyframe)
-    grid = voxelize_bev(fused, fused_labels, spec)
+    bins = spec.bin_points(fused.xyz)
+    grid = voxelize_bev(bins, fused_labels, spec)
     if not densify or len(fused) == 0:
         return grid
 
@@ -353,9 +463,13 @@ def make_occupancy(seq: LidarSequence, spec: GridSpec, keyframe: int,
     xx, yy = spec.cell_centers()
     centers = np.stack([xx[empty_i, empty_j], yy[empty_i, empty_j],
                         np.full(empty_i.size, spec.z_mid)], axis=-1)
-    tree = cKDTree(fused.xyz[_window(fused.xyz, spec, empty, radius)])
-    near = np.flatnonzero(
-        tree.query_ball_point(centers, r=radius, return_length=True) > 0)
+    xyz, (ii, jj, _) = fused.xyz, bins
+    near = np.zeros(empty_i.size, dtype=bool)
+    for queries, q, _, _ in _pairs(
+            xyz, ii, jj, _window(xyz[:, 2], ii, jj, spec, empty, radius),
+            empty_i, empty_j, centers, radius, spec):
+        near[queries][q] = True
+    near = np.flatnonzero(near)
     if near.size == 0:
         return grid
 
@@ -365,25 +479,29 @@ def make_occupancy(seq: LidarSequence, spec: GridSpec, keyframe: int,
     while True:
         cells = np.zeros_like(empty)
         cells[empty_i[rest], empty_j[rest]] = True
-        pts = _window(fused.xyz, spec, cells, half)
+        pts = _window(xyz[:, 2], ii, jj, spec, cells, half)
         if pts.size == n:
             break
-        tree = cKDTree(fused.xyz[pts])
-        dist, _ = tree.query(centers[rest], k=kq + 1)
-        fixed = (dist[:, kq] <= half) & (dist[:, kq - 1] < dist[:, kq])
-        out[empty_i[rest[fixed]], empty_j[rest[fixed]]] = knn_label(
-            tree, fused_labels[pts], centers[rest[fixed]], k, n_cls=spec.n_cls)
-        rest, half = rest[~fixed], 2.0 * half
+        done = np.zeros(rest.size, dtype=bool)
+        for queries, q, pt, d2 in _pairs(xyz, ii, jj, pts, empty_i[rest],
+                                         empty_j[rest], centers[rest], half,
+                                         spec):
+            fixed, labels = _nearest_vote(q, pt, d2, len(done[queries]), kq,
+                                         fused_labels, spec.n_cls)
+            at = rest[queries][fixed]
+            out[empty_i[at], empty_j[at]] = labels
+            done[queries] = fixed
+        rest, half = rest[~done], 2.0 * half
         if rest.size == 0:
             return OccupancyGrid(spec, out)
         # a window that would cover the cloud's bounding box is the cloud;
         # per column, as a reduction along axis 0 of (N, 3) is slower
-        lo = np.array([fused.xyz[:, a].min() for a in range(3)])
-        hi = np.array([fused.xyz[:, a].max() for a in range(3)])
+        lo = np.array([xyz[:, a].min() for a in range(3)])
+        hi = np.array([xyz[:, a].max() for a in range(3)])
         c = centers[rest]
         if np.maximum(hi - c, c - lo).max(axis=1).min() <= half:
             break
-    # the last round: one tree over the whole cloud labels every cell left
+    # the last round: a brute force over the whole cloud labels every cell left
     out[empty_i[rest], empty_j[rest]] = knn_label(
-        cKDTree(fused.xyz), fused_labels, centers[rest], k, n_cls=spec.n_cls)
+        xyz, fused_labels, centers[rest], k, n_cls=spec.n_cls)
     return OccupancyGrid(spec, out)

@@ -1,7 +1,7 @@
 """Independent oracles shared by the test suite.
 
 Everything here deliberately uses a *different* algorithm from the library
-path it checks: exhaustive scans instead of KD-trees, per-cell loops
+path it checks: exhaustive scans instead of cell searches, per-cell loops
 instead of single-pass binning, explicit enumeration instead of closed
 forms.  Keep it that way.  The exceptions are the ``*_reference``
 functions, whose docstrings say why.
@@ -12,15 +12,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from occspot.cloud import BoxLabel, PointCloud
 from occspot.config import PipelineConfig
 from occspot.learn import PILLAR_DIM
 from occspot.learn.losses import _check_pair, lovasz_grad
 from occspot.learn.model import _patches
-from occspot.occupancy import (GridSpec, OccupancyGrid, aggregate, knn_label,
-                               voxelize_bev)
+from occspot.occupancy import GridSpec, OccupancyGrid, aggregate, voxelize_bev
 from occspot.synth import (_RAY_EPS, RANGE_NORM, SceneParams, _ray_box_hits,
                            _ray_directions)
 
@@ -109,8 +107,9 @@ def scan_reference(scene, beams, sensor_pose, time_s: float = 0.0):
             best_label[hit])
 
 
-def split_reference(cloud, boxes, speed_threshold=None, atol: float = 0.0):
-    """Unculled ``occupancy.split_dynamic_static``: every point, every box.
+def split_reference(xyz, boxes, speed_threshold=None, atol: float = 0.0):
+    """Unculled ``occupancy.split_dynamic_static`` of the (N, 3) points
+    `xyz`: every point, every box.
 
     Like :func:`scan_reference`, this shares the library's exact test
     (``BoxLabel.contains``) on purpose: it is the reference for the
@@ -118,42 +117,37 @@ def split_reference(cloud, boxes, speed_threshold=None, atol: float = 0.0):
     skips only points the exact test rejects.  Returns the
     ``(static_index, dynamic_index, box_index)`` arrays.
     """
-    owner = np.full(len(cloud), -1, dtype=np.int64)
+    owner = np.full(len(xyz), -1, dtype=np.int64)
     for bi, box in enumerate(boxes):
         fast = speed_threshold is not None and box.speed > speed_threshold
         if box.is_dynamic or fast:
-            owner[box.contains(cloud.xyz, atol=atol) & (owner == -1)] = bi
+            owner[box.contains(xyz, atol=atol) & (owner == -1)] = bi
     dynamic = np.nonzero(owner >= 0)[0]
     return np.nonzero(owner == -1)[0], dynamic, owner[dynamic]
 
 
 def make_occupancy_reference(seq, spec, keyframe, densify, radius, k):
-    """``occupancy.make_occupancy`` with one KD-tree over the whole fused cloud.
+    """``occupancy.make_occupancy`` as a brute force over the whole fused cloud.
 
-    Like :func:`split_reference`, this shares the library's kernels
-    (``aggregate``, ``voxelize_bev``, ``knn_label``) on purpose: it is the
-    reference for the windowed densification trees, and the property under
-    test is bit-identity, ties at the k-th distance included.  The body is
-    the library's before the windows, kept verbatim.
+    Like :func:`split_reference`, this shares the library's ``aggregate``
+    and ``voxelize_bev`` on purpose: it is the reference for the windowed
+    cell search, and the property under test is bit-identity, ties at the
+    k-th distance included.  An empty cell is near when some point's squared
+    distance to its center, summed as :func:`knn_label_brute` sums it, is at
+    most ``radius**2``; a near cell takes :func:`knn_label_brute`'s label.
     """
     fused, fused_labels = aggregate(seq, keyframe)
-    grid = voxelize_bev(fused, fused_labels, spec)
+    grid = voxelize_bev(spec.bin_points(fused.xyz), fused_labels, spec)
     if not densify or len(fused) == 0:
         return grid
 
-    empty_i, empty_j = np.nonzero(grid.labels == 0)
-    if empty_i.size == 0:
-        return grid
     xx, yy = spec.cell_centers()
-    centers = np.stack([xx[empty_i, empty_j], yy[empty_i, empty_j],
-                        np.full(empty_i.size, spec.z_mid)], axis=-1)
-    tree = cKDTree(fused.xyz)
-    near = tree.query_ball_point(centers, r=radius, return_length=True) > 0
-    if not near.any():
-        return grid
-    filled = knn_label(tree, fused_labels, centers[near], k, n_cls=spec.n_cls)
     out = grid.labels.copy()
-    out[empty_i[near], empty_j[near]] = filled
+    for i, j in zip(*np.nonzero(grid.labels == 0)):
+        q = np.array([[xx[i, j], yy[i, j], spec.z_mid]])
+        if (((fused.xyz - q) ** 2).sum(axis=1) <= radius * radius).any():
+            out[i, j] = knn_label_brute(fused.xyz, fused_labels, q, k,
+                                        spec.n_cls)[0]
     return OccupancyGrid(spec, out)
 
 

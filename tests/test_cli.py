@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -700,3 +704,16 @@ class TestResampleBadInput:
             f"data error: {labels}: {n_labels} labels for the 100 points "
             f"of {frame}\n")
 
+
+def test_no_command_imports_scipy():
+    """`import occspot.cli` loads no scipy module, numpy's lazily loaded
+    `random` and `ma` come with it, and the package does not list scipy."""
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, occspot.cli; print(sorted(m for m in sys.modules if "
+            "m.split('.')[0] == 'scipy' or m in ('numpy.random', 'numpy.ma')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "['numpy.ma', 'numpy.random']"
+    pyproject = src.parent / "pyproject.toml"
+    assert "scipy" not in pyproject.read_text().lower()

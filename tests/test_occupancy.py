@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 from helpers import (box_surface_distance, cloud_of, knn_label_brute,
                      make_occupancy_reference, point_in_box_brute,
@@ -29,24 +28,23 @@ def small_spec(h=16, w=16, cell=1.0, n_cls=15):
 class TestSplit:
     def test_no_boxes_all_static(self):
         cloud = cloud_of(np.random.default_rng(0).normal(0, 5, (50, 3)))
-        res = split_dynamic_static(cloud, [], atol=0.0)
+        res = split_dynamic_static(cloud.xyz, [], atol=0.0)
         assert res.static_index.size == 50 and res.dynamic_index.size == 0
 
     def test_point_at_dynamic_center(self):
         box = BoxLabel(1.0, 2.0, 0.5, 2, 2, 2, 0.3, is_dynamic=True)
         cloud = cloud_of([[1.0, 2.0, 0.5]])
-        res = split_dynamic_static(cloud, [box], atol=0.0)
+        res = split_dynamic_static(cloud.xyz, [box], atol=0.0)
         assert res.dynamic_index.tolist() == [0]
         assert res.box_index.tolist() == [0]
 
     def test_static_box_not_dynamic(self):
         box = BoxLabel(0, 0, 0, 2, 2, 2, 0.0, is_dynamic=False)
-        res = split_dynamic_static(cloud_of([[0.0, 0.0, 0.0]]), [box], atol=0.0)
+        res = split_dynamic_static(np.zeros((1, 3)), [box], atol=0.0)
         assert res.static_index.tolist() == [0]
         # the flag decides, not the speed
         moving = BoxLabel(0, 0, 0, 2, 2, 2, 0.0, vx=1.0, is_dynamic=False)
-        res = split_dynamic_static(cloud_of([[0.0, 0.0, 0.0]]), [moving],
-                                   atol=0.0)
+        res = split_dynamic_static(np.zeros((1, 3)), [moving], atol=0.0)
         assert res.static_index.tolist() == [0]
 
     def test_partition_matches_brute_force(self):
@@ -59,7 +57,7 @@ class TestSplit:
                               class_id=int(rng.integers(1, 15)),
                               is_dynamic=bool(rng.random() < 0.6))
                      for _ in range(6)]
-            res = split_dynamic_static(cloud, boxes, atol=0.0)
+            res = split_dynamic_static(cloud.xyz, boxes, atol=0.0)
             assert res.static_index.size + res.dynamic_index.size == 300
             for i in range(300):
                 owners = [bi for bi, b in enumerate(boxes)
@@ -105,9 +103,9 @@ class TestSplitCulling:
                  for _ in range(int(rng.integers(1, 9)))]
         return center, boxes
 
-    def assert_same(self, cloud, boxes, atol):
-        got = split_dynamic_static(cloud, boxes, atol=atol)
-        want = split_reference(cloud, boxes, atol=atol)
+    def assert_same(self, xyz, boxes, atol):
+        got = split_dynamic_static(xyz, boxes, atol=atol)
+        want = split_reference(xyz, boxes, atol=atol)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
@@ -117,8 +115,8 @@ class TestSplitCulling:
         rng = np.random.default_rng(17)
         for trial in range(12):
             center, boxes = self.random_case(rng, scale)
-            cloud = cloud_of(center + rng.normal(0, 4, (2000, 3)))
-            self.assert_same(cloud, boxes, atol=atol)
+            self.assert_same(center + rng.normal(0, 4, (2000, 3)), boxes,
+                             atol=atol)
 
     @pytest.mark.parametrize("atol", [0.0, 1e-9, 0.05])
     @pytest.mark.parametrize("scale", [0.0, 50.0, 5e3])
@@ -132,18 +130,18 @@ class TestSplitCulling:
             # the same points an ulp away on either side
             pts = np.concatenate([pts, np.nextafter(pts, np.inf),
                                   np.nextafter(pts, -np.inf)])
-            self.assert_same(cloud_of(pts), boxes, atol=atol)
-            dynamic += split_reference(cloud_of(pts), boxes, atol=atol)[1].size
+            self.assert_same(pts, boxes, atol=atol)
+            dynamic += split_reference(pts, boxes, atol=atol)[1].size
         assert dynamic > 0
 
     def test_overlapping_boxes_lowest_index_wins(self):
         a = BoxLabel(0, 0, 0, 4, 4, 4, 0.0, is_dynamic=True)
         b = BoxLabel(1, 0, 0, 4, 4, 4, 0.7, is_dynamic=True)
         pts = np.concatenate([shell_points(a, 0.0), shell_points(b, 0.0)])
-        res = split_dynamic_static(cloud_of(pts), [a, b], atol=0.0)
+        res = split_dynamic_static(pts, [a, b], atol=0.0)
         assert {0, 1} == set(res.box_index.tolist())
-        self.assert_same(cloud_of(pts), [a, b], atol=0.0)
-        self.assert_same(cloud_of(pts), [b, a], atol=0.0)
+        self.assert_same(pts, [a, b], atol=0.0)
+        self.assert_same(pts, [b, a], atol=0.0)
 
 
 class TestAggregate:
@@ -197,40 +195,54 @@ class TestAggregate:
 
 class TestKnnLabel:
     def test_coincident_point_k1(self):
-        tree = cKDTree([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]])
+        points = np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]])
         labels = np.array([7, 2])
-        out = knn_label(tree, labels, np.array([[0.0, 0.0, 0.0]]), k=1,
+        out = knn_label(points, labels, np.array([[0.0, 0.0, 0.0]]), k=1,
                         n_cls=15)
         assert out.tolist() == [7]
 
     def test_majority_of_three(self):
-        tree = cKDTree([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0], [9, 9, 9]])
+        points = np.array([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0], [9, 9, 9]])
         labels = np.array([2, 2, 5, 5])
-        out = knn_label(tree, labels, np.array([[0.0, 0.0, 0.0]]), k=3,
+        out = knn_label(points, labels, np.array([[0.0, 0.0, 0.0]]), k=3,
                         n_cls=15)
         assert out.tolist() == [2]
 
     def test_empty_fused_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            knn_label(cKDTree(np.zeros((0, 3))), np.zeros(0),
-                      np.zeros((1, 3)), k=1, n_cls=15)
+            knn_label(np.zeros((0, 3)), np.zeros(0), np.zeros((1, 3)), k=1,
+                      n_cls=15)
 
-    def test_labels_must_align_with_tree(self):
+    def test_labels_must_align_with_points(self):
         with pytest.raises(ValueError, match="length 2"):
-            knn_label(cKDTree(np.zeros((2, 3))), np.zeros(3),
-                      np.zeros((1, 3)), k=1, n_cls=15)
+            knn_label(np.zeros((2, 3)), np.zeros(3), np.zeros((1, 3)), k=1,
+                      n_cls=15)
+
+    def test_ties_go_to_the_lower_index(self):
+        # four points 1 m from the query, each with its own label
+        points = np.array([[1.0, 0, 0], [0, -1.0, 0], [-1.0, 0, 0], [0, 0, 1.0]])
+        query = np.zeros((1, 3))
+        for perm in ([0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]):
+            labels = np.array([11, 12, 13, 14])[perm]
+            assert knn_label(points, labels, query, 1, 15).tolist() == \
+                [labels[0]]
+            # one vote each for the first three: the smallest id wins
+            assert knn_label(points, labels, query, 3, 15).tolist() == \
+                [min(labels[:3])]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
         for n_cls in EDGE_N_CLS:
             for trial in range(20):
                 n = int(rng.integers(50, 400))
-                fused = cloud_of(rng.normal(0, 5, (n, 3)))
+                fused = rng.normal(0, 5, (n, 3))
+                if trial % 2:   # a 1/4 m lattice: many exact distance ties
+                    fused = np.round(fused * 4) / 4
                 labels = rng.integers(0, n_cls + 1, n)
                 queries = rng.normal(0, 5, (25, 3))
                 k = int(rng.integers(1, 9))
-                got = knn_label(cKDTree(fused.xyz), labels, queries, k, n_cls)
-                want = knn_label_brute(fused.xyz, labels, queries, k, n_cls)
+                got = knn_label(fused, labels, queries, k, n_cls)
+                want = knn_label_brute(fused, labels, queries, k, n_cls)
                 np.testing.assert_array_equal(got, want)
 
 
@@ -244,19 +256,22 @@ def test_tie_order_is_the_oracles_rule():
 
 class TestVoxelize:
     def test_empty_cloud_zero_grid(self):
-        grid = voxelize_bev(cloud_of(np.zeros((0, 3))), np.zeros(0),
-                            small_spec())
+        spec = small_spec()
+        grid = voxelize_bev(spec.bin_points(np.zeros((0, 3))), np.zeros(0),
+                            spec)
         assert grid.labels.sum() == 0
 
     def test_single_point(self):
         spec = small_spec()
-        grid = voxelize_bev(cloud_of([[0.5, 0.5, 0.0]]), np.array([3]), spec)
+        grid = voxelize_bev(spec.bin_points([[0.5, 0.5, 0.0]]), np.array([3]),
+                            spec)
         assert grid.occupied_count == 1
         assert grid.labels[8, 8] == 3  # cell containing (0.5, 0.5)
 
     def test_out_of_band_z_ignored(self):
         spec = small_spec()
-        grid = voxelize_bev(cloud_of([[0.5, 0.5, 9.0]]), np.array([3]), spec)
+        grid = voxelize_bev(spec.bin_points([[0.5, 0.5, 9.0]]), np.array([3]),
+                            spec)
         assert grid.occupied_count == 0
 
     def test_matches_brute_force_voting(self):
@@ -272,7 +287,7 @@ class TestVoxelize:
                                 z_min=-1.0, z_max=2.0, n_cls=n_cls)
                 xyz = rng.uniform(-6, 14, (n, 3)) * [1, 1, 0.25]
                 labels = rng.integers(0, n_cls + 1, n)
-                got = voxelize_bev(cloud_of(xyz), labels, spec)
+                got = voxelize_bev(spec.bin_points(xyz), labels, spec)
                 np.testing.assert_array_equal(
                     got.labels, voxelize_brute(xyz, labels, spec))
 
@@ -281,19 +296,19 @@ class TestVoxelize:
         xyz = rng.uniform(-8, 8, (500, 3)) * [1, 1, 0.2]
         labels = rng.integers(0, 16, 500)
         spec = small_spec()
-        a = voxelize_bev(cloud_of(xyz), labels, spec)
+        a = voxelize_bev(spec.bin_points(xyz), labels, spec)
         perm = rng.permutation(500)
-        b = voxelize_bev(cloud_of(xyz[perm]), labels[perm], spec)
+        b = voxelize_bev(spec.bin_points(xyz[perm]), labels[perm], spec)
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_tie_breaks_prefer_heavier_class(self):
         spec = small_spec(n_cls=15)
         # one foreground (class 1, weight 2.0) vs one background point (class 11)
         xyz = np.array([[0.1, 0.1, 0.0], [0.2, 0.2, 0.0]])
-        grid = voxelize_bev(cloud_of(xyz), np.array([11, 1]), spec)
+        grid = voxelize_bev(spec.bin_points(xyz), np.array([11, 1]), spec)
         assert grid.labels[8, 8] == 1
         # two background classes tie -> smaller id
-        grid = voxelize_bev(cloud_of(xyz), np.array([12, 11]), spec)
+        grid = voxelize_bev(spec.bin_points(xyz), np.array([12, 11]), spec)
         assert grid.labels[8, 8] == 11
 
 
@@ -314,7 +329,7 @@ class TestMakeOccupancy:
                             [[]])
         grid = make_occupancy(seq, spec, keyframe=0, densify=False, radius=0.4,
                               k=5)
-        direct = voxelize_bev(cloud, labels, spec)
+        direct = voxelize_bev(spec.bin_points(cloud.xyz), labels, spec)
         np.testing.assert_array_equal(grid.labels, direct.labels)
 
     def test_values_in_range(self):
@@ -363,8 +378,8 @@ def one_frame(xyz, labels) -> LidarSequence:
 
 
 class TestDensifyCulling:
-    """The windowed densification trees give the grid of one KD-tree over
-    the whole fused cloud (``make_occupancy_reference``), bit for bit."""
+    """The windowed cell search gives the grid of a brute force over the
+    whole fused cloud (``make_occupancy_reference``), bit for bit."""
 
     #: 8 x 8 cells of 1 m from (-4, -4); z_mid 1.0.  Cell (4, 4) is
     #: centred at (0.5, 0.5); every offset below is exact in binary.
@@ -422,20 +437,24 @@ class TestDensifyCulling:
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_ties_at_the_kth_distance(self, k):
         # four points 0.625 m from the centre of empty cell (4, 4), some
-        # doubled with another label, around far filler that shapes the
-        # whole-cloud tree; which tied point a tree keeps is its own choice
+        # doubled with another label, shuffled among far filler: the k-set
+        # is the k tied points of lowest fused index
         rng = np.random.default_rng(k)
         ring = np.array([[1.125, 0.5, 1.0], [-0.125, 0.5, 1.0],
                          [0.5, 1.125, 1.0], [0.5, -0.125, 1.0]])
+        w = tie_weights(15)
         for trial in range(30):
             tied = np.concatenate([ring, ring[rng.integers(0, 4, 4)]])
             filler = rng.uniform(-3.5, 3.5, (int(rng.integers(20, 400)), 3))
             filler[:, 2] = rng.choice([-20.0, 20.0], len(filler))
             xyz = np.concatenate([tied, filler])
             order = rng.permutation(len(xyz))
-            labels = rng.integers(1, 16, len(xyz))
-            self.assert_same(one_frame(xyz[order], labels[order]), self.SPEC,
-                             0.75, k)
+            labels = rng.integers(1, 16, len(xyz))[order]
+            grid = self.assert_same(one_frame(xyz[order], labels), self.SPEC,
+                                    0.75, k)
+            nearest = labels[np.flatnonzero(order < len(tied))[:k]].tolist()
+            assert grid.labels[4, 4] == max(
+                nearest, key=lambda c: (nearest.count(c), w[c], -c))
 
     def test_points_exactly_radius_from_a_centre(self):
         # 0.75 m from the centre of cell (4, 4) along x, y or z, and one ulp
