@@ -18,6 +18,7 @@ caps internal worker count (default 1).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import sys
@@ -50,6 +51,31 @@ EXIT_NUMERIC = 4
 
 class DataError(RuntimeError):
     pass
+
+
+#: glibc ``mallopt`` parameter numbers (``malloc.h``)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MIB = 1 << 20
+
+
+def _reuse_freed_memory() -> None:
+    """Have the C allocator keep freed blocks for reuse.
+
+    A command frees large arrays and then allocates as much again: one
+    sequence after another, one batch after another.  glibc's defaults hand
+    a freed block back to the kernel (``munmap``, or a trim of the heap
+    top), so the next allocation faults its pages in, zeroed, once more.
+    Pinned thresholds keep blocks under 32 MiB (glibc's largest dynamic
+    threshold) on the heap and leave up to 256 MiB free at its top, so the
+    same pages are reused; the peak stays that of the largest live set.  A
+    no-op without glibc.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 * _MIB)
+    mallopt(_M_TRIM_THRESHOLD, 256 * _MIB)
 
 
 def _config_hash(cfg: PipelineConfig) -> str:
@@ -204,8 +230,7 @@ def cmd_pretrain(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
     seq_dirs = _load_dataset_dirs(Path(args.data))
-    seqs = [load_sequence(d) for d in seq_dirs]
-    samples = build_samples(seqs, cfg, seed)
+    samples = build_samples(map(load_sequence, seq_dirs), cfg, seed)
     params, trace = train(None, samples, cfg, seed)
     out = Path(args.out)
     manifest = _unlinked_manifest(out)
@@ -226,8 +251,8 @@ def cmd_finetune(args) -> int:
     seq_dirs = _load_dataset_dirs(Path(args.data))
     if args.labels > len(seq_dirs):
         raise DataError(f"--labels {args.labels} exceeds {len(seq_dirs)} sequences")
-    seqs = [load_sequence(d) for d in seq_dirs[:args.labels]]
-    samples = build_samples(seqs, cfg, None)
+    samples = build_samples(map(load_sequence, seq_dirs[:args.labels]), cfg,
+                            None)
     params, trace = train(pretrained, samples, cfg, seed)
     out = Path(args.out)
     manifest = _unlinked_manifest(out)
@@ -244,8 +269,7 @@ def cmd_eval_miou(args) -> int:
     cfg = load_config(args.config)
     params = load_model(args.ckpt, cfg)
     seq_dirs = _load_dataset_dirs(Path(args.data))
-    seqs = [load_sequence(d) for d in seq_dirs]
-    samples = build_samples(seqs, cfg, None)
+    samples = build_samples(map(load_sequence, seq_dirs), cfg, None)
     _, iou, mean = evaluate(params, samples, cfg)
     per_class = {str(i): _json_ratio(v) for i, v in enumerate(iou)}
     print(json.dumps({"miou": _json_ratio(mean), "iou": per_class},
@@ -362,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _reuse_freed_memory()
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -274,13 +274,14 @@ def transform(cloud: PointCloud, pose: Pose) -> PointCloud:
 def validate_labels(labels, n_points: int, n_cls: int) -> np.ndarray:
     """Check a per-point label vector against its paired cloud.
 
-    Returns the labels as an int64 array; raises ValueError on length or
+    Returns the labels as an int64 array, `labels` itself when it already
+    is one, so callers only read the result; raises ValueError on length or
     range violations.  Valid values are 0 (empty) .. n_cls.
     """
     arr = np.asarray(labels)
     if arr.ndim != 1 or arr.shape[0] != n_points:
         raise ValueError(f"labels must be length {n_points}, got shape {arr.shape}")
-    arr = arr.astype(np.int64)
+    arr = arr.astype(np.int64, copy=False)
     if arr.size and (arr.min() < 0 or arr.max() > n_cls):
         raise ValueError(f"labels must lie in [0, {n_cls}]")
     return arr

@@ -60,8 +60,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cloud import (BoxLabel, FieldError, LidarSequence, PointCloud,
-                    validate_labels)
+from .cloud import BoxLabel, FieldError, LidarSequence, validate_labels
 
 __all__ = [
     "CLASS_NAMES", "DEFAULT_N_CLS", "GridSpec", "OccupancyGrid", "SplitResult",
@@ -208,22 +207,24 @@ def _rotate_z(xy: np.ndarray, angle: float) -> np.ndarray:
     return out
 
 
-def aggregate(seq: LidarSequence, keyframe: int) -> tuple[PointCloud, np.ndarray]:
-    """Fuse a sequence into one labeled world-frame cloud.
+def aggregate(seq: LidarSequence, keyframe: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fuse a sequence into one labeled world-frame cloud: ``(xyz,
+    labels)``, the (N, 3) fused points and their (N,) int64 labels.
 
     Static points map straight through each frame's pose.  Dynamic points
     are lifted into their box's canonical frame at the source frame, then
     re-posed at the box's keyframe pose; boxes correspond across frames by
     list position, which ``LidarSequence`` checks.  Output preserves
     per-frame point order and total count.  Each frame is written into its
-    slice of the fused arrays, with the arithmetic of ``Pose.apply``.
+    slice of the fused arrays, with the arithmetic of ``Pose.apply``, and
+    nothing is copied after: the grid reads no point features, so none are
+    fused.
     """
     if not 0 <= keyframe < len(seq.frames):
         raise ValueError(f"keyframe {keyframe} out of range")
     key_boxes = seq.boxes[keyframe]
     n = sum(len(frame) for frame in seq.frames)
     xyz = np.empty((n, 3))
-    feat = np.empty((n, seq.frames[0].d))
     labels = np.empty(n, dtype=np.int64)
     at = 0
     for frame, lab, pose, boxes in zip(seq.frames, seq.labels, seq.poses,
@@ -231,7 +232,6 @@ def aggregate(seq: LidarSequence, keyframe: int) -> tuple[PointCloud, np.ndarray
         part = slice(at, at + len(frame))
         at = part.stop
         labels[part] = validate_labels(lab, len(frame), n_cls=255)
-        feat[part] = frame.feat
         world = xyz[part]
         np.matmul(frame.xyz, pose.rotation.T, out=world)
         world += pose.translation
@@ -245,7 +245,9 @@ def aggregate(seq: LidarSequence, keyframe: int) -> tuple[PointCloud, np.ndarray
             local[:, :2] = _rotate_z(local[:, :2], -src.yaw)
             local[:, :2] = _rotate_z(local[:, :2], dst.yaw)
             world[pts] = local + dst.center
-    return PointCloud(xyz, feat), labels
+    if not np.isfinite(xyz).all():
+        raise ValueError("point coordinates must be finite")
+    return xyz, labels
 
 
 def _tie_order(n_cls: int) -> np.ndarray:
@@ -345,14 +347,20 @@ def voxelize_bev(bins: tuple[np.ndarray, np.ndarray, np.ndarray],
     """Each BEV cell's plurality label over the points ``spec.bin_points``
     binned as `bins`.
 
-    Cells without points stay 0.  The result is exactly permutation
-    invariant in point order (integer vote counts).
+    Cells without points stay 0; votes are counted and compared only for
+    the cells that hold a point, each numbered by its rank among them.  The
+    result is exactly permutation invariant in point order (integer vote
+    counts).
     """
     ii, jj, ok = bins
     lab = validate_labels(labels, ii.size, spec.n_cls)
-    votes = _votes(ii[ok] * spec.w + jj[ok], lab[ok], spec.h * spec.w, spec.n_cls)
-    winner = _plurality(votes, spec.n_cls)
-    winner[votes.sum(axis=1) == 0] = 0
+    cell = ii[ok] * spec.w + jj[ok]
+    hits = np.bincount(cell, minlength=spec.h * spec.w)
+    held = np.flatnonzero(hits)
+    rank = np.cumsum(hits > 0) - 1
+    votes = _votes(rank[cell], lab[ok], held.size, spec.n_cls)
+    winner = np.zeros(spec.h * spec.w, dtype=np.int64)
+    winner[held] = _plurality(votes, spec.n_cls)
     return OccupancyGrid(spec, winner.reshape(spec.h, spec.w))
 
 
@@ -448,12 +456,13 @@ def make_occupancy(seq: LidarSequence, spec: GridSpec, keyframe: int,
     last round go to a brute force over the whole cloud.  Every label is
     the whole cloud's, exactly (the module docstring gives the argument).
     The split inside `aggregate` culls each box's exact point test by a
-    bounding circle.
+    bounding circle.  The fused points are built once, in place, and every
+    step reads that one array.
     """
-    fused, fused_labels = aggregate(seq, keyframe)
-    bins = spec.bin_points(fused.xyz)
+    xyz, fused_labels = aggregate(seq, keyframe)
+    bins = spec.bin_points(xyz)
     grid = voxelize_bev(bins, fused_labels, spec)
-    if not densify or len(fused) == 0:
+    if not densify or len(xyz) == 0:
         return grid
 
     empty = grid.labels == 0
@@ -463,7 +472,7 @@ def make_occupancy(seq: LidarSequence, spec: GridSpec, keyframe: int,
     xx, yy = spec.cell_centers()
     centers = np.stack([xx[empty_i, empty_j], yy[empty_i, empty_j],
                         np.full(empty_i.size, spec.z_mid)], axis=-1)
-    xyz, (ii, jj, _) = fused.xyz, bins
+    ii, jj, _ = bins
     near = np.zeros(empty_i.size, dtype=bool)
     for queries, q, _, _ in _pairs(
             xyz, ii, jj, _window(xyz[:, 2], ii, jj, spec, empty, radius),
@@ -473,7 +482,7 @@ def make_occupancy(seq: LidarSequence, spec: GridSpec, keyframe: int,
     if near.size == 0:
         return grid
 
-    n, kq = len(fused), min(k, len(fused))
+    n, kq = len(xyz), min(k, len(xyz))
     out = grid.labels.copy()
     rest, half = near, 2.0 * radius
     while True:

@@ -16,6 +16,12 @@ back.  On-disk layout (all formats from :mod:`occspot.formats`)::
 Samples for training pair each sequence's keyframe scan (beam re-sampled
 and flipped when an augmentation seed is given, with the grid mirrored to
 match) with the occupancy grid aggregated over the whole sequence.
+
+One sequence is resident at a time: :func:`generate_dataset` drops each
+sequence once it is written, and :func:`build_samples` takes any iterable
+(``map(load_sequence, seq_dirs)``), keeps only each sample, and drops the
+sequence before it asks for the next.  Peak memory then grows with the
+samples, not with the loaded sequences.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -82,7 +89,8 @@ def generate_dataset(cfg: PipelineConfig, out_dir, seed: int,
     """Write ``cfg.n_sequences`` sequence directories; returns their paths.
 
     Deterministic in (config, seed), whatever the number of `workers`:
-    sequence i uses the i-th draw of the seed's scene sub-stream.
+    sequence i uses the i-th draw of the seed's scene sub-stream.  Each
+    sequence is released once written, before the next one is generated.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -96,6 +104,7 @@ def generate_dataset(cfg: PipelineConfig, out_dir, seed: int,
                                 cfg.keyframe_hz, workers=workers)
         seq_dirs.append(out_dir / f"seq_{i:04d}")
         write_sequence(seq_dirs[-1], seq, cfg.keyframe_hz)
+        del seq
     return seq_dirs
 
 
@@ -127,10 +136,14 @@ def sequence_occupancy(seq: LidarSequence, cfg: PipelineConfig) -> OccupancyGrid
                           k=cfg.densify_k)
 
 
-def build_samples(seqs: list[LidarSequence], cfg: PipelineConfig,
+def build_samples(seqs: Iterable[LidarSequence], cfg: PipelineConfig,
                   augment_seed: int | None
                   ) -> list[tuple[PointCloud, OccupancyGrid]]:
-    """(keyframe cloud, sequence occupancy) pairs, one per sequence.
+    """(keyframe cloud, sequence occupancy) pairs, one per sequence of `seqs`.
+
+    `seqs` may be any iterable, such as a lazy ``map(load_sequence,
+    seq_dirs)``: each sequence is dropped before the next one is drawn, so
+    only one is held at a time.
 
     With `augment_seed` None (fine-tuning, evaluation) the keyframe cloud
     only moves into the world frame of the grid.  With a seed (pre-training)
@@ -161,4 +174,5 @@ def build_samples(seqs: list[LidarSequence], cfg: PipelineConfig,
                 cloud = random_flip(cloud, "y")
                 grid = OccupancyGrid(grid.spec, grid.labels[:, ::-1])
         samples.append((cloud, grid))
+        del seq  # or it lives on while `seqs` loads the next
     return samples

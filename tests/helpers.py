@@ -18,7 +18,8 @@ from occspot.config import PipelineConfig
 from occspot.learn import PILLAR_DIM
 from occspot.learn.losses import _check_pair, lovasz_grad
 from occspot.learn.model import _patches
-from occspot.occupancy import GridSpec, OccupancyGrid, aggregate, voxelize_bev
+from occspot.occupancy import (GridSpec, OccupancyGrid, _rotate_z, aggregate,
+                               split_dynamic_static, voxelize_bev)
 from occspot.synth import (_RAY_EPS, RANGE_NORM, SceneParams, _ray_box_hits,
                            _ray_directions)
 
@@ -126,6 +127,34 @@ def split_reference(xyz, boxes, speed_threshold=None, atol: float = 0.0):
     return np.nonzero(owner == -1)[0], dynamic, owner[dynamic]
 
 
+def aggregate_reference(seq, keyframe):
+    """``occupancy.aggregate`` in its earlier form: each frame moved by
+    ``Pose.apply`` and re-posed on its own array, then every frame's points
+    and features concatenated into one ``PointCloud``.
+
+    Like :func:`split_reference`, this shares the library's split and yaw
+    rotation on purpose: the property under test is that fusing in place,
+    without the features and without the cloud's copy, gives the same bits.
+    Returns ``(cloud, labels)``.
+    """
+    key_boxes = seq.boxes[keyframe]
+    parts = []
+    for frame, pose, boxes in zip(seq.frames, seq.poses, seq.boxes):
+        world = pose.apply(frame.xyz)
+        split = split_dynamic_static(world, boxes, atol=1e-9)
+        for bi in np.unique(split.box_index):
+            src, dst = boxes[bi], key_boxes[bi]
+            pts = split.dynamic_index[split.box_index == bi]
+            local = world[pts] - src.center
+            local[:, :2] = _rotate_z(local[:, :2], -src.yaw)
+            local[:, :2] = _rotate_z(local[:, :2], dst.yaw)
+            world[pts] = local + dst.center
+        parts.append(world)
+    cloud = PointCloud(np.concatenate(parts),
+                       np.concatenate([frame.feat for frame in seq.frames]))
+    return cloud, np.concatenate(seq.labels).astype(np.int64)
+
+
 def make_occupancy_reference(seq, spec, keyframe, densify, radius, k):
     """``occupancy.make_occupancy`` as a brute force over the whole fused cloud.
 
@@ -137,7 +166,7 @@ def make_occupancy_reference(seq, spec, keyframe, densify, radius, k):
     most ``radius**2``; a near cell takes :func:`knn_label_brute`'s label.
     """
     fused, fused_labels = aggregate(seq, keyframe)
-    grid = voxelize_bev(spec.bin_points(fused.xyz), fused_labels, spec)
+    grid = voxelize_bev(spec.bin_points(fused), fused_labels, spec)
     if not densify or len(fused) == 0:
         return grid
 
@@ -145,8 +174,8 @@ def make_occupancy_reference(seq, spec, keyframe, densify, radius, k):
     out = grid.labels.copy()
     for i, j in zip(*np.nonzero(grid.labels == 0)):
         q = np.array([[xx[i, j], yy[i, j], spec.z_mid]])
-        if (((fused.xyz - q) ** 2).sum(axis=1) <= radius * radius).any():
-            out[i, j] = knn_label_brute(fused.xyz, fused_labels, q, k,
+        if (((fused - q) ** 2).sum(axis=1) <= radius * radius).any():
+            out[i, j] = knn_label_brute(fused, fused_labels, q, k,
                                         spec.n_cls)[0]
     return OccupancyGrid(spec, out)
 
@@ -223,6 +252,33 @@ def voxelize_brute(xyz, labels, spec) -> np.ndarray:
                 votes[int(lbl)] = votes.get(int(lbl), 0) + 1
             grid[i, j] = max(votes, key=lambda c: (votes[c], w[c], -c))
     return grid
+
+
+def softmax_field_reference(logits) -> np.ndarray:
+    """``learn.losses.softmax_field`` with one ``max`` reduction over the
+    class axis and out-of-place ``exp`` and divide.
+
+    The same algorithm on purpose: the library halves the class axis for
+    its max and must equal this bit for bit."""
+    logits = np.asarray(logits)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def weighted_ce_reference(pred, gt, weights) -> tuple[float, np.ndarray]:
+    """``learn.losses.weighted_ce`` with the gradient taken as
+    ``w / W * (pred - onehot)`` over a dense one-hot; the library writes
+    the true-class entries instead and must equal this bit for bit, the
+    sign of every zero included."""
+    pred, gt = _check_pair(pred, gt)
+    w_cell = np.asarray(weights, dtype=pred.dtype)[gt]
+    total_w = w_cell.sum()
+    p_true = np.take_along_axis(pred, gt[..., None], axis=-1)[..., 0]
+    with np.errstate(divide="ignore"):
+        loss = float((w_cell * -np.log(p_true)).sum() / total_w)
+    onehot = np.zeros_like(pred)
+    np.put_along_axis(onehot, gt[..., None], 1.0, axis=-1)
+    return loss, (w_cell / total_w)[..., None] * (pred - onehot)
 
 
 def jaccard_loss_brute(pred_mask, gt_mask) -> float:

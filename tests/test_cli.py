@@ -244,6 +244,22 @@ def test_diverging_run_is_a_numerical_error(tmp_path, data, capsys):
     assert not (tmp_path / "model.npz").exists()
 
 
+class _NoMallopt:
+    """A C library without glibc's ``mallopt``."""
+
+
+@pytest.mark.parametrize("cdll", [_NoMallopt, OSError])
+def test_runs_where_the_allocator_cannot_be_tuned(monkeypatch, capsys, cdll):
+    def load(name):
+        if cdll is OSError:
+            raise OSError("no C library to load")
+        return cdll()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", load)
+    assert main(["theory-check", "--sweeps", "1"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)
+
+
 class TestTheoryCheck:
     @pytest.mark.parametrize("sweeps", ["0", "-3"])
     def test_sweeps_below_one_is_a_config_error(self, sweeps, capsys):

@@ -152,6 +152,13 @@ class TestLabels:
         out = validate_labels([0, 15, 3], 3, 15)
         assert out.dtype == np.int64
 
+    def test_int64_labels_are_not_copied(self):
+        labels = np.array([0, 15, 3], dtype=np.int64)
+        assert validate_labels(labels, 3, 15) is labels
+        narrow = labels.astype(np.uint8)
+        out = validate_labels(narrow, 3, 15)
+        assert out.dtype == np.int64 and np.array_equal(out, labels)
+
 
 class TestBoxLabel:
     def test_positive_sizes(self):

@@ -5,7 +5,8 @@ import pytest
 
 from helpers import (central_diff, grad_rel_err, guarded_directional_checks,
                      jaccard_loss_brute, lovasz_region_signature,
-                     lovasz_softmax_reference, rel_err)
+                     lovasz_softmax_reference, rel_err,
+                     softmax_field_reference, weighted_ce_reference)
 
 from occspot.config import PipelineConfig
 from occspot.learn import (loss_weights, lovasz_softmax, softmax_field,
@@ -52,6 +53,40 @@ class TestSoftmaxField:
         bad[0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             softmax_field(bad)
+
+
+def random_logits(rng, dtype):
+    """Logits of a random shape, 1-17 classes; every other draw is rounded
+    to quarters so class maxima tie, and some carry signed zeros."""
+    shape = tuple(rng.integers(1, 6, size=rng.integers(1, 4))) + \
+        (int(rng.integers(1, 18)),)
+    logits = rng.normal(0.0, rng.choice([3.0, 60.0]), shape)
+    if rng.random() < 0.5:
+        logits = np.round(logits * 4) / 4
+        logits[rng.random(shape) < 0.2] = -0.0
+    return logits.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_and_ce_equal_their_references_bit_for_bit(dtype):
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        logits = random_logits(rng, dtype)
+        pred = softmax_field(logits)
+        want = softmax_field_reference(logits)
+        assert pred.dtype == want.dtype == dtype
+        assert pred.tobytes() == want.tobytes()
+
+        n_cls = logits.shape[-1]
+        gt = rng.integers(0, n_cls, logits.shape[:-1])
+        weights = rng.uniform(0.01, 2.0, n_cls)
+        loss, grad = weighted_ce(pred, gt, weights)
+        want_loss, want_grad = weighted_ce_reference(pred, gt, weights)
+        assert loss == want_loss
+        assert grad.dtype == want_grad.dtype == dtype
+        # bytes, so the sign of every zero counts too
+        assert grad.tobytes() == want_grad.tobytes()
+        assert np.array_equal(np.signbit(grad), np.signbit(want_grad))
 
 
 class TestWeightedCE:

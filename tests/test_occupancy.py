@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (box_surface_distance, cloud_of, knn_label_brute,
-                     make_occupancy_reference, point_in_box_brute,
-                     scene_surface_distance, split_reference, tie_weights,
-                     voxelize_brute)
+from helpers import (aggregate_reference, box_surface_distance, cloud_of,
+                     knn_label_brute, make_occupancy_reference,
+                     point_in_box_brute, scene_surface_distance,
+                     split_reference, tie_weights, voxelize_brute)
 
 from occspot.cloud import BoxLabel, LidarSequence, Pose, transform
 from occspot.occupancy import (GridSpec, OccupancyGrid, _tie_order, aggregate,
@@ -156,7 +156,7 @@ class TestAggregate:
         scene, seq = self.make_sequence(n_frames=1)
         fused, labels = aggregate(seq, 0)
         world = transform(seq.frames[0], seq.poses[0])
-        np.testing.assert_allclose(fused.xyz, world.xyz, atol=1e-12)
+        np.testing.assert_allclose(fused, world.xyz, atol=1e-12)
         np.testing.assert_array_equal(labels, seq.labels[0])
 
     def test_count_preserved(self):
@@ -168,7 +168,7 @@ class TestAggregate:
     def test_static_scene_on_surfaces(self):
         scene, seq = self.make_sequence(dynamic=0.0, n_frames=2, seed=4)
         fused, _ = aggregate(seq, 0)
-        for p in fused.xyz:
+        for p in fused:
             assert scene_surface_distance(p, scene) <= 1e-6
 
     def test_dynamic_points_land_on_keyframe_box(self):
@@ -181,10 +181,29 @@ class TestAggregate:
         seq = generate_sequence(scene, beams, poses, 10.0, workers=1)
         fused, labels = aggregate(seq, keyframe=0)
         key_box = seq.boxes[0][0]
-        box_points = fused.xyz[labels == 1]
+        box_points = fused[labels == 1]
         assert len(box_points) > 50
         for p in box_points:
             assert box_surface_distance(p, key_box) <= 1e-6
+
+    @pytest.mark.parametrize("dynamic, keyframe, seed", [
+        (0.0, 0, 1), (0.5, 0, 2), (0.5, 2, 3), (1.0, 1, 4)])
+    def test_matches_point_cloud_form(self, dynamic, keyframe, seed):
+        scene, seq = self.make_sequence(n_frames=3, dynamic=dynamic, seed=seed)
+        fused, labels = aggregate(seq, keyframe)
+        cloud, want = aggregate_reference(seq, keyframe)
+        assert fused.dtype == np.float64 and fused.shape == cloud.xyz.shape
+        assert fused.tobytes() == cloud.xyz.tobytes()
+        assert labels.dtype == np.int64 and np.array_equal(labels, want)
+
+    def test_non_finite_fused_points_rejected(self):
+        # finite points and a finite pose whose sum overflows
+        seq = LidarSequence([cloud_of([[1e308, 0.0, 0.0]])], [np.array([1])],
+                            [Pose(np.eye(3), (1e308, 0.0, 0.0))], [[]])
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="^point coordinates must be "
+                                                "finite$"):
+            aggregate(seq, 0)
 
     @pytest.mark.parametrize("keyframe", [-1, 2])
     def test_keyframe_out_of_range_rejected(self, keyframe):
@@ -373,7 +392,7 @@ def one_frame(xyz, labels) -> LidarSequence:
     cloud = cloud_of(xyz)
     seq = LidarSequence([cloud], [np.asarray(labels)],
                         [Pose(np.eye(3), np.zeros(3))], [[]])
-    assert np.array_equal(aggregate(seq, 0)[0].xyz, cloud.xyz)
+    assert np.array_equal(aggregate(seq, 0)[0], cloud.xyz)
     return seq
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from occspot.config import (ConfigError, PipelineConfig, load_config,
                             parse_config)
+from occspot import pipeline
 from occspot.formats import FormatError, read_boxes, write_boxes
 from occspot.pipeline import (build_samples, ego_trajectory, generate_dataset,
                               load_sequence, sequence_occupancy, worker_count,
@@ -109,6 +111,47 @@ def test_config_without_flips_or_beam_targets_does_not_augment():
                                   build_samples(seqs, cfg, 0)):
         assert np.array_equal(c0.xyz, c1.xyz)
         assert np.array_equal(g0.labels, g1.labels)
+
+
+def test_build_samples_holds_one_sequence_at_a_time(tmp_path):
+    dirs = generate_dataset(dataclasses.replace(CFG, n_sequences=3), tmp_path,
+                            seed=5, workers=1)
+    refs = []
+
+    def sequences():
+        for d in dirs:
+            assert all(r() is None for r in refs), "a sequence outlived its sample"
+            seq = load_sequence(d)
+            refs.append(weakref.ref(seq))
+            yield seq
+            del seq
+
+    for augment_seed in (None, 0):
+        refs.clear()
+        samples = build_samples(sequences(), CFG, augment_seed)
+        assert len(refs) == len(dirs) and all(r() is None for r in refs)
+        # the augmentation stream draws in the same order as from a list
+        want = build_samples([load_sequence(d) for d in dirs], CFG,
+                             augment_seed)
+        for (cloud, grid), (c, g) in zip(samples, want, strict=True):
+            assert cloud.xyz.tobytes() == c.xyz.tobytes()
+            assert cloud.feat.tobytes() == c.feat.tobytes()
+            assert np.array_equal(grid.labels, g.labels)
+
+
+def test_generate_dataset_releases_each_sequence(tmp_path, monkeypatch):
+    refs = []
+
+    def tracked(*args, **kwargs):
+        assert all(r() is None for r in refs), "a written sequence is alive"
+        seq = generate_sequence(*args, **kwargs)
+        refs.append(weakref.ref(seq))
+        return seq
+
+    monkeypatch.setattr(pipeline, "generate_sequence", tracked)
+    generate_dataset(dataclasses.replace(CFG, n_sequences=3), tmp_path,
+                     seed=5, workers=1)
+    assert len(refs) == 3 and all(r() is None for r in refs)
 
 
 # The occupancy targets of small seeded datasets, under the default config
