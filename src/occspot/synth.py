@@ -11,6 +11,30 @@ from a list of ego poses and returns a :class:`~occspot.cloud.LidarSequence`:
 clouds in the sensor frame, boxes in the world frame.  Feature dimension is
 d=1, filled with range normalized by ``RANGE_NORM`` (the pipeline treats
 features opaquely).
+
+Casting.  Ray ``i * azimuth_steps + k`` has the i-th elevation and the k-th
+azimuth of its :class:`BeamSpec`, so a frame's rays form a grid.  A ray
+hits a box only if it passes the box's widened bounding-sphere test, and
+:func:`scan` runs that test only on a window of the grid, worked out per
+box in the sensor frame from the centre offset ``u = R^T oc``:
+
+- With ``|oc| > 2R``, a ray that passes the test points into the cap of
+  half-angle ``theta = asin(sqrt(R^2 / |oc|^2 + 2e-8)) + 1e-6`` around
+  ``u``: the 2e-8 covers the test's ``1e-8 |oc|^2`` slack and a rotation
+  that is orthonormal only to 1e-9, and ``proj >= -R`` rules out the
+  opposite cap.
+- The cap holds elevations within ``theta`` of ``u``'s elevation ``e_c``,
+  and at each of them azimuths within ``asin(sin theta / cos(|e_c| +
+  theta))`` of ``u``'s.  The window takes those rows, and those columns
+  widened by 1e-6 and one column each side, wrapped at the seam.
+- It takes every column once the cap comes within 1e-3 of a pole, and
+  every ray when ``|oc| <= 2R``.
+
+Beam elevations lie in [-90, 90] degrees, so a ray's azimuth is that of its
+column.  Every ray the test keeps is therefore in the window, and a ray
+outside it misses the box.  The slab test works on one ray and one box at
+a time, so the output is identical, bit for bit, to the slab test of every
+box on every ray.
 """
 
 from __future__ import annotations
@@ -45,14 +69,18 @@ MAX_TRIES_PER_OBJECT = 200
 
 _RAY_EPS = 1e-9
 
+#: Slack in sin^2 of a sector window's half-angle: the sphere test's 1e-8,
+#: plus up to 3e-9 from a rotation that Pose accepts as orthonormal.
+_CONE_SLACK = 2e-8
+
 
 @dataclass(frozen=True)
 class BeamSpec:
     """Spinning-LiDAR beam pattern.
 
     ``n_beams`` emitters with elevations uniformly spaced over the vertical
-    field of view ``[alpha_low, alpha_up]`` (degrees), sampled at
-    ``azimuth_steps`` horizontal positions per revolution.
+    field of view ``[alpha_low, alpha_up]`` (degrees, within [-90, 90]),
+    sampled at ``azimuth_steps`` horizontal positions per revolution.
     """
 
     n_beams: int
@@ -65,6 +93,11 @@ class BeamSpec:
             raise FieldError("n_beams", "must be >= 1")
         if self.azimuth_steps < 1:
             raise FieldError("azimuth_steps", "must be >= 1")
+        for name in ("alpha_up", "alpha_low"):
+            # past a pole a ray's azimuth flips by pi
+            if not -90.0 <= getattr(self, name) <= 90.0:
+                raise FieldError(name, "must lie in [-90, 90] degrees, got "
+                                 f"{getattr(self, name)}")
         if not self.alpha_up > self.alpha_low:
             raise ValueError(
                 f"degenerate VFOV: alpha_up ({self.alpha_up}) must exceed "
@@ -199,51 +232,141 @@ def build_scene(params: SceneParams, seed: int) -> Scene:
                  ground_class=params.ground_class)
 
 
-def _ray_directions(beams: BeamSpec) -> np.ndarray:
-    """Unit ray directions, one row per (elevation, azimuth) pair.
+def _ray_directions(beams: BeamSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Unit ray directions and the beam elevations (radians, ascending).
 
-    Cached per beam pattern, since every frame of a dataset casts the same
-    rays; the array is read-only because callers share it.
+    Ray ``i * azimuth_steps + k`` has elevation ``i`` and azimuth ``k`` of
+    the spec.  Cached per beam pattern, since every frame of a dataset
+    casts the same rays; both arrays are read-only because callers share
+    them.
     """
     # keyed on repr too: specs with 0.0 and -0.0 are equal, their rays not
     return _cached_ray_directions(repr(beams), beams)
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_ray_directions(key: str, beams: BeamSpec) -> np.ndarray:
+def _cached_ray_directions(key: str,
+                           beams: BeamSpec) -> tuple[np.ndarray, np.ndarray]:
     el = beams.elevations()
     az = beams.azimuths()
     ee, aa = np.meshgrid(el, az, indexing="ij")
     sph = np.stack([np.ones(ee.size), aa.ravel(), ee.ravel()], axis=-1)
     dirs = from_spherical(sph)
     dirs.setflags(write=False)
-    return dirs
+    el.setflags(write=False)
+    return dirs, el
 
 
-def _ray_box_hits(origin: np.ndarray, dirs: np.ndarray, box: BoxLabel) -> np.ndarray:
-    """Slab test; returns per-ray hit distance (inf where the box is missed)."""
-    c, s = math.cos(-box.yaw), math.sin(-box.yaw)
-    o = origin - box.center
-    ox, oy = c * o[0] - s * o[1], s * o[0] + c * o[1]
-    dx = c * dirs[:, 0] - s * dirs[:, 1]
-    dy = s * dirs[:, 0] + c * dirs[:, 1]
-    local_o = np.array([ox, oy, o[2]])
-    local_d = np.stack([dx, dy, dirs[:, 2]], axis=-1)
+def _sector_windows(beams: BeamSpec, elevations: np.ndarray, u: np.ndarray,
+                    oc2: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Per box, the window of the beam grid that holds every ray its sphere
+    test keeps, as a (B, 4) integer array of rows ``r0 .. r1 - 1`` and
+    columns ``c0 .. c0 + nc - 1`` (modulo ``azimuth_steps``).
 
-    half = np.array([box.l, box.w, box.h]) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_lo = (-half - local_o) / local_d
-        t_hi = (half - local_o) / local_d
-    near = np.fmin(t_lo, t_hi)
-    far = np.fmax(t_lo, t_hi)
+    `u` holds the (B, 3) offsets of the box centres from the sensor, in
+    the sensor frame; `oc2` and `radius` are the squared distances and the
+    widened radii of the sphere test.
+    """
+    n_az = beams.azimuth_steps
+    with np.errstate(divide="ignore"):
+        sin_theta = np.sqrt(radius * radius / oc2 + _CONE_SLACK)
+    theta = np.arcsin(np.minimum(sin_theta, 1.0)) + 1e-6
+    e_c = np.arctan2(u[:, 2], np.hypot(u[:, 0], u[:, 1]))
+    a_c = np.arctan2(u[:, 0], u[:, 1])
+    r0 = np.searchsorted(elevations, e_c - theta, side="left")
+    r1 = np.searchsorted(elevations, e_c + theta, side="right")
+
+    # a cap of radius theta spans at most asin(sin theta / cos e) in azimuth
+    # at elevation e, and |e| <= |e_c| + theta inside it
+    reach = np.abs(e_c) + theta
+    polar = reach >= np.pi / 2 - 1e-3
+    ratio = np.sin(theta) / np.cos(np.where(polar, 0.0, reach))
+    half = np.arcsin(np.minimum(ratio, 1.0)) + 1e-6
+    step = 2.0 * np.pi / n_az
+    c0 = np.floor((a_c - half + np.pi) / step).astype(np.int64) - 1
+    nc = np.ceil((a_c + half + np.pi) / step).astype(np.int64) + 2 - c0
+
+    near = oc2 <= 4.0 * radius * radius
+    r0[near], r1[near] = 0, len(elevations)
+    every = near | polar | (nc >= n_az)
+    c0[every], nc[every] = 0, n_az
+    return np.stack([r0, r1, c0 % n_az, nc], axis=-1)
+
+
+def _sphere_candidates(boxes: Sequence[BoxLabel], beams: BeamSpec,
+                       elevations: np.ndarray, dirs_world: np.ndarray,
+                       sensor_pose: Pose) -> tuple[np.ndarray, np.ndarray]:
+    """The rays that pass each box's bounding-sphere test, box after box,
+    and how many belong to each box.
+
+    Every ray the slab test would hit passes the test, which runs only on
+    the box's :func:`_sector_windows` window.
+    """
+    origin = sensor_pose.translation
+    # The sphere encloses the box, and its radius and the perpendicular-
+    # distance test are widened by margins far above the rounding error of
+    # the sphere arithmetic: the margins on the radius cover rays the
+    # slab test accepts by rounding at an edge or corner; the
+    # 1e-8 * |oc|^2 slack covers the cancellation in |oc|^2 - proj^2
+    # and directions that are unit only to the 1e-9 that Pose allows.
+    radius = [0.5 * math.hypot(box.l, box.w, box.h) * (1.0 + 1e-6) + 1e-6
+              for box in boxes]
+    oc = np.array([box.center for box in boxes]) - origin
+    windows = _sector_windows(beams, elevations, oc @ sensor_pose.rotation,
+                              np.einsum("ij,ij->i", oc, oc), np.array(radius))
+    n_az = beams.azimuth_steps
+    grid = dirs_world.reshape(len(elevations), n_az, 3)
+    rays = []
+    for b, (r0, r1, c0, nc) in enumerate(windows.tolist()):
+        if c0 + nc <= n_az:
+            window = grid[r0:r1, c0:c0 + nc]
+        else:  # across the azimuth seam
+            window = grid[r0:r1].take(range(c0, c0 + nc), axis=1, mode="wrap")
+        oc2 = float(oc[b] @ oc[b])
+        proj = window @ oc[b]
+        row, col = np.nonzero(
+            (proj >= -radius[b])
+            & (oc2 - proj * proj <= radius[b] * radius[b] + 1e-8 * oc2))
+        rays.append((r0 + row) * n_az + (c0 + col) % n_az)
+    return np.concatenate(rays), np.array([len(r) for r in rays])
+
+
+def _slab_hits(origin: np.ndarray, dirs: np.ndarray, counts: np.ndarray,
+               boxes: Sequence[BoxLabel]) -> np.ndarray:
+    """Slab test of the (M, 3) rays `dirs`: the first ``counts[0]`` against
+    ``boxes[0]``, the next ``counts[1]`` against ``boxes[1]`` and so on.
+    Returns the per-ray hit distance (inf where the box is missed).
+
+    Each box's cos/sin, local origin and half extents are worked out once
+    and repeated per ray, so every ray goes through the same IEEE
+    operations as in a slab test of that box alone.
+    """
+    c = np.array([math.cos(-box.yaw) for box in boxes])
+    s = np.array([math.sin(-box.yaw) for box in boxes])
+    o = origin - np.array([box.center for box in boxes])
+    local_o = np.stack([c * o[:, 0] - s * o[:, 1], s * o[:, 0] + c * o[:, 1],
+                        o[:, 2]])
+    half = np.array([[box.l, box.w, box.h] for box in boxes]).T / 2.0
     # rays parallel to a slab: inside -> (-inf, inf), outside -> no overlap
-    parallel = local_d == 0.0
-    inside = np.abs(local_o) <= half
-    near = np.where(parallel, np.where(inside, -np.inf, np.inf), near)
-    far = np.where(parallel, np.where(inside, np.inf, -np.inf), far)
+    parallel_near = np.where(np.abs(local_o) <= half, -np.inf, np.inf)
 
-    t_min = near.max(axis=1)
-    t_max = far.min(axis=1)
+    def per_ray(per_box):
+        return np.repeat(per_box, counts)
+
+    c, s = per_ray(c), per_ray(s)
+    local_d = (c * dirs[:, 0] - s * dirs[:, 1], s * dirs[:, 0] + c * dirs[:, 1],
+               dirs[:, 2])
+    for axis, d in enumerate(local_d):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_lo = per_ray(-half[axis] - local_o[axis]) / d
+            t_hi = per_ray(half[axis] - local_o[axis]) / d
+        parallel = d == 0.0
+        t_par = per_ray(parallel_near[axis])
+        near = np.where(parallel, t_par, np.fmin(t_lo, t_hi))
+        far = np.where(parallel, -t_par, np.fmax(t_lo, t_hi))
+        # the largest near and smallest far of three: exact in any order
+        t_min = near if axis == 0 else np.maximum(t_min, near)
+        t_max = far if axis == 0 else np.minimum(t_max, far)
     t = np.where(t_min > _RAY_EPS, t_min, t_max)
     hit = (t_max >= t_min) & (t > _RAY_EPS) & np.isfinite(t)
     return np.where(hit, t, np.inf)
@@ -257,14 +380,15 @@ def scan(scene: Scene, beams: BeamSpec, sensor_pose: Pose,
     Returns a sensor-frame cloud together with per-point semantic labels;
     rays that miss everything produce no point.
 
-    Each box runs the exact slab test only on the rays that pass its
-    bounding-sphere test.  The sphere encloses the box, and its radius and
-    the perpendicular-distance test are widened by margins far above the
-    rounding error of the sphere arithmetic, so every ray the slab test
-    would hit is kept.  The slab test works on one ray at a time, so the
-    output is identical, bit for bit, to running it on every ray.
+    Each box tests only the rays of its window in the beam grid (see the
+    module docstring): the bounding-sphere test runs on the window, and
+    one slab test runs over the rays every box keeps.  A ray outside a
+    box's window misses that box, and a ray's hit distance depends only on
+    that ray and that box, so the output is identical, bit for bit, to the
+    slab test of every box on every ray.  Hits are applied box after box
+    with a strict ``<``: on a tie the ground, then the earlier box, wins.
     """
-    dirs_sensor = _ray_directions(beams)
+    dirs_sensor, elevations = _ray_directions(beams)
     dirs_world = dirs_sensor @ sensor_pose.rotation.T
     origin = sensor_pose.translation
 
@@ -280,28 +404,23 @@ def scan(scene: Scene, beams: BeamSpec, sensor_pose: Pose,
         best_t = np.where(ok, t_ground, np.inf)
         best_label = np.where(ok, scene.ground_class, 0)
 
-    for box in scene.boxes_at(time_s):
-        # Bounding sphere, widened: the margins on the radius cover rays the
-        # slab test accepts by rounding at an edge or corner; the
-        # 1e-8 * |oc|^2 slack covers the cancellation in |oc|^2 - proj^2
-        # and directions that are unit only to the 1e-9 that Pose allows.
-        radius = 0.5 * math.hypot(box.l, box.w, box.h) * (1.0 + 1e-6) + 1e-6
-        oc = box.center - origin
-        oc2 = float(oc @ oc)
-        proj = dirs_world @ oc
-        cand = np.flatnonzero(
-            (proj >= -radius)
-            & (oc2 - proj * proj <= radius * radius + 1e-8 * oc2))
-        t_box = _ray_box_hits(origin, dirs_world[cand], box)
-        closer = t_box < best_t[cand]
-        best_t[cand[closer]] = t_box[closer]
-        best_label[cand[closer]] = box.class_id
+    boxes = scene.boxes_at(time_s)
+    if boxes:
+        rays, counts = _sphere_candidates(boxes, beams, elevations, dirs_world,
+                                          sensor_pose)
+        t_box = _slab_hits(origin, dirs_world.take(rays, axis=0), counts, boxes)
+        end = np.cumsum(counts)
+        for box, lo, hi in zip(boxes, end - counts, end):
+            ray, dist = rays[lo:hi], t_box[lo:hi]
+            closer = dist < best_t[ray]
+            best_t[ray[closer]] = dist[closer]
+            best_label[ray[closer]] = box.class_id
 
-    hit = np.isfinite(best_t)
-    t = best_t[hit]
-    points = dirs_sensor[hit] * t[:, None]
+    hit = np.flatnonzero(np.isfinite(best_t))
+    t = best_t.take(hit)
+    points = dirs_sensor.take(hit, axis=0) * t[:, None]
     feat = (t / RANGE_NORM)[:, None]
-    return PointCloud(points, feat), best_label[hit]
+    return PointCloud(points, feat), best_label.take(hit)
 
 
 def generate_sequence(scene: Scene, beams: BeamSpec, poses: Sequence[Pose],

@@ -20,8 +20,7 @@ from occspot.learn.losses import _check_pair, lovasz_grad
 from occspot.learn.model import _patches
 from occspot.occupancy import (GridSpec, OccupancyGrid, _rotate_z, aggregate,
                                split_dynamic_static, voxelize_bev)
-from occspot.synth import (_RAY_EPS, RANGE_NORM, SceneParams, _ray_box_hits,
-                           _ray_directions)
+from occspot.synth import _RAY_EPS, RANGE_NORM, SceneParams, _ray_directions
 
 
 def toy_config(**kw) -> PipelineConfig:
@@ -75,17 +74,49 @@ def scene_surface_distance(p, scene) -> float:
     return best
 
 
+def _ray_box_hits(origin: np.ndarray, dirs: np.ndarray, box: BoxLabel) -> np.ndarray:
+    """Slab test; returns per-ray hit distance (inf where the box is missed)."""
+    c, s = math.cos(-box.yaw), math.sin(-box.yaw)
+    o = origin - box.center
+    ox, oy = c * o[0] - s * o[1], s * o[0] + c * o[1]
+    dx = c * dirs[:, 0] - s * dirs[:, 1]
+    dy = s * dirs[:, 0] + c * dirs[:, 1]
+    local_o = np.array([ox, oy, o[2]])
+    local_d = np.stack([dx, dy, dirs[:, 2]], axis=-1)
+
+    half = np.array([box.l, box.w, box.h]) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo = (-half - local_o) / local_d
+        t_hi = (half - local_o) / local_d
+    near = np.fmin(t_lo, t_hi)
+    far = np.fmax(t_lo, t_hi)
+    # rays parallel to a slab: inside -> (-inf, inf), outside -> no overlap
+    parallel = local_d == 0.0
+    inside = np.abs(local_o) <= half
+    near = np.where(parallel, np.where(inside, -np.inf, np.inf), near)
+    far = np.where(parallel, np.where(inside, np.inf, -np.inf), far)
+
+    t_min = near.max(axis=1)
+    t_max = far.min(axis=1)
+    t = np.where(t_min > _RAY_EPS, t_min, t_max)
+    hit = (t_max >= t_min) & (t > _RAY_EPS) & np.isfinite(t)
+    return np.where(hit, t, np.inf)
+
+
 def scan_reference(scene, beams, sensor_pose, time_s: float = 0.0):
-    """Unculled ``synth.scan``: the slab test on every ray for every box.
+    """Unculled, per-box ``synth.scan``: the slab test of each box in turn
+    on every ray.
 
     Unlike the other oracles here, this one shares the library's slab
-    arithmetic (``_ray_box_hits``) on purpose.  It is the reference for the
-    bounding-sphere cull in ``scan``, and the property under test is
+    arithmetic on purpose: :func:`_ray_box_hits` is the per-box form of
+    ``synth._slab_hits``, kept from before the culled, batched ``scan``.
+    It is the reference for the sector windows, the sphere test and the
+    batched slab test in ``scan``, and the property under test is
     bit-identity: the cull may skip only rays that miss the box, and must
     never change a hit distance or label.  Updates use ``np.where`` over
     all rays, as ``scan`` did before the cull.
     """
-    dirs_sensor = _ray_directions(beams)
+    dirs_sensor, _ = _ray_directions(beams)
     dirs_world = dirs_sensor @ sensor_pose.rotation.T
     origin = sensor_pose.translation
     best_t = np.full(dirs_world.shape[0], np.inf)

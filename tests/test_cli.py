@@ -199,6 +199,22 @@ def test_unreadable_config_is_a_config_error(tmp_path, damage, capsys):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("alpha_up, why", [
+    (95.0, "must lie in [-90, 90] degrees, got 95.0"),
+    (math.nan, "expected finite float, got nan"),
+])
+def test_beam_elevation_past_a_pole_is_a_config_error(tmp_path, alpha_up, why,
+                                                      capsys):
+    config = tmp_path / "pole.json"
+    config.write_text(json.dumps({**MINI, "beams": {"source": {
+        **MINI["beams"]["source"], "alpha_up": alpha_up}}}))
+    assert main(["gen-scenes", "--config", str(config),
+                 "--out", str(tmp_path / "data")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: beams.source.alpha_up: {why}\n")
+    assert not (tmp_path / "data").exists()
+
+
 def test_pretrain_has_no_augment_switch(tmp_path, config, capsys):
     # no augmentation is flip probabilities 0 and no beam targets in the config
     with pytest.raises(SystemExit) as exc:

@@ -87,6 +87,10 @@ MALFORMED = [
      "beams.source.n_beams"),
     ('{"beams": {"targets": [{"n_beams": 4, "alpha_up": 1.0, "alpha_low": -1.0,'
      ' "azimuth_steps": 0}]}}', "beams.targets[0].azimuth_steps"),
+    ('{"beams": {"source": {"n_beams": 8, "alpha_up": 90.5, "alpha_low": 1.0}}}',
+     "beams.source.alpha_up"),
+    ('{"beams": {"targets": [{"n_beams": 4, "alpha_up": 1.0,'
+     ' "alpha_low": -91}]}}', "beams.targets[0].alpha_low"),
     ('{"train": {"bogus": 1}}', "train"),
     ('[]', "<root>"),
 ]
@@ -161,9 +165,10 @@ def number(lo, hi):
     return st.floats(lo, hi) | st.integers(math.ceil(lo), math.floor(hi))
 
 
-def ascending(n=2):
-    """`n` strictly increasing numbers, still distinct as floats."""
-    return st.lists(number(-1e6, 1e6), min_size=n, max_size=n,
+def ascending(n=2, lo=-1e6, hi=1e6):
+    """`n` strictly increasing numbers in [lo, hi], still distinct as
+    floats."""
+    return st.lists(number(lo, hi), min_size=n, max_size=n,
                     unique_by=float).map(sorted)
 
 
@@ -173,7 +178,7 @@ def positive(hi=1e6):
 
 @st.composite
 def beams(draw):
-    low, up = draw(ascending())
+    low, up = draw(ascending(lo=-90, hi=90))  # elevations, in degrees
     doc = {"n_beams": draw(st.integers(1, 256)), "alpha_up": up, "alpha_low": low}
     if draw(st.booleans()):
         doc["azimuth_steps"] = draw(st.integers(1, 4000))

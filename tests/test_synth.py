@@ -5,9 +5,11 @@ import pytest
 
 from helpers import point_in_box_brute, scan_reference, scene_surface_distance
 
-from occspot.cloud import BoxLabel, Pose, to_spherical, transform
+from occspot import synth
+from occspot.cloud import BoxLabel, FieldError, Pose, to_spherical, transform
 from occspot.synth import (BeamSpec, Scene, SceneParams, _ray_directions,
-                           build_scene, generate_sequence, scan)
+                           _sector_windows, build_scene, generate_sequence,
+                           scan)
 
 
 def down_beams(n=16, steps=90):
@@ -33,22 +35,53 @@ class TestBeamSpec:
         b = BeamSpec(1, -44.0, -46.0)
         assert np.rad2deg(b.elevations()) == pytest.approx([-45.0])
 
+    @pytest.mark.parametrize("name", ["alpha_up", "alpha_low"])
+    @pytest.mark.parametrize("value", [90.5, -90.5, 1e300, math.inf,
+                                       -math.inf, math.nan])
+    def test_elevation_past_a_pole_is_rejected(self, name, value):
+        # past a pole a ray's azimuth flips by pi
+        kwargs = {"n_beams": 4, "alpha_up": 10.0, "alpha_low": -10.0,
+                  name: value}
+        with pytest.raises(FieldError, match="must lie in \\[-90, 90\\]") as info:
+            BeamSpec(**kwargs)
+        assert info.value.field == name
+
+    def test_poles_are_accepted(self):
+        b = BeamSpec(3, 90.0, -90.0, 8)
+        assert np.rad2deg(b.elevations()).tolist() == [-90.0, 0.0, 90.0]
+
     def test_ray_directions_are_cached_read_only(self):
         b = BeamSpec(4, 10.0, -10.0, 12)
-        dirs = _ray_directions(b)
-        assert _ray_directions(BeamSpec(4, 10.0, -10.0, 12)) is dirs
-        assert not dirs.flags.writeable
-        with pytest.raises(ValueError):
-            dirs[0, 0] = 1.0
+        dirs, el = _ray_directions(b)
+        again = _ray_directions(BeamSpec(4, 10.0, -10.0, 12))
+        assert again[0] is dirs and again[1] is el
+        assert dirs.shape == (48, 3) and el.tobytes() == b.elevations().tobytes()
+        for arr in (dirs, el):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_rays_form_an_elevation_by_azimuth_grid(self):
+        # ray i * azimuth_steps + k: elevation i, azimuth k
+        b = BeamSpec(5, 40.0, -50.0, 7)
+        dirs, el = _ray_directions(b)
+        grid = dirs.reshape(5, 7, 3)
+        np.testing.assert_allclose(np.arcsin(grid[..., 2]),
+                                   np.repeat(el[:, None], 7, axis=1), atol=1e-12)
+        az = np.arctan2(grid[..., 0], grid[..., 1])
+        np.testing.assert_allclose(np.exp(1j * az),
+                                   np.exp(1j * b.azimuths())[None, :].repeat(5, 0),
+                                   atol=1e-12)
 
     def test_ray_directions_tell_signed_zeros_apart(self):
         # equal specs, but the -0.0 elevation casts rays with z = -0.0
         plus, minus = BeamSpec(3, 0.0, -20.0, 4), BeamSpec(3, -0.0, -20.0, 4)
         assert plus == minus
-        a, b = _ray_directions(plus), _ray_directions(minus)
+        (a, el_a), (b, el_b) = _ray_directions(plus), _ray_directions(minus)
         assert np.array_equal(a, b)
         assert a.tobytes() != b.tobytes()
         assert np.signbit(b[:, 2]).all() and not np.signbit(a[-4:, 2]).any()
+        assert np.signbit(el_b[-1]) and not np.signbit(el_a[-1])
 
 
 class TestBuildScene:
@@ -173,10 +206,10 @@ def assert_matches_reference(scene, beams, pose, time_s=0.0):
     """`scan` (culled) equals the unculled reference bit for bit."""
     cloud, labels = scan(scene, beams, pose, time_s=time_s)
     ref_cloud, ref_labels = scan_reference(scene, beams, pose, time_s=time_s)
-    assert np.array_equal(cloud.xyz, ref_cloud.xyz)
-    assert np.array_equal(cloud.feat, ref_cloud.feat)
-    assert np.array_equal(labels, ref_labels)
-    assert labels.dtype == ref_labels.dtype
+    for got, want in ((cloud.xyz, ref_cloud.xyz), (cloud.feat, ref_cloud.feat),
+                      (labels, ref_labels)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
     return labels
 
 
@@ -218,11 +251,20 @@ class TestScanCulling:
         assert len(labels) == self.WIDE.n_beams * self.WIDE.azimuth_steps
         assert (labels == 2).all()
 
+    def test_ties_go_to_the_ground_then_the_earlier_box(self):
+        # a box sunk so its top face is the ground plane, and two equal boxes
+        sunk = BoxLabel(0.0, 6.0, -1.0, 4.0, 4.0, 2.0, 0.0, class_id=3)
+        first = BoxLabel(0.0, -6.0, 1.0, 2.0, 2.0, 2.0, 0.3, class_id=1)
+        second = BoxLabel(0.0, -6.0, 1.0, 2.0, 2.0, 2.0, 0.3, class_id=2)
+        scene = Scene(ground_z=0.0, objects=(sunk, first, second))
+        labels = assert_matches_reference(scene, down_beams(16, 90), sensor(2.0))
+        assert 1 in labels and 2 not in labels and 3 not in labels
+
     def test_boxes_behind_sensor(self):
         # one vertical fan of rays; every box sits on the opposite side
         beams = BeamSpec(n_beams=8, alpha_up=20.0, alpha_low=-20.0,
                          azimuth_steps=1)
-        ahead = _ray_directions(beams).mean(axis=0)
+        ahead = _ray_directions(beams)[0].mean(axis=0)
         ahead /= np.linalg.norm(ahead)
         objects = tuple(
             BoxLabel(*(-d * ahead + [0.0, 0.0, 2.0] + off), 1.5, 1.0, 2.0,
@@ -240,7 +282,7 @@ class TestScanCulling:
         beams = BeamSpec(n_beams=32, alpha_up=10.0, alpha_low=-20.0,
                          azimuth_steps=90)
         pose = Pose(rotation(0.3, 0.05, -0.02), (1.0, -2.0, 1.7))
-        dirs = _ray_directions(beams) @ pose.rotation.T
+        dirs = _ray_directions(beams)[0] @ pose.rotation.T
         objects = []
         for i, ray in enumerate(rng.choice(len(dirs), size=40, replace=False)):
             p = pose.translation + rng.uniform(3.0, 25.0) * dirs[ray]
@@ -264,6 +306,163 @@ class TestScanCulling:
         assert_matches_reference(scene, flat, sensor(1.7))
 
 
+def sphere_rays(boxes, dirs_world, origin):
+    """Per box, the rays that pass `scan`'s bounding-sphere test when it
+    runs on every ray."""
+    for box in boxes:
+        radius = 0.5 * math.hypot(box.l, box.w, box.h) * (1.0 + 1e-6) + 1e-6
+        oc = box.center - origin
+        oc2 = float(oc @ oc)
+        proj = dirs_world @ oc
+        yield np.flatnonzero((proj >= -radius)
+                             & (oc2 - proj * proj <= radius * radius + 1e-8 * oc2))
+
+
+def unit(v):
+    return np.asarray(v, dtype=np.float64) / np.linalg.norm(v)
+
+
+class TestScanStress:
+    """Seeded adversarial scenes: every box's sector window holds every
+    ray its sphere test keeps, and `scan` equals `scan_reference` bit for
+    bit."""
+
+    FAMILIES = ("random", "tilted", "seam", "poles", "near", "tangent",
+                "one-beam-or-step", "no-ground", "signed-zero")
+    SEEDS = 48
+
+    def make_beams(self, rng, family):
+        n_beams, steps = int(rng.integers(2, 24)), int(rng.integers(8, 180))
+        low = float(rng.uniform(-60.0, 10.0))
+        up = float(rng.uniform(low + 0.5, 30.0))
+        if family == "poles":
+            low, up = [(float(rng.uniform(60.0, 89.0)), 90.0),
+                       (-90.0, float(rng.uniform(-89.0, -60.0))),
+                       (-90.0, 90.0)][rng.integers(3)]
+        elif family == "one-beam-or-step":
+            n_beams, steps = [(1, steps), (n_beams, 1), (1, 1)][rng.integers(3)]
+        elif family == "signed-zero":
+            # the top beam casts rays with z = -0.0
+            low, up = min(low, -1.0), -0.0
+        return BeamSpec(n_beams, up, low, steps)
+
+    def make_pose(self, rng, family):
+        tilt = 1.5 if family == "tilted" else 0.1
+        rot = rotation(rng.uniform(-math.pi, math.pi), rng.uniform(-tilt, tilt),
+                       rng.uniform(-tilt, tilt))
+        if family == "tilted":
+            # orthonormal only to within what Pose accepts
+            rot = rot + rng.uniform(-2e-10, 2e-10, size=(3, 3))
+        return Pose(rot, rng.uniform(-5.0, 5.0, size=3) + [0.0, 0.0, 2.0])
+
+    def box_direction(self, rng, family, dirs_sensor):
+        """A sensor-frame unit vector towards a box centre."""
+        if family == "seam":  # azimuth +-pi: straight along -y
+            az = math.pi + rng.uniform(-0.05, 0.05)
+            el = rng.uniform(-0.6, 0.6)
+            return np.array([math.cos(el) * math.sin(az),
+                             math.cos(el) * math.cos(az), math.sin(el)])
+        if family == "poles":
+            return unit([*rng.normal(0.0, 0.05, size=2), rng.choice([-1.0, 1.0])])
+        ray = dirs_sensor[rng.integers(len(dirs_sensor))]
+        return unit(ray + rng.normal(0.0, 0.02, size=3))
+
+    def tangent_centre(self, rng, ray, radius):
+        """A centre whose widened sphere the ray `ray` only just meets or
+        only just misses, at sin^2 of the angle R^2/|oc|^2 or, far away,
+        R^2/|oc|^2 + 1e-8 (the test's slack)."""
+        sphere = radius * (1.0 + 1e-6) + 1e-6
+        side = unit(np.cross(ray, rng.normal(size=3)))
+        if rng.random() < 0.5:
+            dist = rng.uniform(2.2, 40.0) * sphere
+            sin2 = (sphere / dist) ** 2
+        else:
+            dist = rng.uniform(1e3, 1e4)
+            sin2 = (sphere / dist) ** 2 + 1e-8
+        sin2 *= 1.0 + rng.choice([-1e-9, 1e-9])
+        phi = math.asin(math.sqrt(sin2))
+        return dist * (math.cos(phi) * ray + math.sin(phi) * side)
+
+    def make_case(self, family, seed):
+        rng = np.random.default_rng([self.FAMILIES.index(family), seed])
+        beams = self.make_beams(rng, family)
+        pose = self.make_pose(rng, family)
+        dirs_sensor, _ = _ray_directions(beams)
+        boxes = []
+        for i in range(int(rng.integers(1, 10))):
+            l, w, h = rng.uniform(0.3, 4.0, size=3)
+            radius = 0.5 * math.hypot(l, w, h)
+            if family == "tangent":
+                offset = self.tangent_centre(
+                    rng, dirs_sensor[rng.integers(len(dirs_sensor))], radius)
+            else:
+                far = rng.uniform(0.0, 2.5) * radius if family == "near" \
+                    else rng.uniform(1.0, 30.0)
+                offset = far * self.box_direction(rng, family, dirs_sensor)
+            centre = pose.translation + pose.rotation @ offset
+            dynamic = bool(rng.random() < 0.3)
+            vx, vy = rng.uniform(-2.0, 2.0, size=2) if dynamic else (0.0, 0.0)
+            boxes.append(BoxLabel(*centre, l, w, h,
+                                  float(rng.uniform(-math.pi, math.pi)),
+                                  vx, vy, class_id=1 + i % 5, is_dynamic=dynamic))
+        no_ground = family == "no-ground" or rng.random() < 0.2
+        ground_z = None if no_ground else float(rng.uniform(-1.0, 1.0))
+        scene = Scene(ground_z=ground_z, objects=tuple(boxes))
+        return scene, beams, pose, 0.0 if rng.random() < 0.5 else 0.25
+
+    def test_window_covers_a_rotation_orthonormal_only_to_tolerance(self):
+        # a tiny box 5 km along +x, and one ray 1.03e-4 rad above it; the
+        # rotation stretches x by 4.9e-10, which Pose accepts, so the ray
+        # passes the sphere test although sin^2 of its angle is above
+        # R^2/|oc|^2 + 1e-8
+        rot = np.diag([1.0 + 4.9e-10, 1.0 - 2.45e-10, 1.0 - 2.45e-10])
+        pose = Pose(rot, (0.0, 0.0, 2.0))
+        mid = math.degrees(1.03e-4)
+        beams = BeamSpec(1, mid + 1.0, mid - 1.0, azimuth_steps=4)  # col 3: +x
+        box = BoxLabel(5000.0, 0.0, 2.0, 0.01, 0.01, 0.01, 0.0, class_id=1)
+        dirs, el = _ray_directions(beams)
+        [kept] = sphere_rays([box], dirs @ rot.T, pose.translation)
+        assert kept.tolist() == [3]
+        oc = (box.center - pose.translation)[None, :]
+        radius = 0.5 * math.hypot(0.01, 0.01, 0.01) * (1.0 + 1e-6) + 1e-6
+        [(r0, r1, c0, nc)] = _sector_windows(beams, el, oc @ rot,
+                                             np.einsum("ij,ij->i", oc, oc),
+                                             np.array([radius]))
+        assert (r0, r1) == (0, 1) and 3 in (c0 + np.arange(nc)) % 4
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_windows_hold_the_sphere_test_and_scan_matches_reference(self, family):
+        seen = {"box hits": 0, "seam": 0, "every column": 0, "every ray": 0}
+        for seed in range(self.SEEDS):
+            scene, beams, pose, time_s = self.make_case(family, seed)
+            dirs_sensor, el = _ray_directions(beams)
+            dirs_world = dirs_sensor @ pose.rotation.T
+            boxes = scene.boxes_at(time_s)
+            radius = np.array([0.5 * math.hypot(b.l, b.w, b.h) * (1.0 + 1e-6)
+                               + 1e-6 for b in boxes])
+            oc = np.array([b.center for b in boxes]) - pose.translation
+            windows = _sector_windows(beams, el, oc @ pose.rotation,
+                                      np.einsum("ij,ij->i", oc, oc), radius)
+            n_az = beams.azimuth_steps
+            for kept, (r0, r1, c0, nc) in zip(
+                    sphere_rays(boxes, dirs_world, pose.translation), windows):
+                window = (np.arange(r0, r1)[:, None] * n_az
+                          + (c0 + np.arange(nc)) % n_az).ravel()
+                assert np.isin(kept, window).all(), (family, seed)
+                seen["seam"] += c0 + nc > n_az
+                seen["every column"] += nc == n_az and n_az > 1
+                seen["every ray"] += (r1 - r0) * nc == len(dirs_sensor)
+            labels = assert_matches_reference(scene, beams, pose, time_s)
+            seen["box hits"] += int((labels != scene.ground_class).sum())
+        assert seen["box hits"] > 0, seen
+        if family == "seam":
+            assert seen["seam"] > 0, seen
+        if family == "poles":
+            assert seen["every column"] > 0, seen
+        if family == "near":
+            assert seen["every ray"] > 0, seen
+
+
 class TestSequence:
     def make_poses(self, n, hz=10.0, speed=0.0):
         return [Pose(np.eye(3), (speed * i / hz, 0.0, 2.0)) for i in range(n)]
@@ -276,6 +475,21 @@ class TestSequence:
         assert len(seq.frames) == 1
         np.testing.assert_array_equal(seq.frames[0].xyz, cloud.xyz)
         np.testing.assert_array_equal(seq.labels[0], labels)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_frame_goes_through_the_module_scan(self, monkeypatch, workers):
+        # perfbench wraps synth.scan to time and count every frame
+        scene = build_scene(SceneParams(n_objects=3), seed=5)
+        real, seen = synth.scan, []
+
+        def counting(scene, beams, pose, time_s):
+            seen.append((pose, time_s))
+            return real(scene, beams, pose, time_s)
+
+        monkeypatch.setattr(synth, "scan", counting)
+        poses = self.make_poses(3)
+        generate_sequence(scene, down_beams(), poses, 10.0, workers=workers)
+        assert sorted(seen, key=lambda pt: pt[1]) == list(zip(poses, [0.0, 0.1, 0.2]))
 
     def test_static_scene_fused_points_on_surfaces(self):
         params = SceneParams(n_objects=8, dynamic_fraction=0.0)
