@@ -172,10 +172,6 @@ class BoxLabel:
     def center(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.cz])
 
-    @property
-    def speed(self) -> float:
-        return math.hypot(self.vx, self.vy)
-
     def at_time(self, dt: float) -> "BoxLabel":
         """Box displaced by its constant velocity over `dt` seconds."""
         if not self.is_dynamic or dt == 0.0:

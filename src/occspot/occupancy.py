@@ -15,30 +15,29 @@ tie at the k-th distance goes to the lower fused-point index, in the order
 :func:`aggregate` emits.  So the grid depends on the points alone, not on
 the structure that searches them.
 
-The search is exact and runs over the BEV cells.  Every fused point is
-binned once (``GridSpec.bin_points``), and the bins serve the votes of
-:func:`voxelize_bev`, the windows and the searches.  A step at half-width
-``h`` first takes the window of the cloud (``_window``): the points whose z
-lies within ``h`` of the column centers' height and whose xy cell lies
-within ``ceil(h / cell)`` cells of one of the cells in question.  A z slack
-and the half cell between the window's last cell and ``h`` cover rounding,
-so every point left out is farther than ``h`` from each of those centers,
-in computed distance too.  A cell's candidates are the window's points in
-the cells within that reach of it (``_pairs``), and only the pairs at
-squared distance at most ``h**2`` count.
+The search is exact and runs over the BEV cells (:func:`knn_label`).
+Every fused point is binned once (``GridSpec.bin_points``), and the bins
+serve the votes of :func:`voxelize_bev`, the windows and the searches.  A
+round at half-width ``h`` first takes the window of the cloud
+(``_window``): the points whose z lies within ``h`` of the column centers'
+height and whose xy cell lies within ``ceil(h / cell)`` cells of one of the
+cells in question.  A z slack and the half cell between the window's last
+cell and ``h`` cover rounding, so every point left out is farther than
+``h`` from each of those centers, in computed distance too.  A cell's
+candidates are the window's points in the cells within that reach of it
+(``_pairs``), and only the pairs at squared distance at most ``h**2``
+count.  The first round has ``h = radius`` and takes every empty cell.
 
-- **Radius test** (``h = radius``, the empty cells): a cell is near when
-  one of its pairs counts, which holds exactly when a point of the whole
-  cloud lies within the radius of its center.
-- **Neighbor vote** (the near cells, ``h = 2 * radius`` at first): a cell
-  with at least k counted pairs is labeled from its k nearest among them.
-  No point outside them comes within ``h``, so they are the whole cloud's k
-  nearest, ties included.  The other cells go to the next round with ``h``
-  doubled.
-- **Termination**: the round whose window would hold every point, or cover
-  the cloud's bounding box, labels every cell left with :func:`knn_label`,
-  a brute force over the whole cloud.  Since ``h`` doubles, that round
-  always comes.
+- **Radius test** (the first round): a cell with no counted pair has no
+  point of the whole cloud within the radius of its center, and stays 0.
+- **Neighbor vote**: a cell with at least k counted pairs is labeled from
+  its k nearest among them.  No point outside them comes within ``h``, so
+  they are the whole cloud's k nearest, ties included.  The other cells go
+  to the next round with ``h`` doubled.
+- **Termination**: once ``h`` passes a cell's k-th nearest distance, all
+  of those k points lie within ``h`` and the window keeps them, so they
+  are counted pairs and the cell is fixed.  Since ``h`` doubles, every
+  cell is fixed in finitely many rounds (k is capped at the cloud's size).
 
 The split tests a point against a box exactly only when it lies inside the
 box's widened xy bounding circle, and votes are integer counts from one
@@ -56,14 +55,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cloud import BoxLabel, FieldError, LidarSequence, validate_labels
 
 __all__ = [
-    "CLASS_NAMES", "DEFAULT_N_CLS", "GridSpec", "OccupancyGrid", "SplitResult",
+    "CLASS_NAMES", "DEFAULT_N_CLS", "GridSpec", "OccupancyGrid",
     "split_dynamic_static", "aggregate", "knn_label", "voxelize_bev",
     "make_occupancy",
 ]
@@ -76,8 +75,7 @@ CLASS_NAMES = (
 )
 DEFAULT_N_CLS = len(CLASS_NAMES) - 1
 
-#: (query, point) pairs the neighbor search, and distances the brute force
-#: of ``knn_label``, hold at a time
+#: (query, point) pairs the neighbor search holds at a time
 _PAIRS = 1 << 16
 
 
@@ -156,18 +154,10 @@ class OccupancyGrid:
         return int((self.labels != 0).sum())
 
 
-class SplitResult(NamedTuple):
-    """Index partition of one frame into static and dynamic points."""
-
-    static_index: np.ndarray   # indices of static points, ascending
-    dynamic_index: np.ndarray  # indices of dynamic points, ascending
-    box_index: np.ndarray      # owning box per dynamic point, aligned
-
-
 def split_dynamic_static(xyz: np.ndarray, boxes: Sequence[BoxLabel],
-                         atol: float) -> SplitResult:
-    """Partition the (N, 3) points `xyz`: dynamic iff inside a dynamic box
-    (inclusive bounds).
+                         atol: float) -> np.ndarray:
+    """The (N,) int64 owner of each of the (N, 3) points `xyz`: the index of
+    the dynamic box it lies in (inclusive bounds), or -1 for a static point.
 
     A box is dynamic iff its ``is_dynamic`` flag is set; its speed plays no
     part.  Points inside several dynamic boxes go to the lowest box index.
@@ -194,9 +184,7 @@ def split_dynamic_static(xyz: np.ndarray, boxes: Sequence[BoxLabel],
         cand = np.flatnonzero(dx <= radius * radius)
         cand = cand[owner[cand] == -1]
         owner[cand[box.contains(xyz[cand], atol=atol)]] = bi
-    dynamic = np.nonzero(owner >= 0)[0]
-    static = np.nonzero(owner == -1)[0]
-    return SplitResult(static, dynamic, owner[dynamic])
+    return owner
 
 
 def _rotate_z(xy: np.ndarray, angle: float) -> np.ndarray:
@@ -237,10 +225,11 @@ def aggregate(seq: LidarSequence, keyframe: int) -> tuple[np.ndarray, np.ndarray
         world += pose.translation
         if not any(box.is_dynamic for box in boxes):
             continue
-        split = split_dynamic_static(world, boxes, atol=1e-9)
-        for bi in np.unique(split.box_index):
+        owner = split_dynamic_static(world, boxes, atol=1e-9)
+        dynamic = np.flatnonzero(owner >= 0)
+        for bi in np.unique(owner[dynamic]):
             src, dst = boxes[bi], key_boxes[bi]
-            pts = split.dynamic_index[split.box_index == bi]
+            pts = dynamic[owner[dynamic] == bi]
             local = world[pts] - src.center
             local[:, :2] = _rotate_z(local[:, :2], -src.yaw)
             local[:, :2] = _rotate_z(local[:, :2], dst.yaw)
@@ -311,37 +300,6 @@ def _nearest_vote(q: np.ndarray, pt: np.ndarray, d2: np.ndarray, n_q: int,
     return fixed, _plurality(votes, n_cls)
 
 
-def knn_label(points: np.ndarray, fused_labels: np.ndarray,
-              queries: np.ndarray, k: int, n_cls: int) -> np.ndarray:
-    """Majority label of the k nearest of the (N, 3) `points` per row of the
-    (Q, 3) float array `queries`.
-
-    Nearest is by squared Euclidean distance, and a tie at the k-th
-    distance goes to the lower index into `points` (the module docstring's
-    rule); `fused_labels` is aligned with `points`.  An exact brute force,
-    a chunk of queries at a time; :func:`make_occupancy` runs it over the
-    whole fused cloud for the cells its windows leave.  Vote ties go to the
-    smaller class id, with empty last.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    queries = np.asarray(queries, dtype=np.float64)
-    n = len(points)
-    if n == 0:
-        raise ValueError("cannot KNN-label against an empty fused cloud")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    fl = validate_labels(fused_labels, n, n_cls)
-    kq, step = min(k, n), max(1, _PAIRS // n)
-    out = np.empty(len(queries), dtype=np.int64)
-    for at in range(0, len(queries), step):
-        d2 = _sq_dist(points, queries[at:at + step, None])
-        n_q = len(d2)
-        _, out[at:at + n_q] = _nearest_vote(
-            np.repeat(np.arange(n_q), n), np.tile(np.arange(n), n_q),
-            d2.ravel(), n_q, kq, fl, n_cls)
-    return out
-
-
 def voxelize_bev(bins: tuple[np.ndarray, np.ndarray, np.ndarray],
                  labels: np.ndarray, spec: GridSpec) -> OccupancyGrid:
     """Each BEV cell's plurality label over the points ``spec.bin_points``
@@ -404,8 +362,10 @@ def _pairs(xyz: np.ndarray, ii: np.ndarray, jj: np.ndarray, pts: np.ndarray,
     along both axes, which holds every point within `half` (see
     :func:`_window`).  The window is bucketed by cell with one sort, so a
     query's candidates in one bucket row are one slice of the sorted points,
-    and the slices of every query and row expand in one pass.  ``q``
-    ascends, and a chunk holds about ``_PAIRS`` candidates.
+    found by binary search, and the slices of every query and row expand in
+    one pass.  No table spans the window's cells, so a window that reaches
+    far costs its points, not its area.  ``q`` ascends, and a chunk holds
+    about ``_PAIRS`` candidates.
     """
     if pts.size == 0:
         return
@@ -414,18 +374,17 @@ def _pairs(xyz: np.ndarray, ii: np.ndarray, jj: np.ndarray, pts: np.ndarray,
     i0, j0 = pi.min(), pj.min()
     rows, cols = int(pi.max() - i0) + 1, int(pj.max() - j0) + 1
     key = (pi - i0) * cols + (pj - j0)
-    pts = pts[np.argsort(key)]
+    order = np.argsort(key)
+    pts, key = pts[order], key[order]
     coords = xyz[pts]
-    start = np.zeros(rows * cols + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key, minlength=rows * cols), out=start[1:])
     # one slice per (query, bucket row) that the query's reach meets
     di = np.arange(max(-reach, i0 - qi.max()),
                    min(reach, i0 + rows - 1 - qi.min()) + 1)
     row = qi[:, None] + (di - i0)
     meets = (row >= 0) & (row < rows)
     row = np.clip(row, 0, rows - 1) * cols
-    lo = start[row + np.clip(qj - reach - j0, 0, cols)[:, None]]
-    hi = start[row + np.clip(qj + reach + 1 - j0, 0, cols)[:, None]]
+    lo = np.searchsorted(key, row + np.clip(qj - reach - j0, 0, cols)[:, None])
+    hi = np.searchsorted(key, row + np.clip(qj + reach + 1 - j0, 0, cols)[:, None])
     count = np.where(meets, hi - lo, 0)
     per_query = count.sum(axis=1)
     before = np.cumsum(per_query) - per_query
@@ -442,75 +401,65 @@ def _pairs(xyz: np.ndarray, ii: np.ndarray, jj: np.ndarray, pts: np.ndarray,
         a = b
 
 
+def knn_label(xyz: np.ndarray, fused_labels: np.ndarray,
+              bins: tuple[np.ndarray, np.ndarray, np.ndarray],
+              cells: np.ndarray, spec: GridSpec, radius: float,
+              k: int) -> np.ndarray:
+    """The label of each cell of the (H, W) bool mask `cells`, in row-major
+    order: 0 unless a point of the (N, 3) fused cloud `xyz` lies within
+    `radius` of the cell's column center (cell center at ``z_mid``), and
+    otherwise the majority of the cell's k nearest points.
+
+    `bins` is ``spec.bin_points(xyz)`` and `fused_labels` is aligned with
+    `xyz`.  Nearest ranks by squared distance and then by fused index, and
+    vote ties go to the smaller class id, with empty last.  The rounds of
+    the module docstring find every label exactly.
+    """
+    fused_labels = validate_labels(fused_labels, len(xyz), spec.n_cls)
+    kq = min(k, len(xyz))
+    ii, jj, _ = bins
+    qi, qj = np.nonzero(cells)
+    xx, yy = spec.cell_centers()
+    centers = np.stack([xx[qi, qj], yy[qi, qj], np.full(qi.size, spec.z_mid)],
+                       axis=-1)
+    out = np.zeros(qi.size, dtype=np.int64)
+    rest, half = np.arange(qi.size), radius
+    while rest.size:
+        mask = np.zeros_like(cells)
+        mask[qi[rest], qj[rest]] = True
+        pts = _window(xyz[:, 2], ii, jj, spec, mask, half)
+        # a cell without a pair in the first round is far, and stays 0
+        first = half == radius
+        done = np.full(rest.size, first)
+        for queries, q, pt, d2 in _pairs(xyz, ii, jj, pts, qi[rest], qj[rest],
+                                         centers[rest], half, spec):
+            n_q = len(done[queries])
+            fixed, labels = _nearest_vote(q, pt, d2, n_q, kq, fused_labels,
+                                          spec.n_cls)
+            out[rest[queries][fixed]] = labels
+            done[queries] = fixed | first & (np.bincount(q, minlength=n_q) == 0)
+        rest, half = rest[~done], 2.0 * half
+    return out
+
+
 def make_occupancy(seq: LidarSequence, spec: GridSpec, keyframe: int,
                    densify: bool, radius: float, k: int) -> OccupancyGrid:
     """Occupancy of `seq` at `keyframe`: aggregate -> voxelize (+ KNN densify).
 
-    Densification labels only currently-empty cells whose 3D column center
-    (cell center at mid column height) lies within `radius` of any fused
-    point, so it can only add occupied cells, never remove them.  Each such
-    cell takes the majority label of its k nearest fused points, ranked by
-    squared distance and then by fused index.  Both steps search the cells
-    around each empty cell, over windows of the fused cloud that widen by
-    doubling until every cell's k nearest are fixed; the cells left at the
-    last round go to a brute force over the whole cloud.  Every label is
-    the whole cloud's, exactly (the module docstring gives the argument).
-    The split inside `aggregate` culls each box's exact point test by a
+    Densification labels only currently-empty cells, with
+    :func:`knn_label`: a cell whose column center lies within `radius` of a
+    fused point takes the majority label of its k nearest fused points, so
+    densification can only add occupied cells, never remove them.  The
+    split inside `aggregate` culls each box's exact point test by a
     bounding circle.  The fused points are built once, in place, and every
     step reads that one array.
     """
     xyz, fused_labels = aggregate(seq, keyframe)
     bins = spec.bin_points(xyz)
     grid = voxelize_bev(bins, fused_labels, spec)
-    if not densify or len(xyz) == 0:
+    if not densify:
         return grid
-
-    empty = grid.labels == 0
-    empty_i, empty_j = np.nonzero(empty)
-    if empty_i.size == 0:
-        return grid
-    xx, yy = spec.cell_centers()
-    centers = np.stack([xx[empty_i, empty_j], yy[empty_i, empty_j],
-                        np.full(empty_i.size, spec.z_mid)], axis=-1)
-    ii, jj, _ = bins
-    near = np.zeros(empty_i.size, dtype=bool)
-    for queries, q, _, _ in _pairs(
-            xyz, ii, jj, _window(xyz[:, 2], ii, jj, spec, empty, radius),
-            empty_i, empty_j, centers, radius, spec):
-        near[queries][q] = True
-    near = np.flatnonzero(near)
-    if near.size == 0:
-        return grid
-
-    n, kq = len(xyz), min(k, len(xyz))
     out = grid.labels.copy()
-    rest, half = near, 2.0 * radius
-    while True:
-        cells = np.zeros_like(empty)
-        cells[empty_i[rest], empty_j[rest]] = True
-        pts = _window(xyz[:, 2], ii, jj, spec, cells, half)
-        if pts.size == n:
-            break
-        done = np.zeros(rest.size, dtype=bool)
-        for queries, q, pt, d2 in _pairs(xyz, ii, jj, pts, empty_i[rest],
-                                         empty_j[rest], centers[rest], half,
-                                         spec):
-            fixed, labels = _nearest_vote(q, pt, d2, len(done[queries]), kq,
-                                         fused_labels, spec.n_cls)
-            at = rest[queries][fixed]
-            out[empty_i[at], empty_j[at]] = labels
-            done[queries] = fixed
-        rest, half = rest[~done], 2.0 * half
-        if rest.size == 0:
-            return OccupancyGrid(spec, out)
-        # a window that would cover the cloud's bounding box is the cloud;
-        # per column, as a reduction along axis 0 of (N, 3) is slower
-        lo = np.array([xyz[:, a].min() for a in range(3)])
-        hi = np.array([xyz[:, a].max() for a in range(3)])
-        c = centers[rest]
-        if np.maximum(hi - c, c - lo).max(axis=1).min() <= half:
-            break
-    # the last round: a brute force over the whole cloud labels every cell left
-    out[empty_i[rest], empty_j[rest]] = knn_label(
-        xyz, fused_labels, centers[rest], k, n_cls=spec.n_cls)
+    empty = out == 0
+    out[empty] = knn_label(xyz, fused_labels, bins, empty, spec, radius, k)
     return OccupancyGrid(spec, out)

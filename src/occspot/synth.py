@@ -380,12 +380,10 @@ def scan(scene: Scene, beams: BeamSpec, sensor_pose: Pose,
     Returns a sensor-frame cloud together with per-point semantic labels;
     rays that miss everything produce no point.
 
-    Each box tests only the rays of its window in the beam grid (see the
-    module docstring): the bounding-sphere test runs on the window, and
-    one slab test runs over the rays every box keeps.  A ray outside a
-    box's window misses that box, and a ray's hit distance depends only on
-    that ray and that box, so the output is identical, bit for bit, to the
-    slab test of every box on every ray.  Hits are applied box after box
+    Each box runs the bounding-sphere test on its window of the beam grid,
+    and one slab test runs over the rays every box keeps; the module
+    docstring's window argument shows the output is that of the slab test
+    of every box on every ray, bit for bit.  Hits are applied box after box
     with a strict ``<``: on a tie the ground, then the earlier box, wins.
     """
     dirs_sensor, elevations = _ray_directions(beams)

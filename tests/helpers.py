@@ -139,23 +139,21 @@ def scan_reference(scene, beams, sensor_pose, time_s: float = 0.0):
             best_label[hit])
 
 
-def split_reference(xyz, boxes, speed_threshold=None, atol: float = 0.0):
+def split_reference(xyz, boxes, atol: float = 0.0):
     """Unculled ``occupancy.split_dynamic_static`` of the (N, 3) points
     `xyz`: every point, every box.
 
     Like :func:`scan_reference`, this shares the library's exact test
     (``BoxLabel.contains``) on purpose: it is the reference for the
     bounding-circle cull, and the property under test is that the cull
-    skips only points the exact test rejects.  Returns the
-    ``(static_index, dynamic_index, box_index)`` arrays.
+    skips only points the exact test rejects.  Returns the (N,) owner
+    vector: the first dynamic box holding each point, or -1.
     """
     owner = np.full(len(xyz), -1, dtype=np.int64)
     for bi, box in enumerate(boxes):
-        fast = speed_threshold is not None and box.speed > speed_threshold
-        if box.is_dynamic or fast:
+        if box.is_dynamic:
             owner[box.contains(xyz, atol=atol) & (owner == -1)] = bi
-    dynamic = np.nonzero(owner >= 0)[0]
-    return np.nonzero(owner == -1)[0], dynamic, owner[dynamic]
+    return owner
 
 
 def aggregate_reference(seq, keyframe):
@@ -172,10 +170,10 @@ def aggregate_reference(seq, keyframe):
     parts = []
     for frame, pose, boxes in zip(seq.frames, seq.poses, seq.boxes):
         world = pose.apply(frame.xyz)
-        split = split_dynamic_static(world, boxes, atol=1e-9)
-        for bi in np.unique(split.box_index):
+        owner = split_dynamic_static(world, boxes, atol=1e-9)
+        for bi in np.unique(owner[owner >= 0]):
             src, dst = boxes[bi], key_boxes[bi]
-            pts = split.dynamic_index[split.box_index == bi]
+            pts = np.flatnonzero(owner == bi)
             local = world[pts] - src.center
             local[:, :2] = _rotate_z(local[:, :2], -src.yaw)
             local[:, :2] = _rotate_z(local[:, :2], dst.yaw)

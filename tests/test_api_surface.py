@@ -1,12 +1,13 @@
 """Every public name, and every defaulted parameter, is used by the package.
 
-A public name (one in a module's ``__all__``, or a module-level function or
-class without a leading underscore) that nothing in ``src/`` refers to,
-apart from its own definition, is code that only its tests reach: either a
-later change wires it in, or it goes.  Likewise a parameter with a default
-that no call in ``src/`` sets, by keyword or by position, is a setting only
-the tests change; and one that every call in ``src/`` sets has a default
-only the tests rely on.  Calls are matched to functions by name alone, so
+A public name (one in a module's ``__all__``, a module-level function or
+class without a leading underscore, or such a method or property of a
+module-level class) that nothing in ``src/`` refers to, apart from its own
+definition, is code that only its tests reach: either a later change wires
+it in, or it goes.  Likewise a parameter with a default that no call in
+``src/`` sets, by keyword or by position, is a setting only the tests
+change; and one that every call in ``src/`` sets has a default only the
+tests rely on.  Calls are matched to functions by name alone, so
 the checks may miss a parameter but never report a used one.  The
 allow-lists below name each exception and why it stays.
 """
@@ -65,8 +66,8 @@ def public(tree: ast.Module) -> set[str]:
 
 
 def references(tree: ast.Module, skip: ast.AST | None = None):
-    """Names this module reads, attribute names and imported names,
-    leaving out the subtree `skip`."""
+    """Names this module reads, attribute names (as ``.name``) and
+    imported names, leaving out the subtree `skip`."""
     stack = [tree]
     while stack:
         node = stack.pop()
@@ -75,7 +76,7 @@ def references(tree: ast.Module, skip: ast.AST | None = None):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield "." + node.attr
         elif isinstance(node, ast.alias):
             yield node.name
         stack.extend(ast.iter_child_nodes(node))
@@ -88,15 +89,28 @@ def definition(tree: ast.Module, name: str) -> ast.AST | None:
     return None
 
 
-def unreferenced() -> set[str]:
-    trees = parse_src()
+def members(tree: ast.Module):
+    """(name, definition, references that use it) of each :func:`public`
+    name, and of each public method or property of a module-level class as
+    ``Class.name``.  A method is used only as an attribute, by any object:
+    matching is by name alone."""
+    for name in public(tree):
+        yield name, definition(tree, name), {name, "." + name}
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("_")):
+                    yield f"{cls.name}.{node.name}", node, {"." + node.name}
+
+
+def unreferenced(trees: dict[str, ast.Module]) -> set[str]:
     used = {m: set(references(t)) for m, t in trees.items()}
     out = set()
     for module, tree in trees.items():
         elsewhere = set().union(*(u for m, u in used.items() if m != module))
-        for name in public(tree):
-            own = set(references(tree, definition(tree, name)))
-            if name not in own | elsewhere:
+        for name, node, uses in members(tree):
+            if not uses & (set(references(tree, node)) | elsewhere):
                 out.add(f"{module}.{name}")
     return out
 
@@ -172,7 +186,7 @@ def unused_defaults(trees: dict[str, ast.Module]) -> set[str]:
 
 
 def test_every_public_name_is_used_in_src():
-    assert unreferenced() == set(ALLOWED)
+    assert unreferenced(parse_src()) == set(ALLOWED)
 
 
 def test_the_check_sees_an_unused_name():
@@ -187,6 +201,23 @@ def test_the_check_sees_an_unused_name():
     assert public(tree) == {"used", "unused", "unlisted", "Unlisted"}
     assert "used" in set(references(tree, definition(tree, "used")))
     assert "unused" not in set(references(tree, definition(tree, "unused")))
+
+
+def test_the_check_sees_an_unused_method():
+    tree = ast.parse("class Box:\n"
+                     "    def used(self):\n        return self.size\n"
+                     "    @property\n"
+                     "    def size(self):\n        return 1\n"
+                     "    @property\n"
+                     "    def unused(self):\n        return self.unused\n"
+                     "    def _private(self):\n        return 2\n"
+                     "class _Hidden:\n"
+                     "    def orphan(self):\n        return 3\n"
+                     "unused, orphan = 4, 5\n"
+                     "print(unused, orphan)\n"  # a bare name is no use
+                     "Box().used()\n_Hidden()\n")
+    assert unreferenced({"toy": tree}) == {"toy.Box.unused",
+                                           "toy._Hidden.orphan"}
 
 
 def test_every_defaulted_parameter_is_set_in_src():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (aggregate_reference, box_surface_distance, cloud_of,
-                     knn_label_brute, make_occupancy_reference,
+                     make_occupancy_reference,
                      point_in_box_brute, scene_surface_distance,
                      split_reference, tie_weights, voxelize_brute)
 
@@ -28,24 +28,22 @@ def small_spec(h=16, w=16, cell=1.0, n_cls=15):
 class TestSplit:
     def test_no_boxes_all_static(self):
         cloud = cloud_of(np.random.default_rng(0).normal(0, 5, (50, 3)))
-        res = split_dynamic_static(cloud.xyz, [], atol=0.0)
-        assert res.static_index.size == 50 and res.dynamic_index.size == 0
+        owner = split_dynamic_static(cloud.xyz, [], atol=0.0)
+        assert owner.dtype == np.int64 and owner.tolist() == [-1] * 50
 
     def test_point_at_dynamic_center(self):
         box = BoxLabel(1.0, 2.0, 0.5, 2, 2, 2, 0.3, is_dynamic=True)
         cloud = cloud_of([[1.0, 2.0, 0.5]])
-        res = split_dynamic_static(cloud.xyz, [box], atol=0.0)
-        assert res.dynamic_index.tolist() == [0]
-        assert res.box_index.tolist() == [0]
+        assert split_dynamic_static(cloud.xyz, [box], atol=0.0).tolist() == [0]
 
     def test_static_box_not_dynamic(self):
         box = BoxLabel(0, 0, 0, 2, 2, 2, 0.0, is_dynamic=False)
-        res = split_dynamic_static(np.zeros((1, 3)), [box], atol=0.0)
-        assert res.static_index.tolist() == [0]
+        owner = split_dynamic_static(np.zeros((1, 3)), [box], atol=0.0)
+        assert owner.tolist() == [-1]
         # the flag decides, not the speed
         moving = BoxLabel(0, 0, 0, 2, 2, 2, 0.0, vx=1.0, is_dynamic=False)
-        res = split_dynamic_static(np.zeros((1, 3)), [moving], atol=0.0)
-        assert res.static_index.tolist() == [0]
+        owner = split_dynamic_static(np.zeros((1, 3)), [moving], atol=0.0)
+        assert owner.tolist() == [-1]
 
     def test_partition_matches_brute_force(self):
         rng = np.random.default_rng(3)
@@ -57,17 +55,12 @@ class TestSplit:
                               class_id=int(rng.integers(1, 15)),
                               is_dynamic=bool(rng.random() < 0.6))
                      for _ in range(6)]
-            res = split_dynamic_static(cloud.xyz, boxes, atol=0.0)
-            assert res.static_index.size + res.dynamic_index.size == 300
+            owner = split_dynamic_static(cloud.xyz, boxes, atol=0.0)
+            assert owner.shape == (300,)
             for i in range(300):
                 owners = [bi for bi, b in enumerate(boxes)
                           if b.is_dynamic and point_in_box_brute(cloud.xyz[i], b)]
-                if owners:
-                    k = np.where(res.dynamic_index == i)[0]
-                    assert k.size == 1
-                    assert res.box_index[k[0]] == owners[0]
-                else:
-                    assert i in res.static_index
+                assert owner[i] == (owners[0] if owners else -1)
 
 
 def shell_points(box: BoxLabel, pad: float, n_edge: int = 7) -> np.ndarray:
@@ -106,8 +99,7 @@ class TestSplitCulling:
     def assert_same(self, xyz, boxes, atol):
         got = split_dynamic_static(xyz, boxes, atol=atol)
         want = split_reference(xyz, boxes, atol=atol)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("atol", [0.0, 1e-9, 0.05])
     @pytest.mark.parametrize("scale", [0.0, 50.0, 5e3])
@@ -131,15 +123,15 @@ class TestSplitCulling:
             pts = np.concatenate([pts, np.nextafter(pts, np.inf),
                                   np.nextafter(pts, -np.inf)])
             self.assert_same(pts, boxes, atol=atol)
-            dynamic += split_reference(pts, boxes, atol=atol)[1].size
+            dynamic += int((split_reference(pts, boxes, atol=atol) >= 0).sum())
         assert dynamic > 0
 
     def test_overlapping_boxes_lowest_index_wins(self):
         a = BoxLabel(0, 0, 0, 4, 4, 4, 0.0, is_dynamic=True)
         b = BoxLabel(1, 0, 0, 4, 4, 4, 0.7, is_dynamic=True)
         pts = np.concatenate([shell_points(a, 0.0), shell_points(b, 0.0)])
-        res = split_dynamic_static(pts, [a, b], atol=0.0)
-        assert {0, 1} == set(res.box_index.tolist())
+        owner = split_dynamic_static(pts, [a, b], atol=0.0)
+        assert {0, 1} == set(owner[owner >= 0].tolist())
         self.assert_same(pts, [a, b], atol=0.0)
         self.assert_same(pts, [b, a], atol=0.0)
 
@@ -213,56 +205,111 @@ class TestAggregate:
 
 
 class TestKnnLabel:
+    """``knn_label`` on hand-built clouds around one queried cell, and on
+    random clouds against the brute force ``make_occupancy_reference``."""
+
+    #: 4 x 4 cells of 1 m from (-2, -2) and z_mid 0: cell (2, 2) is centred
+    #: at (0.5, 0.5, 0), and every offset below is exact in binary
+    SPEC = GridSpec(-2.0, -2.0, 1.0, 4, 4, -1.0, 1.0, n_cls=15)
+    CENTER = np.array([0.5, 0.5, 0.0])
+
+    def label(self, offsets, labels, k, radius=1.0):
+        """The label of cell (2, 2) among the points at `offsets` from its
+        column center."""
+        xyz = self.CENTER + np.asarray(offsets, dtype=np.float64)
+        cells = np.zeros((4, 4), dtype=bool)
+        cells[2, 2] = True
+        out = knn_label(xyz, np.asarray(labels), self.SPEC.bin_points(xyz),
+                        cells, self.SPEC, radius, k)
+        assert out.shape == (1,)
+        return int(out[0])
+
     def test_coincident_point_k1(self):
-        points = np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]])
-        labels = np.array([7, 2])
-        out = knn_label(points, labels, np.array([[0.0, 0.0, 0.0]]), k=1,
-                        n_cls=15)
-        assert out.tolist() == [7]
+        assert self.label([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]], [7, 2], k=1) == 7
 
     def test_majority_of_three(self):
-        points = np.array([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0], [9, 9, 9]])
-        labels = np.array([2, 2, 5, 5])
-        out = knn_label(points, labels, np.array([[0.0, 0.0, 0.0]]), k=3,
-                        n_cls=15)
-        assert out.tolist() == [2]
+        offsets = [[0, 0, 0], [0.25, 0, 0], [0, 0.25, 0], [9, 9, 9]]
+        assert self.label(offsets, [2, 2, 5, 5], k=3) == 2
 
-    def test_empty_fused_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            knn_label(np.zeros((0, 3)), np.zeros(0), np.zeros((1, 3)), k=1,
-                      n_cls=15)
+    def test_no_point_within_the_radius(self):
+        # the point lies at 1.5 m: near at radius 1.5, far at radius 1
+        assert self.label([[1.5, 0.0, 0.0]], [7], k=1, radius=1.5) == 7
+        assert self.label([[1.5, 0.0, 0.0]], [7], k=1, radius=1.0) == 0
+
+    def test_empty_fused_labels_nothing(self):
+        assert self.label(np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
+                          k=1) == 0
 
     def test_labels_must_align_with_points(self):
         with pytest.raises(ValueError, match="length 2"):
-            knn_label(np.zeros((2, 3)), np.zeros(3), np.zeros((1, 3)), k=1,
-                      n_cls=15)
+            self.label(np.zeros((2, 3)), np.zeros(3, dtype=np.int64), k=1)
 
     def test_ties_go_to_the_lower_index(self):
-        # four points 1 m from the query, each with its own label
-        points = np.array([[1.0, 0, 0], [0, -1.0, 0], [-1.0, 0, 0], [0, 0, 1.0]])
-        query = np.zeros((1, 3))
+        # four points 1 m from the center, each with its own label
+        offsets = [[1.0, 0, 0], [0, -1.0, 0], [-1.0, 0, 0], [0, 0, 1.0]]
         for perm in ([0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]):
             labels = np.array([11, 12, 13, 14])[perm]
-            assert knn_label(points, labels, query, 1, 15).tolist() == \
-                [labels[0]]
-            # one vote each for the first three: the smallest id wins
-            assert knn_label(points, labels, query, 3, 15).tolist() == \
-                [min(labels[:3])]
+            assert self.label(offsets, labels, k=1) == labels[0]
+
+    def test_vote_ties_go_to_the_smaller_id(self):
+        offsets = [[1.0, 0, 0], [0, -1.0, 0], [-1.0, 0, 0], [0, 0, 1.0]]
+        for perm in ([0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]):
+            labels = np.array([11, 12, 13, 14])[perm]
+            # one vote each for the first three
+            assert self.label(offsets, labels, k=3) == min(labels[:3])
+        # empty loses every tie
+        assert self.label(offsets[:2], [0, 12], k=2) == 12
+        assert self.label(offsets[:2], [12, 0], k=2) == 12
+
+    def test_k_larger_than_the_cloud(self):
+        # the vote takes all three points, the one 6 m out too
+        offsets = [[0.25, 0, 0], [0, 0.5, 0], [6.0, 0, 0]]
+        assert self.label(offsets, [4, 9, 9], k=10) == 9
+        assert self.label(offsets, [4, 9, 9], k=1) == 4
+
+    def assert_matches_reference(self, xyz, labels, spec, radius, k):
+        """knn_label on the empty cells equals the brute force grid there;
+        returns the number of cells it filled."""
+        seq = one_frame(xyz, labels)
+        want = make_occupancy_reference(seq, spec, 0, True, radius, k)
+        bins = spec.bin_points(xyz)
+        empty = voxelize_bev(bins, labels, spec).labels == 0
+        got = knn_label(xyz, labels, bins, empty, spec, radius, k)
+        np.testing.assert_array_equal(got, want.labels[empty])
+        return int(np.count_nonzero(got))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
+        filled = 0
         for n_cls in EDGE_N_CLS:
+            spec = small_spec(n_cls=n_cls)
             for trial in range(20):
                 n = int(rng.integers(50, 400))
                 fused = rng.normal(0, 5, (n, 3))
                 if trial % 2:   # a 1/4 m lattice: many exact distance ties
                     fused = np.round(fused * 4) / 4
                 labels = rng.integers(0, n_cls + 1, n)
-                queries = rng.normal(0, 5, (25, 3))
+                radius = float(rng.choice([0.5, 1.0, 2.5]))
                 k = int(rng.integers(1, 9))
-                got = knn_label(fused, labels, queries, k, n_cls)
-                want = knn_label_brute(fused, labels, queries, k, n_cls)
-                np.testing.assert_array_equal(got, want)
+                filled += self.assert_matches_reference(fused, labels, spec,
+                                                        radius, k)
+        assert filled > 0
+
+    def test_k_nearest_in_a_far_cluster(self):
+        # three points near the grid, and the rest of each near cell's k
+        # nearest in a dense cluster 60 m away
+        rng = np.random.default_rng(11)
+        spec = small_spec(h=8, w=8, cell=0.5)
+        near = np.array([[0.1, 0.2, 1.0], [-0.6, 0.3, 1.2], [0.2, -0.7, 0.9]])
+        far = np.array([60.0, -20.0, 1.0]) + rng.normal(0, 1.0, (3000, 3))
+        xyz = np.concatenate([near, far])
+        labels = np.concatenate([[3, 3, 3], np.full(len(far), 7)])
+        for k in (1, 3, 4, 8):
+            filled = self.assert_matches_reference(xyz, labels, spec, 0.75, k)
+            assert filled > 0
+        # with k = 8, five of each cell's votes are the cluster's
+        grid = make_occupancy(one_frame(xyz, labels), spec, 0, True, 0.75, 8)
+        assert 7 in grid.labels
 
 
 def test_tie_order_is_the_oracles_rule():

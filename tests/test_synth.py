@@ -112,7 +112,7 @@ class TestBuildScene:
 
     def test_dynamic_objects_have_velocity(self):
         scene = build_scene(SceneParams(n_objects=40, dynamic_fraction=1.0), 3)
-        assert all(b.speed > 0 for b in scene.objects)
+        assert all(math.hypot(b.vx, b.vy) > 0 for b in scene.objects)
 
     def test_infeasible_placement_raises(self):
         params = SceneParams(arena=(-4.0, 4.0, -4.0, 4.0), n_objects=60)
