@@ -6,7 +6,7 @@ Library layout:
 * :mod:`occspot.synth` — synthetic labeled scenes and the beam raycaster
 * :mod:`occspot.augment` — beam re-sampling and flips
 * :mod:`occspot.occupancy` — the class schema and BEV occupancy ground truth
-* :mod:`occspot.balance` — class statistics and class-balanced frame sampling
+* :mod:`occspot.balance` — class-balanced sampling weights
 * :mod:`occspot.learn` — loss kernels, toy BEV model, training, metrics
 * :mod:`occspot.theory` — exact information-theoretic bound checks
 * :mod:`occspot.formats` — binary frame/label/grid/checkpoint formats

@@ -33,7 +33,7 @@ import numpy.random  # noqa: F401
 
 from . import __version__, theory
 from .augment import ResampleFactor, beam_resample
-from .balance import class_stats, sampling_weights
+from .balance import sampling_weights
 from .cloud import FieldError
 from .config import ConfigError, PipelineConfig, load_config
 from .formats import (atomic_write_text, read_frame, read_labels, write_frame,
@@ -178,7 +178,8 @@ def cmd_resample(args) -> int:
     src = Path(args.input)
     cloud = read_frame(src)
     labels_path = src.with_suffix(".sptl")
-    labels = read_labels(labels_path) if labels_path.exists() else \
+    labelled = labels_path.exists()
+    labels = read_labels(labels_path) if labelled else \
         np.zeros(len(cloud), dtype=np.int64)
     if len(labels) != len(cloud):
         raise DataError(f"{labels_path}: {len(labels)} labels for the "
@@ -186,11 +187,16 @@ def cmd_resample(args) -> int:
     out_cloud, out_labels = beam_resample(cloud, labels,
                                           ResampleFactor(args.factor), args.seed)
     out = Path(args.output)
+    out_labels_path = out.with_suffix(".sptl")
     manifest = _unlinked_manifest(out)
+    # an older run's labels must not pass for this frame's
+    out_labels_path.unlink(missing_ok=True)
     write_frame(out, out_cloud)
-    if labels_path.exists():
-        write_labels(out.with_suffix(".sptl"), out_labels)
-    _write_manifest(manifest, "resample", None, args.seed, [out.name],
+    outputs = [out.name]
+    if labelled:
+        write_labels(out_labels_path, out_labels)
+        outputs.append(out_labels_path.name)
+    _write_manifest(manifest, "resample", None, args.seed, outputs,
                     {"factor": args.factor, "input": str(src),
                      "points_in": len(cloud), "points_out": len(out_cloud)})
     print(f"kept {len(out_cloud)}/{len(cloud)} points -> {out}")
@@ -214,15 +220,13 @@ def _frame_counts(frame, path: str) -> dict[int, int]:
 def cmd_balance_weights(args) -> int:
     try:
         doc = json.loads(Path(args.stats).read_text())
-        stats = class_stats([_frame_counts(fr, f"frames[{i}]")
-                             for i, fr in enumerate(doc["frames"])])
+        w = sampling_weights([_frame_counts(fr, f"frames[{i}]")
+                              for i, fr in enumerate(doc["frames"])])
     except (KeyError, TypeError) as exc:
         raise DataError(f"{args.stats}: bad stats document: {exc!r}") from exc
     except ValueError as exc:  # JSON syntax, or a frame or its counts
         raise DataError(f"{args.stats}: bad stats document: {exc}") from exc
-    weights = sampling_weights(stats)
-    print(json.dumps({"class_ids": list(weights.class_ids),
-                      "s": list(weights.s)}, indent=2))
+    print(json.dumps({"class_ids": list(w), "s": list(w.values())}, indent=2))
     return EXIT_OK
 
 

@@ -223,8 +223,7 @@ def model_forward(pillars: np.ndarray, params: Params
     H and W must be divisible by 4.  The pillars are cast to the dtype of
     the parameters, which every intermediate and the logits then share.
     The returned cache carries every intermediate needed by
-    :func:`model_backward`, including the raw pre-activations (useful for
-    locating ReLU kinks).
+    :func:`model_backward`, including the raw pre-activations.
     """
     b, h, w, _ = pillars.shape
     if h % 4 or w % 4:
@@ -283,11 +282,6 @@ def model_backward(cache: dict, dlogits: np.ndarray, params: Params) -> Params:
     grads["embed_w"] = np.einsum("bhwp,bhwc->pc", cache["pillars"], de0,
                                  optimize=True)
     return grads
-
-
-def min_preactivation_gap(cache: dict) -> float:
-    """Smallest |pre-activation| across all ReLU inputs (kink proximity)."""
-    return min(float(np.abs(cache[k]).min()) for k in ("z1", "z2", "z3", "z4", "z5"))
 
 
 def transfer_param_names() -> tuple[str, ...]:

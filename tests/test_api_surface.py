@@ -1,4 +1,4 @@
-"""Every public name, and every defaulted parameter, is used by the package.
+"""Every public name, defaulted parameter and config key is used by the package.
 
 A public name (one in a module's ``__all__``, a module-level function or
 class without a leading underscore, or such a method or property of a
@@ -7,7 +7,8 @@ definition, is code that only its tests reach: either a later change wires
 it in, or it goes.  Likewise a parameter with a default that no call in
 ``src/`` sets, by keyword or by position, is a setting only the tests
 change; and one that every call in ``src/`` sets has a default only the
-tests rely on.  Calls are matched to functions by name alone, so
+tests rely on.  A config key whose attribute no module but the config's
+own reads has no effect.  Calls are matched to functions by name alone, so
 the checks may miss a parameter but never report a used one.  The
 allow-lists below name each exception and why it stays.
 """
@@ -16,18 +17,22 @@ import ast
 import math
 from pathlib import Path
 
+from occspot.config import _FIELDS
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: unreferenced public names that stay, each with its reason
 ALLOWED = {
-    "occspot.balance.frame_weights":
-        "class-balanced frame sampling, to be wired into training",
-    "occspot.balance.resample_frames":
-        "class-balanced frame sampling, to be wired into training",
     "occspot.formats.read_grid":
-        "training from make-occ's grids will read them; a benchmark target",
-    "occspot.learn.model.min_preactivation_gap":
-        "the ReLU kink distance of the per-step training telemetry row",
+        "perfbench/layers.py wraps it by name in _READERS; training from "
+        "make-occ's grids (ROADMAP item 2) will call it",
+}
+
+
+#: config keys that nothing outside occspot.config reads, each with its reason
+ALLOWED_KEYS = {
+    "balance.epoch_size":
+        "the class-balanced epoch length; item 1 wires it or deletes it",
 }
 
 
@@ -113,6 +118,15 @@ def unreferenced(trees: dict[str, ast.Module]) -> set[str]:
             if not uses & (set(references(tree, node)) | elsewhere):
                 out.add(f"{module}.{name}")
     return out
+
+
+def unread_keys(fields, trees: dict[str, ast.Module]) -> set[str]:
+    """The JSON paths of the `fields` rows ``(path, attribute path, kind)``
+    whose attribute no module but ``occspot.config`` reads as ``.name``."""
+    used = set().union(*(references(t) for m, t in trees.items()
+                         if m != "occspot.config"))
+    return {path for path, attr, _ in fields
+            if "." + attr.rpartition(".")[2] not in used}
 
 
 def functions(tree: ast.Module):
@@ -201,6 +215,18 @@ def test_the_check_sees_an_unused_name():
     assert public(tree) == {"used", "unused", "unlisted", "Unlisted"}
     assert "used" in set(references(tree, definition(tree, "used")))
     assert "unused" not in set(references(tree, definition(tree, "unused")))
+
+
+def test_every_config_key_is_read_in_src():
+    assert unread_keys(_FIELDS, parse_src()) == set(ALLOWED_KEYS)
+
+
+def test_the_check_sees_an_unread_key():
+    fields = [("a.read", "a.read", None), ("a.unread", "a.unread", None),
+              ("top", "renamed", None), ("b.bare", "bare", None)]
+    trees = {"occspot.config": ast.parse("cfg.unread\n"),
+             "toy": ast.parse("cfg.a.read + cfg.renamed\nbare = 1\n")}
+    assert unread_keys(fields, trees) == {"a.unread", "b.bare"}
 
 
 def test_the_check_sees_an_unused_method():

@@ -13,8 +13,9 @@ import pytest
 from occspot import cli, theory
 from occspot.cli import main
 from occspot.cloud import PointCloud
-from occspot.formats import (read_checkpoint, read_grid, write_checkpoint,
-                             write_frame, write_labels)
+from occspot.formats import (read_checkpoint, read_frame, read_grid,
+                             read_labels, write_checkpoint, write_frame,
+                             write_labels)
 from occspot.learn import train
 from occspot.learn.model import transfer_param_names
 
@@ -573,13 +574,18 @@ class TestMalformedFiles:
         assert where in err
 
     def test_balance_weights_prints_the_weights(self, tmp_path, capsys):
+        # s_i = sqrt(m / n_i), m = 1/4, n = (10, 13, 1, 11) / 35; class 3
+        # has no instance, so it gets no weight
         stats = tmp_path / "stats.json"
-        stats.write_text(json.dumps({"frames": [{"1": 4}, {"1": 1, "2": 1}]}))
-        assert main(["balance-weights", str(stats)]) == cli.EXIT_OK
-        out = json.loads(capsys.readouterr().out)
-        assert out["class_ids"] == [1, 2]
-        # s_i = sqrt(m / n_i), m = 1/2, n = (5/6, 1/6)
-        assert out["s"] == pytest.approx([math.sqrt(0.6), math.sqrt(3.0)])
+        stats.write_text(json.dumps({"frames": [
+            {"1": 7, "3": 0}, {"2": 13, "5": 2}, {"4": 1, "1": 3},
+            {"2": 0, "5": 9}]}))
+        with pytest.warns(UserWarning, match=r"excluded: \[3\]"):
+            assert main(["balance-weights", str(stats)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == (
+            '{\n  "class_ids": [\n    1,\n    2,\n    4,\n    5\n  ],\n'
+            '  "s": [\n    0.9354143466934853,\n    0.820412654142367,\n'
+            '    2.958039891549808,\n    0.8918825850158447\n  ]\n}\n')
 
 
 def finetune(config, ckpt, data, out):
@@ -663,20 +669,23 @@ class TestCheckpointAgainstConfig:
                      "--config", config]) == 0
 
 
+def ring_frame(path, n_azimuth):
+    """A frame of 10 beams at distinct elevations, `n_azimuth` points each."""
+    elev, azim = np.meshgrid(np.linspace(-0.4, 0.0, 10),
+                             np.linspace(0.0, 6.0, n_azimuth), indexing="ij")
+    xyz = 10.0 * np.stack([np.cos(elev) * np.cos(azim),
+                           np.cos(elev) * np.sin(azim),
+                           np.sin(elev)], axis=-1).reshape(-1, 3)
+    write_frame(path, PointCloud(xyz, np.ones((len(xyz), 1))))
+    return path
+
+
 class TestResampleBadInput:
     """Bad `resample` input exits 2 (arguments) or 3 (files), writing nothing."""
 
     @pytest.fixture
     def frame(self, tmp_path):
-        # 10 beams at distinct elevations, 10 azimuths each
-        elev, azim = np.meshgrid(np.linspace(-0.4, 0.0, 10),
-                                 np.linspace(0.0, 6.0, 10), indexing="ij")
-        xyz = 10.0 * np.stack([np.cos(elev) * np.cos(azim),
-                               np.cos(elev) * np.sin(azim),
-                               np.sin(elev)], axis=-1).reshape(-1, 3)
-        path = tmp_path / "in.sptc"
-        write_frame(path, PointCloud(xyz, np.ones((100, 1))))
-        return path
+        return ring_frame(tmp_path / "in.sptc", 10)
 
     def resample(self, tmp_path, src, factor="0.5"):
         rc = main(["resample", "--factor", factor, str(src),
@@ -735,6 +744,33 @@ class TestResampleBadInput:
         assert capsys.readouterr().err == (
             f"data error: {labels}: {n_labels} labels for the 100 points "
             f"of {frame}\n")
+
+
+def test_resample_replaces_an_older_labels_file(tmp_path, capsys):
+    """Resampling an unlabelled frame over an earlier labelled output
+    leaves no labels beside it, so the next read cannot take stale ones;
+    a labelled frame resampled in place keeps its labels."""
+    labelled, bare = tmp_path / "a.sptc", tmp_path / "b.sptc"
+    ring_frame(labelled, 80)
+    write_labels(labelled.with_suffix(".sptl"), np.arange(800) % 7)
+    ring_frame(bare, 160)
+    out = tmp_path / "out.sptc"
+    argv = ["resample", "--factor", "0.5"]
+    assert main([*argv, str(labelled), str(out)]) == cli.EXIT_OK
+    assert len(read_labels(tmp_path / "out.sptl")) == 400
+    manifest = tmp_path / "out.sptc.manifest.json"
+    assert json.loads(manifest.read_text())["outputs"] == ["out.sptc",
+                                                           "out.sptl"]
+    assert main([*argv, str(bare), str(out)]) == cli.EXIT_OK
+    assert len(read_frame(out)) == 800
+    assert not (tmp_path / "out.sptl").exists()
+    assert json.loads(manifest.read_text())["outputs"] == ["out.sptc"]
+    capsys.readouterr()
+    assert main([*argv, str(out), str(tmp_path / "again.sptc")]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert main([*argv, str(labelled), str(labelled)]) == cli.EXIT_OK
+    assert len(read_labels(labelled.with_suffix(".sptl"))) == 400
+    assert len(read_frame(labelled)) == 400
 
 
 def test_no_command_imports_scipy():
