@@ -60,9 +60,16 @@ def softmax_field(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_vjp(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
-    """Pull a gradient w.r.t. probabilities back to the pre-softmax logits."""
+    """Pull a gradient w.r.t. probabilities back to the pre-softmax logits.
+
+    Overwrites neither argument.  The result, ``probs * (grad_probs -
+    inner)``, is made once, as ``grad_probs - inner``, and then multiplied
+    by `probs` in place.
+    """
     inner = (probs * grad_probs).sum(axis=-1, keepdims=True)
-    return probs * (grad_probs - inner)
+    out = grad_probs - inner
+    out *= probs
+    return out
 
 
 def _check_pair(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,16 +188,27 @@ def lovasz_softmax(pred: np.ndarray, gt: np.ndarray,
         grad[:, n] += g_unsorted * (1.0 - 2.0 * fg)
 
     k = len(active)
-    return loss / k, (grad / k).reshape(pred.shape)
+    grad /= k
+    return loss / k, grad.reshape(pred.shape)
 
 
 def total_loss(pred: np.ndarray, gt: np.ndarray, weights: np.ndarray,
                lam: float, lovasz_classes: str) -> tuple[float, np.ndarray]:
-    """``L_ce + lam * L_lov`` with the combined gradient w.r.t. the logits."""
+    """``L_ce + lam * L_lov`` with the combined gradient w.r.t. the logits.
+
+    Overwrites only arrays it made: the Lovász gradient pulled back by
+    :func:`softmax_vjp` is scaled by ``lam`` in place and added in place
+    into the cross-entropy gradient, which is returned.  `pred` is left as
+    it is.  Every element gets the same IEEE operations, on the same
+    operands, as in ``grad_ce + lam * softmax_vjp(pred, grad_lov)``.
+    """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     ce, grad_logits = weighted_ce(pred, gt, weights)
     if lam == 0.0:
         return ce, grad_logits
     lov, grad_probs = lovasz_softmax(pred, gt, classes=lovasz_classes)
-    return ce + lam * lov, grad_logits + lam * softmax_vjp(pred, grad_probs)
+    grad_lov = softmax_vjp(pred, grad_probs)
+    grad_lov *= lam
+    grad_logits += grad_lov
+    return ce + lam * lov, grad_logits

@@ -72,7 +72,9 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
         for j in range(_K):
             y += padded[:, i:i + stride * oh:stride,
                         j:j + stride * ow:stride] @ w[i, j]
-    return y if b is None else y + b
+    if b is not None:
+        y += b
+    return y
 
 
 def conv_backward_weight(x: np.ndarray, gy: np.ndarray, stride: int) -> np.ndarray:
@@ -212,8 +214,9 @@ def pillar_features(cloud: PointCloud, spec: GridSpec) -> np.ndarray:
 
 # -- forward / backward -------------------------------------------------------
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def _relu(z: np.ndarray) -> np.ndarray:
+    """ReLU in place, over a pre-activation that nothing else holds."""
+    return np.maximum(z, 0.0, out=z)
 
 
 def model_forward(pillars: np.ndarray, params: Params
@@ -222,8 +225,13 @@ def model_forward(pillars: np.ndarray, params: Params
 
     H and W must be divisible by 4.  The pillars are cast to the dtype of
     the parameters, which every intermediate and the logits then share.
-    The returned cache carries every intermediate needed by
-    :func:`model_backward`, including the raw pre-activations.
+    The returned cache holds what :func:`model_backward` reads: the
+    pillars, the embedding ``e0`` and the post-ReLU activations ``a1``,
+    ``feats``, ``a3``, ``a4`` and ``a5``.  Each ReLU runs in place on its
+    pre-activation, so no pre-activation outlives this call; the backward
+    pass takes each ReLU's mask as ``a > 0``, which is ``z > 0`` bit for
+    bit.  A statistic of the pre-activations, such as their distance to
+    the ReLU kink, must be taken here, before each ReLU.
     """
     b, h, w, _ = pillars.shape
     if h % 4 or w % 4:
@@ -231,23 +239,21 @@ def model_forward(pillars: np.ndarray, params: Params
     pillars = pillars.astype(params["embed_w"].dtype, copy=False)
 
     e0 = pillars @ params["embed_w"]
-    z1 = conv_forward(e0, params["conv1_w"], params["conv1_b"], stride=2)
-    a1 = _relu(z1)
-    z2 = conv_forward(a1, params["conv2_w"], params["conv2_b"], stride=2)
-    feats = _relu(z2)
+    a1 = _relu(conv_forward(e0, params["conv1_w"], params["conv1_b"], stride=2))
+    feats = _relu(conv_forward(a1, params["conv2_w"], params["conv2_b"],
+                               stride=2))
 
-    z3 = tconv_forward(feats, params["up1_w"], params["up1_b"],
-                       (h // 2, w // 2), stride=2)
-    a3 = _relu(z3)
-    z4 = tconv_forward(a3, params["up2_w"], params["up2_b"], (h, w), stride=2)
-    a4 = _relu(z4)
-    z5 = tconv_forward(a4, params["up3_w"], params["up3_b"], (h, w), stride=1)
-    a5 = _relu(z5)
-    logits = a5 @ params["head_w"] + params["head_b"]
+    a3 = _relu(tconv_forward(feats, params["up1_w"], params["up1_b"],
+                             (h // 2, w // 2), stride=2))
+    a4 = _relu(tconv_forward(a3, params["up2_w"], params["up2_b"], (h, w),
+                             stride=2))
+    a5 = _relu(tconv_forward(a4, params["up3_w"], params["up3_b"], (h, w),
+                             stride=1))
+    logits = a5 @ params["head_w"]
+    logits += params["head_b"]
 
-    cache = {"pillars": pillars, "e0": e0, "z1": z1, "a1": a1, "z2": z2,
-             "feats": feats, "z3": z3, "a3": a3, "z4": z4, "a4": a4,
-             "z5": z5, "a5": a5}
+    cache = {"pillars": pillars, "e0": e0, "a1": a1, "feats": feats,
+             "a3": a3, "a4": a4, "a5": a5}
     return logits, cache
 
 
@@ -257,24 +263,26 @@ def model_backward(cache: dict, dlogits: np.ndarray, params: Params) -> Params:
     a5 = cache["a5"]
     grads["head_w"] = np.einsum("bhwc,bhwo->co", a5, dlogits, optimize=True)
     grads["head_b"] = dlogits.sum(axis=(0, 1, 2))
-    da5 = dlogits @ params["head_w"].T
-
-    dz5 = da5 * (cache["z5"] > 0)
-    da4, grads["up3_w"], grads["up3_b"] = tconv_backward(
+    # each dz is the fresh, contiguous da of its layer, masked in place
+    dz5 = dlogits @ params["head_w"].T
+    dz5 *= a5 > 0
+    dz4, grads["up3_w"], grads["up3_b"] = tconv_backward(
         cache["a4"], dz5, params["up3_w"], stride=1)
-    dz4 = da4 * (cache["z4"] > 0)
-    da3, grads["up2_w"], grads["up2_b"] = tconv_backward(
+    dz4 *= cache["a4"] > 0
+    dz3, grads["up2_w"], grads["up2_b"] = tconv_backward(
         cache["a3"], dz4, params["up2_w"], stride=2)
-    dz3 = da3 * (cache["z3"] > 0)
-    dfeats, grads["up1_w"], grads["up1_b"] = tconv_backward(
+    dz3 *= cache["a3"] > 0
+    dz2, grads["up1_w"], grads["up1_b"] = tconv_backward(
         cache["feats"], dz3, params["up1_w"], stride=2)
 
-    dz2 = dfeats * (cache["z2"] > 0)
+    dz2 *= cache["feats"] > 0
     grads["conv2_w"] = conv_backward_weight(cache["a1"], dz2, stride=2)
     grads["conv2_b"] = dz2.sum(axis=(0, 1, 2))
     da1 = conv_backward_input(dz2, params["conv2_w"],
                               cache["a1"].shape[1:3], stride=2)
-    dz1 = da1 * (cache["z1"] > 0)
+    # da1 is a strided view into conv_backward_input's padded buffer, so
+    # it is masked into a new contiguous array
+    dz1 = da1 * (cache["a1"] > 0)
     grads["conv1_w"] = conv_backward_weight(cache["e0"], dz1, stride=2)
     grads["conv1_b"] = dz1.sum(axis=(0, 1, 2))
     de0 = conv_backward_input(dz1, params["conv1_w"],

@@ -121,24 +121,31 @@ def _run_epochs(params: Params, pillars: np.ndarray, gts: np.ndarray,
         return NumericalError(
             f"{why} at step {step} (epoch {len(trace)}, lr {lr:.2e})")
 
+    def run_step(sel: np.ndarray) -> float:
+        """One update on the samples `sel`.  Every array the step makes is
+        a local here, dropped as soon as the step is done with it, so no
+        step's arrays overlap the next step's."""
+        logits, cache = model_forward(pillars[sel], params)
+        try:
+            pred = softmax_field(logits)
+        except ValueError as exc:  # NaN logits: the run diverged
+            raise diverged(exc) from exc
+        del logits
+        loss, dlogits = total_loss(pred, gts[sel], weights, cfg.lam,
+                                   cfg.lovasz_classes)
+        del pred
+        if not np.isfinite(loss):
+            raise diverged(f"non-finite loss {loss}")
+        adam_step(params, model_backward(cache, dlogits, params), opt, lr)
+        return loss
+
     for _ in range(cfg.epochs):
         order = order_rng.permutation(n)
         epoch_losses = []
         for s in range(steps_per_epoch):
-            sel = order[s * cfg.batch_size:(s + 1) * cfg.batch_size]
             lr = one_cycle_lr(step, total_steps, cfg.lr_peak)
-            logits, cache = model_forward(pillars[sel], params)
-            try:
-                pred = softmax_field(logits)
-            except ValueError as exc:  # NaN logits: the run diverged
-                raise diverged(exc) from exc
-            loss, dlogits = total_loss(pred, gts[sel], weights, cfg.lam,
-                                       cfg.lovasz_classes)
-            if not np.isfinite(loss):
-                raise diverged(f"non-finite loss {loss}")
-            grads = model_backward(cache, dlogits, params)
-            adam_step(params, grads, opt, lr)
-            epoch_losses.append(loss)
+            epoch_losses.append(
+                run_step(order[s * cfg.batch_size:(s + 1) * cfg.batch_size]))
             step += 1
         trace.append(float(np.mean(epoch_losses)))
     return trace

@@ -353,6 +353,22 @@ def lovasz_softmax_reference(pred, gt, classes: str) -> tuple[float, np.ndarray]
     return loss / k, (grad / k).reshape(pred.shape)
 
 
+def total_loss_reference(pred, gt, weights, lam: float,
+                         lovasz_classes: str) -> tuple[float, np.ndarray]:
+    """``learn.losses.total_loss`` combined out of place, as
+    ``grad_ce + lam * softmax_vjp(pred, grad_lov)``, from the cross-entropy
+    and Lovász references and the softmax pull-back written out.
+
+    The same algorithm on purpose: the library scales and adds in place
+    and must equal this bit for bit."""
+    ce, grad_ce = weighted_ce_reference(pred, gt, weights)
+    if lam == 0.0:
+        return ce, grad_ce
+    lov, grad_lov = lovasz_softmax_reference(pred, gt, lovasz_classes)
+    inner = (pred * grad_lov).sum(axis=-1, keepdims=True)
+    return ce + lam * lov, grad_ce + lam * (pred * (grad_lov - inner))
+
+
 def conv_forward_reference(x, w, b, stride: int) -> np.ndarray:
     """3x3 convolution as one einsum over the im2col patches.
 

@@ -6,7 +6,8 @@ import pytest
 from helpers import (central_diff, grad_rel_err, guarded_directional_checks,
                      jaccard_loss_brute, lovasz_region_signature,
                      lovasz_softmax_reference, rel_err,
-                     softmax_field_reference, weighted_ce_reference)
+                     softmax_field_reference, total_loss_reference,
+                     weighted_ce_reference)
 
 from occspot.config import PipelineConfig
 from occspot.learn import (loss_weights, lovasz_softmax, softmax_field,
@@ -87,6 +88,31 @@ def test_softmax_and_ce_equal_their_references_bit_for_bit(dtype):
         # bytes, so the sign of every zero counts too
         assert grad.tobytes() == want_grad.tobytes()
         assert np.array_equal(np.signbit(grad), np.signbit(want_grad))
+
+
+@pytest.mark.parametrize("dtype, uint", [(np.float32, np.uint32),
+                                         (np.float64, np.uint64)])
+@pytest.mark.parametrize("classes", ["present", "all"])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
+def test_total_loss_equals_its_out_of_place_reference_bit_for_bit(
+        dtype, uint, classes, lam):
+    rng = np.random.default_rng(29)
+    for i in range(41):  # random shapes, then one batch of the model's
+        logits = (random_logits(rng, dtype) if i < 40 else
+                  rng.normal(0.0, 3.0, (2, 16, 16, 16)).astype(dtype))
+        pred = softmax_field(logits)
+        before = pred.copy()
+        n_cls = logits.shape[-1]
+        gt = rng.integers(0, n_cls, logits.shape[:-1])
+        weights = rng.uniform(0.01, 2.0, n_cls)
+        loss, grad = total_loss(pred, gt, weights, lam, classes)
+        want_loss, want_grad = total_loss_reference(pred, gt, weights, lam,
+                                                    classes)
+        assert loss == want_loss
+        assert grad.dtype == want_grad.dtype == dtype
+        # the uint views, so the sign of every zero and each NaN count too
+        assert np.array_equal(grad.view(uint), want_grad.view(uint))
+        assert np.array_equal(pred.view(uint), before.view(uint))
 
 
 class TestWeightedCE:

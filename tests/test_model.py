@@ -219,7 +219,8 @@ def model_loss_and_grad(theta_vec, pillars, gt, lam=1.0):
 
 
 def relu_mask_signature(cache) -> tuple:
-    return tuple((cache[k] > 0).tobytes() for k in ("z1", "z2", "z3", "z4", "z5"))
+    return tuple((cache[k] > 0).tobytes()
+                 for k in ("a1", "feats", "a3", "a4", "a5"))
 
 
 class TestEndToEndGradient:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -143,6 +144,29 @@ class TestTrainingLoops:
         assert params.keys() == want_params.keys()
         for name in params:
             assert np.array_equal(params[name], want_params[name]), name
+
+    def test_a_step_frees_its_arrays_before_the_next(self):
+        # one batch holds every sample, so each epoch is one step.  The
+        # grid is finer than CFG's, so the steps and not the pillar scatter
+        # of the clouds set the peak; with narrow channels the 16-class
+        # loss arrays, not the backward pass, set a step's peak.  A loop
+        # that keeps the previous step's logits gradient into the next
+        # step's loss then raises the 4-step peak by about 10%
+        grid = replace(CFG.grid, cell_size=0.25, h=64, w=64)
+        samples = toy_samples(toy_config(grid=grid), n_scenes=2)
+
+        def peak(steps: int) -> int:
+            cfg = toy_config(grid=grid, channels=(4, 4, 4), epochs=steps,
+                             batch_size=2)
+            tracemalloc.start()
+            try:
+                train(None, samples, cfg, seed=5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = peak(1), peak(4)
+        assert four <= 1.03 * one, (one, four)
 
     def test_finetune_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty sample list"):
