@@ -270,14 +270,17 @@ def transform(cloud: PointCloud, pose: Pose) -> PointCloud:
 def validate_labels(labels, n_points: int, n_cls: int) -> np.ndarray:
     """Check a per-point label vector against its paired cloud.
 
-    Returns the labels as an int64 array, `labels` itself when it already
-    is one, so callers only read the result; raises ValueError on length or
-    range violations.  Valid values are 0 (empty) .. n_cls.
+    Returns an integer array of the labels: `labels` itself when it already
+    is one, in its own dtype (the u8 labels of an SPTL file stay one byte
+    each), and any other input as int64.  Callers only read the result.
+    Raises ValueError on length or range violations.  Valid values are
+    0 (empty) .. n_cls.
     """
     arr = np.asarray(labels)
     if arr.ndim != 1 or arr.shape[0] != n_points:
         raise ValueError(f"labels must be length {n_points}, got shape {arr.shape}")
-    arr = arr.astype(np.int64, copy=False)
+    if arr.dtype.kind not in "iu":
+        arr = arr.astype(np.int64)
     if arr.size and (arr.min() < 0 or arr.max() > n_cls):
         raise ValueError(f"labels must lie in [0, {n_cls}]")
     return arr

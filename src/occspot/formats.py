@@ -123,9 +123,11 @@ def write_labels(path, labels: np.ndarray) -> None:
 
 
 def read_labels(path) -> np.ndarray:
+    """The (N,) labels of an SPTL file, as stored: a read-only u8 view of
+    the file's bytes, one byte per point, with no wider copy."""
     (n,), body = _unpack(path, LABEL_MAGIC, "<II", "label")
     _expect(body.size == n, f"{path}: truncated label body")
-    return body.astype(np.int64)
+    return body
 
 
 # -- boxes ------------------------------------------------------------------

@@ -17,8 +17,15 @@ the structure that searches them.
 
 The search is exact and runs over the BEV cells (:func:`knn_label`).
 Every fused point is binned once (``GridSpec.bin_points``), and the bins
-serve the votes of :func:`voxelize_bev`, the windows and the searches.  A
-round at half-width ``h`` first takes the window of the cloud
+serve the votes of :func:`voxelize_bev`, the windows and the searches.
+The working set is compact: fused labels are uint8 from the SPTL bytes to
+the vote, and the bins are int32, each floored index clipped to
+``+-2**30`` first, so an index in the grid never changes and a far point
+stays far.  Only the subsets that need it are widened to int64: the flat
+cells of the points in the grid, a window's ``+-reach`` (capped where it
+already spans every clipped index) and the search's bucket keys.  Votes
+are counted over fixed-size chunks of points, exact since the counts are
+integers.  A round at half-width ``h`` first takes the window of the cloud
 (``_window``): the points whose z lies within ``h`` of the column centers'
 height and whose xy cell lies within ``ceil(h / cell)`` cells of one of the
 cells in question.  A z slack and the half cell between the window's last
@@ -77,6 +84,10 @@ DEFAULT_N_CLS = len(CLASS_NAMES) - 1
 
 #: (query, point) pairs the neighbor search holds at a time
 _PAIRS = 1 << 16
+#: points whose votes :func:`voxelize_bev` counts at a time
+_CHUNK = 1 << 16
+#: floored cell indices are clipped to +-_BIN_LIMIT before the int32 cast
+_BIN_LIMIT = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -112,10 +123,17 @@ class GridSpec:
                              f"as u8), got {self.n_cls}")
 
     def bin_points(self, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cell indices (i along y, j along x) and the in-bounds mask."""
+        """Cell indices (i along y, j along x), two (N,) int32 arrays, and
+        the (N,) bool in-bounds mask.
+
+        Each floored index is clipped to ``+-2**30`` before the cast.  An
+        index inside the grid never changes, and a point far off the grid
+        keeps an index at least ``2**30 - max(h, w)`` cells off it, where a
+        bare cast would wrap or fail.
+        """
         xyz = np.asarray(xyz, dtype=np.float64)
-        jj = np.floor((xyz[:, 0] - self.origin_x) / self.cell_size).astype(np.int64)
-        ii = np.floor((xyz[:, 1] - self.origin_y) / self.cell_size).astype(np.int64)
+        jj = _cell_index(xyz[:, 0], self.origin_x, self.cell_size)
+        ii = _cell_index(xyz[:, 1], self.origin_y, self.cell_size)
         ok = ((ii >= 0) & (ii < self.h) & (jj >= 0) & (jj < self.w)
               & (xyz[:, 2] >= self.z_min) & (xyz[:, 2] <= self.z_max))
         return ii, jj, ok
@@ -130,6 +148,14 @@ class GridSpec:
     @property
     def z_mid(self) -> float:
         return (self.z_min + self.z_max) / 2.0
+
+
+def _cell_index(v: np.ndarray, origin: float, cell: float) -> np.ndarray:
+    """``floor((v - origin) / cell)`` clipped to ``+-_BIN_LIMIT``, as int32."""
+    f = v - origin
+    f /= cell
+    np.floor(f, out=f)
+    return np.clip(f, -_BIN_LIMIT, _BIN_LIMIT, out=f).astype(np.int32)
 
 
 @dataclass(frozen=True)
@@ -197,7 +223,7 @@ def _rotate_z(xy: np.ndarray, angle: float) -> np.ndarray:
 
 def aggregate(seq: LidarSequence, keyframe: int) -> tuple[np.ndarray, np.ndarray]:
     """Fuse a sequence into one labeled world-frame cloud: ``(xyz,
-    labels)``, the (N, 3) fused points and their (N,) int64 labels.
+    labels)``, the (N, 3) fused points and their (N,) uint8 labels.
 
     Static points map straight through each frame's pose.  Dynamic points
     are lifted into their box's canonical frame at the source frame, then
@@ -213,7 +239,7 @@ def aggregate(seq: LidarSequence, keyframe: int) -> tuple[np.ndarray, np.ndarray
     key_boxes = seq.boxes[keyframe]
     n = sum(len(frame) for frame in seq.frames)
     xyz = np.empty((n, 3))
-    labels = np.empty(n, dtype=np.int64)
+    labels = np.empty(n, dtype=np.uint8)
     at = 0
     for frame, lab, pose, boxes in zip(seq.frames, seq.labels, seq.poses,
                                        seq.boxes):
@@ -306,20 +332,43 @@ def voxelize_bev(bins: tuple[np.ndarray, np.ndarray, np.ndarray],
     binned as `bins`.
 
     Cells without points stay 0; votes are counted and compared only for
-    the cells that hold a point, each numbered by its rank among them.  The
-    result is exactly permutation invariant in point order (integer vote
-    counts).
+    the cells that hold a point, each numbered by its rank among them.
+    Hits and votes are counted over chunks of ``_CHUNK`` points, so no
+    array spans the cloud; the counts are integers, so their sums equal
+    one count over all points, and the result is exactly permutation
+    invariant in point order.
     """
     ii, jj, ok = bins
     lab = validate_labels(labels, ii.size, spec.n_cls)
-    cell = ii[ok] * spec.w + jj[ok]
-    hits = np.bincount(cell, minlength=spec.h * spec.w)
+    chunks = [slice(a, a + _CHUNK) for a in range(0, ii.size, _CHUNK)]
+
+    def cells(part: slice) -> tuple[np.ndarray, np.ndarray]:
+        """The flat cells of the in-bounds points of `part`, and their mask."""
+        keep = ok[part]
+        cell = ii[part][keep].astype(np.int64)
+        cell *= spec.w
+        cell += jj[part][keep]
+        return cell, keep
+
+    hits = np.zeros(spec.h * spec.w, dtype=np.int64)
+    for part in chunks:
+        hits += np.bincount(cells(part)[0], minlength=hits.size)
     held = np.flatnonzero(hits)
     rank = np.cumsum(hits > 0) - 1
-    votes = _votes(rank[cell], lab[ok], held.size, spec.n_cls)
+    votes = np.zeros((held.size, spec.n_cls + 1), dtype=np.int64)
+    for part in chunks:
+        cell, keep = cells(part)
+        votes += _votes(rank[cell], lab[part][keep], held.size, spec.n_cls)
     winner = np.zeros(spec.h * spec.w, dtype=np.int64)
     winner[held] = _plurality(votes, spec.n_cls)
     return OccupancyGrid(spec, winner.reshape(spec.h, spec.w))
+
+
+def _reach(half: float, spec: GridSpec) -> int:
+    """``ceil(half / cell)``, the cells a window reaches out from a cell,
+    capped at ``2 * _BIN_LIMIT``: that reach already spans every clipped
+    index from every cell, so the cap leaves each window unchanged."""
+    return math.ceil(min(half / spec.cell_size, 2 * _BIN_LIMIT))
 
 
 def _window(z: np.ndarray, ii: np.ndarray, jj: np.ndarray, spec: GridSpec,
@@ -340,12 +389,12 @@ def _window(z: np.ndarray, ii: np.ndarray, jj: np.ndarray, spec: GridSpec,
     """
     pad = half + 1e-6 * (half + abs(spec.z_mid))
     band = np.flatnonzero((z >= spec.z_mid - pad) & (z <= spec.z_mid + pad))
-    reach = math.ceil(half / spec.cell_size)
+    reach = np.int64(_reach(half, spec))  # so the int32 bins sum in int64
     count = np.zeros((spec.h + 1, spec.w + 1), dtype=np.int64)
     count[1:, 1:] = cells.cumsum(axis=0).cumsum(axis=1)
     ii, jj = ii[band], jj[band]
-    i0, i1 = np.clip(ii - reach, 0, spec.h), np.clip(ii + reach + 1, 0, spec.h)
-    j0, j1 = np.clip(jj - reach, 0, spec.w), np.clip(jj + reach + 1, 0, spec.w)
+    i0, i1 = np.clip(ii - reach, 0, spec.h), np.clip(ii + (reach + 1), 0, spec.h)
+    j0, j1 = np.clip(jj - reach, 0, spec.w), np.clip(jj + (reach + 1), 0, spec.w)
     return band[(count[i1, j1] - count[i0, j1] - count[i1, j0]
                  + count[i0, j0]) > 0]
 
@@ -363,26 +412,31 @@ def _pairs(xyz: np.ndarray, ii: np.ndarray, jj: np.ndarray, pts: np.ndarray,
     :func:`_window`).  The window is bucketed by cell with one sort, so a
     query's candidates in one bucket row are one slice of the sorted points,
     found by binary search, and the slices of every query and row expand in
-    one pass.  No table spans the window's cells, so a window that reaches
-    far costs its points, not its area.  ``q`` ascends, and a chunk holds
-    about ``_PAIRS`` candidates.
+    one pass.  Only the bucket rows that hold a point take a slice, and no
+    table spans the window's cells, so a window that reaches far costs its
+    points, not its area.  ``q`` ascends, and a chunk holds about
+    ``_PAIRS`` candidates.
     """
     if pts.size == 0:
         return
-    reach = math.ceil(half / spec.cell_size)
-    pi, pj = ii[pts], jj[pts]
+    reach = _reach(half, spec)
+    pi, pj = ii[pts].astype(np.int64), jj[pts].astype(np.int64)
     i0, j0 = pi.min(), pj.min()
-    rows, cols = int(pi.max() - i0) + 1, int(pj.max() - j0) + 1
+    cols = int(pj.max() - j0) + 1
     key = (pi - i0) * cols + (pj - j0)
     order = np.argsort(key)
     pts, key = pts[order], key[order]
     coords = xyz[pts]
+    # the bucket rows that hold a point, ascending, and the span of them
+    # that each query's reach meets
+    pi = pi[order] - i0
+    rows = pi[np.flatnonzero(np.diff(pi, prepend=-1))]
+    first = np.searchsorted(rows, qi - i0 - reach)
+    end = np.searchsorted(rows, qi - i0 + reach, side="right")
     # one slice per (query, bucket row) that the query's reach meets
-    di = np.arange(max(-reach, i0 - qi.max()),
-                   min(reach, i0 + rows - 1 - qi.min()) + 1)
-    row = qi[:, None] + (di - i0)
-    meets = (row >= 0) & (row < rows)
-    row = np.clip(row, 0, rows - 1) * cols
+    at = first[:, None] + np.arange((end - first).max())
+    meets = at < end[:, None]
+    row = rows[np.minimum(at, rows.size - 1)] * cols
     lo = np.searchsorted(key, row + np.clip(qj - reach - j0, 0, cols)[:, None])
     hi = np.searchsorted(key, row + np.clip(qj + reach + 1 - j0, 0, cols)[:, None])
     count = np.where(meets, hi - lo, 0)

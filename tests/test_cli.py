@@ -10,14 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import cloud_of, make_occupancy_reference
+
 from occspot import cli, theory
 from occspot.cli import main
-from occspot.cloud import PointCloud
+from occspot.cloud import LidarSequence, PointCloud, Pose
+from occspot.config import load_config
 from occspot.formats import (read_checkpoint, read_frame, read_grid,
                              read_labels, write_checkpoint, write_frame,
                              write_labels)
 from occspot.learn import train
 from occspot.learn.model import transfer_param_names
+from occspot.pipeline import load_sequence, write_sequence
 
 MINI = {
     "n_sequences": 2,
@@ -403,6 +407,29 @@ class TestClassCountFitsInAByte:
                 "stored as u8), got 256\n")
         assert not out.exists()
         assert not list(tmp_path.glob("wide.spog*"))
+
+
+def test_make_occ_with_a_point_far_off_the_grid(tmp_path):
+    # (1e20, 0, 1) lies some 4e20 cells from an 8 x 8 grid: its bins clip,
+    # and each densified cell's 3 nearest reach it
+    seq = LidarSequence(
+        [cloud_of([[0.1, 0.1, 1.0], [0.1, 0.2, 1.0], [1e20, 0.0, 1.0]])],
+        [np.array([3, 5, 5])], [Pose(np.eye(3), np.zeros(3))], [[]])
+    write_sequence(tmp_path / "seq", seq, 10.0)
+    config = tmp_path / "far.json"
+    config.write_text(json.dumps({
+        "grid": {"origin_x": -1.0, "origin_y": -1.0, "cell_size": 0.25,
+                 "h": 8, "w": 8},
+        "occupancy": {"k": 3}}))
+    out = tmp_path / "grid.spog"
+    assert main(["make-occ", "--config", str(config), str(tmp_path / "seq"),
+                 str(out)]) == cli.EXIT_OK
+    cfg = load_config(config)
+    want = make_occupancy_reference(load_sequence(tmp_path / "seq"), cfg.grid,
+                                    cfg.keyframe, cfg.densify,
+                                    cfg.densify_radius, cfg.densify_k)
+    assert (want.labels == 5).any()
+    np.testing.assert_array_equal(read_grid(out).labels, want.labels)
 
 
 def test_eval_miou_without_support_prints_null(tmp_path, capsys):

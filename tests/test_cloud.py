@@ -157,7 +157,7 @@ class TestLabels:
         assert validate_labels(labels, 3, 15) is labels
         narrow = labels.astype(np.uint8)
         out = validate_labels(narrow, 3, 15)
-        assert out.dtype == np.int64 and np.array_equal(out, labels)
+        assert out is narrow and out.dtype == np.uint8
 
 
 class TestBoxLabel:

@@ -71,6 +71,7 @@ def test_labels_round_trip(tmp_path):
     write_labels(path, labels)
     first = path.read_bytes()
     again = read_labels(path)
+    assert again.dtype == np.uint8
     write_labels(path, again)
     assert path.read_bytes() == first
     np.testing.assert_array_equal(again, labels)

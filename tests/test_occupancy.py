@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from helpers import (aggregate_reference, box_surface_distance, cloud_of,
                      split_reference, tie_weights, voxelize_brute)
 
 from occspot.cloud import BoxLabel, LidarSequence, Pose, transform
-from occspot.occupancy import (GridSpec, OccupancyGrid, _tie_order, aggregate,
-                               knn_label, make_occupancy, split_dynamic_static,
-                               voxelize_bev)
+from occspot.occupancy import (_CHUNK, GridSpec, OccupancyGrid, _tie_order,
+                               aggregate, knn_label, make_occupancy,
+                               split_dynamic_static, voxelize_bev)
 from occspot.synth import (BeamSpec, Scene, SceneParams, build_scene,
                            generate_sequence)
 
@@ -186,7 +187,7 @@ class TestAggregate:
         cloud, want = aggregate_reference(seq, keyframe)
         assert fused.dtype == np.float64 and fused.shape == cloud.xyz.shape
         assert fused.tobytes() == cloud.xyz.tobytes()
-        assert labels.dtype == np.int64 and np.array_equal(labels, want)
+        assert labels.dtype == np.uint8 and np.array_equal(labels, want)
 
     def test_non_finite_fused_points_rejected(self):
         # finite points and a finite pose whose sum overflows
@@ -602,6 +603,137 @@ class TestDensifyCulling:
         grid = self.assert_same(one_frame(xyz, np.arange(1, 17) % 15 + 1),
                                 spec, 0.75, 3)
         assert grid.occupied_count == 16
+
+
+class TestCompactWorkingSet:
+    """uint8 labels, clipped int32 bins and chunked votes give the grids of
+    independent oracles, in a working set that does not grow with the
+    cloud."""
+
+    @staticmethod
+    def counted(cells, labels, spec):
+        """The plurality grid of points whose flat cell is known (-1 when
+        off the grid or out of the band): one count per (cell, class), ties
+        to the larger :func:`tie_weights` entry, then the smaller id."""
+        w = tie_weights(spec.n_cls)
+        counts = np.zeros((spec.h * spec.w, spec.n_cls + 1), dtype=np.int64)
+        on = cells >= 0
+        np.add.at(counts, (cells[on], labels[on]), 1)
+        out = np.zeros(spec.h * spec.w, dtype=np.int64)
+        for c in np.flatnonzero(counts.sum(axis=1)):
+            out[c] = max(range(spec.n_cls + 1),
+                         key=lambda k: (counts[c, k], w[k], -k))
+        return out.reshape(spec.h, spec.w)
+
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                   3 * _CHUNK + 7])
+    def test_chunked_votes_match_a_per_cell_count(self, n):
+        spec = GridSpec(-3.0, -2.0, 0.5, 48, 64, -1.0, 1.0, n_cls=15)
+        rng = np.random.default_rng(n)
+        # each point inside a known cell, a ring of cells off the grid
+        # included, and a tenth of them above the band; three classes per
+        # cell, so votes are close
+        i = rng.integers(1, spec.h + 1, n)
+        j = rng.integers(-1, spec.w + 1, n)
+        z = rng.choice([0.0, 5.0], n, p=[0.9, 0.1])
+        labels = (rng.integers(0, 3, n) + (5 * i + j) % 13).astype(np.uint8)
+        # the first and last point of each chunk alone in a cell of row 0
+        edge = np.unique(np.clip(np.arange(0, n + _CHUNK, _CHUNK)[:, None]
+                                 + [-1, 0], 0, n - 1))
+        i[edge], j[edge], z[edge] = 0, np.arange(edge.size), 0.0
+        labels[edge] = np.arange(edge.size) % 15 + 1
+        xyz = np.stack([
+            spec.origin_x + (j + rng.uniform(0.1, 0.9, n)) * spec.cell_size,
+            spec.origin_y + (i + rng.uniform(0.1, 0.9, n)) * spec.cell_size,
+            z], axis=-1)
+        inside = ((i >= 0) & (i < spec.h) & (j >= 0) & (j < spec.w)
+                  & (xyz[:, 2] <= spec.z_max))
+        cells = np.where(inside, i * spec.w + j, -1)
+        got = voxelize_bev(spec.bin_points(xyz), labels, spec)
+        np.testing.assert_array_equal(got.labels,
+                                      self.counted(cells, labels, spec))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_every_u8_label_through_aggregate_voxelize_and_knn(self, dtype):
+        # one point at each cell centre of a 16 x 16 grid, labelled by the
+        # cell's row-major index 0..255, but none in cells 7 and 200
+        spec = GridSpec(-8.0, -8.0, 1.0, 16, 16, 0.0, 2.0, n_cls=255)
+        xx, yy = spec.cell_centers()
+        cell = np.setdiff1d(np.arange(256), [7, 200])
+        xyz = np.stack([xx.ravel()[cell], yy.ravel()[cell],
+                        np.ones(cell.size)], axis=-1)
+        seq = one_frame(xyz, cell.astype(dtype))
+        fused_labels = aggregate(seq, 0)[1]
+        assert fused_labels.dtype == np.uint8
+        assert np.array_equal(fused_labels, cell)
+        for k in (1, 3):
+            grid = make_occupancy(seq, spec, 0, True, 1.5, k)
+            want = make_occupancy_reference(seq, spec, 0, True, 1.5, k)
+            np.testing.assert_array_equal(grid.labels, want.labels)
+        # cell 0's own point votes empty; cells 7 and 200 take their
+        # neighbour of lowest index, 1 m away
+        want = np.arange(256)
+        want[7], want[200] = 6, 184
+        np.testing.assert_array_equal(
+            make_occupancy(seq, spec, 0, True, 1.5, 1).labels.ravel(), want)
+
+    def test_bins_are_int32_and_exact_within_2_30(self):
+        spec = GridSpec(0.0, 0.0, 1.0, 4, 4, -1.0, 1.0)
+        k = np.array([-2**30, -2**30 + 1, -5, -1, 0, 1, 3, 4, 2**30 - 1,
+                      2**30])
+        xyz = np.stack([k + 0.5, k[::-1] + 0.5, np.zeros(k.size)], axis=-1)
+        ii, jj, ok = spec.bin_points(xyz)
+        assert ii.dtype == np.int32 and jj.dtype == np.int32
+        assert ok.dtype == np.bool_
+        assert jj.tolist() == k.tolist() and ii.tolist() == k[::-1].tolist()
+        assert ok.tolist() == [bool(0 <= a < 4 and 0 <= b < 4)
+                               for a, b in zip(k[::-1], k)]
+
+    def test_far_bins_clip_and_stay_far(self):
+        spec = GridSpec(0.0, 0.0, 1.0, 4, 4, -1.0, 1.0)
+        far = np.array([[2.0**30 + 5.5, -2.0**30 - 5.5, 0.0],
+                        [2.0**40, -2.0**40, 0.0], [1e20, -1e20, 0.0],
+                        [1e150, -1e150, 0.0], [np.inf, -np.inf, 0.0]])
+        ii, jj, ok = spec.bin_points(far)
+        assert ii.dtype == np.int32 and jj.dtype == np.int32
+        assert jj.tolist() == [2**30] * 5 and ii.tolist() == [-2**30] * 5
+        assert not ok.any()
+
+    @pytest.mark.parametrize("far", [1e20, -1e20, 1e150])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_a_vote_that_reaches_a_point_far_off(self, axis, far):
+        # the three nearest of each near cell include the far point, some
+        # 70 (at 1e150, 500) doublings of the window away
+        spec = GridSpec(-1.0, -1.0, 0.25, 8, 8, -1.0, 3.0)
+        p = np.array([0.0, 0.0, 1.0])
+        p[axis] = far
+        seq = one_frame(np.array([[0.1, 0.1, 1.0], [0.1, 0.2, 1.0], p]),
+                        [3, 5, 5])
+        grid = make_occupancy(seq, spec, 0, True, 0.4, 3)
+        want = make_occupancy_reference(seq, spec, 0, True, 0.4, 3)
+        np.testing.assert_array_equal(grid.labels, want.labels)
+        # both near points share cell (4, 4), where 3 wins the tie; the far
+        # point's vote makes every densified cell 5
+        assert grid.labels[4, 4] == 3 and (grid.labels == 5).sum() > 1
+
+    def test_voxelize_peak_does_not_grow_with_the_cloud(self):
+        spec = GridSpec(-16.0, -16.0, 0.5, 64, 64, -1.0, 3.0)
+
+        def peak(n: int) -> int:
+            rng = np.random.default_rng(n)
+            ii = rng.integers(-4, spec.h + 4, n).astype(np.int32)
+            jj = rng.integers(-4, spec.w + 4, n).astype(np.int32)
+            ok = (ii >= 0) & (ii < spec.h) & (jj >= 0) & (jj < spec.w)
+            labels = rng.integers(0, 16, n).astype(np.uint8)
+            tracemalloc.start()
+            try:
+                voxelize_bev((ii, jj, ok), labels, spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2**16), peak(2**20)
+        assert large <= small + 2**20, (small, large)
 
 
 def test_grid_spec_validation():

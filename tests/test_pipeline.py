@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import re
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -176,3 +177,22 @@ def test_sequence_occupancy_is_pinned(tmp_path, name, n_sequences, sha256):
         grid = sequence_occupancy(load_sequence(seq_dir), cfg)
         digest.update(grid.labels.tobytes())
     assert digest.hexdigest() == sha256
+
+
+def test_sequence_occupancy_working_set(tmp_path):
+    # one occupancy_heavy sequence, 24 frames of 23,040 points: the grid's
+    # peak above the loaded sequence (the fused cloud, its labels and bins,
+    # the votes and the densify windows) stays well under the 39.8 MiB that
+    # int64 labels and bins with whole-cloud votes took
+    cfg = dataclasses.replace(load_config(WORKLOADS / "occupancy_heavy.json"),
+                              n_sequences=1)
+    seq_dir, = generate_dataset(cfg, tmp_path, seed=101, workers=1)
+    seq = load_sequence(seq_dir)
+    assert [len(frame) for frame in seq.frames] == [23040] * 24
+    tracemalloc.start()
+    try:
+        sequence_occupancy(seq, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20, peak / 2**20
