@@ -10,8 +10,8 @@ warning.
 All ops are pure and deterministic in (input, seed).  A flip mirrors only
 the points: per-point labels need no change, and no caller flips boxes.
 The policy that chains them for training is
-:func:`occspot.pipeline.build_samples`, which mirrors the occupancy grid to
-match each flip.
+:func:`occspot.pipeline.build_samples`, which flips the cloud before its
+pillar scatter and mirrors the sample's label array to match.
 """
 
 from __future__ import annotations

@@ -234,14 +234,14 @@ def cmd_pretrain(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
     seq_dirs = _load_dataset_dirs(Path(args.data))
-    samples = build_samples(map(load_sequence, seq_dirs), cfg, seed)
-    params, trace = train(None, samples, cfg, seed)
+    pillars, labels = build_samples(map(load_sequence, seq_dirs), cfg, seed)
+    params, trace = train(None, pillars, labels, cfg, seed)
     out = Path(args.out)
     manifest = _unlinked_manifest(out)
     save_model(out, params, cfg, seed, extra={"loss_trace": trace})
     _write_manifest(manifest, "pretrain", cfg, seed, [out.name],
                     {"data": str(args.data), "loss_trace": trace})
-    print(f"pretrained {cfg.epochs} epochs on {len(samples)} samples; "
+    print(f"pretrained {cfg.epochs} epochs on {len(pillars)} samples; "
           f"loss {trace[0]:.4f} -> {trace[-1]:.4f}; wrote {out}")
     return EXIT_OK
 
@@ -255,9 +255,9 @@ def cmd_finetune(args) -> int:
     seq_dirs = _load_dataset_dirs(Path(args.data))
     if args.labels > len(seq_dirs):
         raise DataError(f"--labels {args.labels} exceeds {len(seq_dirs)} sequences")
-    samples = build_samples(map(load_sequence, seq_dirs[:args.labels]), cfg,
-                            None)
-    params, trace = train(pretrained, samples, cfg, seed)
+    pillars, labels = build_samples(map(load_sequence,
+                                        seq_dirs[:args.labels]), cfg, None)
+    params, trace = train(pretrained, pillars, labels, cfg, seed)
     out = Path(args.out)
     manifest = _unlinked_manifest(out)
     save_model(out, params, cfg, seed, extra={"loss_trace": trace,
@@ -265,7 +265,7 @@ def cmd_finetune(args) -> int:
     _write_manifest(manifest, "finetune", cfg, seed, [out.name],
                     {"ckpt": str(args.ckpt), "labels": args.labels,
                      "loss_trace": trace})
-    print(f"finetuned on {len(samples)} labeled frames; wrote {out}")
+    print(f"finetuned on {len(pillars)} labeled frames; wrote {out}")
     return EXIT_OK
 
 
@@ -273,8 +273,8 @@ def cmd_eval_miou(args) -> int:
     cfg = load_config(args.config)
     params = load_model(args.ckpt, cfg)
     seq_dirs = _load_dataset_dirs(Path(args.data))
-    samples = build_samples(map(load_sequence, seq_dirs), cfg, None)
-    _, iou, mean = evaluate(params, samples, cfg)
+    pillars, labels = build_samples(map(load_sequence, seq_dirs), cfg, None)
+    _, iou, mean = evaluate(params, pillars, labels, cfg)
     per_class = {str(i): _json_ratio(v) for i, v in enumerate(iou)}
     print(json.dumps({"miou": _json_ratio(mean), "iou": per_class},
                      indent=2))

@@ -1,8 +1,9 @@
 """Adam + one-cycle training, one loop for pre-training and fine-tuning.
 
-Every setting comes from :class:`~occspot.config.PipelineConfig`.  A
-checkpoint's header records only the architecture, and loading checks it
-against the config, so fine-tuning trains with its own loss and weights.
+Both read the (pillars, labels) stacks of :func:`prepare_samples`.  Every
+setting comes from :class:`~occspot.config.PipelineConfig`.  A checkpoint's
+header records only the architecture, and loading checks it against the
+config, so fine-tuning trains with its own loss and weights.
 
 Training is bit-deterministic for a fixed seed: parameter init, batch order
 and every arithmetic step flow from named RNG sub-streams, and all math is
@@ -14,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from ..cloud import PointCloud
 from ..config import ConfigError, PipelineConfig
 from ..formats import FormatError, read_checkpoint, write_checkpoint
-from ..occupancy import GridSpec, OccupancyGrid
+from ..occupancy import GridSpec
 from ..seeding import substream
 from .losses import softmax_field, total_loss
 from .metrics import confusion_matrix, miou
@@ -97,23 +99,46 @@ def adam_step(params: Params, grads: Params, state: AdamState,
             params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def prepare_samples(samples: list[tuple[PointCloud, OccupancyGrid]],
+def prepare_samples(samples: Iterable[tuple[PointCloud, np.ndarray]],
                     spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Scatter clouds to pillar tensors once; returns (pillars, gts) stacks."""
-    if not samples:
+    """(pillars, labels) stacks of (world-frame cloud, labels) pairs: each
+    cloud becomes float32 pillars as soon as it is drawn, then is dropped."""
+    pillars, labels = [], []
+    for cloud, grid_labels in samples:
+        pillars.append(pillar_features(cloud, spec).astype(np.float32))
+        labels.append(grid_labels)
+        del cloud
+    if not pillars:
         raise ValueError("empty sample list")
-    pillars = np.stack([pillar_features(c, spec) for c, _ in samples])
-    gts = np.stack([g.labels for _, g in samples])
-    return pillars, gts
+    return np.stack(pillars), np.stack(labels)
 
 
-def _run_epochs(params: Params, pillars: np.ndarray, gts: np.ndarray,
-                cfg: PipelineConfig, order_rng: np.random.Generator) -> list[float]:
+def train(init: Params | None, pillars: np.ndarray, labels: np.ndarray,
+          cfg: PipelineConfig, seed: int) -> tuple[Params, list[float]]:
+    """Train on (pillars, labels) stacks; returns params + per-epoch losses.
+
+    With `init` None the whole model trains from scratch (pre-training, or
+    the scratch baseline).  With a checkpoint's params the encoder and the
+    transposed-conv decode path start from it and only the head is fresh
+    (fine-tuning).  `seed` replaces ``cfg.seed``, so a run's ``--seed``
+    leaves the config as loaded.  Raises on a shape-incompatible checkpoint.
+    """
+    params = init_params(cfg, substream(seed, "init").integers(2**63))
+    if init is not None:
+        for name in transfer_param_names():
+            if name not in init:
+                raise ValueError(f"checkpoint is missing parameter {name}")
+            if init[name].shape != params[name].shape:
+                raise ValueError(
+                    f"checkpoint parameter {name} has shape "
+                    f"{init[name].shape}, model expects {params[name].shape}")
+            params[name] = init[name].astype(params[name].dtype)
     n = pillars.shape[0]
     weights = loss_weights(cfg)
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = steps_per_epoch * cfg.epochs
     opt = AdamState.init(params)
+    order_rng = substream(seed, "batch-order")
     trace: list[float] = []
     step = 0
 
@@ -131,7 +156,7 @@ def _run_epochs(params: Params, pillars: np.ndarray, gts: np.ndarray,
         except ValueError as exc:  # NaN logits: the run diverged
             raise diverged(exc) from exc
         del logits
-        loss, dlogits = total_loss(pred, gts[sel], weights, cfg.lam,
+        loss, dlogits = total_loss(pred, labels[sel], weights, cfg.lam,
                                    cfg.lovasz_classes)
         del pred
         if not np.isfinite(loss):
@@ -148,50 +173,21 @@ def _run_epochs(params: Params, pillars: np.ndarray, gts: np.ndarray,
                 run_step(order[s * cfg.batch_size:(s + 1) * cfg.batch_size]))
             step += 1
         trace.append(float(np.mean(epoch_losses)))
-    return trace
-
-
-def train(init: Params | None,
-          samples: list[tuple[PointCloud, OccupancyGrid]], cfg: PipelineConfig,
-          seed: int) -> tuple[Params, list[float]]:
-    """Train on (cloud, grid) samples; returns params + per-epoch loss trace.
-
-    With `init` None the whole model trains from scratch (pre-training, or
-    the scratch baseline).  With a checkpoint's params the encoder and the
-    transposed-conv decode path start from it and only the head is fresh
-    (fine-tuning).  `seed` replaces ``cfg.seed``, so a run's ``--seed``
-    leaves the config as loaded.  Raises on an empty sample list or a
-    shape-incompatible checkpoint.
-    """
-    params = init_params(cfg, substream(seed, "init").integers(2**63))
-    if init is not None:
-        for name in transfer_param_names():
-            if name not in init:
-                raise ValueError(f"checkpoint is missing parameter {name}")
-            if init[name].shape != params[name].shape:
-                raise ValueError(
-                    f"checkpoint parameter {name} has shape "
-                    f"{init[name].shape}, model expects {params[name].shape}")
-            params[name] = init[name].astype(params[name].dtype)
-    pillars, gts = prepare_samples(samples, cfg.grid)
-    trace = _run_epochs(params, pillars, gts, cfg,
-                        substream(seed, "batch-order"))
     return params, trace
 
 
-def evaluate(params: Params, samples: list[tuple[PointCloud, OccupancyGrid]],
+def evaluate(params: Params, pillars: np.ndarray, labels: np.ndarray,
              cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    """Argmax predictions over `samples`; returns (cm, per-class IoU, mIoU).
+    """Argmax predictions over `pillars`; returns (cm, per-class IoU, mIoU).
 
     The mean leaves out class 0 (empty).
     """
-    pillars, gts = prepare_samples(samples, cfg.grid)
     n_out = cfg.grid.n_cls + 1
     cm = np.zeros((n_out, n_out), dtype=np.int64)
     for i in range(pillars.shape[0]):
         logits, _ = model_forward(pillars[i:i + 1], params)
         pred = logits[0].argmax(axis=-1)
-        cm += confusion_matrix(gts[i], pred, n_out)
+        cm += confusion_matrix(labels[i], pred, n_out)
     iou, mean = miou(cm)
     return cm, iou, mean
 

@@ -1,5 +1,5 @@
 """Dataset plumbing: generate sequence trees on disk, load them back, and
-assemble (cloud, occupancy) training samples.
+assemble the (pillars, labels) stacks the model trains and is scored on.
 
 A sequence travels as one :class:`~occspot.cloud.LidarSequence`:
 :func:`generate_dataset` writes what ``synth.generate_sequence`` returns
@@ -13,15 +13,15 @@ back.  On-disk layout (all formats from :mod:`occspot.formats`)::
         frame_000.sptc / .sptl / .boxes.jsonl
         ...
 
-Samples for training pair each sequence's keyframe scan (beam re-sampled
-and flipped when an augmentation seed is given, with the grid mirrored to
-match) with the occupancy grid aggregated over the whole sequence.
+A sample pairs the float32 pillars of a sequence's keyframe scan (beam
+re-sampled and flipped under an augmentation seed) with the labels of the
+grid aggregated over the whole sequence, mirrored to match each flip.
 
 One sequence is resident at a time: :func:`generate_dataset` drops each
 sequence once it is written, and :func:`build_samples` takes any iterable
-(``map(load_sequence, seq_dirs)``), keeps only each sample, and drops the
-sequence before it asks for the next.  Peak memory then grows with the
-samples, not with the loaded sequences.
+(``map(load_sequence, seq_dirs)``), keeps only each sample's arrays, and
+drops the sequence and its cloud before it asks for the next.  Peak memory
+then grows with the samples, not with the loaded sequences.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .cloud import LidarSequence, PointCloud, Pose, transform
 from .config import ConfigError, PipelineConfig
 from .formats import (FormatError, atomic_write_text, read_boxes, read_frame,
                       read_labels, write_boxes, write_frame, write_labels)
+from .learn.train import prepare_samples
 from .occupancy import OccupancyGrid, make_occupancy
 from .seeding import substream
 from .synth import build_scene, generate_sequence
@@ -137,25 +138,26 @@ def sequence_occupancy(seq: LidarSequence, cfg: PipelineConfig) -> OccupancyGrid
 
 
 def build_samples(seqs: Iterable[LidarSequence], cfg: PipelineConfig,
-                  augment_seed: int | None
-                  ) -> list[tuple[PointCloud, OccupancyGrid]]:
-    """(keyframe cloud, sequence occupancy) pairs, one per sequence of `seqs`.
+                  augment_seed: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """(pillars, labels) stacks, one sample per sequence of `seqs`: float32
+    ``(N, H, W, PILLAR_DIM)`` keyframe pillars and ``(N, H, W)`` labels.
 
     `seqs` may be any iterable, such as a lazy ``map(load_sequence,
-    seq_dirs)``: each sequence is dropped before the next one is drawn, so
-    only one is held at a time.
+    seq_dirs)``: each sequence and its cloud are dropped before the next
+    one is drawn, so only one is held at a time.
 
     With `augment_seed` None (fine-tuning, evaluation) the keyframe cloud
     only moves into the world frame of the grid.  With a seed (pre-training)
     each sample is augmented from that seed's ``augment`` sub-stream: beam
     re-sampling (input-only; targets drawn uniformly from the configured
-    list) and axis flips mirrored onto the grid.  There is no rotation: an
-    arbitrary rotation does not map the label grid onto itself.
+    list) and axis flips of the cloud before its pillar scatter, mirrored
+    onto the labels.  There is no rotation: an arbitrary rotation does not
+    map the label grid onto itself.
     """
     rng = None if augment_seed is None else substream(augment_seed, "augment")
-    samples = []
-    for seq in seqs:
-        grid = sequence_occupancy(seq, cfg)
+
+    def sample(seq: LidarSequence) -> tuple[PointCloud, np.ndarray]:
+        labels = sequence_occupancy(seq, cfg).labels
         cloud = seq.frames[cfg.keyframe]
         if rng is not None and cfg.target_beams:
             # re-sample in the sensor frame, where elevations mean beams
@@ -166,13 +168,14 @@ def build_samples(seqs: Iterable[LidarSequence], cfg: PipelineConfig,
         cloud = transform(cloud, seq.poses[cfg.keyframe])  # align with the grid
         if rng is not None:
             # PipelineConfig guarantees a centred grid when a flip can
-            # happen, so a flip of the points mirrors the grid exactly
+            # happen, so a flip of the points mirrors the labels exactly
             if rng.random() < cfg.flip_prob_x:  # y -> -y mirrors rows
                 cloud = random_flip(cloud, "x")
-                grid = OccupancyGrid(grid.spec, grid.labels[::-1])
+                labels = labels[::-1]
             if rng.random() < cfg.flip_prob_y:  # x -> -x mirrors columns
                 cloud = random_flip(cloud, "y")
-                grid = OccupancyGrid(grid.spec, grid.labels[:, ::-1])
-        samples.append((cloud, grid))
-        del seq  # or it lives on while `seqs` loads the next
-    return samples
+                labels = labels[:, ::-1]
+        return cloud, labels
+
+    # a lazy map holds no sequence once its sample is made
+    return prepare_samples(map(sample, seqs), cfg.grid)

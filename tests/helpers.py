@@ -13,13 +13,16 @@ import math
 
 import numpy as np
 
-from occspot.cloud import BoxLabel, PointCloud
+from occspot.augment import beam_resample, random_flip, resample_factor
+from occspot.cloud import BoxLabel, PointCloud, transform
 from occspot.config import PipelineConfig
 from occspot.learn import PILLAR_DIM
 from occspot.learn.losses import _check_pair, lovasz_grad
 from occspot.learn.model import _patches
 from occspot.occupancy import (GridSpec, OccupancyGrid, _rotate_z, aggregate,
                                split_dynamic_static, voxelize_bev)
+from occspot.pipeline import sequence_occupancy
+from occspot.seeding import substream
 from occspot.synth import _RAY_EPS, RANGE_NORM, SceneParams, _ray_directions
 
 
@@ -207,6 +210,37 @@ def make_occupancy_reference(seq, spec, keyframe, densify, radius, k):
             out[i, j] = knn_label_brute(fused, fused_labels, q, k,
                                         spec.n_cls)[0]
     return OccupancyGrid(spec, out)
+
+
+def build_samples_reference(seqs, cfg, augment_seed) -> list:
+    """``pipeline.build_samples`` in its earlier form: a list of (world-frame
+    keyframe cloud, ``OccupancyGrid``) pairs, each flip mirroring a rebuilt
+    grid.
+
+    Shares the library's grid, re-sampling and flips on purpose: the
+    property under test is that scattering each cloud at build time and
+    mirroring the label array give the stacks these pairs give.
+    """
+    rng = None if augment_seed is None else substream(augment_seed, "augment")
+    samples = []
+    for seq in seqs:
+        grid = sequence_occupancy(seq, cfg)
+        cloud = seq.frames[cfg.keyframe]
+        if rng is not None and cfg.target_beams:
+            target = cfg.target_beams[int(rng.integers(len(cfg.target_beams)))]
+            factor = resample_factor(cfg.source_beams, target)
+            cloud, _ = beam_resample(cloud, seq.labels[cfg.keyframe], factor,
+                                     seed=int(rng.integers(2**63)))
+        cloud = transform(cloud, seq.poses[cfg.keyframe])
+        if rng is not None:
+            if rng.random() < cfg.flip_prob_x:
+                cloud = random_flip(cloud, "x")
+                grid = OccupancyGrid(grid.spec, grid.labels[::-1])
+            if rng.random() < cfg.flip_prob_y:
+                cloud = random_flip(cloud, "y")
+                grid = OccupancyGrid(grid.spec, grid.labels[:, ::-1])
+        samples.append((cloud, grid))
+    return samples
 
 
 def pillar_features_reference(cloud, spec) -> np.ndarray:

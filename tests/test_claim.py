@@ -53,22 +53,24 @@ def claim_probe(seed: int) -> dict:
     """Held-out (per-class IoU, mIoU) of the pre-trained and the scratch
     model for one seed."""
     seqs = sequences(CFG, seed)
-    pre_samples = []
-    for f in range(CFG.n_frames):
-        pre_samples += build_samples(seqs, replace(CFG, keyframe=f),
-                                     subseed(seed, f"frame-{f}"))
+    per_frame = [build_samples(seqs, replace(CFG, keyframe=f),
+                               subseed(seed, f"frame-{f}"))
+                 for f in range(CFG.n_frames)]
+    pre_samples = [np.concatenate(stacks) for stacks in zip(*per_frame)]
     labelled = build_samples(seqs[:FINETUNE_SEQUENCES], CFG, None)
     heldout = build_samples(
         sequences(replace(CFG, n_sequences=HELDOUT_SEQUENCES), seed + 10_000),
         CFG, None)
 
-    pre, _ = train(None, pre_samples, replace(CFG, epochs=PRETRAIN_EPOCHS), seed)
-    tuned, _ = train(pre, labelled, replace(CFG, epochs=FINETUNE_EPOCHS), seed)
-    scratch, _ = train(None, labelled, replace(CFG, epochs=SCRATCH_EPOCHS),
+    pre, _ = train(None, *pre_samples, replace(CFG, epochs=PRETRAIN_EPOCHS),
+                   seed)
+    tuned, _ = train(pre, *labelled, replace(CFG, epochs=FINETUNE_EPOCHS),
+                     seed)
+    scratch, _ = train(None, *labelled, replace(CFG, epochs=SCRATCH_EPOCHS),
                        seed)
     out = {}
     for name, params in (("pretrained", tuned), ("scratch", scratch)):
-        _, iou, mean = evaluate(params, heldout, CFG)
+        _, iou, mean = evaluate(params, *heldout, CFG)
         out[name] = (iou, mean)
     return out
 

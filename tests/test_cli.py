@@ -432,6 +432,20 @@ def test_make_occ_with_a_point_far_off_the_grid(tmp_path):
     np.testing.assert_array_equal(read_grid(out).labels, want.labels)
 
 
+def test_make_occ_with_a_pose_past_1e150_is_a_data_error(tmp_path, config,
+                                                         capsys):
+    seq = LidarSequence([cloud_of([[0.1, 0.1, 1.0], [0.1, 0.2, 1.0]])],
+                        [np.array([3, 5])],
+                        [Pose(np.eye(3), (1e200, 0.0, 0.0))], [[]])
+    write_sequence(tmp_path / "seq", seq, 10.0)
+    out = tmp_path / "grid.spog"
+    assert main(["make-occ", "--config", config,
+                 str(tmp_path / "seq"), str(out)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        "data error: point coordinates must be finite\n")
+    assert not out.exists()
+
+
 def test_eval_miou_without_support_prints_null(tmp_path, capsys):
     # an 8x8 grid far from every scan: every target cell is empty, so no
     # class but empty has support and the mean is over no class
@@ -670,8 +684,8 @@ class TestCheckpointAgainstConfig:
         # float32 parameters and an f32 checkpoint: nothing is rounded
         runs = []
 
-        def recorded(init, samples, cfg, seed):
-            params, trace = train(init, samples, cfg, seed)
+        def recorded(init, pillars, labels, cfg, seed):
+            params, trace = train(init, pillars, labels, cfg, seed)
             runs.append((init, params))
             return params, trace
 

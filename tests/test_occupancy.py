@@ -198,6 +198,25 @@ class TestAggregate:
                                                 "finite$"):
             aggregate(seq, 0)
 
+    @pytest.mark.parametrize("far", [1e200, -1e200])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_points_past_1e150_rejected(self, axis, far):
+        # the squared distance of a point some 1e154 m off overflows to inf,
+        # and ties at inf would decide the densify vote
+        def fused(coord):
+            p = np.array([0.1, 0.1, 1.0])
+            p[axis] = coord
+            seq = LidarSequence([cloud_of([[0.1, 0.2, 1.0], p])],
+                                [np.array([3, 5])],
+                                [Pose(np.eye(3), np.zeros(3))], [[]])
+            return aggregate(seq, 0)[0]
+
+        with pytest.raises(ValueError, match="^point coordinates must be "
+                                             "finite$"):
+            fused(far)
+        bound = math.copysign(1e150, far)  # the bound itself is kept
+        assert fused(bound)[1, axis] == bound
+
     @pytest.mark.parametrize("keyframe", [-1, 2])
     def test_keyframe_out_of_range_rejected(self, keyframe):
         scene, seq = self.make_sequence(n_frames=2)

@@ -8,10 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import build_samples_reference
+
 from occspot.config import (ConfigError, PipelineConfig, load_config,
                             parse_config)
 from occspot import pipeline
 from occspot.formats import FormatError, read_boxes, write_boxes
+from occspot.learn import PILLAR_DIM, pillar_features
 from occspot.pipeline import (build_samples, ego_trajectory, generate_dataset,
                               load_sequence, sequence_occupancy, worker_count,
                               write_sequence)
@@ -108,10 +111,9 @@ def test_config_without_flips_or_beam_targets_does_not_augment():
     cfg = dataclasses.replace(CFG, flip_prob_x=0.0, flip_prob_y=0.0)
     assert cfg.target_beams == ()
     seqs = [generated_sequence(seed) for seed in (3, 4)]
-    for (c0, g0), (c1, g1) in zip(build_samples(seqs, cfg, None),
-                                  build_samples(seqs, cfg, 0)):
-        assert np.array_equal(c0.xyz, c1.xyz)
-        assert np.array_equal(g0.labels, g1.labels)
+    (p0, l0), (p1, l1) = (build_samples(seqs, cfg, seed) for seed in (None, 0))
+    assert p0.tobytes() == p1.tobytes()
+    assert np.array_equal(l0, l1)
 
 
 def test_build_samples_holds_one_sequence_at_a_time(tmp_path):
@@ -129,15 +131,36 @@ def test_build_samples_holds_one_sequence_at_a_time(tmp_path):
 
     for augment_seed in (None, 0):
         refs.clear()
-        samples = build_samples(sequences(), CFG, augment_seed)
+        pillars, labels = build_samples(sequences(), CFG, augment_seed)
         assert len(refs) == len(dirs) and all(r() is None for r in refs)
+        assert pillars.dtype == np.float32
+        assert pillars.shape == (len(dirs), CFG.grid.h, CFG.grid.w, PILLAR_DIM)
         # the augmentation stream draws in the same order as from a list
         want = build_samples([load_sequence(d) for d in dirs], CFG,
                              augment_seed)
-        for (cloud, grid), (c, g) in zip(samples, want, strict=True):
-            assert cloud.xyz.tobytes() == c.xyz.tobytes()
-            assert cloud.feat.tobytes() == c.feat.tobytes()
-            assert np.array_equal(grid.labels, g.labels)
+        assert pillars.tobytes() == want[0].tobytes()
+        assert np.array_equal(labels, want[1])
+
+
+@pytest.mark.parametrize("augment_seed", [None, 0])
+def test_build_samples_equals_the_scattered_reference_pairs(augment_seed):
+    # with a seed every flip is taken, and seed 0 draws scan_heavy's beam
+    # targets 64, 32, 64; without one neither is applied
+    scan = load_config(WORKLOADS / "scan_heavy.json")
+    cfg = dataclasses.replace(CFG, flip_prob_x=1.0, flip_prob_y=1.0,
+                              source_beams=scan.source_beams,
+                              target_beams=scan.target_beams)
+    seqs = [generate_sequence(build_scene(cfg.scene, seed), cfg.source_beams,
+                              ego_trajectory(cfg), cfg.keyframe_hz, workers=1)
+            for seed in (3, 4, 5)]
+    pillars, labels = build_samples(seqs, cfg, augment_seed)
+    want = build_samples_reference(seqs, cfg, augment_seed)
+    assert pillars.dtype == np.float32
+    assert pillars.tobytes() == np.stack(
+        [pillar_features(c, cfg.grid).astype(np.float32)
+         for c, _ in want]).tobytes()
+    assert labels.dtype == np.int64
+    assert labels.tobytes() == np.stack([g.labels for _, g in want]).tobytes()
 
 
 def test_generate_dataset_releases_each_sequence(tmp_path, monkeypatch):

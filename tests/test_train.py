@@ -31,6 +31,11 @@ def toy_samples(cfg, n_scenes=3, seed0=50):
     return build_samples(seqs, cfg, None)
 
 
+def first(samples):
+    """The (pillars, labels) stacks of the first sample alone."""
+    return samples[0][:1], samples[1][:1]
+
+
 class TestOneCycle:
     def test_peak_reached_at_warmup_end(self):
         total = 100
@@ -85,30 +90,32 @@ class TestTrainingLoops:
     def test_deterministic_loss_trace(self):
         cfg = toy_config(epochs=2, batch_size=2, lr_peak=0.003)
         samples = toy_samples(cfg)
-        _, trace_a = train(None, samples, cfg, seed=5)
-        _, trace_b = train(None, samples, cfg, seed=5)
+        _, trace_a = train(None, *samples, cfg, seed=5)
+        _, trace_b = train(None, *samples, cfg, seed=5)
         assert trace_a == trace_b  # bit-identical
 
     def test_different_seed_different_trace(self):
         cfg = toy_config(epochs=1, batch_size=4)
         samples = toy_samples(cfg)
-        _, a = train(None, samples, cfg, seed=1)
-        _, b = train(None, samples, cfg, seed=2)
+        _, a = train(None, *samples, cfg, seed=1)
+        _, b = train(None, *samples, cfg, seed=2)
         assert a != b
 
     def test_loss_decreases_quickly_on_one_sample(self):
         cfg = toy_config(epochs=100, batch_size=1, lr_peak=0.01)
         samples = toy_samples(cfg, n_scenes=1)
-        _, trace = train(None, samples, cfg, seed=7)
+        _, trace = train(None, *samples, cfg, seed=7)
         assert trace[-1] < 0.5 * trace[0]
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
     def test_nan_aborts_with_diagnostics(self):
         # an absurd learning rate saturates the softmax to an exact zero
         # on the true class within a couple of steps
         cfg = toy_config(epochs=4, batch_size=1, lr_peak=1e6)
         samples = toy_samples(cfg, n_scenes=1)
         with pytest.raises(NumericalError, match="step"):
-            train(None, samples, cfg, seed=0)
+            train(None, *samples, cfg, seed=0)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -119,13 +126,13 @@ class TestTrainingLoops:
         samples = toy_samples(cfg, n_scenes=1)
         with pytest.raises(NumericalError,
                            match=r"^logits contain NaN at step \d+ \(epoch"):
-            train(None, samples, cfg, seed=0)
+            train(None, *samples, cfg, seed=0)
 
     @pytest.mark.parametrize("classes", ["present", "all"])
     def test_training_equals_the_oracle_kernels(self, classes, monkeypatch):
         cfg = toy_config(lovasz_classes=classes)
         samples = toy_samples(cfg)
-        params, trace = train(None, samples, cfg, seed=5)
+        params, trace = train(None, *samples, cfg, seed=5)
         calls = {"lovasz": 0, "col2im": 0}
 
         def counted(key, fn):
@@ -138,7 +145,7 @@ class TestTrainingLoops:
                             counted("lovasz", lovasz_softmax_reference))
         monkeypatch.setattr(model, "conv_backward_input",
                             counted("col2im", conv_backward_input_reference))
-        want_params, want_trace = train(None, samples, cfg, seed=5)
+        want_params, want_trace = train(None, *samples, cfg, seed=5)
         assert calls["lovasz"] > 0 and calls["col2im"] > 0
         assert trace == want_trace
         assert params.keys() == want_params.keys()
@@ -147,8 +154,8 @@ class TestTrainingLoops:
 
     def test_a_step_frees_its_arrays_before_the_next(self):
         # one batch holds every sample, so each epoch is one step.  The
-        # grid is finer than CFG's, so the steps and not the pillar scatter
-        # of the clouds set the peak; with narrow channels the 16-class
+        # grid is finer than CFG's, so a step's arrays are large against
+        # the parameters; with narrow channels the 16-class
         # loss arrays, not the backward pass, set a step's peak.  A loop
         # that keeps the previous step's logits gradient into the next
         # step's loss then raises the 4-step peak by about 10%
@@ -160,7 +167,7 @@ class TestTrainingLoops:
                              batch_size=2)
             tracemalloc.start()
             try:
-                train(None, samples, cfg, seed=5)
+                train(None, *samples, cfg, seed=5)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -170,19 +177,19 @@ class TestTrainingLoops:
 
     def test_finetune_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty sample list"):
-            train(None, [], CFG, seed=0)
+            train(None, *build_samples([], CFG, None), CFG, seed=0)
 
     def test_finetune_shape_mismatch_rejected(self):
         samples = toy_samples(CFG, n_scenes=1)
         wrong = init_params(toy_config(channels=(4, 4, 4)), seed=0)
         with pytest.raises(ValueError, match="shape"):
-            train(wrong, samples, CFG, seed=0)
+            train(wrong, *samples, CFG, seed=0)
 
     def test_finetune_uses_pretrained_encoder(self):
         cfg = toy_config(epochs=1, batch_size=4)
         samples = toy_samples(cfg, n_scenes=2)
-        pre, _ = train(None, samples, cfg, seed=3)
-        ft, _ = train(pre, samples[:1], toy_config(epochs=1, lr_peak=0.0),
+        pre, _ = train(None, *samples, cfg, seed=3)
+        ft, _ = train(pre, *first(samples), toy_config(epochs=1, lr_peak=0.0),
                       seed=4)
         # with lr 0 the encoder stays exactly the pretrained one
         np.testing.assert_array_equal(ft["conv1_w"], pre["conv1_w"])
@@ -190,21 +197,21 @@ class TestTrainingLoops:
     def test_scratch_and_pretrained_produce_valid_miou(self):
         cfg = toy_config(epochs=1, batch_size=1)
         samples = toy_samples(cfg, n_scenes=2)
-        pre, _ = train(None, samples, cfg, seed=6)
+        pre, _ = train(None, *samples, cfg, seed=6)
         for init in (pre, None):
-            params, _ = train(init, samples[:1], cfg, seed=6)
-            _, _, mean = evaluate(params, samples, cfg)
+            params, _ = train(init, *first(samples), cfg, seed=6)
+            _, _, mean = evaluate(params, *samples, cfg)
             assert 0.0 <= mean <= 1.0
 
     def test_loss_settings_come_from_the_config(self):
         # the same samples, seed and init; only the loss settings differ
         cfg = toy_config(epochs=1, batch_size=4)
         samples = toy_samples(cfg, n_scenes=2)
-        pre, _ = train(None, samples, cfg, seed=3)
-        base = train(pre, samples, cfg, seed=4)[1]
+        pre, _ = train(None, *samples, cfg, seed=3)
+        base = train(pre, *samples, cfg, seed=4)[1]
         for other in (toy_config(epochs=1, batch_size=4, lam=0.0),
                       toy_config(epochs=1, batch_size=4, w_empty=1.0)):
-            assert train(pre, samples, other, seed=4)[1] != base
+            assert train(pre, *samples, other, seed=4)[1] != base
 
     def test_loss_weights_follow_the_config(self):
         assert loss_weights(CFG).tolist() == [0.01] + [2.0] * 5 + [1.0] * 10
