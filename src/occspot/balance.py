@@ -24,7 +24,8 @@ def sampling_weights(frame_counts: Iterable[Mapping[int, int]]
     foreground instance counts summed over a dataset.
 
     Classes whose dataset-wide total is zero are dropped with a warning
-    (their weight would be undefined); an all-zero dataset is an error.
+    (their weight would be undefined); an all-zero dataset, or counts whose
+    sum exceeds float64, is an error.
     """
     totals: dict[int, int] = {}
     for frame in frame_counts:
@@ -41,8 +42,12 @@ def sampling_weights(frame_counts: Iterable[Mapping[int, int]]
     kept = sorted(c for c, n in totals.items() if n > 0)
     if not kept:
         raise ValueError("dataset has no foreground instances")
-    counts = np.asarray([totals[c] for c in kept], dtype=np.float64)
-    total = counts.sum()
+    try:
+        counts = np.asarray([totals[c] for c in kept], dtype=np.float64)
+        with np.errstate(over="raise"):
+            total = counts.sum()
+    except (OverflowError, FloatingPointError) as exc:
+        raise ValueError("instance counts overflow float64") from exc
     m = 1.0 / len(kept)
     n = counts / total
     s = np.sqrt(m / n)

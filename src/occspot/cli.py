@@ -9,10 +9,9 @@ overwritten, so a manifest never vouches for an output it did not describe.
 
 Exit codes: 0 success, 2 config or usage error (including a checkpoint
 whose architecture disagrees with the config, more scene objects than the
-arena can place, an OCCSPOT_THREADS that is not a positive integer, a
-``finetune --labels`` below 1 and a ``--seed`` outside 0..2**64-1), 3 data
-error (a non-finite checkpoint too), 4 numerical failure.  OCCSPOT_THREADS
-caps internal worker count (default 1).
+arena can place, a ``finetune --labels`` below 1 and a seed, from
+``--seed`` or the config, outside 0..2**64-1), 3 data error (a non-finite
+checkpoint too), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -40,8 +39,8 @@ from .formats import (atomic_write_text, read_frame, read_labels, write_frame,
                       write_grid, write_labels)
 from .learn import NumericalError, evaluate, load_model, save_model, train
 from .pipeline import (build_samples, generate_dataset, load_sequence,
-                       sequence_occupancy, worker_count)
-from .seeding import substream
+                       sequence_occupancy)
+from .seeding import MAX_SEED, substream
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -117,6 +116,7 @@ def _load_dataset_dirs(data_dir: Path) -> list[Path]:
     The manifest is written last, so a tree without one is incomplete; and
     only listed directories count, so stale ones from an earlier, larger run
     into the same directory are never loaded, nor any outside `data_dir`.
+    Each is listed once: a repeat would train on the same sequence twice.
     """
     manifest = data_dir / "manifest.json"
     try:
@@ -132,6 +132,10 @@ def _load_dataset_dirs(data_dir: Path) -> list[Path]:
                        and n not in ("", ".", "..") for n in outputs)):
         raise DataError(f"{manifest}: 'outputs' must be a non-empty list of "
                         f"sequence names, each a directory in {data_dir}")
+    repeated = sorted({n for n in outputs if outputs.count(n) > 1})
+    if repeated:
+        raise DataError(f"{manifest}: sequences listed more than once: "
+                        f"{repeated}")
     dirs = [data_dir / name for name in outputs]
     missing = [d.name for d in dirs if not d.is_dir()]
     if missing:
@@ -144,12 +148,11 @@ def _load_dataset_dirs(data_dir: Path) -> list[Path]:
 def cmd_gen_scenes(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
-    workers = worker_count()
     out = Path(args.out)
     # an earlier run's manifest must not vouch for a tree this run rewrites
     (out / "manifest.json").unlink(missing_ok=True)
     try:
-        seq_dirs = generate_dataset(cfg, out, seed, workers)
+        seq_dirs = generate_dataset(cfg, out, seed)
     except FieldError as exc:  # more objects than the arena can place
         raise ConfigError(f"scene.{exc.field}: {exc.why}") from exc
     _write_manifest(out / "manifest.json", "gen-scenes", cfg, seed,
@@ -309,21 +312,17 @@ def cmd_theory_check(args) -> int:
 
 # -- entry point ---------------------------------------------------------------
 
-#: the largest seed: ``seeding.subseed`` takes seeds modulo 2**64
-_MAX_SEED = 2**64 - 1
-
-
 def _seed(text: str) -> int:
     """The argparse type of every ``--seed``: an integer in 0..2**64-1, so
     no two accepted seeds alias; anything else is a usage error."""
     try:
         seed = int(text)
-        if 0 <= seed <= _MAX_SEED:
+        if 0 <= seed <= MAX_SEED:
             return seed
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(
-        f"must be an integer in 0..{_MAX_SEED}, got {text!r}")
+        f"must be an integer in 0..{MAX_SEED}, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -68,8 +68,7 @@ class PointCloud:
 
     ``xyz`` is (N, 3) float64, ``feat`` is (N, d) float64 (d >= 0; the
     synthetic scans carry d=1, the normalized range).  Arrays are copied and
-    frozen at construction; instances are immutable values, safe to share
-    across threads.
+    frozen at construction; instances are immutable values.
     """
 
     xyz: np.ndarray

@@ -28,6 +28,7 @@ from pathlib import Path
 
 from .cloud import FieldError
 from .occupancy import GridSpec
+from .seeding import MAX_SEED
 from .synth import BeamSpec, SceneParams
 
 __all__ = ["PipelineConfig", "ConfigError", "load_config", "parse_config"]
@@ -79,6 +80,7 @@ class PipelineConfig:
         centred_x = math.isclose(g.origin_x, mid_x, abs_tol=1e-9)
         centred_y = math.isclose(g.origin_y, mid_y, abs_tol=1e-9)
         checks = (
+            ("seed", 0 <= self.seed <= MAX_SEED, f"must lie in 0..{MAX_SEED}"),
             ("n_sequences", self.n_sequences >= 1, "must be >= 1"),
             ("scene.ground_class", 1 <= self.scene.ground_class <= n_cls,
              f"class {self.scene.ground_class} outside 1..{n_cls}"),

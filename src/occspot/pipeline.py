@@ -27,7 +27,6 @@ then grows with the samples, not with the loaded sequences.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Iterable
 
@@ -35,7 +34,7 @@ import numpy as np
 
 from .augment import beam_resample, random_flip, resample_factor
 from .cloud import LidarSequence, PointCloud, Pose, transform
-from .config import ConfigError, PipelineConfig
+from .config import PipelineConfig
 from .formats import (FormatError, atomic_write_text, read_boxes, read_frame,
                       read_labels, write_boxes, write_frame, write_labels)
 from .learn.train import prepare_samples
@@ -50,17 +49,10 @@ __all__ = [
 
 
 def worker_count() -> int:
-    """Worker cap from OCCSPOT_THREADS, 1 when it is unset; a value that is
-    not a positive integer is a ConfigError."""
-    raw = os.environ.get("OCCSPOT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ConfigError(
-            f"OCCSPOT_THREADS must be a positive integer, got {raw!r}")
-    return n
+    """Always 1: generation is serial.  Kept only because the benchmark's
+    ``perfbench/flow.py`` records it; it goes with ROADMAP item 5's
+    benchmark change."""
+    return 1
 
 
 def ego_trajectory(cfg: PipelineConfig) -> list[Pose]:
@@ -85,13 +77,12 @@ def write_sequence(seq_dir, seq: LidarSequence, keyframe_hz: float) -> None:
         write_boxes(seq_dir / f"frame_{f:03d}.boxes.jsonl", seq.boxes[f])
 
 
-def generate_dataset(cfg: PipelineConfig, out_dir, seed: int,
-                     workers: int) -> list[Path]:
+def generate_dataset(cfg: PipelineConfig, out_dir, seed: int) -> list[Path]:
     """Write ``cfg.n_sequences`` sequence directories; returns their paths.
 
-    Deterministic in (config, seed), whatever the number of `workers`:
-    sequence i uses the i-th draw of the seed's scene sub-stream.  Each
-    sequence is released once written, before the next one is generated.
+    Deterministic in (config, seed): sequence i uses the i-th draw of the
+    seed's scene sub-stream.  Each sequence is released once written, before
+    the next one is generated.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -102,7 +93,7 @@ def generate_dataset(cfg: PipelineConfig, out_dir, seed: int,
     for i in range(cfg.n_sequences):
         scene = build_scene(cfg.scene, int(scene_seeds[i]))
         seq = generate_sequence(scene, cfg.source_beams, poses,
-                                cfg.keyframe_hz, workers=workers)
+                                cfg.keyframe_hz)
         seq_dirs.append(out_dir / f"seq_{i:04d}")
         write_sequence(seq_dirs[-1], seq, cfg.keyframe_hz)
         del seq

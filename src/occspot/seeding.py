@@ -1,9 +1,9 @@
 """Named, reproducible RNG sub-streams derived from one root seed.
 
 Every random decision in the pipeline (scene layout, augmentation draws,
-frame sampler, parameter init, batch order) pulls its generator from here so
-that a single root seed pins the whole run, and independent stages stay
-independent of each other's draw counts.
+parameter init, batch order) pulls its generator from here so that a single
+root seed pins the whole run, and independent stages stay independent of
+each other's draw counts.
 """
 
 from __future__ import annotations
@@ -12,7 +12,11 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["substream", "subseed"]
+__all__ = ["MAX_SEED", "substream", "subseed"]
+
+#: the largest root seed: :func:`subseed` takes seeds modulo 2**64, so a
+#: seed outside 0..MAX_SEED would alias one inside
+MAX_SEED = 2**64 - 1
 
 
 def subseed(root_seed: int, name: str) -> int:

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -422,19 +421,10 @@ def scan(scene: Scene, beams: BeamSpec, sensor_pose: Pose,
 
 
 def generate_sequence(scene: Scene, beams: BeamSpec, poses: Sequence[Pose],
-                      keyframe_hz: float, workers: int) -> LidarSequence:
-    """One scan per ego pose; frame i is taken at ``i / keyframe_hz`` s.
-
-    Frames are independent pure computations, so ``workers > 1`` may render
-    them in parallel; results are assembled by frame index either way.
-    """
+                      keyframe_hz: float) -> LidarSequence:
+    """One scan per ego pose; frame i is taken at ``i / keyframe_hz`` s."""
     times = [i / keyframe_hz for i in range(len(poses))]
-    cast = functools.partial(scan, scene, beams)
-    if workers > 1 and len(poses) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scans = list(pool.map(cast, poses, times))
-    else:
-        scans = list(map(cast, poses, times))
+    scans = [scan(scene, beams, pose, t) for pose, t in zip(poses, times)]
     return LidarSequence([cloud for cloud, _ in scans],
                          [labels for _, labels in scans], poses,
                          [scene.boxes_at(t) for t in times])

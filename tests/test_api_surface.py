@@ -26,13 +26,17 @@ ALLOWED = {
     "occspot.formats.read_grid":
         "perfbench/layers.py wraps it by name in _READERS; training from "
         "make-occ's grids (ROADMAP item 2) will call it",
+    "occspot.pipeline.worker_count":
+        "a shim that returns 1; perfbench/flow.py records it in environment(), "
+        "and it goes with ROADMAP item 5's benchmark change",
 }
 
 
 #: config keys that nothing outside occspot.config reads, each with its reason
 ALLOWED_KEYS = {
     "balance.epoch_size":
-        "the class-balanced epoch length; item 1 wires it or deletes it",
+        "the class-balanced epoch length; ROADMAP item 2 wires it or "
+        "deletes it",
 }
 
 

@@ -45,7 +45,7 @@ def sequences(cfg: PipelineConfig, seed: int) -> list:
     scene_seeds = substream(seed, "scene").integers(2**63, size=cfg.n_sequences)
     poses = ego_trajectory(cfg)
     return [generate_sequence(build_scene(cfg.scene, int(s)), cfg.source_beams,
-                              poses, cfg.keyframe_hz, workers=1)
+                              poses, cfg.keyframe_hz)
             for s in scene_seeds]
 
 

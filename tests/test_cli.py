@@ -79,7 +79,7 @@ class TestDatasetManifest:
     @pytest.mark.parametrize("damage", [
         "no-manifest", "garbled", "no-outputs", "outputs-not-names",
         "empty-outputs", "listed-dir-missing", "absolute-path",
-        "parent-path"])
+        "parent-path", "listed-twice"])
     def test_incomplete_tree_is_a_data_error(self, tmp_path, config, data,
                                              damage, capsys):
         manifest = data / "manifest.json"
@@ -104,6 +104,9 @@ class TestDatasetManifest:
             manifest.write_text(json.dumps({**doc, "outputs": [0, 1]}))
         elif damage == "empty-outputs":
             manifest.write_text(json.dumps({**doc, "outputs": []}))
+        elif damage == "listed-twice":  # would train on seq_0000 three times
+            manifest.write_text(json.dumps({**doc,
+                                            "outputs": ["seq_0000"] * 3}))
         else:
             shutil.rmtree(data / "seq_0001")
         capsys.readouterr()
@@ -120,6 +123,21 @@ class TestDatasetManifest:
             main(["gen-scenes", "--config", config, "--out", str(data)])
         assert not (data / "manifest.json").exists()
         assert pretrain(config, data, tmp_path) == cli.EXIT_DATA
+
+
+def tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-4"])
+def test_occspot_threads_is_ignored(tmp_path, config, data, monkeypatch, raw):
+    # generation is serial, with no setting for it
+    monkeypatch.setenv("OCCSPOT_THREADS", raw)
+    out = tmp_path / "again"
+    assert main(["gen-scenes", "--config", config,
+                 "--out", str(out)]) == cli.EXIT_OK
+    assert tree_bytes(out) == tree_bytes(data)
 
 
 class TestStaleArtifactManifest:
@@ -310,19 +328,7 @@ def reject_constant(name):
 
 
 class TestUsageErrors:
-    """A bad argument or environment value exits 2 and writes nothing."""
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-4"])
-    def test_occspot_threads_not_a_positive_integer(self, tmp_path, config,
-                                                    monkeypatch, raw, capsys):
-        monkeypatch.setenv("OCCSPOT_THREADS", raw)
-        out = tmp_path / "data"
-        assert main(["gen-scenes", "--config", config,
-                     "--out", str(out)]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            "config error: OCCSPOT_THREADS must be a positive integer, "
-            f"got {raw!r}\n")
-        assert not out.exists()
+    """A bad argument exits 2 and writes nothing."""
 
     @pytest.mark.parametrize("labels", ["0", "-1"])
     def test_finetune_labels_below_one(self, tmp_path, config, data, labels,
@@ -614,6 +620,19 @@ class TestMalformedFiles:
         assert err.startswith(f"data error: {stats}: bad stats document: ")
         assert where in err
 
+    @pytest.mark.parametrize("counts", [{"1": 10**400},
+                                        {"1": 10**308, "2": 10**308}],
+                             ids=["count", "sum"])
+    def test_balance_weights_counts_past_float64(self, tmp_path, counts,
+                                                 capsys):
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps({"frames": [counts]}))
+        assert main(["balance-weights", str(stats)]) == cli.EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"data error: {stats}: bad stats document: instance counts "
+            "overflow float64\n")
+
     def test_balance_weights_prints_the_weights(self, tmp_path, capsys):
         # s_i = sqrt(m / n_i), m = 1/4, n = (10, 13, 1, 11) / 35; class 3
         # has no instance, so it gets no weight
@@ -815,11 +834,13 @@ def test_resample_replaces_an_older_labels_file(tmp_path, capsys):
 
 
 def test_no_command_imports_scipy():
-    """`import occspot.cli` loads no scipy module, numpy's lazily loaded
-    `random` and `ma` come with it, and the package does not list scipy."""
+    """`import occspot.cli` loads no scipy module and no thread pool
+    (`concurrent.futures`), numpy's lazily loaded `random` and `ma` come
+    with it, and the package does not list scipy."""
     src = Path(cli.__file__).resolve().parents[1]
     code = ("import sys, occspot.cli; print(sorted(m for m in sys.modules if "
-            "m.split('.')[0] == 'scipy' or m in ('numpy.random', 'numpy.ma')))")
+            "m.split('.')[0] in ('scipy', 'concurrent') "
+            "or m in ('numpy.random', 'numpy.ma')))")
     out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
                          capture_output=True,
                          env={**os.environ, "PYTHONPATH": str(src)})

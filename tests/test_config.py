@@ -25,6 +25,10 @@ def test_parse_config_accepts_one_sequence():
     assert parse_config({"n_sequences": 1}).n_sequences == 1
 
 
+def test_largest_seed_is_accepted():
+    assert parse_config({"seed": 2**64 - 1}).seed == 2**64 - 1
+
+
 # The serialised config is hashed into every run manifest, and the
 # gen-scenes manifest is part of the benchmark's data hash: these bytes
 # must not change by accident.
@@ -49,6 +53,9 @@ MALFORMED = [
     ('{"scene": {"arena": ["a", 1, 2, 3]}}', "scene.arena[0]"),
     ('{"beams": {"targets": [3]}}', "beams.targets[0]"),
     ('{"n_sequences": true}', "n_sequences"),
+    # seeds alias modulo 2**64: -1 would draw the streams of 2**64 - 1
+    ('{"seed": -1}', "seed"),
+    ('{"seed": 18446744073709551616}', "seed"),
     ('{"train": {"channels": [8.9, 16, 16]}}', "train.channels[0]"),
     ('{"balance": {"foreground_classes": [1.7]}}',
      "balance.foreground_classes[0]"),
@@ -212,7 +219,7 @@ def documents(draw):
     else:
         augment.update(flip_prob_x=0, flip_prob_y=0.0)
     return {
-        "seed": draw(st.integers(0, 2**64)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
         "n_sequences": draw(st.integers(1, 64)),
         "scene": {
             "arena": [x0, x1, y0, y1],

@@ -143,7 +143,7 @@ class TestAggregate:
                                         dynamic_fraction=dynamic), seed)
         poses = [Pose(np.eye(3), (0.5 * i, 0.0, 2.0)) for i in range(n_frames)]
         beams = BeamSpec(16, -2.0, -30.0, 90)
-        return scene, generate_sequence(scene, beams, poses, 10.0, workers=1)
+        return scene, generate_sequence(scene, beams, poses, 10.0)
 
     def test_single_frame_is_world_frame(self):
         scene, seq = self.make_sequence(n_frames=1)
@@ -171,7 +171,7 @@ class TestAggregate:
         scene = Scene(ground_z=0.0, objects=(box,))
         poses = [Pose(np.eye(3), (0.0, 0.0, 2.0)) for _ in range(11)]
         beams = BeamSpec(24, -2.0, -40.0, 180)
-        seq = generate_sequence(scene, beams, poses, 10.0, workers=1)
+        seq = generate_sequence(scene, beams, poses, 10.0)
         fused, labels = aggregate(seq, keyframe=0)
         key_box = seq.boxes[0][0]
         box_points = fused[labels == 1]
@@ -405,7 +405,7 @@ class TestMakeOccupancy:
             dynamic_fraction=0.3), seed)
         poses = [Pose(np.eye(3), (0.2 * i, 0.0, 2.0)) for i in range(n_frames)]
         beams = BeamSpec(32, -5.0, -60.0, 240)
-        return scene, generate_sequence(scene, beams, poses, 10.0, workers=1)
+        return scene, generate_sequence(scene, beams, poses, 10.0)
 
     def test_single_point_matches_voxelize(self):
         spec = small_spec()
@@ -490,7 +490,7 @@ class TestDensifyCulling:
             dynamic_fraction=0.5), seed)
         poses = [Pose(np.eye(3), (0.7 * i, 0.3 * i, 2.0)) for i in range(3)]
         seq = generate_sequence(scene, BeamSpec(24, -2.0, -40.0, 180), poses,
-                                10.0, workers=1)
+                                10.0)
         filled = 0
         for cell, radius, k in [(0.5, 0.4, 5), (0.25, 0.3, 1), (1.0, 0.9, 8),
                                 (0.5, 1.7, 3)]:

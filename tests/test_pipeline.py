@@ -36,8 +36,8 @@ def tree_bytes(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def generate(root, seed, workers=1):
-    generate_dataset(CFG, root, seed=seed, workers=workers)
+def generate(root, seed):
+    generate_dataset(CFG, root, seed=seed)
     return tree_bytes(root)
 
 
@@ -47,25 +47,11 @@ def test_same_seed_writes_identical_bytes(tmp_path):
     assert generate(tmp_path / "b", seed=5) == first
 
 
-def test_worker_count_does_not_change_bytes(tmp_path):
-    assert (generate(tmp_path / "serial", seed=5, workers=1)
-            == generate(tmp_path / "threads", seed=5, workers=2))
-
-
-def test_worker_count_reads_occspot_threads(monkeypatch):
-    monkeypatch.delenv("OCCSPOT_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("OCCSPOT_THREADS", "3")
-    assert worker_count() == 3
-
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-4", "1.5", ""])
-def test_worker_count_rejects_what_is_not_a_positive_integer(monkeypatch,
-                                                             raw):
+@pytest.mark.parametrize("raw", ["3", "abc", "0", "-4", "1.5", ""])
+def test_worker_count_ignores_occspot_threads(monkeypatch, raw):
+    # generation is serial; the shim stays only for the benchmark's record
     monkeypatch.setenv("OCCSPOT_THREADS", raw)
-    with pytest.raises(ConfigError, match="^OCCSPOT_THREADS must be a "
-                                          "positive integer, got "):
-        worker_count()
+    assert worker_count() == 1
 
 
 def test_different_seed_gives_different_frames(tmp_path):
@@ -79,7 +65,7 @@ def test_different_seed_gives_different_frames(tmp_path):
 
 def generated_sequence(seed=3):
     return generate_sequence(build_scene(CFG.scene, seed), CFG.source_beams,
-                             ego_trajectory(CFG), CFG.keyframe_hz, workers=1)
+                             ego_trajectory(CFG), CFG.keyframe_hz)
 
 
 def test_sequence_round_trips_through_disk(tmp_path):
@@ -118,7 +104,7 @@ def test_config_without_flips_or_beam_targets_does_not_augment():
 
 def test_build_samples_holds_one_sequence_at_a_time(tmp_path):
     dirs = generate_dataset(dataclasses.replace(CFG, n_sequences=3), tmp_path,
-                            seed=5, workers=1)
+                            seed=5)
     refs = []
 
     def sequences():
@@ -151,7 +137,7 @@ def test_build_samples_equals_the_scattered_reference_pairs(augment_seed):
                               source_beams=scan.source_beams,
                               target_beams=scan.target_beams)
     seqs = [generate_sequence(build_scene(cfg.scene, seed), cfg.source_beams,
-                              ego_trajectory(cfg), cfg.keyframe_hz, workers=1)
+                              ego_trajectory(cfg), cfg.keyframe_hz)
             for seed in (3, 4, 5)]
     pillars, labels = build_samples(seqs, cfg, augment_seed)
     want = build_samples_reference(seqs, cfg, augment_seed)
@@ -174,7 +160,7 @@ def test_generate_dataset_releases_each_sequence(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "generate_sequence", tracked)
     generate_dataset(dataclasses.replace(CFG, n_sequences=3), tmp_path,
-                     seed=5, workers=1)
+                     seed=5)
     assert len(refs) == 3 and all(r() is None for r in refs)
 
 
@@ -196,7 +182,7 @@ def test_sequence_occupancy_is_pinned(tmp_path, name, n_sequences, sha256):
         load_config(WORKLOADS / f"{name}.json")
     cfg = dataclasses.replace(cfg, n_sequences=n_sequences)
     digest = hashlib.sha256()
-    for seq_dir in generate_dataset(cfg, tmp_path, seed=7, workers=1):
+    for seq_dir in generate_dataset(cfg, tmp_path, seed=7):
         grid = sequence_occupancy(load_sequence(seq_dir), cfg)
         digest.update(grid.labels.tobytes())
     assert digest.hexdigest() == sha256
@@ -209,7 +195,7 @@ def test_sequence_occupancy_working_set(tmp_path):
     # int64 labels and bins with whole-cloud votes took
     cfg = dataclasses.replace(load_config(WORKLOADS / "occupancy_heavy.json"),
                               n_sequences=1)
-    seq_dir, = generate_dataset(cfg, tmp_path, seed=101, workers=1)
+    seq_dir, = generate_dataset(cfg, tmp_path, seed=101)
     seq = load_sequence(seq_dir)
     assert [len(frame) for frame in seq.frames] == [23040] * 24
     tracemalloc.start()

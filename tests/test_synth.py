@@ -470,14 +470,13 @@ class TestSequence:
     def test_single_frame_matches_scan(self):
         scene = build_scene(SceneParams(n_objects=6), seed=5)
         poses = self.make_poses(1)
-        seq = generate_sequence(scene, down_beams(), poses, 10.0, workers=1)
+        seq = generate_sequence(scene, down_beams(), poses, 10.0)
         cloud, labels = scan(scene, down_beams(), poses[0], time_s=0.0)
         assert len(seq.frames) == 1
         np.testing.assert_array_equal(seq.frames[0].xyz, cloud.xyz)
         np.testing.assert_array_equal(seq.labels[0], labels)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_each_frame_goes_through_the_module_scan(self, monkeypatch, workers):
+    def test_each_frame_goes_through_the_module_scan(self, monkeypatch):
         # perfbench wraps synth.scan to time and count every frame
         scene = build_scene(SceneParams(n_objects=3), seed=5)
         real, seen = synth.scan, []
@@ -488,14 +487,14 @@ class TestSequence:
 
         monkeypatch.setattr(synth, "scan", counting)
         poses = self.make_poses(3)
-        generate_sequence(scene, down_beams(), poses, 10.0, workers=workers)
-        assert sorted(seen, key=lambda pt: pt[1]) == list(zip(poses, [0.0, 0.1, 0.2]))
+        generate_sequence(scene, down_beams(), poses, 10.0)
+        assert seen == list(zip(poses, [0.0, 0.1, 0.2]))
 
     def test_static_scene_fused_points_on_surfaces(self):
         params = SceneParams(n_objects=8, dynamic_fraction=0.0)
         scene = build_scene(params, seed=6)
         seq = generate_sequence(scene, down_beams(12, 60),
-                                self.make_poses(2, speed=3.0), 10.0, workers=1)
+                                self.make_poses(2, speed=3.0), 10.0)
         for cloud, pose in zip(seq.frames, seq.poses):
             world = transform(cloud, pose)
             for p in world.xyz:
@@ -505,23 +504,11 @@ class TestSequence:
         box = BoxLabel(0.0, 5.0, 1.0, 2.0, 1.0, 2.0, 0.0, vx=1.0, vy=0.0,
                        class_id=1, is_dynamic=True)
         scene = Scene(ground_z=0.0, objects=(box,))
-        seq = generate_sequence(scene, down_beams(), self.make_poses(11), 10.0,
-                                workers=1)
+        seq = generate_sequence(scene, down_beams(), self.make_poses(11), 10.0)
         assert seq.boxes[10][0].cx == pytest.approx(1.0)
         assert seq.boxes[0][0].cx == pytest.approx(0.0)
-
-    def test_deterministic_and_parallel_equal(self):
-        scene = build_scene(SceneParams(n_objects=10, dynamic_fraction=0.5), 8)
-        poses = self.make_poses(4, speed=2.0)
-        serial = generate_sequence(scene, down_beams(), poses, 10.0, workers=1)
-        parallel = generate_sequence(scene, down_beams(), poses, 10.0, workers=4)
-        for a, b in zip(serial.frames, parallel.frames):
-            np.testing.assert_array_equal(a.xyz, b.xyz)
-        for a, b in zip(serial.labels, parallel.labels):
-            np.testing.assert_array_equal(a, b)
-        assert serial.boxes == parallel.boxes
 
     def test_no_poses_is_rejected(self):
         scene = build_scene(SceneParams(n_objects=2), seed=1)
         with pytest.raises(ValueError, match="at least one frame"):
-            generate_sequence(scene, down_beams(), [], 10.0, workers=1)
+            generate_sequence(scene, down_beams(), [], 10.0)

@@ -25,8 +25,7 @@ CFG = toy_config()  # 15 classes, channels (6, 8, 8)
 def toy_samples(cfg, n_scenes=3, seed0=50):
     poses = ego_trajectory(cfg)
     seqs = [generate_sequence(build_scene(cfg.scene, seed0 + i),
-                              cfg.source_beams, poses, cfg.keyframe_hz,
-                              workers=1)
+                              cfg.source_beams, poses, cfg.keyframe_hz)
             for i in range(n_scenes)]
     return build_samples(seqs, cfg, None)
 
