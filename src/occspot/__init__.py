@@ -2,7 +2,7 @@
 
 Library layout:
 
-* :mod:`occspot.cloud` — point clouds, poses, boxes, sequences, spherical transforms
+* :mod:`occspot.cloud` — point clouds, poses, boxes and sequences
 * :mod:`occspot.synth` — synthetic labeled scenes and the beam raycaster
 * :mod:`occspot.augment` — beam re-sampling and flips
 * :mod:`occspot.occupancy` — the class schema and BEV occupancy ground truth

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, to_spherical
+from .cloud import PointCloud
 from .synth import BeamSpec
 
 __all__ = [
@@ -61,22 +61,23 @@ def resample_factor(source: BeamSpec, target: BeamSpec) -> ResampleFactor:
     return ResampleFactor(raw)
 
 
-def estimate_beams(cloud: PointCloud) -> list[np.ndarray]:
-    """Group points into beams by elevation-gap clustering.
+def estimate_beams(cloud: PointCloud) -> np.ndarray:
+    """The (N,) int64 beam index of each point, by elevation-gap clustering.
 
-    Returns one index array per beam, ordered by ascending elevation; the
-    arrays partition ``range(len(cloud))``.  A new beam starts wherever the
-    gap between consecutive sorted elevations exceeds
-    :data:`DEFAULT_MERGE_THRESHOLD_DEG`.
+    Beam 0 holds the lowest elevations.  A new beam starts wherever the gap
+    between consecutive sorted elevations exceeds
+    :data:`DEFAULT_MERGE_THRESHOLD_DEG`, so ``ids.max() + 1`` beams hold
+    points.  An empty cloud gets an empty array.
     """
-    if len(cloud) == 0:
-        return []
-    el = to_spherical(cloud.xyz)[:, 2]
+    x, y, z = cloud.xyz.T
+    el = np.arctan2(z, np.hypot(x, y))
     order = np.argsort(el, kind="stable")
     sorted_el = el[order]
-    threshold = math.radians(DEFAULT_MERGE_THRESHOLD_DEG)
-    breaks = np.nonzero(np.diff(sorted_el) > threshold)[0] + 1
-    return [np.sort(chunk) for chunk in np.split(order, breaks)]
+    starts = (np.diff(sorted_el, prepend=sorted_el[:1])
+              > math.radians(DEFAULT_MERGE_THRESHOLD_DEG))
+    ids = np.empty(len(cloud), dtype=np.int64)
+    ids[order] = np.cumsum(starts)
+    return ids
 
 
 def beam_resample(cloud: PointCloud, labels: np.ndarray, r: ResampleFactor,
@@ -84,26 +85,23 @@ def beam_resample(cloud: PointCloud, labels: np.ndarray, r: ResampleFactor,
     """Keep a uniformly spaced subset of beams; points keep their order.
 
     With K recovered beams, ``K' = max(1, round(r*K))`` beams survive, picked
-    at cluster indices ``floor(phase + j*K/K')`` where the phase is a seeded
+    at beam indices ``floor(phase + j*K/K')`` where the phase is a seeded
     uniform draw in one stride (so different epochs keep different beams).
     """
     labels = np.asarray(labels)
     if len(cloud) == 0:
         return cloud, labels.copy()
-    clusters = estimate_beams(cloud)
-    k = len(clusters)
+    ids = estimate_beams(cloud)
+    k = int(ids.max()) + 1
     keep = max(1, int(math.floor(r.value * k + 0.5)))
     if keep >= k:
         return cloud, labels.copy()
 
     stride = k / keep
     phase = np.random.default_rng(seed).uniform(0.0, stride)
-    chosen = np.floor(phase + np.arange(keep) * stride).astype(int)
-
-    mask = np.zeros(len(cloud), dtype=bool)
-    for ci in chosen:
-        mask[clusters[ci]] = True
-    index = np.nonzero(mask)[0]
+    sel = np.zeros(k, dtype=bool)
+    sel[np.floor(phase + np.arange(keep) * stride).astype(int)] = True
+    index = np.nonzero(sel[ids])[0]
     return cloud.select(index), labels[index]
 
 

@@ -9,7 +9,8 @@ overwritten, so a manifest never vouches for an output it did not describe.
 
 Exit codes: 0 success, 2 config or usage error (including a checkpoint
 whose architecture disagrees with the config, more scene objects than the
-arena can place, a ``finetune --labels`` below 1 and a seed, from
+arena can place, an arena too small for one object's footprint, a
+``finetune --labels`` below 1 and a seed, from
 ``--seed`` or the config, outside 0..2**64-1), 3 data error (a non-finite
 checkpoint too), 4 numerical failure.
 """
@@ -153,7 +154,7 @@ def cmd_gen_scenes(args) -> int:
     (out / "manifest.json").unlink(missing_ok=True)
     try:
         seq_dirs = generate_dataset(cfg, out, seed)
-    except FieldError as exc:  # more objects than the arena can place
+    except FieldError as exc:  # an arena too small for the objects
         raise ConfigError(f"scene.{exc.field}: {exc.why}") from exc
     _write_manifest(out / "manifest.json", "gen-scenes", cfg, seed,
                     [d.name for d in seq_dirs])

@@ -1,4 +1,4 @@
-"""Point-cloud data model: clouds, rigid poses, boxes, sequences, spherical transforms.
+"""Point-cloud data model: clouds, rigid poses, boxes and sequences.
 
 Coordinate conventions used throughout the package:
 
@@ -18,7 +18,6 @@ even when N is 1.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +28,8 @@ __all__ = [
     "Pose",
     "BoxLabel",
     "LidarSequence",
-    "to_spherical",
-    "from_spherical",
     "transform",
     "validate_labels",
-    "wrap_angle",
 ]
 
 
@@ -54,12 +50,6 @@ def _as_points(xyz) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError(f"expected (N, 3) coordinates, got shape {arr.shape}")
     return arr
-
-
-def wrap_angle(a: np.ndarray) -> np.ndarray:
-    """Wrap an array of angles to the interval (-pi, pi]."""
-    wrapped = np.remainder(a + np.pi, 2.0 * np.pi) - np.pi
-    return np.where(wrapped == -np.pi, np.pi, wrapped)
 
 
 @dataclass(frozen=True)
@@ -222,43 +212,6 @@ class LidarSequence:
                 raise ValueError(
                     f"frame {f} has {len(frame_boxes)} boxes, frame 0 has "
                     f"{len(self.boxes[0])}; box lists must correspond by index")
-
-
-def to_spherical(xyz) -> np.ndarray:
-    """(N, 3) Cartesian -> (N, 3) spherical, columns ``(r, azimuth, elevation)``.
-
-    ``r = sqrt(x^2+y^2+z^2)``, ``azimuth = atan2(x, y)`` in (-pi, pi],
-    ``elevation = atan2(z, hypot(x, y))`` in [-pi/2, pi/2].  The origin maps
-    to ``(0, 0, 0)`` by convention; a warning flags that case.
-    """
-    pts = _as_points(xyz)
-    if not np.isfinite(pts).all():
-        raise ValueError("coordinates must be finite")
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    rho = np.hypot(x, y)
-    r = np.hypot(rho, z)
-    az = wrap_angle(np.arctan2(x, y))
-    el = np.arctan2(z, rho)
-    at_origin = r == 0.0
-    if at_origin.any():
-        warnings.warn("origin point: azimuth/elevation set to 0 by convention",
-                      stacklevel=2)
-        az = np.where(at_origin, 0.0, az)
-        el = np.where(at_origin, 0.0, el)
-    return np.stack([r, az, el], axis=-1)
-
-
-def from_spherical(sph) -> np.ndarray:
-    """Inverse of :func:`to_spherical`: (N, 3) rows ``(r, azimuth,
-    elevation)`` -> (N, 3) Cartesian.
-
-    ``x = r cos(el) sin(az)``, ``y = r cos(el) cos(az)``, ``z = r sin(el)``.
-    """
-    r, az, el = _as_points(sph).T
-    if (r < 0).any():
-        raise ValueError("range r must be >= 0")
-    ce = np.cos(el)
-    return np.stack([r * ce * np.sin(az), r * ce * np.cos(az), r * np.sin(el)], axis=-1)
 
 
 def transform(cloud: PointCloud, pose: Pose) -> PointCloud:

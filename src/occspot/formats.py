@@ -52,12 +52,19 @@ class FormatError(ValueError):
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
-    """Write `data` to `path` via a temp file + rename; never leaves partials."""
+    """Write `data` to `path` via a temp file + rename; never leaves partials.
+
+    The file gets the mode ``open()`` gives a new file, 0o666 less the
+    umask, not the temp file's 0o600.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -87,15 +94,11 @@ def _unpack(path, magic: bytes, fmt: str, kind: str) -> tuple[list, np.ndarray]:
 
 # -- frames -----------------------------------------------------------------
 
-def frame_bytes(cloud: PointCloud) -> bytes:
+def write_frame(path, cloud: PointCloud) -> None:
     records = np.concatenate(
         [cloud.xyz.astype("<f4"), cloud.feat.astype("<f4")], axis=1)
     head = FRAME_MAGIC + struct.pack("<III", VERSION, cloud.n, cloud.d)
-    return head + records.tobytes()
-
-
-def write_frame(path, cloud: PointCloud) -> None:
-    atomic_write_bytes(path, frame_bytes(cloud))
+    atomic_write_bytes(path, head + records.tobytes())
 
 
 def read_frame(path) -> PointCloud:
@@ -110,16 +113,12 @@ def read_frame(path) -> PointCloud:
 
 # -- labels -----------------------------------------------------------------
 
-def label_bytes(labels: np.ndarray) -> bytes:
+def write_labels(path, labels: np.ndarray) -> None:
     arr = np.asarray(labels)
     if arr.size and (arr.min() < 0 or arr.max() > 255):
         raise ValueError("labels must fit in u8")
     head = LABEL_MAGIC + struct.pack("<II", VERSION, arr.shape[0])
-    return head + arr.astype("<u1").tobytes()
-
-
-def write_labels(path, labels: np.ndarray) -> None:
-    atomic_write_bytes(path, label_bytes(labels))
+    atomic_write_bytes(path, head + arr.astype("<u1").tobytes())
 
 
 def read_labels(path) -> np.ndarray:
@@ -132,17 +131,13 @@ def read_labels(path) -> np.ndarray:
 
 # -- boxes ------------------------------------------------------------------
 
-def boxes_text(boxes: Sequence[BoxLabel]) -> str:
+def write_boxes(path, boxes: Sequence[BoxLabel]) -> None:
     lines = []
     for b in boxes:
         obj = {k: getattr(b, k) for k in BOX_KEYS}
         obj["is_dynamic"] = bool(obj["is_dynamic"])
         lines.append(json.dumps(obj, sort_keys=False))
-    return "".join(line + "\n" for line in lines)
-
-
-def write_boxes(path, boxes: Sequence[BoxLabel]) -> None:
-    atomic_write_text(path, boxes_text(boxes))
+    atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
 #: the JSON type of each box field, by the Python types json.loads gives it
@@ -160,8 +155,12 @@ def _box(obj: dict) -> BoxLabel:
 
 
 def read_boxes(path) -> list[BoxLabel]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: boxes are not UTF-8 text: {exc}") from exc
     out = []
-    for i, line in enumerate(Path(path).read_text().splitlines()):
+    for i, line in enumerate(text.splitlines()):
         if not line.strip():
             continue
         try:
@@ -173,17 +172,13 @@ def read_boxes(path) -> list[BoxLabel]:
 
 # -- occupancy grids ---------------------------------------------------------
 
-def grid_bytes(grid) -> bytes:
+def write_grid(path, grid) -> None:
     spec = grid.spec
     labels = np.asarray(grid.labels)
     head = GRID_MAGIC + struct.pack(
         "<IfffIIB", VERSION, spec.origin_x, spec.origin_y, spec.cell_size,
         spec.h, spec.w, spec.n_cls)
-    return head + labels.astype("<u1").tobytes()
-
-
-def write_grid(path, grid) -> None:
-    atomic_write_bytes(path, grid_bytes(grid))
+    atomic_write_bytes(path, head + labels.astype("<u1").tobytes())
 
 
 def read_grid(path):
@@ -200,14 +195,11 @@ def read_grid(path):
 
 # -- checkpoints -------------------------------------------------------------
 
-def checkpoint_bytes(header: dict, blob: np.ndarray) -> bytes:
+def write_checkpoint(path, header: dict, blob: np.ndarray) -> None:
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
     head = CKPT_MAGIC + struct.pack("<II", VERSION, len(payload))
-    return head + payload + np.asarray(blob).astype("<f4").tobytes()
-
-
-def write_checkpoint(path, header: dict, blob: np.ndarray) -> None:
-    atomic_write_bytes(path, checkpoint_bytes(header, blob))
+    body = np.asarray(blob).astype("<f4").tobytes()
+    atomic_write_bytes(path, head + payload + body)
 
 
 def read_checkpoint(path) -> tuple[dict, np.ndarray]:

@@ -46,8 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cloud import (BoxLabel, FieldError, LidarSequence, PointCloud, Pose,
-                    from_spherical)
+from .cloud import BoxLabel, FieldError, LidarSequence, PointCloud, Pose
 
 __all__ = [
     "BeamSpec", "Scene", "SceneParams", "build_scene", "scan",
@@ -181,8 +180,9 @@ class SceneParams:
 def build_scene(params: SceneParams, seed: int) -> Scene:
     """Deterministically place `params.n_objects` boxes in the arena.
 
-    Raises a FieldError on ``n_objects`` when placement stays infeasible
-    after the bounded retry budget.
+    Raises a FieldError on ``arena`` when an object's footprint does not
+    fit in it, and on ``n_objects`` when placement stays infeasible after
+    the bounded retry budget.
     """
     rng = np.random.default_rng(seed)
     x0, x1, y0, y1 = params.arena
@@ -201,6 +201,10 @@ def build_scene(params: SceneParams, seed: int) -> Scene:
         h = float(rng.uniform(*params.size_range_h))
         yaw = float(rng.uniform(-math.pi, math.pi))
         radius = math.hypot(l, w) / 2.0
+        if x1 - radius < x0 + radius or y1 - radius < y0 + radius:
+            raise FieldError(
+                "arena", f"{params.arena} is too small for an object of "
+                f"footprint radius {radius:.3f} m")
 
         for attempt in range(MAX_TRIES_PER_OBJECT):
             cx = float(rng.uniform(x0 + radius, x1 - radius))
@@ -248,9 +252,9 @@ def _cached_ray_directions(key: str,
                            beams: BeamSpec) -> tuple[np.ndarray, np.ndarray]:
     el = beams.elevations()
     az = beams.azimuths()
-    ee, aa = np.meshgrid(el, az, indexing="ij")
-    sph = np.stack([np.ones(ee.size), aa.ravel(), ee.ravel()], axis=-1)
-    dirs = from_spherical(sph)
+    ee, aa = (g.ravel() for g in np.meshgrid(el, az, indexing="ij"))
+    ce = np.cos(ee)
+    dirs = np.stack([ce * np.sin(aa), ce * np.cos(aa), np.sin(ee)], axis=-1)
     dirs.setflags(write=False)
     el.setflags(write=False)
     return dirs, el

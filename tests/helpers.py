@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from occspot.augment import beam_resample, random_flip, resample_factor
+from occspot.augment import (DEFAULT_MERGE_THRESHOLD_DEG, beam_resample,
+                             random_flip, resample_factor)
 from occspot.cloud import BoxLabel, PointCloud, transform
 from occspot.config import PipelineConfig
 from occspot.learn import PILLAR_DIM
@@ -140,6 +141,68 @@ def scan_reference(scene, beams, sensor_pose, time_s: float = 0.0):
     t = best_t[hit]
     return (PointCloud(dirs_sensor[hit] * t[:, None], (t / RANGE_NORM)[:, None]),
             best_label[hit])
+
+
+def azimuth_elevation(xyz) -> tuple[np.ndarray, np.ndarray]:
+    """Azimuth ``atan2(x, y)`` and elevation ``atan2(z, hypot(x, y))`` of
+    the (N, 3) points `xyz`, in the conventions of :mod:`occspot.cloud`."""
+    x, y, z = np.asarray(xyz, dtype=np.float64).T
+    return np.arctan2(x, y), np.arctan2(z, np.hypot(x, y))
+
+
+def from_spherical_reference(sph) -> np.ndarray:
+    """(N, 3) rows ``(r, azimuth, elevation)`` -> (N, 3) Cartesian: the
+    general transform that ``synth`` once built its rays with, at r = 1.
+
+    Shares the library's formula on purpose: the property under test is
+    that the inline ray directions keep every bit of the rays cast before.
+    """
+    r, az, el = np.asarray(sph, dtype=np.float64).T
+    ce = np.cos(el)
+    return np.stack([r * ce * np.sin(az), r * ce * np.cos(az), r * np.sin(el)],
+                    axis=-1)
+
+
+def estimate_beams_reference(cloud) -> list[np.ndarray]:
+    """The beams of `cloud` as one sorted index array per beam, by ascending
+    elevation; the arrays partition ``range(len(cloud))``.
+
+    This is ``augment.estimate_beams`` in its earlier list form, kept with
+    :func:`beam_resample_reference` so the per-point beam indices can be
+    checked to keep exactly the points the list kept.
+    """
+    if len(cloud) == 0:
+        return []
+    _, el = azimuth_elevation(cloud.xyz)
+    order = np.argsort(el, kind="stable")
+    threshold = math.radians(DEFAULT_MERGE_THRESHOLD_DEG)
+    breaks = np.nonzero(np.diff(el[order]) > threshold)[0] + 1
+    return [np.sort(chunk) for chunk in np.split(order, breaks)]
+
+
+def beam_resample_reference(cloud, labels, r, seed: int):
+    """``augment.beam_resample`` in its earlier form: the chosen beams'
+    index arrays OR-ed into a point mask, one beam at a time.
+
+    Shares the library's beam count rule and phase draw on purpose: the
+    property under test is bit-identity of the kept points and labels.
+    """
+    labels = np.asarray(labels)
+    if len(cloud) == 0:
+        return cloud, labels.copy()
+    clusters = estimate_beams_reference(cloud)
+    k = len(clusters)
+    keep = max(1, int(math.floor(r.value * k + 0.5)))
+    if keep >= k:
+        return cloud, labels.copy()
+    stride = k / keep
+    phase = np.random.default_rng(seed).uniform(0.0, stride)
+    chosen = np.floor(phase + np.arange(keep) * stride).astype(int)
+    mask = np.zeros(len(cloud), dtype=bool)
+    for ci in chosen:
+        mask[clusters[ci]] = True
+    index = np.nonzero(mask)[0]
+    return cloud.select(index), labels[index]
 
 
 def split_reference(xyz, boxes, atol: float = 0.0):

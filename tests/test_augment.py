@@ -4,8 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from occspot.augment import (ResampleFactor, beam_density, beam_resample,
-                             estimate_beams, random_flip, resample_factor)
+from helpers import azimuth_elevation, beam_resample_reference
+
+from occspot.augment import (DEFAULT_MERGE_THRESHOLD_DEG, ResampleFactor,
+                             beam_density, beam_resample, estimate_beams,
+                             random_flip, resample_factor)
 from occspot.cloud import PointCloud, Pose
 from occspot.synth import BeamSpec, SceneParams, build_scene, scan
 
@@ -74,26 +77,68 @@ class TestResampleFactor:
 class TestEstimateBeams:
     def test_synthetic_64_beams(self):
         cloud, _ = synth_scan(64)
-        clusters = estimate_beams(cloud)
-        assert len(clusters) == 64
+        ids = estimate_beams(cloud)
+        assert ids.shape == (len(cloud),) and ids.dtype == np.int64
+        assert ids.max() + 1 == 64
 
     def test_single_elevation_one_cluster(self):
         cloud = PointCloud([[1.0, 1.0, 0.0], [0.0, 2.0, 0.0], [-3.0, 1.0, 0.0]],
                            np.zeros((3, 1)))
-        assert len(estimate_beams(cloud)) == 1
+        assert estimate_beams(cloud).tolist() == [0, 0, 0]
+
+    def test_merge_threshold(self):
+        # gaps of 0.04 and 0.06 degrees: the first merges, the second splits
+        el = np.radians([0.0, 0.04, 0.10])
+        cloud = PointCloud(np.stack([np.zeros(3), 10 * np.cos(el),
+                                     10 * np.sin(el)], axis=-1),
+                           np.zeros((3, 1)))
+        assert DEFAULT_MERGE_THRESHOLD_DEG == 0.05
+        assert estimate_beams(cloud).tolist() == [0, 0, 1]
 
     def test_partition(self):
+        # ids ascend with elevation, one step per gap, and every id is used
         cloud, _ = synth_scan(32, steps=90, seed=5)
-        clusters = estimate_beams(cloud)
-        seen = np.concatenate(clusters)
-        assert len(seen) == len(cloud)
-        assert len(np.unique(seen)) == len(cloud)
+        ids = estimate_beams(cloud)
+        _, el = azimuth_elevation(cloud.xyz)
+        order = np.argsort(el, kind="stable")
+        steps = np.diff(ids[order])
+        assert ids[order][0] == 0 and set(steps.tolist()) <= {0, 1}
+        gaps = np.diff(el[order])
+        threshold = math.radians(DEFAULT_MERGE_THRESHOLD_DEG)
+        np.testing.assert_array_equal(steps == 1, gaps > threshold)
+        assert ids.max() + 1 == 32
 
     def test_empty_cloud(self):
-        assert estimate_beams(PointCloud(np.zeros((0, 3)), np.zeros((0, 1)))) == []
+        ids = estimate_beams(PointCloud(np.zeros((0, 3)), np.zeros((0, 1))))
+        assert ids.shape == (0,) and ids.dtype == np.int64
+
+
+#: the source and target beam patterns of the benchmark's three workloads
+WORKLOAD_BEAMS = [
+    (BeamSpec(128, -2.0, -26.0, 720),
+     [BeamSpec(64, -2.0, -26.0, 720), BeamSpec(32, -2.0, -26.0, 720)]),
+    (BeamSpec(32, -2.0, -26.0, 720), [BeamSpec(16, -2.0, -26.0, 720)]),
+    (BeamSpec(32, -2.0, -26.0, 360), [BeamSpec(16, -2.0, -26.0, 360)]),
+]
 
 
 class TestBeamResample:
+    @pytest.mark.parametrize("source, targets", WORKLOAD_BEAMS,
+                             ids=["scan_heavy", "occupancy_heavy", "train_heavy"])
+    def test_equals_the_per_beam_mask_reference(self, source, targets):
+        scene = build_scene(SceneParams(n_objects=12), seed=7)
+        cloud, labels = scan(scene, source, Pose(np.eye(3), (0.0, 0.0, 1.8)),
+                             0.0)
+        factors = [resample_factor(source, t) for t in targets]
+        factors += [ResampleFactor(v) for v in (0.01, 0.3, 0.75)]
+        for r in factors:
+            for seed in (0, 1, 2**40 + 3):
+                out, olab = beam_resample(cloud, labels, r, seed)
+                ref, rlab = beam_resample_reference(cloud, labels, r, seed)
+                assert out.xyz.tobytes() == ref.xyz.tobytes()
+                assert out.feat.tobytes() == ref.feat.tobytes()
+                assert olab.tobytes() == rlab.tobytes()
+
     def test_identity_factor(self):
         cloud, labels = synth_scan(32, steps=90)
         out, olab = beam_resample(cloud, labels, ResampleFactor(1.0), seed=1)
@@ -103,7 +148,7 @@ class TestBeamResample:
     def test_half_factor_counts_and_subset(self):
         cloud, labels = synth_scan(64)
         out, olab = beam_resample(cloud, labels, ResampleFactor(0.5), seed=3)
-        assert len(estimate_beams(out)) == 32
+        assert estimate_beams(out).max() + 1 == 32
         # exact record subset
         rows_in = {tuple(r) for r in np.hstack([cloud.xyz, cloud.feat])}
         rows_out = [tuple(r) for r in np.hstack([out.xyz, out.feat])]
@@ -115,7 +160,7 @@ class TestBeamResample:
         for r in (0.25, 0.4, 0.75, 1.0):
             out, _ = beam_resample(cloud, labels, ResampleFactor(r), seed=0)
             expected = max(1, int(math.floor(r * 64 + 0.5)))
-            assert len(estimate_beams(out)) == expected
+            assert estimate_beams(out).max() + 1 == expected
 
     def test_order_preserved(self):
         cloud, labels = synth_scan(16, steps=45)

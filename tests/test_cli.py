@@ -209,6 +209,17 @@ def test_infeasible_scene_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "data" / "manifest.json").exists()
 
 
+def test_arena_too_small_for_a_box_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({"n_sequences": 1, "scene": {
+        "arena": [-1, 1, -1, 1], "n_objects": 1}}))
+    assert main(["gen-scenes", "--config", str(config),
+                 "--out", str(tmp_path / "data")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: scene.arena: (-1.0, 1.0, -1.0, 1.0) is too small ")
+    assert not (tmp_path / "data" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("damage", ["directory", "missing", "not-utf-8"])
 def test_unreadable_config_is_a_config_error(tmp_path, damage, capsys):
     config = tmp_path / "config.json"
@@ -483,6 +494,21 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and str(poses) in err
         assert not (tmp_path / "grid.spog").exists()
+
+    @pytest.mark.parametrize("command", ["make-occ", "pretrain"])
+    def test_boxes_not_utf8_names_its_file(self, tmp_path, config, data,
+                                          command, capsys):
+        boxes = data / "seq_0000" / "frame_000.boxes.jsonl"
+        boxes.write_bytes(b"\xff" + boxes.read_bytes())
+        out = tmp_path / "out.bin"
+        argv = {"make-occ": ["make-occ", "--config", config,
+                             str(boxes.parent), str(out)],
+                "pretrain": ["pretrain", "--config", config, "--data",
+                             str(data), "--out", str(out)]}[command]
+        assert main(argv) == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith(
+            f"data error: {boxes}: boxes are not UTF-8 text: ")
+        assert not out.exists()
 
     def test_checkpoint_without_model_is_a_data_error(self, tmp_path, config,
                                                       data, capsys):

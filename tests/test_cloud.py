@@ -4,78 +4,7 @@ import numpy as np
 import pytest
 
 from occspot.cloud import (BoxLabel, LidarSequence, PointCloud, Pose,
-                           from_spherical, to_spherical, transform,
-                           validate_labels, wrap_angle)
-
-
-class TestToSpherical:
-    def test_unit_z_axis(self):
-        (r, az, el), = to_spherical([[0.0, 0.0, 1.0]])
-        assert r == 1.0 and az == 0.0 and el == pytest.approx(math.pi / 2)
-
-    def test_diagonal_in_plane(self):
-        (r, az, el), = to_spherical([[1.0, 1.0, 0.0]])
-        assert r == pytest.approx(math.sqrt(2))
-        assert az == pytest.approx(math.pi / 4)
-        assert el == 0.0
-
-    def test_three_four_zero(self):
-        # independent high-precision evaluation of the transform
-        (r, az, el), = to_spherical([[3.0, 4.0, 0.0]])
-        assert r == pytest.approx(5.0, abs=1e-12)
-        assert az == pytest.approx(0.6435011087932844, abs=1e-12)
-        assert el == 0.0
-
-    def test_origin_flagged_not_error(self):
-        with pytest.warns(UserWarning, match="origin"):
-            (r, az, el), = to_spherical([[0.0, 0.0, 0.0]])
-        assert (r, az, el) == (0.0, 0.0, 0.0)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            to_spherical([[np.nan, 0.0, 0.0]])
-
-    def test_range_equals_norm(self):
-        rng = np.random.default_rng(0)
-        pts = rng.normal(0, 30, (2000, 3))
-        sph = to_spherical(pts)
-        norms = np.linalg.norm(pts, axis=1)
-        assert np.abs(sph[:, 0] - norms).max() <= 1e-12 * norms.max()
-
-    def test_azimuth_range(self):
-        rng = np.random.default_rng(1)
-        sph = to_spherical(rng.normal(0, 10, (5000, 3)))
-        assert (sph[:, 1] > -math.pi).all() and (sph[:, 1] <= math.pi).all()
-        assert (np.abs(sph[:, 2]) <= math.pi / 2).all()
-
-
-class TestFromSpherical:
-    def test_unit_forward(self):
-        assert from_spherical([[1.0, 0.0, 0.0]])[0] == pytest.approx([0.0, 1.0, 0.0])
-
-    def test_zero_range(self):
-        assert from_spherical([[0.0, 2.3, -0.7]])[0] == pytest.approx([0.0] * 3)
-
-    def test_negative_range_rejected(self):
-        with pytest.raises(ValueError):
-            from_spherical([[-1.0, 0.0, 0.0]])
-
-    def test_round_trip_cartesian(self):
-        rng = np.random.default_rng(2)
-        pts = rng.uniform(-50, 50, (100_000, 3))
-        pts = pts[np.linalg.norm(pts, axis=1) > 1e-6]
-        back = from_spherical(to_spherical(pts))
-        err = np.abs(back - pts).max(axis=1)
-        bound = 1e-9 * np.maximum(1.0, np.linalg.norm(pts, axis=1))
-        assert (err <= bound).all()
-
-    def test_round_trip_spherical(self):
-        rng = np.random.default_rng(3)
-        sph = np.stack([rng.uniform(1e-3, 100, 100_000),
-                        rng.uniform(-math.pi, math.pi, 100_000),
-                        rng.uniform(-math.pi / 2, math.pi / 2, 100_000)], axis=-1)
-        again = to_spherical(from_spherical(sph))
-        assert np.abs(again - sph).max() <= 1e-9
+                           transform, validate_labels)
 
 
 def yaw_pose(yaw: float, translation=(0.0, 0.0, 0.0)) -> Pose:
@@ -217,9 +146,3 @@ class TestLidarSequence:
                            match="frame 2 has 1 boxes, frame 0 has 2"):
             LidarSequence(frames, labels, poses, boxes)
 
-
-def test_wrap_angle():
-    out = wrap_angle(np.array([math.pi, -math.pi, 3 * math.pi / 2]))
-    assert out == pytest.approx([math.pi, math.pi, -math.pi / 2])
-    arr = wrap_angle(np.array([0.0, 2 * math.pi, -2 * math.pi]))
-    assert np.abs(arr).max() < 1e-12

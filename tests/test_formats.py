@@ -1,13 +1,14 @@
+import os
 import re
 
 import numpy as np
 import pytest
 
 from occspot.cloud import BoxLabel, PointCloud
-from occspot.formats import (FormatError, frame_bytes, read_boxes,
-                             read_checkpoint, read_frame, read_grid,
-                             read_labels, write_boxes, write_checkpoint,
-                             write_frame, write_grid, write_labels)
+from occspot.formats import (FormatError, read_boxes, read_checkpoint,
+                             read_frame, read_grid, read_labels, write_boxes,
+                             write_checkpoint, write_frame, write_grid,
+                             write_labels)
 from occspot.occupancy import GridSpec, OccupancyGrid
 
 
@@ -31,8 +32,10 @@ def test_frame_round_trip_bytes(tmp_path, cloud):
     np.testing.assert_array_equal(again.feat, cloud.feat)
 
 
-def test_frame_header_layout(cloud):
-    blob = frame_bytes(cloud)
+def test_frame_header_layout(tmp_path, cloud):
+    path = tmp_path / "a.sptc"
+    write_frame(path, cloud)
+    blob = path.read_bytes()
     assert blob[:4] == b"SPTC"
     assert int.from_bytes(blob[4:8], "little") == 1
     assert int.from_bytes(blob[8:12], "little") == len(cloud)
@@ -57,7 +60,8 @@ def test_frame_truncated(tmp_path, cloud):
 
 def test_frame_nan_coordinate_names_the_file(tmp_path, cloud):
     path = tmp_path / "nan.sptc"
-    raw = bytearray(frame_bytes(cloud))
+    write_frame(path, cloud)
+    raw = bytearray(path.read_bytes())
     raw[16:20] = np.float32(np.nan).tobytes()  # the first point's x
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match=re.escape(
@@ -132,6 +136,14 @@ def test_boxes_bad_record_names_file_and_line(tmp_path, record, why):
     path.write_text(path.read_text() + record + "\n")
     with pytest.raises(FormatError, match=re.escape(
             f"{path}:2: bad box record: ") + ".*" + re.escape(why)):
+        read_boxes(path)
+
+
+def test_boxes_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"\xff\n")
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: boxes are not UTF-8 text: ")):
         read_boxes(path)
 
 
@@ -218,6 +230,19 @@ def test_atomic_write_leaves_no_partials(tmp_path):
         fmts.os.fdopen = real_fdopen
     assert target.read_bytes() == b"original"
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_labels(tmp_path / "a.sptl", np.zeros(3, dtype=np.uint8))
+        (tmp_path / "b.txt").open("w").close()
+    finally:
+        os.umask(old)
+    mode = (tmp_path / "a.sptl").stat().st_mode & 0o777
+    assert mode == 0o666 & ~umask
+    assert mode == (tmp_path / "b.txt").stat().st_mode & 0o777
 
 
 READERS = {"SPTC": (read_frame, 16), "SPTL": (read_labels, 12),

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import point_in_box_brute, scan_reference, scene_surface_distance
+from helpers import (azimuth_elevation, from_spherical_reference,
+                     point_in_box_brute, scan_reference, scene_surface_distance)
 
 from occspot import synth
-from occspot.cloud import BoxLabel, FieldError, Pose, to_spherical, transform
+from occspot.cloud import BoxLabel, FieldError, Pose, transform
 from occspot.synth import (BeamSpec, Scene, SceneParams, _ray_directions,
                            _sector_windows, build_scene, generate_sequence,
                            scan)
@@ -73,6 +74,17 @@ class TestBeamSpec:
                                    np.exp(1j * b.azimuths())[None, :].repeat(5, 0),
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("beams", [
+        BeamSpec(128, -2.0, -26.0, 720), BeamSpec(32, -2.0, -26.0, 720),
+        BeamSpec(32, -2.0, -26.0, 360), BeamSpec(3, -0.0, -20.0, 4),
+        BeamSpec(3, 90.0, -90.0, 8)])
+    def test_ray_directions_equal_the_spherical_reference(self, beams):
+        ee, aa = np.meshgrid(beams.elevations(), beams.azimuths(),
+                             indexing="ij")
+        sph = np.stack([np.ones(ee.size), aa.ravel(), ee.ravel()], axis=-1)
+        dirs, _ = _ray_directions(beams)
+        assert dirs.tobytes() == from_spherical_reference(sph).tobytes()
+
     def test_ray_directions_tell_signed_zeros_apart(self):
         # equal specs, but the -0.0 elevation casts rays with z = -0.0
         plus, minus = BeamSpec(3, 0.0, -20.0, 4), BeamSpec(3, -0.0, -20.0, 4)
@@ -119,6 +131,23 @@ class TestBuildScene:
         with pytest.raises(ValueError, match="infeasible placement"):
             build_scene(params, seed=0)
 
+    @pytest.mark.parametrize("arena", [(-1.4, 1.4, -5.0, 5.0),
+                                       (-5.0, 5.0, -1.4, 1.4)])
+    def test_arena_narrower_than_a_footprint_raises(self, arena):
+        # a 2 x 2 m box has footprint radius sqrt(2) = 1.414 m
+        params = SceneParams(arena=arena, n_objects=1, size_range_l=(2.0, 2.0),
+                             size_range_w=(2.0, 2.0))
+        with pytest.raises(FieldError, match="too small") as info:
+            build_scene(params, seed=0)
+        assert info.value.field == "arena"
+
+    def test_arena_that_just_fits_a_footprint_places_it(self):
+        params = SceneParams(arena=(-1.5, 1.5, -1.5, 1.5), n_objects=1,
+                             size_range_l=(2.0, 2.0), size_range_w=(2.0, 2.0))
+        (box,) = build_scene(params, seed=0).objects
+        room = 1.5 - math.sqrt(2)
+        assert abs(box.cx) <= room and abs(box.cy) <= room
+
 
 class TestScan:
     def test_empty_scene_no_ground(self):
@@ -147,7 +176,7 @@ class TestScan:
         pose = Pose(np.eye(3), (0.0, 0.0, 1.0))
         cloud, labels = scan(scene, beams, pose, 0.0)
         assert len(cloud) == 1  # only the +y ray meets the box
-        hits = cloud.xyz[np.abs(to_spherical(cloud.xyz)[:, 1]) < 1e-9]
+        hits = cloud.xyz[np.abs(azimuth_elevation(cloud.xyz)[0]) < 1e-9]
         assert len(hits) == 1
         # face plane: y = 6 - w/2 = 5 in world, sensor at y=0
         assert hits[0][1] == pytest.approx(5.0, abs=1e-9)
@@ -177,7 +206,7 @@ class TestScan:
         scene = build_scene(SceneParams(n_objects=6), seed=4)
         beams = down_beams(16, 90)
         cloud, _ = scan(scene, beams, sensor(), 0.0)
-        got = to_spherical(cloud.xyz)[:, 2]
+        _, got = azimuth_elevation(cloud.xyz)
         nominal = beams.elevations()
         dist = np.abs(got[:, None] - nominal[None, :]).min(axis=1)
         assert dist.max() <= 1e-9
